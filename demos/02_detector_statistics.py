@@ -10,26 +10,25 @@ two candidate post-change models.
 
 import numpy as np
 
-from nsmdp import (ChangeSpec, Detector, DetectorConfig, InventoryParams,
-                   build_env, build_inventory_mdp, simulate_step,
-                   value_iteration)
+from nsmdp import (ChangeSpec, Detector, DetectorConfig, EpisodeSetup,
+                   InventoryParams, build_env, build_inventory_mdp,
+                   simulate_batch, value_iteration)
 
 params = InventoryParams(capacity=10, order_cost=1.0, holding_cost=5.0,
                          penalty=100.0, demand_rate=2.0)
 env = build_env(params)
 policy = value_iteration(env.mdp_pre, beta=0.99).policy
 
-# one episode: Poisson demand for 60 steps, Uniform afterward
-rng = np.random.default_rng(4)
+# one episode under the pre-change policy: Poisson demand for 60 steps,
+# Uniform afterward (transition 61 is the first post-change one)
 change_at = 60
-transitions = []
-s = 0
-for k in range(120):
-    a = int(policy[s])
-    pmf = env.pmf_post if k >= change_at else env.pmf_pre
-    s_next, _ = simulate_step(s, a, pmf, rng)
-    transitions.append((s, a, s_next))
-    s = s_next
+setup = EpisodeSetup(env=env, policy_kind="oracle",
+                     change=ChangeSpec(kind="fixed", gamma=change_at + 1),
+                     horizon=121, beta=0.99, pi_pre=policy, pi_post=policy)
+trace = simulate_batch(setup, master_seed=4, run_ids=np.array([0]), trace=True).trace
+states = trace["state"][0].astype(int)
+actions = trace["action"][0].astype(int)
+transitions = list(zip(states[:-1], actions[:-1], states[1:]))
 
 # a second candidate model for the GLR: a different Uniform support
 wide = build_inventory_mdp(

@@ -4,12 +4,13 @@ Two-threshold switching in action
 
 Runs one episode of the two-threshold controller and prints the phase band
 it occupies at each step: exploit (statistic at or below B), probe (between
-B and A), and the absorbing switch to the post-change policy (above A).
+B and A), and the absorbing switch to the post-change policy (above A),
+labelled pre, probe and post.
 """
 
 import numpy as np
 
-from nsmdp import ChangeSpec, InventoryParams, build_env
+from nsmdp import PHASES, ChangeSpec, InventoryParams, build_env
 from nsmdp.engine import simulate_batch
 from nsmdp.harness import make_setup, solve_policies
 
@@ -23,12 +24,11 @@ setup = make_setup(env, policies, "tt", ChangeSpec(kind="fixed", gamma=50),
                    detector_rho=0.01, threshold_a=500.0, threshold_b=5.0)
 batch = simulate_batch(setup, master_seed=1, run_ids=np.array([0]), trace=True)
 tr = batch.trace
-names = {0: "exploit", 1: "probe", 2: "switched"}
 
 print("step  stock  action  demand  log-statistic  phase")
 last_phase = None
 for k in range(setup.horizon):
-    phase = names[int(tr["phase"][0, k])]
+    phase = PHASES[int(tr["phase"][0, k])]
     if phase != last_phase or k % 10 == 0:
         print(f"{k:4d}  {int(tr['state'][0, k]):5d}  {int(tr['action'][0, k]):6d}"
               f"  {int(tr['demand'][0, k]):6d}  {tr['statistic'][0, k]:13.2f}"

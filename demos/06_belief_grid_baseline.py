@@ -10,9 +10,8 @@ regime-optimal policies as the belief grows, and rolls out one episode.
 
 import numpy as np
 
-from nsmdp import (BeliefPoint, ChangeSpec, InventoryParams, belief_grid_solve,
-                   build_env, build_pomdp, momdp_controller_step, simulate_step,
-                   value_iteration)
+from nsmdp import (ChangeSpec, EpisodeSetup, InventoryParams, belief_grid_solve,
+                   build_env, build_pomdp, simulate_batch, value_iteration)
 
 params = InventoryParams(capacity=10, order_cost=1.0, holding_cost=5.0,
                          penalty=100.0, demand_rate=2.0)
@@ -29,16 +28,15 @@ for b in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
           f"(regime-optimal orders: {pi0[0]} pre, {pi1[0]} post)")
 
 # roll out one episode with the belief-tracking controller
-rng = np.random.default_rng(2)
 change_at = 40
-point = BeliefPoint(s=0, b=0.0)
-action = solution.action(point.s, point.b)
+setup = EpisodeSetup(env=env, policy_kind="momdp",
+                     change=ChangeSpec(kind="fixed", gamma=change_at),
+                     horizon=81, beta=0.99, momdp=solution)
+tr = simulate_batch(setup, master_seed=2, run_ids=np.array([0]), trace=True).trace
 print("\nstep  stock  belief  action")
-for k in range(80):
-    pmf = env.pmf_post if k >= change_at - 1 else env.pmf_pre
-    s_next, _ = simulate_step(point.s, action, pmf, rng)
-    action, point = momdp_controller_step(solution, point, action, s_next)
+for k in range(1, 81):
     if k % 5 == 0 or abs(k - change_at) <= 2:
-        print(f"{k:4d}  {point.s:5d}  {point.b:6.3f}  {action:6d}")
+        print(f"{k:4d}  {int(tr['state'][0, k]):5d}  {tr['statistic'][0, k]:6.3f}"
+              f"  {int(tr['action'][0, k]):6d}")
 
 print(f"\nthe belief snaps toward 1 shortly after the change at step {change_at}")

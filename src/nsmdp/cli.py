@@ -26,12 +26,13 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import harness
+from .controllers import PHASES, kl_policy
 from .detectors import Detector, DetectorConfig
 from .engine import simulate_batch
 from .errors import ModelError, NumericalError, StateError
@@ -194,6 +195,13 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         raise ConfigError(f"detector.rho must be in (0, 1) for shiryaev, got {detector_rho}")
     if detector_kind == "sr":
         detector_rho = 0.0
+    window = _get(parser, "detector", "window", int, 200)
+    if detector_kind == "cusum" and window < 1:
+        raise ConfigError(f"detector.window must be >= 1 for cusum, got {window}")
+    initial_state = _get(parser, "run", "initial_state", int, 0)
+    if not 0 <= initial_state <= params.capacity:
+        raise ConfigError(f"run.initial_state must be in [0, {params.capacity}], "
+                          f"got {initial_state}")
 
     alphas_raw = pick("alphas", _get(parser, "sweep", "alphas", str, ""))
     alphas = tuple(float(a) for a in alphas_raw.split(",") if a.strip())
@@ -201,10 +209,10 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     return ExperimentConfig(
         params=params, change=change,
         detector_kind=detector_kind, detector_rho=detector_rho,
-        window=_get(parser, "detector", "window", int, 200),
+        window=window,
         beta=beta, horizon=horizon, n_runs=n_runs,
         seed=pick("seed", _get(parser, "run", "seed", int, 0)),
-        initial_state=_get(parser, "run", "initial_state", int, 0),
+        initial_state=initial_state,
         workers=workers,
         out_dir=Path(pick("out_dir", _get(parser, "run", "out_dir", str, "out"))),
         policy_kinds=kinds,
@@ -234,7 +242,6 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     sol_pre = value_iteration(env.mdp_pre, cfg.beta)
     sol_post = value_iteration(env.mdp_post, cfg.beta)
-    from .controllers import kl_policy
     pi_probe = kl_policy(env.mdp_pre.kernel, env.mdp_post.kernel, env.mdp_pre.feasible)
     k0, k1 = env.mdp_pre.kernel, env.mdp_post.kernel
     info_pre = info_number(k0, k1, sol_pre.policy)
@@ -313,7 +320,19 @@ def _grids(cfg: ExperimentConfig):
     return a_grid, b_grid
 
 
+def _fixed_thresholds(cfg: ExperimentConfig) -> tuple[float, float]:
+    """(A, B) from the config, A = inf and B = 0 where unset. A fixed A needs
+    an explicit B when tt runs, since B = 0 would make tt always-probe."""
+    if ("tt" in cfg.policy_kinds and cfg.threshold_a is not None
+            and cfg.threshold_b is None):
+        raise ConfigError("thresholds.b (--b) must be set with thresholds.a (--a) "
+                          "when tt is in policies.kinds")
+    return (cfg.threshold_a if cfg.threshold_a is not None else math.inf,
+            cfg.threshold_b if cfg.threshold_b is not None else 0.0)
+
+
 def cmd_evaluate(cfg: ExperimentConfig, assert_ordering: bool = False) -> int:
+    fixed_a, fixed_b = _fixed_thresholds(cfg)
     env = build_env(cfg.params)
     policies = _load_policies(cfg, env)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -328,22 +347,13 @@ def cmd_evaluate(cfg: ExperimentConfig, assert_ordering: bool = False) -> int:
             window=cfg.window, initial_state=cfg.initial_state)
         if kind in ("loc", "kl", "tt"):
             if cfg.threshold_a is not None:
-                a = cfg.threshold_a
-                b = cfg.threshold_b if cfg.threshold_b is not None else 0.0
-                setup = harness.make_setup(
-                    env, policies, kind, cfg.change, cfg.horizon, cfg.beta,
-                    detector_kind=cfg.detector_kind, detector_rho=cfg.detector_rho,
-                    window=cfg.window, threshold_a=a, threshold_b=b,
-                    initial_state=cfg.initial_state)
+                setup = replace(setup, threshold_a=fixed_a, threshold_b=fixed_b)
             else:
                 choice = harness.optimize_thresholds(
                     setup, a_grid, b_grid, n_runs=opt_runs,
                     master_seed=cfg.seed, n_workers=cfg.workers)
-                setup = harness.make_setup(
-                    env, policies, kind, cfg.change, cfg.horizon, cfg.beta,
-                    detector_kind=cfg.detector_kind, detector_rho=cfg.detector_rho,
-                    window=cfg.window, threshold_a=choice.threshold_a,
-                    threshold_b=choice.threshold_b, initial_state=cfg.initial_state)
+                setup = replace(setup, threshold_a=choice.threshold_a,
+                                threshold_b=choice.threshold_b)
         report = harness.monte_carlo(setup, cfg.n_runs, cfg.seed, cfg.workers)
         reports.append(report)
         all_records.extend(report.runs)
@@ -428,16 +438,33 @@ def cmd_calibrate(cfg: ExperimentConfig, alpha: float | None) -> int:
     return 0
 
 
+def _read_trajectory(path: str, capacity: int) -> list[tuple[int, int, int]]:
+    """Rows s,a,s_next of a trajectory file; each must be a feasible
+    transition of the capacity-N inventory (0 <= s, s_next <= N and
+    0 <= a <= N - s), else the error names its line."""
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            s, a, s_next = (int(x) for x in line.split(","))
+            feasible = (0 <= s <= capacity and 0 <= s_next <= capacity
+                        and 0 <= a <= capacity - s)
+        except ValueError:
+            feasible = False
+        if not feasible:
+            raise ValueError(f"{path}:{lineno}: expected integers s,a,s_next with "
+                             f"0 <= s, s_next <= {capacity} and 0 <= a <= {capacity} - s, "
+                             f"got {line!r}")
+        rows.append((s, a, s_next))
+    return rows
+
+
 def cmd_info(cfg: ExperimentConfig, trajectory: str | None) -> int:
     env = build_env(cfg.params)
     if trajectory is not None:
-        rows = []
-        for line in Path(trajectory).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            s, a, s_next = (int(x) for x in line.split(","))
-            rows.append((s, a, s_next))
+        rows = _read_trajectory(trajectory, cfg.params.capacity)
         det = Detector(
             DetectorConfig(kind=cfg.detector_kind,
                            threshold=cfg.threshold_a if cfg.threshold_a is not None else math.inf,
@@ -452,11 +479,10 @@ def cmd_info(cfg: ExperimentConfig, trajectory: str | None) -> int:
                 break
         return 0
 
+    a, b = _fixed_thresholds(cfg)
     policies = _load_policies(cfg, env)
     kind = next((k for k in cfg.policy_kinds if k in ("loc", "kl", "tt")),
                 cfg.policy_kinds[0])
-    a = cfg.threshold_a if cfg.threshold_a is not None else math.inf
-    b = cfg.threshold_b if cfg.threshold_b is not None else 0.0
     setup = harness.make_setup(env, policies, kind, cfg.change, cfg.horizon, cfg.beta,
                                detector_kind=cfg.detector_kind,
                                detector_rho=cfg.detector_rho, window=cfg.window,
@@ -468,12 +494,10 @@ def cmd_info(cfg: ExperimentConfig, trajectory: str | None) -> int:
           f"tau={batch.tau[0] if batch.tau[0] >= 0 else 'none'} "
           f"cost={batch.discounted_cost[0]:.9g}")
     print("k,s,a,w,cost,statistic,phase")
-    names = {0: "pre", 1: "probe", 2: "post"}
     for k in range(cfg.horizon):
-        phase = names.get(int(tr["phase"][0, k]), "") if "phase" in tr else ""
         print(f"{k},{int(tr['state'][0, k])},{int(tr['action'][0, k])},"
               f"{int(tr['demand'][0, k])},{tr['cost'][0, k]:.9g},"
-              f"{tr['statistic'][0, k]:.9g},{phase}")
+              f"{tr['statistic'][0, k]:.9g},{PHASES[int(tr['phase'][0, k])]}")
     return 0
 
 

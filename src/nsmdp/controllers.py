@@ -15,11 +15,36 @@ from dataclasses import replace
 
 import numpy as np
 
-from .detectors import NEG_INF, Detector, DetectorConfig
+from .detectors import Detector, DetectorConfig, DetectorState, threshold_domain
 from .errors import StateError
 from .mdp import EPS_PROB, TabularMdp, kl_per_action, value_iteration
 
-CONTROLLER_KINDS = ("oracle", "loc", "kl", "tt", "random", "glr")
+PHASES = ("pre", "probe", "post")
+
+
+def kind_thresholds(kind: str, detector_kind: str, threshold_a: float,
+                    threshold_b: float | None) -> tuple[float, float | None]:
+    """(A, B) after the kind's degeneracies: loc forces B = A, kl puts B at
+    the statistic floor (0 for shiryaev/sr, -inf for cusum/glr), and every
+    other kind keeps B as given."""
+    if kind == "loc":
+        return threshold_a, threshold_a
+    if kind == "kl":
+        return threshold_a, 0.0 if detector_kind in ("shiryaev", "sr") else -math.inf
+    return threshold_a, threshold_b
+
+
+def switch_action(policies: np.ndarray, switched, log_stat, log_b, s):
+    """The two-threshold rule: (phase, action) where the phase indexes PHASES
+    (post once switched, probe while the statistic exceeds B, pre otherwise)
+    and the action is that phase's policy at state s.
+
+    `policies` stacks the pre, probe and post policies as rows; `log_b` is B
+    in the statistic's domain (see `threshold_domain`). Works elementwise
+    on arrays of runs.
+    """
+    phase = np.where(switched, 2, np.asarray(log_stat > log_b, dtype=int))
+    return phase, policies[phase, s]
 
 
 def kl_policy(kernel0: np.ndarray, kernel1: np.ndarray,
@@ -58,16 +83,6 @@ def _masked_argmax(score: np.ndarray, feasible) -> np.ndarray:
     return np.argmax(score, axis=1).astype(int)
 
 
-def _comparison_domain(detector_kind: str, threshold: float) -> float:
-    """Thresholds compare against log S_n for shiryaev/sr and against the
-    statistic itself for cusum/glr."""
-    if detector_kind in ("shiryaev", "sr"):
-        if threshold < 0:
-            raise ValueError("shiryaev/sr thresholds must be non-negative")
-        return float(np.log(threshold)) if threshold > 0.0 else NEG_INF
-    return float(threshold)
-
-
 class SwitchController:
     """Per-episode state machine for the oracle, random, single-threshold,
     probe-always and two-threshold policies.
@@ -101,35 +116,32 @@ class SwitchController:
             if feasible is None:
                 raise ValueError("random controller needs the feasible action sets")
             return
+        if self.pi_pre is None or self.pi_post is None:
+            raise ValueError(f"{kind} controller needs pi_pre and pi_post")
         if kind == "oracle":
-            if self.pi_pre is None or self.pi_post is None:
-                raise ValueError("oracle controller needs pi_pre and pi_post")
             return
         if detector is None:
             raise ValueError(f"{kind} controller needs a detector")
-        if self.pi_pre is None or self.pi_post is None:
-            raise ValueError(f"{kind} controller needs pi_pre and pi_post")
-        dkind = detector.config.kind
-        floor = 0.0 if dkind in ("shiryaev", "sr") else -math.inf
-        if kind == "loc":
-            threshold_b = threshold_a
-        elif kind == "kl":
-            threshold_b = floor
-        elif threshold_b is None:
+        threshold_a, threshold_b = kind_thresholds(kind, detector.config.kind,
+                                                   threshold_a, threshold_b)
+        if threshold_b is None:
             raise ValueError("tt controller needs threshold_b")
-        if threshold_b > threshold_a:
-            raise ValueError(f"need B <= A, got B={threshold_b}, A={threshold_a}")
         if kind in ("kl", "tt") and self.pi_probe is None:
             raise ValueError(f"{kind} controller needs pi_probe")
         if self.pi_probe is None:
             self.pi_probe = self.pi_pre  # loc never probes
+        self._arm(threshold_a, threshold_b, (self.pi_pre, self.pi_probe, self.pi_post))
+        # the detector's stopping threshold is the controller's A
+        detector.config = replace(detector.config, threshold=self.threshold_a)
+
+    def _arm(self, threshold_a: float, threshold_b: float, policies) -> None:
+        """Set the thresholds (B <= A) and the policy rows of the phase rule."""
+        if threshold_b > threshold_a:
+            raise ValueError(f"need B <= A, got B={threshold_b}, A={threshold_a}")
         self.threshold_a = float(threshold_a)
         self.threshold_b = float(threshold_b)
-        self._log_a = _comparison_domain(dkind, self.threshold_a)
-        self._log_b = _comparison_domain(dkind, self.threshold_b)
-        if detector.config.threshold != self.threshold_a:
-            # the detector's stopping threshold is the controller's A
-            detector.config = replace(detector.config, threshold=self.threshold_a)
+        self._log_b = threshold_domain(self.detector.config.kind, self.threshold_b)
+        self._policies = np.stack(policies)
 
     def step(self, s: int, transition_feedback: tuple[int, int, int] | None,
              now: int, rng: np.random.Generator | None = None) -> int:
@@ -148,33 +160,26 @@ class SwitchController:
 
         if self.threshold_b > self.threshold_a:
             raise StateError("malformed controller: B > A")
-        if self.phase != "post":
+        switched = self.phase == "post"
+        if not switched:
             if transition_feedback is not None:
                 state = self.detector.update(*transition_feedback)
                 if state.stopped:
-                    self.phase = "post"
+                    switched = True
                     self.tau_switch = state.stopped_at
+                    self._on_stop(state)
             elif now >= 1:
                 raise ValueError("transition_feedback required for now >= 1")
-            if self.phase != "post":
-                self.phase = "probe" if self.detector.state.log_stat > self._log_b else "pre"
-        if self.phase == "post":
-            return int(self.pi_post[s])
-        if self.phase == "probe":
-            return int(self.pi_probe[s])
-        return int(self.pi_pre[s])
+        phase, action = switch_action(self._policies, switched,
+                                      self.detector.state.log_stat, self._log_b, s)
+        self.phase = PHASES[phase]
+        return int(action)
+
+    def _on_stop(self, state: DetectorState) -> None:
+        """Hook run once, when the detector first stops."""
 
 
-def controller_step(ctrl, s: int, transition_feedback, now: int,
-                    rng: np.random.Generator | None = None):
-    """Functional wrapper over the controller state machines.
-
-    Returns (action, controller); the controller is advanced in place.
-    """
-    return ctrl.step(s, transition_feedback, now, rng), ctrl
-
-
-class GlrController:
+class GlrController(SwitchController):
     """Two-threshold controller for an unknown post-change model.
 
     Monitors with a windowed GLR over every candidate model other than the
@@ -191,12 +196,8 @@ class GlrController:
                  beta: float, vi_tol: float = 1e-8,
                  min_separation: float = 1e-6, eps_prob: float = EPS_PROB,
                  _policy_cache: dict | None = None):
-        if threshold_b > threshold_a:
-            raise ValueError(f"need B <= A, got B={threshold_b}, A={threshold_a}")
         self.models = tuple(models)
         self.pre_index = pre_index
-        self.threshold_a = float(threshold_a)
-        self.threshold_b = float(threshold_b)
         self.window = window
         self.beta = beta
         self.vi_tol = vi_tol
@@ -207,13 +208,15 @@ class GlrController:
         self.candidates = tuple(i for i in range(len(self.models)) if i != pre_index)
         grid = tuple(self.models[i].kernel for i in self.candidates)
         self.detector = Detector(
-            DetectorConfig(kind="glr", threshold=self.threshold_a, window=window,
+            DetectorConfig(kind="glr", threshold=float(threshold_a), window=window,
                            theta_grid=grid, min_separation=min_separation,
                            eps_prob=eps_prob),
             pre.kernel)
         self.pi_pre = self._optimal_policy(pre_index)
         self.pi_probe = worst_case_kl_policy(pre.kernel, grid, pre.feasible, eps_prob)
         self.pi_post: np.ndarray | None = None
+        # the post row is added by _on_stop, once the candidate is known
+        self._arm(threshold_a, threshold_b, (self.pi_pre, self.pi_probe))
         self.estimated_index: int | None = None
         self.phase = "pre"
         self.tau_switch: int | None = None
@@ -224,26 +227,10 @@ class GlrController:
                 self.models[index], self.beta, self.vi_tol).policy
         return self._policy_cache[index]
 
-    def step(self, s: int, transition_feedback: tuple[int, int, int] | None,
-             now: int, rng: np.random.Generator | None = None) -> int:
-        if self.phase != "post":
-            if transition_feedback is not None:
-                state = self.detector.update(*transition_feedback)
-                if state.stopped:
-                    self.phase = "post"
-                    self.tau_switch = state.stopped_at
-                    self.estimated_index = self.candidates[state.theta_hat]
-                    self.pi_post = self._optimal_policy(self.estimated_index)
-            elif now >= 1:
-                raise ValueError("transition_feedback required for now >= 1")
-            if self.phase != "post":
-                self.phase = ("probe" if self.detector.state.log_stat > self.threshold_b
-                              else "pre")
-        if self.phase == "post":
-            return int(self.pi_post[s])
-        if self.phase == "probe":
-            return int(self.pi_probe[s])
-        return int(self.pi_pre[s])
+    def _on_stop(self, state: DetectorState) -> None:
+        self.estimated_index = self.candidates[state.theta_hat]
+        self.pi_post = self._optimal_policy(self.estimated_index)
+        self._policies = np.vstack((self._policies, self.pi_post))
 
 
 def glr_reset(ctrl: GlrController, theta_hat: int | None = None) -> GlrController:

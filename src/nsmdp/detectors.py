@@ -13,8 +13,7 @@ compared in logs; CUSUM/GLR thresholds are log-domain reals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import accumulate
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,9 +47,7 @@ def log_likelihood_ratio(kernel0: np.ndarray, kernel1: np.ndarray,
         raise ValueError(f"state out of range: {s} -> {s_next}")
     if not 0 <= a < n_actions:
         raise ValueError(f"action {a} out of range")
-    t1 = float(np.log(np.maximum(k1[s, a, s_next], eps_prob)))
-    t0 = float(np.log(np.maximum(k0[s, a, s_next], eps_prob)))
-    return t1 - t0
+    return float(log_ratio_table(k1[s, a, s_next], k0[s, a, s_next], eps_prob))
 
 
 def shiryaev_log_update(log_stat, log_lr, log_one_minus_rho):
@@ -61,6 +58,37 @@ def shiryaev_log_update(log_stat, log_lr, log_one_minus_rho):
     Works elementwise on arrays; shared by the scalar and batch engines.
     """
     return np.logaddexp(0.0, log_stat) - log_one_minus_rho + log_lr
+
+
+def windowed_cusum(buffer: np.ndarray, rows: np.ndarray, log_lr, n_seen: int) -> np.ndarray:
+    """Push one log-likelihood ratio into each selected row of the
+    (rows, window + 1) buffer, in place, and return those rows' windowed
+    CUSUM statistic: the max over the sums of the last j ratios,
+    j = 1..min(n_seen, window + 1), where `n_seen` counts the ratios pushed
+    so far, this one included.
+
+    `rows` is a boolean mask or an index array, never a slice: the sums are
+    accumulated in place in the copy such indexing makes, which spares one
+    large temporary per step. Shared by the scalar CUSUM/GLR detectors (one
+    row per candidate) and the batch engine (one row per run).
+    """
+    width = buffer.shape[1]
+    buffer[rows, :-1] = buffer[rows, 1:]
+    buffer[rows, -1] = log_lr
+    recent = buffer[rows, width - min(n_seen, width):][:, ::-1]
+    np.cumsum(recent, axis=1, out=recent)
+    return recent.max(axis=1)
+
+
+def threshold_domain(kind: str, threshold: float) -> float:
+    """A threshold in the domain of `DetectorState.log_stat`: its log for
+    shiryaev/sr, whose thresholds are linear and must be non-negative, and
+    the threshold itself for cusum/glr."""
+    if kind in ("shiryaev", "sr"):
+        if threshold < 0:
+            raise ValueError("threshold must be non-negative for shiryaev/sr")
+        return float(np.log(threshold)) if threshold > 0.0 else NEG_INF
+    return float(threshold)
 
 
 @dataclass(frozen=True)
@@ -93,15 +121,16 @@ class DetectorState:
     """Value object holding a running statistic.
 
     `log_stat` is log S_n for shiryaev/sr (so -inf encodes S_n = 0) and the
-    statistic itself for cusum/glr. `buffers` holds one tuple of recent
-    per-step log-likelihood ratios per candidate (cusum keeps a single row).
+    statistic itself for cusum/glr. `buffers` holds the `windowed_cusum`
+    buffer of recent per-step log-likelihood ratios, one row per candidate
+    (cusum keeps a single row); it is never written once the state exists.
     """
 
     kind: str
     n: int = 0
     log_stat: float = NEG_INF
     stopped_at: int | None = None
-    buffers: tuple[tuple[float, ...], ...] = ()
+    buffers: np.ndarray | None = field(default=None, compare=False, repr=False)
     theta_hat: int | None = None
 
     @property
@@ -117,9 +146,27 @@ class DetectorState:
 
 
 def new_detector_state(kind: str) -> DetectorState:
-    if kind in ("cusum", "glr"):
-        return DetectorState(kind=kind, buffers=((),))
     return DetectorState(kind=kind)
+
+
+def _advance(state: DetectorState, log_lrs, log_one_minus_rho: float = 0.0,
+             window: int = 0) -> DetectorState:
+    """One step of the state's statistic from one log-likelihood ratio per
+    row: a single row for shiryaev/sr/cusum, one per candidate for glr,
+    whose statistic is the largest row's and `theta_hat` that row (lowest
+    index on ties)."""
+    if state.stopped:
+        raise StateError("detector already stopped")
+    if state.kind in ("shiryaev", "sr"):
+        new_log = shiryaev_log_update(state.log_stat, log_lrs[0], log_one_minus_rho)
+        return replace(state, n=state.n + 1, log_stat=float(new_log))
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    buf = np.zeros((len(log_lrs), window + 1)) if state.n == 0 else state.buffers.copy()
+    stats = windowed_cusum(buf, np.arange(len(log_lrs)), log_lrs, state.n + 1)
+    best = int(np.argmax(stats))
+    return replace(state, n=state.n + 1, log_stat=float(stats[best]), buffers=buf,
+                   theta_hat=best if state.kind == "glr" else None)
 
 
 def shiryaev_step(state: DetectorState, lr: float, rho: float) -> DetectorState:
@@ -128,11 +175,8 @@ def shiryaev_step(state: DetectorState, lr: float, rho: float) -> DetectorState:
         raise ValueError(f"rho must be in [0, 1), got {rho}")
     if lr < 0.0:
         raise ValueError(f"likelihood ratio must be non-negative, got {lr}")
-    if state.stopped:
-        raise StateError("detector already stopped")
     log_lr = float(np.log(lr)) if lr > 0.0 else NEG_INF
-    new_log = float(shiryaev_log_update(state.log_stat, log_lr, float(np.log1p(-rho))))
-    return replace(state, n=state.n + 1, log_stat=new_log)
+    return _advance(state, (log_lr,), float(np.log1p(-rho)))
 
 
 def sr_step(state: DetectorState, lr: float) -> DetectorState:
@@ -140,20 +184,9 @@ def sr_step(state: DetectorState, lr: float) -> DetectorState:
     return shiryaev_step(state, lr, 0.0)
 
 
-def _suffix_max(buffer: tuple[float, ...]) -> float:
-    # max over sums of the last j entries, j = 1..len(buffer)
-    return max(accumulate(reversed(buffer)))
-
-
 def cusum_step(state: DetectorState, log_lr: float, window: int) -> DetectorState:
     """Windowed CUSUM update: max over suffix sums of the last window+1 ratios."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if state.stopped:
-        raise StateError("detector already stopped")
-    buf = (state.buffers[0] if state.buffers else ()) + (float(log_lr),)
-    buf = buf[-(window + 1):]
-    return replace(state, n=state.n + 1, log_stat=float(_suffix_max(buf)), buffers=(buf,))
+    return _advance(state, np.array([float(log_lr)]), window=window)
 
 
 def glr_step(state: DetectorState, transition: tuple[int, int, int],
@@ -167,24 +200,9 @@ def glr_step(state: DetectorState, transition: tuple[int, int, int],
     """
     if len(theta_grid) == 0:
         raise ValueError("theta_grid must be nonempty")
-    if state.stopped:
-        raise StateError("detector already stopped")
-    s, a, s_next = transition
-    buffers = state.buffers
-    if len(buffers) != len(theta_grid):
-        buffers = tuple(() for _ in theta_grid)
-    new_buffers = []
-    best_stat, best_idx = NEG_INF, 0
-    for idx, kernel_theta in enumerate(theta_grid):
-        log_lr = log_likelihood_ratio(kernel0, kernel_theta, s, a, s_next, eps_prob)
-        buf = buffers[idx] + (log_lr,)
-        buf = buf[-(window + 1):]
-        new_buffers.append(buf)
-        stat = _suffix_max(buf)
-        if stat > best_stat:
-            best_stat, best_idx = stat, idx
-    return replace(state, n=state.n + 1, log_stat=float(best_stat),
-                   buffers=tuple(new_buffers), theta_hat=best_idx)
+    log_lrs = np.array([log_likelihood_ratio(kernel0, kernel_theta, *transition, eps_prob)
+                        for kernel_theta in theta_grid])
+    return _advance(state, log_lrs, window=window)
 
 
 def check_stop(state: DetectorState, threshold: float) -> DetectorState:
@@ -196,13 +214,7 @@ def check_stop(state: DetectorState, threshold: float) -> DetectorState:
     """
     if state.stopped or state.n == 0:
         return state
-    if state.kind in ("shiryaev", "sr"):
-        if threshold < 0:
-            raise ValueError("threshold must be non-negative for shiryaev/sr")
-        log_a = float(np.log(threshold)) if threshold > 0.0 else NEG_INF
-    else:
-        log_a = threshold
-    if state.log_stat > log_a:
+    if state.log_stat > threshold_domain(state.kind, threshold):
         return replace(state, stopped_at=state.n)
     return state
 
@@ -263,9 +275,9 @@ def posterior_from_log_shiryaev(log_stat: float, rho: float) -> float:
 class Detector:
     """Driver feeding (s, a, s') transitions into one configured statistic.
 
-    Holds the pre/post-change kernels, the running DetectorState, and the
-    stopping threshold; `update` raises StateError once stopped (callers
-    stop feeding a stopped detector).
+    Holds the pre-change kernel, a log-ratio table per post-change kernel,
+    the running DetectorState, and the stopping threshold; `update` raises
+    StateError once stopped (callers stop feeding a stopped detector).
     """
 
     def __init__(self, config: DetectorConfig, kernel0: np.ndarray,
@@ -280,29 +292,21 @@ class Detector:
                         f"glr candidate {idx} is within {dist:.3e} of the "
                         f"pre-change kernel (min separation {config.min_separation})"
                     )
-            self.kernel1 = None
-            self._log_lr = None
+            kernels = config.theta_grid
         else:
             if kernel1 is None:
                 raise ValueError(f"{config.kind} requires the post-change kernel")
-            self.kernel1 = np.asarray(kernel1, dtype=float)
-            self._log_lr = log_ratio_table(self.kernel1, self.kernel0, config.eps_prob)
+            kernels = (kernel1,)
+        # (candidates, S, A, S) per-transition log-likelihood ratios
+        self._log_lr = np.stack([log_ratio_table(kernel, self.kernel0, config.eps_prob)
+                                 for kernel in kernels])
         self._log1m_rho = float(np.log1p(-config.rho))
         self.state = new_detector_state(config.kind)
 
     def update(self, s: int, a: int, s_next: int) -> DetectorState:
         cfg = self.config
-        if self.state.stopped:
-            raise StateError("detector already stopped")
-        if cfg.kind in ("shiryaev", "sr"):
-            log_lr = float(self._log_lr[s, a, s_next])
-            new_log = float(shiryaev_log_update(self.state.log_stat, log_lr, self._log1m_rho))
-            self.state = replace(self.state, n=self.state.n + 1, log_stat=new_log)
-        elif cfg.kind == "cusum":
-            self.state = cusum_step(self.state, float(self._log_lr[s, a, s_next]), cfg.window)
-        else:
-            self.state = glr_step(self.state, (s, a, s_next), self.kernel0,
-                                  cfg.theta_grid, cfg.window, cfg.eps_prob)
+        self.state = _advance(self.state, self._log_lr[:, s, a, s_next],
+                              self._log1m_rho, cfg.window)
         self.state = check_stop(self.state, cfg.threshold)
         return self.state
 

@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detectors import log_ratio_table, shiryaev_log_update
+from .controllers import kind_thresholds, switch_action
+from .detectors import (log_ratio_table, shiryaev_log_update, threshold_domain,
+                        windowed_cusum)
 from .inventory import ChangeSpec, InventoryEnv, demand_from_uniform, sample_change_point
 from .mdp import EPS_PROB
 from .momdp import MomdpSolution, belief_step
@@ -62,28 +64,28 @@ class EpisodeSetup:
             raise ValueError(f"unsupported policy kind {self.policy_kind!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if not 0 <= self.initial_state < self.env.n_states:
+            raise ValueError(f"initial_state must be in [0, {self.env.n_states - 1}], "
+                             f"got {self.initial_state}")
+        if self.detector_kind == "cusum" and self.window < 1:
+            raise ValueError(f"window must be >= 1 for cusum, got {self.window}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
-        if self.policy_kind in ("loc", "kl", "tt"):
-            if self.pi_pre is None or self.pi_post is None:
-                raise ValueError(f"{self.policy_kind} needs pi_pre and pi_post")
-            if self.policy_kind in ("kl", "tt") and self.pi_probe is None:
-                raise ValueError(f"{self.policy_kind} needs pi_probe")
-            if self.detector_kind not in ("shiryaev", "sr", "cusum"):
-                raise ValueError(f"unsupported detector kind {self.detector_kind!r}")
-        if self.policy_kind == "oracle" and (self.pi_pre is None or self.pi_post is None):
-            raise ValueError("oracle needs pi_pre and pi_post")
+        if self.policy_kind in ("oracle", "loc", "kl", "tt") and (
+                self.pi_pre is None or self.pi_post is None):
+            raise ValueError(f"{self.policy_kind} needs pi_pre and pi_post")
+        if self.policy_kind in ("kl", "tt") and self.pi_probe is None:
+            raise ValueError(f"{self.policy_kind} needs pi_probe")
+        if (self.policy_kind in ("loc", "kl", "tt")
+                and self.detector_kind not in ("shiryaev", "sr", "cusum")):
+            raise ValueError(f"unsupported detector kind {self.detector_kind!r}")
         if self.policy_kind == "momdp" and self.momdp is None:
             raise ValueError("momdp needs a solved belief-grid policy")
 
     def effective_thresholds(self) -> tuple[float, float]:
         """(A, B) after applying the kind's degeneracies."""
-        a = self.threshold_a
-        if self.policy_kind == "loc":
-            return a, a
-        if self.policy_kind == "kl":
-            return a, 0.0 if self.detector_kind in ("shiryaev", "sr") else -math.inf
-        return a, self.threshold_b
+        return kind_thresholds(self.policy_kind, self.detector_kind,
+                               self.threshold_a, self.threshold_b)
 
 
 @dataclass
@@ -144,15 +146,6 @@ _RANDOMNESS_CACHE: dict = {}
 _CACHE_LOCK = threading.Lock()
 
 
-def _comparison_thresholds(setup: EpisodeSetup) -> tuple[float, float]:
-    a, b = setup.effective_thresholds()
-    if setup.detector_kind in ("shiryaev", "sr"):
-        log_a = float(np.log(a)) if a > 0 else -math.inf
-        log_b = float(np.log(b)) if b > 0 else -math.inf
-        return log_a, log_b
-    return a, b
-
-
 def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                    trace: bool = False) -> BatchResult:
     """Simulate one batch of episodes; deterministic in (setup, seed, ids)."""
@@ -173,21 +166,18 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
     if uses_detector or uses_belief:
         log_lr = log_ratio_table(env.mdp_post.kernel, env.mdp_pre.kernel, setup.eps_prob)
     if uses_detector:
-        log_a, log_b = _comparison_thresholds(setup)
+        log_a, log_b = (threshold_domain(setup.detector_kind, t)
+                        for t in setup.effective_thresholds())
         log1m_rho = float(np.log1p(-setup.detector_rho))
         if setup.detector_kind == "cusum":
-            window = setup.window
-            buf = np.zeros((n, window + 1))
-            stat = np.full(n, -math.inf)
-        else:
-            stat = np.full(n, -math.inf)     # log S_n; S_0 = 0
+            buf = np.zeros((n, setup.window + 1))
+        stat = np.full(n, -math.inf)         # log S_n (S_0 = 0), or the CUSUM
+        pi_probe = setup.pi_pre if setup.pi_probe is None else setup.pi_probe
+        policies = np.stack((setup.pi_pre, pi_probe, setup.pi_post))
     if uses_belief:
         lr_lin = np.exp(log_lr)
         belief = np.zeros(n)
-        g = setup.momdp.grid_size
-        momdp_policy = setup.momdp.policy
     if kind == "random":
-        n_states = env.n_states
         for s, acts in enumerate(env.mdp_pre.feasible):
             if tuple(acts) != tuple(range(len(acts))):
                 raise ValueError("random policy requires contiguous feasible actions")
@@ -212,11 +202,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                 if active.any():
                     step_lr = log_lr[s_prev[active], a_prev[active], s[active]]
                     if setup.detector_kind == "cusum":
-                        buf[active, :-1] = buf[active, 1:]
-                        buf[active, -1] = step_lr
-                        valid = min(k, window + 1)
-                        recent = buf[active, window + 1 - valid:][:, ::-1]
-                        stat[active] = np.cumsum(recent, axis=1).max(axis=1)
+                        stat[active] = windowed_cusum(buf, active, step_lr, k)
                     else:
                         stat[active] = shiryaev_log_update(stat[active], step_lr, log1m_rho)
                     newly = active & (stat > log_a)
@@ -226,20 +212,16 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                 step_lr = lr_lin[s_prev, a_prev, s]
                 belief = belief_step(belief, step_lr, setup.momdp.pomdp.rho)
 
+        post_regime = k >= gamma - 1.0
         if kind == "oracle":
-            post_now = k >= gamma - 1.0
-            a = np.where(post_now, setup.pi_post[s], setup.pi_pre[s])
+            a = np.where(post_regime, setup.pi_post[s], setup.pi_pre[s])
         elif kind == "random":
             a = (action_u[:, k] * n_feas[s]).astype(int)
         elif kind == "momdp":
-            bi = np.rint(belief * (g - 1)).astype(int)
-            a = momdp_policy[s, bi]
+            a = setup.momdp.action(s, belief)
         else:
-            probe = ~switched & (stat > log_b)
-            a = np.where(switched, setup.pi_post[s],
-                         np.where(probe, setup.pi_probe[s], setup.pi_pre[s]))
+            phase, a = switch_action(policies, switched, stat, log_b, s)
 
-        post_regime = k >= gamma - 1.0
         cost = np.where(post_regime, c_post[s, a], c_pre[s, a])
         disc += beta_pow * cost
         beta_pow *= setup.beta
@@ -255,8 +237,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
             traces["cost"][:, k] = cost
             if uses_detector:
                 traces["statistic"][:, k] = stat
-                traces["phase"][:, k] = np.where(
-                    switched, 2, (stat > log_b).astype(int))
+                traces["phase"][:, k] = phase
             elif uses_belief:
                 traces["statistic"][:, k] = belief
         s_prev, a_prev = s, a

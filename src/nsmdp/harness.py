@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .controllers import kl_policy
-from .engine import BatchResult, EpisodeSetup, draw_episode_randomness, simulate_batch
-from .inventory import ChangeSpec, InventoryEnv, demand_from_uniform
+from .engine import BatchResult, EpisodeSetup, simulate_batch
+from .inventory import ChangeSpec, InventoryEnv
 from .momdp import MomdpSolution, belief_grid_solve, build_pomdp
 from .mdp import value_iteration
 
@@ -38,7 +38,6 @@ class RunRecord:
     discounted_cost: float
     detection_delay: float | None     # (tau - gamma)^+ when both defined
     premature_switch: bool            # tau < gamma
-    statistic_trace: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -98,23 +97,18 @@ def make_setup(env: InventoryEnv, policies: PolicySet, kind: str,
                         momdp=policies.momdp, initial_state=initial_state)
 
 
-def _records_from_batch(batch: BatchResult, policy: str, horizon: int,
-                        keep_trace: bool = False) -> list[RunRecord]:
+def _records_from_batch(batch: BatchResult, policy: str, horizon: int) -> list[RunRecord]:
     delays = batch.detection_delay
     premature = batch.premature
     records = []
     for i, run_id in enumerate(batch.run_ids):
         tau = int(batch.tau[i]) if batch.tau[i] >= 0 else None
         delay = float(delays[i]) if not math.isnan(delays[i]) else None
-        trace = None
-        if keep_trace and "statistic" in batch.trace:
-            trace = batch.trace["statistic"][i].copy()
         records.append(RunRecord(
             run_id=int(run_id), policy=policy, gamma=float(batch.gamma[i]),
             tau_switch=tau, horizon=horizon,
             discounted_cost=float(batch.discounted_cost[i]),
-            detection_delay=delay, premature_switch=bool(premature[i]),
-            statistic_trace=trace))
+            detection_delay=delay, premature_switch=bool(premature[i])))
     return records
 
 
@@ -160,76 +154,6 @@ def monte_carlo(setup: EpisodeSetup, n_runs: int, master_seed: int,
     records = _records_from_batch(batch, setup.policy_kind, setup.horizon)
     a, b = setup.effective_thresholds()
     return _aggregate(setup.policy_kind, records, a, b, master_seed)
-
-
-# ---------------------------------------------------------------------------
-# single-episode runner over controller objects
-
-class _BlockRng:
-    """Sequential reader over a pre-drawn uniform block, so object-driven
-    episodes consume the same action draws as the batch engine."""
-
-    def __init__(self, block: np.ndarray):
-        self._block = block
-        self._i = 0
-
-    def random(self) -> float:
-        v = float(self._block[self._i])
-        self._i += 1
-        return v
-
-
-def run_episode(env: InventoryEnv, controller, change: ChangeSpec, horizon: int,
-                beta: float, seed: int, run_id: int = 0, initial_state: int = 0,
-                trace: bool = False) -> RunRecord:
-    """Simulate one episode by stepping a controller object.
-
-    Uses the same per-run randomness protocol as the batch engine, so the
-    record matches `monte_carlo` output for the equivalent setup. An oracle
-    controller constructed with `oracle_switch_time=None` is made clairvoyant
-    for the sampled change point.
-    """
-    gamma_arr, demand_u, action_u = draw_episode_randomness(
-        change, horizon, seed, np.array([run_id]))
-    gamma = float(gamma_arr[0])
-    if getattr(controller, "kind", None) == "oracle" and controller.oracle_switch_time is None:
-        controller.oracle_switch_time = max(gamma - 1.0, 0.0)
-
-    cum_pre = np.cumsum(env.pmf_pre)
-    cum_pre[-1] = 1.0
-    cum_post = np.cumsum(env.pmf_post)
-    cum_post[-1] = 1.0
-    rng = _BlockRng(action_u[0])
-
-    s = initial_state
-    s_prev = a_prev = 0
-    disc = 0.0
-    beta_pow = 1.0
-    stat_trace = np.zeros(horizon) if trace else None
-    for k in range(horizon):
-        feedback = (s_prev, a_prev, s) if k >= 1 else None
-        a = controller.step(s, feedback, k, rng)
-        post_regime = k >= gamma - 1.0
-        cost = env.mdp_post.cost[s, a] if post_regime else env.mdp_pre.cost[s, a]
-        disc += beta_pow * cost
-        beta_pow *= beta
-        u = demand_u[0, k]
-        cum = cum_post if post_regime else cum_pre
-        w = int(demand_from_uniform(cum, u))
-        if trace and getattr(controller, "detector", None) is not None:
-            stat_trace[k] = controller.detector.state.log_stat
-        s_prev, a_prev = s, a
-        s = max(0, s + a - w)
-
-    tau = getattr(controller, "tau_switch", None)
-    delay = None
-    if tau is not None and math.isfinite(gamma):
-        delay = max(0.0, tau - gamma)
-    return RunRecord(run_id=run_id, policy=getattr(controller, "kind", "custom"),
-                     gamma=gamma, tau_switch=tau, horizon=horizon,
-                     discounted_cost=float(disc), detection_delay=delay,
-                     premature_switch=tau is not None and tau < gamma,
-                     statistic_trace=stat_trace)
 
 
 # ---------------------------------------------------------------------------

@@ -146,17 +146,8 @@ def build_env(params: InventoryParams) -> InventoryEnv:
 
 
 def demand_from_uniform(cum_pmf: np.ndarray, u) -> np.ndarray:
-    """Inverse-CDF demand draw shared by the scalar and batch simulators."""
+    """Inverse-CDF demand draw used by the batch simulator."""
     return np.searchsorted(cum_pmf, u, side="right")
-
-
-def simulate_step(s: int, a: int, pmf: np.ndarray,
-                  rng: np.random.Generator) -> tuple[int, int]:
-    """Sample one demand from the active regime and move the stock level."""
-    cum = np.cumsum(pmf)
-    cum[-1] = 1.0
-    w = int(demand_from_uniform(cum, rng.random()))
-    return max(0, s + a - w), w
 
 
 @dataclass(frozen=True)

@@ -88,35 +88,16 @@ def belief_update(b: float, s: int, a: int, s_next: int,
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"belief must be in [0, 1], got {b}")
-    k0 = np.asarray(kernel0, dtype=float)
-    k1 = np.asarray(kernel1, dtype=float)
-    p1 = max(float(k1[s, a, s_next]), eps_prob)
-    p0 = max(float(k0[s, a, s_next]), eps_prob)
+    p1 = max(float(np.asarray(kernel1)[s, a, s_next]), eps_prob)
+    p0 = max(float(np.asarray(kernel0)[s, a, s_next]), eps_prob)
     pred = b + (1.0 - b) * rho
-    if p0 == 0.0:
-        # transition impossible under the pre-change model
-        if p1 == 0.0 or pred == 0.0:
-            raise NumericalError(
-                f"zero belief normalizer at (s={s}, a={a}, s'={s_next})")
-        return 1.0
-    lr = float(np.exp(np.log(p1) - np.log(p0))) if p1 > 0.0 else 0.0
-    den = pred * lr + (1.0 - pred)
-    if den <= 0.0:
-        raise NumericalError(
-            f"zero belief normalizer at (s={s}, a={a}, s'={s_next})")
-    return min(max(float(pred * lr / den), 0.0), 1.0)
-
-
-@dataclass(frozen=True)
-class BeliefPoint:
-    """Observable state plus the probability that the change has occurred."""
-
-    s: int
-    b: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError(f"belief must be in [0, 1], got {self.b}")
+    if p0 > 0.0:
+        lr = float(np.exp(log_ratio_table(p1, p0, eps_prob))) if p1 > 0.0 else 0.0
+        if pred * lr + (1.0 - pred) > 0.0:
+            return min(max(float(belief_step(b, lr, rho)), 0.0), 1.0)
+    elif p1 > 0.0 and pred > 0.0:
+        return 1.0  # transition impossible under the pre-change model
+    raise NumericalError(f"zero belief normalizer at (s={s}, a={a}, s'={s_next})")
 
 
 @dataclass(frozen=True)
@@ -132,10 +113,10 @@ class MomdpSolution:
     def grid_size(self) -> int:
         return len(self.grid)
 
-    def action(self, s: int, b: float) -> int:
-        """Nearest-neighbor action lookup on the belief grid."""
-        g = len(self.grid)
-        return int(self.policy[s, int(np.rint(b * (g - 1)))])
+    def action(self, s, b):
+        """Nearest-neighbor action lookup on the belief grid; works
+        elementwise on arrays of states and beliefs."""
+        return self.policy[s, np.rint(np.asarray(b) * (self.grid_size - 1)).astype(int)]
 
 
 def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
@@ -204,14 +185,3 @@ def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
             interp_pi = (1.0 - w_pi) * vf[flat_pi] + w_pi * vf[flat_pi + 1]
             v = c_pi + beta * np.einsum("sgn,sgn->sg", p_pi, interp_pi)
     raise NumericalError(f"belief-grid value iteration did not converge in {max_iter} sweeps")
-
-
-def momdp_controller_step(solution: MomdpSolution, belief: BeliefPoint,
-                          a_prev: int, observation: int) -> tuple[int, BeliefPoint]:
-    """Advance the belief with the realized transition and look up the
-    gridded policy at the new (state, belief) point."""
-    pomdp = solution.pomdp
-    b_new = belief_update(belief.b, belief.s, a_prev, observation,
-                          pomdp.mdp0.kernel, pomdp.mdp1.kernel, pomdp.rho)
-    point = BeliefPoint(s=observation, b=b_new)
-    return solution.action(point.s, point.b), point

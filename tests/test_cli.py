@@ -196,6 +196,18 @@ class TestInfo:
         assert out_text.startswith("n,s,a,s_next,log_stat")
         assert len(out_text.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("row", ["0,9,1", "5,3,1", "0,1,6", "-1,0,0",
+                                     "1,2", "1,x,0"])
+    def test_bad_trajectory_row_names_its_line(self, tmp_path, capsys, row):
+        cfg = write_config(tmp_path / "exp.ini", capacity=5)
+        traj = tmp_path / "traj.csv"
+        traj.write_text(f"# s,a,s_next\n0,2,1\n{row}\n")
+        code = main(["info", "--config", str(cfg), "--trajectory", str(traj)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "traj.csv:3:" in captured.err
+        assert captured.out == ""
+
 
 class TestConfigValidation:
     def test_bad_key_named_in_error(self, tmp_path, capsys):
@@ -209,6 +221,34 @@ class TestConfigValidation:
         cfg.write_text("[policies]\nkinds = oracle,sneaky\n")
         assert main(["solve", "--config", str(cfg)]) == 1
         assert "sneaky" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("initial_state", [-1, 6, 9])
+    def test_initial_state_outside_stock_range(self, tmp_path, capsys, initial_state):
+        cfg = write_config(tmp_path / "exp.ini", capacity=5)
+        cfg.write_text(cfg.read_text().replace(
+            "seed = 0", f"seed = 0\ninitial_state = {initial_state}"))
+        code = main(["evaluate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "run.initial_state" in capsys.readouterr().err
+
+    def test_cusum_window_must_be_positive(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.ini", capacity=5)
+        cfg.write_text(cfg.read_text().replace("kind = shiryaev", "kind = cusum\nwindow = 0"))
+        code = main(["evaluate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "detector.window" in capsys.readouterr().err
+
+    def test_a_without_b_is_config_error_with_tt(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "exp.ini", extra="a = 50\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        for command in ("evaluate", "info"):
+            code = main([command, "--config", str(cfg), "--out-dir", str(out)])
+            assert code == 1
+            assert "thresholds.b" in capsys.readouterr().err
+        code = main(["evaluate", "--config", str(cfg), "--out-dir", str(out),
+                     "--policies", "oracle,loc"])
+        assert code == 0
 
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.ini"]) == 1

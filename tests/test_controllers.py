@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from nsmdp.controllers import (GlrController, SwitchController, controller_step,
-                               glr_reset, kl_policy, worst_case_kl_policy)
+from nsmdp.controllers import (GlrController, SwitchController, glr_reset,
+                               kl_policy, worst_case_kl_policy)
 from nsmdp.detectors import Detector, DetectorConfig
 from nsmdp.errors import StateError
-from nsmdp.harness import run_episode
+from nsmdp.harness import make_setup, monte_carlo
 from nsmdp.inventory import ChangeSpec
 from nsmdp.mdp import TabularMdp, kl_step, value_iteration
 
@@ -116,8 +116,7 @@ class TestPhaseMachine:
         actions = [ctrl.step(0, None, 0)]
         phases = [ctrl.phase]
         for t in (1, 2, 3):
-            action, ctrl = controller_step(ctrl, 0, (0, 0, t), t)
-            actions.append(action)
+            actions.append(ctrl.step(0, (0, 0, t), t))
             phases.append(ctrl.phase)
         assert phases == ["pre", "probe", "pre", "post"]
         assert actions == [0, 1, 0, 2]
@@ -150,28 +149,26 @@ class TestPhaseMachine:
 class TestControllerEpisodes:
     CHANGE = ChangeSpec(kind="geometric", rho=0.05)
 
-    def episode_actions(self, env, ctrl, seed, horizon=120):
-        rec = run_episode(env, ctrl, self.CHANGE, horizon, 0.95, seed, trace=True)
-        return rec
+    def episode_outcomes(self, env, policies, kind, a, b=0.0, n_runs=20):
+        """Per-run discounted costs and switch times of the engine's runs."""
+        setup = make_setup(env, policies, kind, self.CHANGE, 120, 0.95,
+                           detector_kind="shiryaev", detector_rho=0.05,
+                           threshold_a=a, threshold_b=b)
+        report = monte_carlo(setup, n_runs, master_seed=0)
+        return ([r.discounted_cost for r in report.runs],
+                [r.tau_switch for r in report.runs])
 
     def test_tt_equals_loc_when_thresholds_meet(self, small_env, small_policies):
-        for seed in range(20):
-            a = 40.0
-            tt = make_controller(small_env, small_policies, "tt", a=a, b=a)
-            loc = make_controller(small_env, small_policies, "loc", a=a)
-            r1 = self.episode_actions(small_env, tt, seed)
-            r2 = self.episode_actions(small_env, loc, seed)
-            assert r1.discounted_cost == r2.discounted_cost
-            assert r1.tau_switch == r2.tau_switch
+        tt = self.episode_outcomes(small_env, small_policies, "tt", a=40.0, b=40.0)
+        loc = self.episode_outcomes(small_env, small_policies, "loc", a=40.0)
+        assert tt == loc
+        assert any(tau is not None for tau in tt[1])
 
     def test_tt_with_floor_threshold_equals_kl(self, small_env, small_policies):
-        for seed in range(20):
-            tt = make_controller(small_env, small_policies, "tt", a=40.0, b=0.0)
-            kl = make_controller(small_env, small_policies, "kl", a=40.0)
-            r1 = self.episode_actions(small_env, tt, seed)
-            r2 = self.episode_actions(small_env, kl, seed)
-            assert r1.discounted_cost == r2.discounted_cost
-            assert r1.tau_switch == r2.tau_switch
+        tt = self.episode_outcomes(small_env, small_policies, "tt", a=40.0, b=0.0)
+        kl = self.episode_outcomes(small_env, small_policies, "kl", a=40.0)
+        assert tt == kl
+        assert any(tau is not None for tau in tt[1])
 
     def test_absorption_and_pre_phase_actions(self, small_env, small_policies):
         env, ps = small_env, small_policies

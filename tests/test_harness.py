@@ -8,19 +8,29 @@ import pytest
 
 from nsmdp.controllers import SwitchController
 from nsmdp.detectors import Detector, DetectorConfig
-from nsmdp.engine import simulate_batch
+from nsmdp.engine import draw_episode_randomness, simulate_batch
 from nsmdp.harness import (calibrate_nonbayes, default_a_grid, default_b_grid,
                            delay_profile, estimate_nonbayes_grid,
                            calibrate_from_grid, frontier_sweep, make_setup,
-                           monte_carlo, optimize_thresholds, run_episode,
-                           solve_policies, threshold_cells, write_frontier_csv,
-                           write_runs_csv, write_summary_csv)
+                           monte_carlo, optimize_thresholds, solve_policies,
+                           threshold_cells, write_frontier_csv, write_runs_csv,
+                           write_summary_csv)
 from nsmdp.inventory import ChangeSpec
 from nsmdp.mdp import info_number
 
 from util import finite_horizon_policy_value
 
 CHANGE = ChangeSpec(kind="geometric", rho=0.05)
+
+
+class _Uniforms:
+    """Hands out a run's pre-drawn action uniforms in order, as `random()`."""
+
+    def __init__(self, block):
+        self._values = iter(block)
+
+    def random(self):
+        return float(next(self._values))
 
 
 def small_setup(env, policies, kind, horizon=200, beta=0.95, a=50.0, b=3.0,
@@ -105,14 +115,22 @@ class TestEpisodeAccounting:
                 assert rec.detection_delay == rec.tau_switch - 40
 
     def test_object_path_matches_engine(self, small_env, small_policies):
+        """Replay each traced engine run through a SwitchController: the
+        controller, fed the run's (s, a, s') path and action uniforms, must
+        choose the engine's action at every step and switch at its tau."""
         env, ps = small_env, small_policies
+        horizon = 200
         for kind, a, b in (("oracle", math.inf, 0.0), ("random", math.inf, 0.0),
                            ("loc", 50.0, 0.0), ("kl", 50.0, 0.0), ("tt", 50.0, 3.0)):
             for seed in (0, 1, 2):
+                setup = small_setup(env, ps, kind, horizon=horizon, a=a, b=b)
+                batch = simulate_batch(setup, seed, np.array([0]), trace=True)
+                states = batch.trace["state"][0].astype(int)
+                actions = batch.trace["action"][0].astype(int)
                 if kind == "oracle":
-                    ctrl = SwitchController("oracle", pi_pre=ps.pi_pre,
-                                            pi_post=ps.pi_post,
-                                            oracle_switch_time=None)
+                    ctrl = SwitchController(
+                        "oracle", pi_pre=ps.pi_pre, pi_post=ps.pi_post,
+                        oracle_switch_time=max(batch.gamma[0] - 1.0, 0.0))
                 elif kind == "random":
                     ctrl = SwitchController("random", feasible=env.mdp_pre.feasible)
                 else:
@@ -123,10 +141,24 @@ class TestEpisodeAccounting:
                                             pi_probe=ps.pi_probe,
                                             pi_post=ps.pi_post, detector=det,
                                             threshold_a=a, threshold_b=b)
-                rec = run_episode(env, ctrl, CHANGE, 200, 0.95, seed)
-                rep = monte_carlo(small_setup(env, ps, kind, a=a, b=b), 1, seed)
-                assert rec.discounted_cost == rep.runs[0].discounted_cost
-                assert rec.tau_switch == rep.runs[0].tau_switch
+                _, _, action_u = draw_episode_randomness(CHANGE, horizon, seed,
+                                                         np.array([0]))
+                uniforms = _Uniforms(action_u[0])
+                for k in range(horizon):
+                    feedback = ((states[k - 1], actions[k - 1], states[k])
+                                if k >= 1 else None)
+                    assert ctrl.step(states[k], feedback, k, uniforms) == actions[k]
+                tau = int(batch.tau[0]) if batch.tau[0] >= 0 else None
+                assert ctrl.tau_switch == tau
+
+    def test_setup_rejects_bad_initial_state_and_window(self, small_env, small_policies):
+        for initial_state in (-1, small_env.n_states):
+            with pytest.raises(ValueError, match="initial_state"):
+                make_setup(small_env, small_policies, "loc", CHANGE, 10, 0.95,
+                           initial_state=initial_state)
+        with pytest.raises(ValueError, match="window"):
+            make_setup(small_env, small_policies, "loc", CHANGE, 10, 0.95,
+                       detector_kind="cusum", window=0)
 
     def test_oracle_lower_bound(self, small_env, small_policies):
         reports = {}

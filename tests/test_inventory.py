@@ -1,13 +1,15 @@
 """Tests for the inventory environment: pmfs, kernels, costs, simulation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nsmdp.engine import EpisodeSetup, simulate_batch
 from nsmdp.inventory import (ChangeSpec, InventoryParams, build_env,
                              build_inventory_mdp, demand_pmf, poisson_cap,
-                             sample_change_point, simulate_step)
+                             sample_change_point)
 
 
 class TestDemandPmf:
@@ -102,34 +104,49 @@ class TestBuildInventoryMdp:
         assert params.uniform_max == params.capacity
 
 
+def traced_runs(env, kind, n_runs, horizon, pi=None, seed=0):
+    """Traced engine runs under the pre-change demand law."""
+    setup = EpisodeSetup(env=env, policy_kind=kind, change=ChangeSpec(kind="never"),
+                         horizon=horizon, beta=0.9, pi_pre=pi, pi_post=pi)
+    return simulate_batch(setup, seed, np.arange(n_runs), trace=True).trace
+
+
 class TestSimulateStep:
+    """The engine's transition step: s' = max(0, s + a - w)."""
+
     def test_zero_demand_keeps_order(self):
-        pmf = np.array([1.0])
-        rng = np.random.default_rng(0)
-        s_next, w = simulate_step(2, 1, pmf, rng)
-        assert (s_next, w) == (3, 0)
+        env = replace(build_env(miniature_params()), pmf_pre=np.array([1.0]))
+        tr = traced_runs(env, "oracle", 2, 6, pi=np.array([1, 1, 1, 0]))
+        assert np.all(tr["demand"] == 0)
+        np.testing.assert_array_equal(tr["state"][:, 1:],
+                                      tr["state"][:, :-1] + tr["action"][:, :-1])
+        assert tr["state"][0].tolist() == [0, 1, 2, 3, 3, 3]
 
     def test_excess_demand_floors_at_zero(self):
-        pmf = np.array([0.0, 0.0, 0.0, 0.0, 1.0])   # demand always 4
-        rng = np.random.default_rng(0)
-        s_next, w = simulate_step(1, 2, pmf, rng)
-        assert (s_next, w) == (0, 4)
+        # demand always 4, above any stock level of the capacity-3 instance
+        env = replace(build_env(miniature_params()),
+                      pmf_pre=np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+        tr = traced_runs(env, "random", 4, 10)
+        assert np.all(tr["demand"] == 4)
+        assert np.any(tr["action"] > 0)
+        assert np.all(tr["state"] == 0)
 
     def test_frequencies_match_kernel(self):
-        params = miniature_params()
-        mdp = build_inventory_mdp(params, "poisson")
-        pmf = demand_pmf("poisson", rate=2.0)
-        rng = np.random.default_rng(42)
-        s, a = 1, 2
-        n = 100_000
-        counts = np.zeros(4)
-        for _ in range(n):
-            s_next, _ = simulate_step(s, a, pmf, rng)
-            counts[s_next] += 1
-        for j in range(4):
-            p = mdp.kernel[s, a, j]
-            sigma = math.sqrt(p * (1 - p) / n)
-            assert abs(counts[j] / n - p) <= 3 * sigma + 1e-6
+        env = build_env(miniature_params())
+        tr = traced_runs(env, "random", 1000, 200, seed=42)
+        s = tr["state"][:, :-1].astype(int).ravel()
+        a = tr["action"][:, :-1].astype(int).ravel()
+        s_next = tr["state"][:, 1:].astype(int).ravel()
+        counts = np.zeros((4, 4, 4))
+        np.add.at(counts, (s, a, s_next), 1)
+        for s0 in range(4):
+            for a0 in range(4 - s0):
+                n = counts[s0, a0].sum()
+                assert n >= 1000
+                for j in range(4):
+                    p = env.mdp_pre.kernel[s0, a0, j]
+                    sigma = math.sqrt(p * (1 - p) / n)
+                    assert abs(counts[s0, a0, j] / n - p) <= 4 * sigma + 1e-6
 
 
 class TestChangeSpec:

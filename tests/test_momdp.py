@@ -9,8 +9,8 @@ from nsmdp.detectors import (log_likelihood_ratio, new_detector_state,
                              posterior_from_log_shiryaev, shiryaev_step)
 from nsmdp.errors import ModelError, NumericalError
 from nsmdp.mdp import TabularMdp, value_iteration
-from nsmdp.momdp import (BeliefPoint, MomdpSolution, belief_grid_solve,
-                         belief_update, build_pomdp, momdp_controller_step)
+from nsmdp.momdp import (MomdpSolution, belief_grid_solve, belief_step,
+                         belief_update, build_pomdp)
 
 from util import random_kernel, random_mdp
 
@@ -62,6 +62,12 @@ class TestBeliefUpdate:
         m0, m1 = toy_pair(rng)
         b = belief_update(1.0, 0, 0, 1, m0.kernel, m1.kernel, rho=0.05)
         assert b == 1.0
+
+    def test_belief_outside_unit_interval_rejected(self, rng):
+        m0, m1 = toy_pair(rng)
+        for b in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                belief_update(b, 0, 0, 1, m0.kernel, m1.kernel, rho=0.05)
 
     def test_pure_prior_drift_when_kernels_equal(self, rng):
         kernel = random_kernel(2, 2, rng)
@@ -217,28 +223,35 @@ def _bellman_residual(sol: MomdpSolution, beta: float) -> float:
 
 
 class TestMomdpController:
+    """The belief filter pins the belief at 0 (rho = 0) or 1, and the grid
+    policy there is the pre- or post-change optimal policy."""
+
     def test_acts_as_pre_model_with_zero_belief(self, rng):
         m0, m1 = toy_pair(rng)
         pomdp = build_pomdp(m0, m1, rho=0.0)
         sol = belief_grid_solve(pomdp, grid_size=21, beta=0.9, tol=1e-9)
         pi0 = value_iteration(m0, 0.9, 1e-11).policy
-        point = BeliefPoint(s=0, b=0.0)
+        s, b = 0, 0.0
         for obs in (1, 0, 1, 1, 0):
-            action, point = momdp_controller_step(sol, point, int(pi0[point.s]), obs)
-            assert point.b == 0.0
-            assert action == pi0[obs]
+            b = belief_update(b, s, int(pi0[s]), obs, m0.kernel, m1.kernel, 0.0)
+            assert b == 0.0
+            assert sol.action(obs, b) == pi0[obs]
+            s = obs
+        lr = np.exp(rng.uniform(-3.0, 3.0, 8))
+        assert np.all(belief_step(np.zeros(8), lr, 0.0) == 0.0)
+        np.testing.assert_array_equal(sol.action(np.array([0, 1]), np.zeros(2)), pi0)
 
     def test_acts_as_post_model_with_pinned_belief(self, rng):
         m0, m1 = toy_pair(rng)
         pomdp = build_pomdp(m0, m1, rho=0.2)
         sol = belief_grid_solve(pomdp, grid_size=21, beta=0.9, tol=1e-9)
         pi1 = value_iteration(m1, 0.9, 1e-11).policy
-        point = BeliefPoint(s=1, b=1.0)
+        s, b = 1, 1.0
         for obs in (0, 1, 0):
-            action, point = momdp_controller_step(sol, point, 0, obs)
-            assert point.b == 1.0
-            assert action == pi1[obs]
-
-    def test_belief_point_validation(self):
-        with pytest.raises(ValueError):
-            BeliefPoint(s=0, b=1.5)
+            b = belief_update(b, s, 0, obs, m0.kernel, m1.kernel, 0.2)
+            assert b == 1.0
+            assert sol.action(obs, b) == pi1[obs]
+            s = obs
+        lr = np.exp(rng.uniform(-3.0, 3.0, 8))
+        assert np.all(belief_step(np.ones(8), lr, 0.2) == 1.0)
+        np.testing.assert_array_equal(sol.action(np.array([0, 1]), np.ones(2)), pi1)
