@@ -74,7 +74,7 @@ file values. Defaults in parentheses.
   n_runs            Monte Carlo episodes (1000)
   seed              master seed; all randomness derives from it (0)
   initial_state     starting stock level (0)
-  workers           worker threads; never affects results (1)
+  workers           accepted for compatibility; has no effect (1)
   out_dir           output directory (out)
 
 [policies]
@@ -397,18 +397,22 @@ def _nonbayes_setups(cfg: ExperimentConfig, env, policies):
     return setups
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> int:
-    if not cfg.alphas:
-        raise ConfigError("sweep.alphas must be a nonempty list")
+def _frontier(cfg: ExperimentConfig, alphas) -> list[harness.CalibrationResult]:
+    """Calibrate every threshold policy at every alpha and write frontier.csv."""
     env = build_env(cfg.params)
     policies = _load_policies(cfg, env)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     a_grid, b_grid = _grids(cfg)
-    rows = harness.frontier_sweep(_nonbayes_setups(cfg, env, policies), cfg.alphas,
-                                  a_grid, b_grid, n_runs=cfg.n_runs,
-                                  master_seed=cfg.seed, n_workers=cfg.workers)
+    rows = harness.frontier_sweep(_nonbayes_setups(cfg, env, policies), alphas,
+                                  a_grid, b_grid, n_runs=cfg.n_runs, master_seed=cfg.seed)
     harness.write_frontier_csv(cfg.out_dir / "frontier.csv", rows)
-    for r in rows:
+    return rows
+
+
+def cmd_sweep(cfg: ExperimentConfig) -> int:
+    if not cfg.alphas:
+        raise ConfigError("sweep.alphas must be a nonempty list")
+    for r in _frontier(cfg, cfg.alphas):
         tag = "" if r.feasible else "  [infeasible: best violating cell]"
         print(f"alpha={r.alpha:.6g} {r.policy:4s} A={r.threshold_a:.6g} "
               f"B={r.threshold_b:.6g} e1={r.e1_cost:.6g} einf={r.einf_cost:.6g}{tag}")
@@ -421,17 +425,7 @@ def cmd_calibrate(cfg: ExperimentConfig, alpha: float | None) -> int:
         if len(cfg.alphas) != 1:
             raise ConfigError("calibrate needs --alpha or exactly one sweep.alphas entry")
         alpha = cfg.alphas[0]
-    env = build_env(cfg.params)
-    policies = _load_policies(cfg, env)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    a_grid, b_grid = _grids(cfg)
-    rows = []
-    for kind, setup in _nonbayes_setups(cfg, env, policies).items():
-        rows.append(harness.calibrate_nonbayes(setup, alpha, a_grid, b_grid,
-                                               n_runs=cfg.n_runs, master_seed=cfg.seed,
-                                               n_workers=cfg.workers))
-    harness.write_frontier_csv(cfg.out_dir / "frontier.csv", rows)
-    for r in rows:
+    for r in _frontier(cfg, [alpha]):
         tag = "" if r.feasible else "  [infeasible: best violating cell]"
         print(f"{r.policy:4s} A={r.threshold_a:.6g} B={r.threshold_b:.6g} "
               f"e1={r.e1_cost:.6g} einf={r.einf_cost:.6g}{tag}")
@@ -522,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", dest="out_dir", help="output directory override")
         p.add_argument("--n-runs", dest="n_runs", type=int, help="episode count override")
         p.add_argument("--horizon", type=int, help="episode length override")
-        p.add_argument("--workers", type=int, help="worker threads (results unaffected)")
+        p.add_argument("--workers", type=int, help="accepted for compatibility; has no effect")
         p.add_argument("--policies", help="comma list of policy kinds override")
         p.add_argument("--detector", help="detector kind override")
         p.add_argument("--a", dest="threshold_a", type=float, help="fixed threshold A")

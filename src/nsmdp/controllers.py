@@ -43,8 +43,8 @@ def switch_action(policies: np.ndarray, switched, log_stat, log_b, s):
     in the statistic's domain (see `threshold_domain`). Works elementwise
     on arrays of runs.
     """
-    phase = np.where(switched, 2, np.asarray(log_stat > log_b, dtype=int))
-    return phase, policies[phase, s]
+    phase = np.maximum(2 * np.asarray(switched), log_stat > log_b)
+    return phase, policies.reshape(-1)[phase * policies.shape[1] + s]
 
 
 def kl_policy(kernel0: np.ndarray, kernel1: np.ndarray,

@@ -62,20 +62,23 @@ def shiryaev_log_update(log_stat, log_lr, log_one_minus_rho):
 
 def windowed_cusum(buffer: np.ndarray, rows: np.ndarray, log_lr, n_seen: int) -> np.ndarray:
     """Push one log-likelihood ratio into each selected row of the
-    (rows, window + 1) buffer, in place, and return those rows' windowed
-    CUSUM statistic: the max over the sums of the last j ratios,
+    (..., 2 * (window + 1)) ring buffer, in place, and return those rows'
+    windowed CUSUM statistic: the max over the sums of the last j ratios,
     j = 1..min(n_seen, window + 1), where `n_seen` counts the ratios pushed
     so far, this one included.
 
-    `rows` is a boolean mask or an index array, never a slice: the sums are
-    accumulated in place in the copy such indexing makes, which spares one
-    large temporary per step. Shared by the scalar CUSUM/GLR detectors (one
-    row per candidate) and the batch engine (one row per run).
+    Each ratio is stored twice, window + 1 apart, so the newest window + 1
+    ratios are one contiguous run, newest first, and nothing is shifted.
+    `rows` is a boolean mask over the leading axes or an index array, never
+    a slice: the sums are accumulated in place in the copy such indexing
+    makes. Shared by the scalar CUSUM/GLR detectors (one row per candidate)
+    and the batch engine (one row per cell and run).
     """
-    width = buffer.shape[1]
-    buffer[rows, :-1] = buffer[rows, 1:]
-    buffer[rows, -1] = log_lr
-    recent = buffer[rows, width - min(n_seen, width):][:, ::-1]
+    width = buffer.shape[-1] // 2
+    p = -n_seen % width
+    buffer[rows, p] = log_lr
+    buffer[rows, p + width] = log_lr
+    recent = buffer[rows, p:p + min(n_seen, width)]
     np.cumsum(recent, axis=1, out=recent)
     return recent.max(axis=1)
 
@@ -122,7 +125,7 @@ class DetectorState:
 
     `log_stat` is log S_n for shiryaev/sr (so -inf encodes S_n = 0) and the
     statistic itself for cusum/glr. `buffers` holds the `windowed_cusum`
-    buffer of recent per-step log-likelihood ratios, one row per candidate
+    ring of recent per-step log-likelihood ratios, one row per candidate
     (cusum keeps a single row); it is never written once the state exists.
     """
 
@@ -162,7 +165,7 @@ def _advance(state: DetectorState, log_lrs, log_one_minus_rho: float = 0.0,
         return replace(state, n=state.n + 1, log_stat=float(new_log))
     if window < 1:
         raise ValueError("window must be >= 1")
-    buf = np.zeros((len(log_lrs), window + 1)) if state.n == 0 else state.buffers.copy()
+    buf = np.zeros((len(log_lrs), 2 * (window + 1))) if state.n == 0 else state.buffers.copy()
     stats = windowed_cusum(buf, np.arange(len(log_lrs)), log_lrs, state.n + 1)
     best = int(np.argmax(stats))
     return replace(state, n=state.n + 1, log_stat=float(stats[best]), buffers=buf,
@@ -277,7 +280,8 @@ class Detector:
 
     Holds the pre-change kernel, a log-ratio table per post-change kernel,
     the running DetectorState, and the stopping threshold; `update` raises
-    StateError once stopped (callers stop feeding a stopped detector).
+    ValueError for a transition outside the table and StateError once
+    stopped (callers stop feeding a stopped detector).
     """
 
     def __init__(self, config: DetectorConfig, kernel0: np.ndarray,
@@ -305,6 +309,10 @@ class Detector:
 
     def update(self, s: int, a: int, s_next: int) -> DetectorState:
         cfg = self.config
+        _, n_states, n_actions, _ = self._log_lr.shape
+        if not (0 <= s < n_states and 0 <= a < n_actions and 0 <= s_next < n_states):
+            raise ValueError(f"transition ({s}, {a}, {s_next}) outside the "
+                             f"{n_states}-state, {n_actions}-action table")
         self.state = _advance(self.state, self._log_lr[:, s, a, s_next],
                               self._log1m_rho, cfg.window)
         self.state = check_stop(self.state, cfg.threshold)

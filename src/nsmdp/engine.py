@@ -4,7 +4,9 @@ Episodes are simulated in batches: one numpy-level loop over time steps,
 with every per-run quantity (state, statistic, phase, cost) held in arrays
 across runs. Demands are exogenous inverse-CDF draws, so runs with the same
 seed share demand paths across policies and threshold settings (common
-random numbers).
+random numbers). A setup whose thresholds are arrays simulates every
+threshold cell in one pass: state has shape (cells, runs), per-run inputs
+broadcast along the cell axis and per-cell thresholds along the run axis.
 
 Randomness protocol, fixed per run: seed the generator from
 SeedSequence(master_seed, spawn_key=(run_id,)), draw the change point (one
@@ -23,7 +25,6 @@ transition realized between times k-1 and k has index k.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,8 @@ class EpisodeSetup:
     detector_rho: float = 0.0
     window: int = 200
     eps_prob: float = EPS_PROB
-    threshold_a: float = math.inf
-    threshold_b: float = 0.0
+    threshold_a: float | np.ndarray = math.inf   # or one entry per cell
+    threshold_b: float | np.ndarray = 0.0
     momdp: MomdpSolution | None = None
     initial_state: int = 0
 
@@ -81,35 +82,29 @@ class EpisodeSetup:
             raise ValueError(f"unsupported detector kind {self.detector_kind!r}")
         if self.policy_kind == "momdp" and self.momdp is None:
             raise ValueError("momdp needs a solved belief-grid policy")
+        a, b = np.shape(self.threshold_a), np.shape(self.threshold_b)
+        if a != b or len(a) > 1 or a == (0,):
+            raise ValueError("thresholds must be two scalars or two nonempty 1-D arrays "
+                             f"of equal length, got shapes {a} and {b}")
 
     def effective_thresholds(self) -> tuple[float, float]:
-        """(A, B) after applying the kind's degeneracies."""
+        """(A, B) after applying the kind's degeneracies (per cell for
+        threshold arrays; kl's B stays a scalar)."""
         return kind_thresholds(self.policy_kind, self.detector_kind,
                                self.threshold_a, self.threshold_b)
 
 
 @dataclass
 class BatchResult:
-    """Per-run outcomes of one simulated batch (aligned with run_ids)."""
+    """Per-run outcomes of a simulated batch, aligned with run_ids: one entry
+    per row, run_ids repeating once per threshold cell (cell-major), or
+    (cells, runs) arrays as the harness assembles them."""
 
     run_ids: np.ndarray
     gamma: np.ndarray              # float, inf = never
     tau: np.ndarray                # int, -1 = no switch
     discounted_cost: np.ndarray
     trace: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def premature(self) -> np.ndarray:
-        return (self.tau >= 0) & (self.tau < self.gamma)
-
-    @property
-    def detection_delay(self) -> np.ndarray:
-        """(tau - gamma)^+ where a switch happened and the change is finite;
-        NaN elsewhere."""
-        delay = np.full(len(self.tau), np.nan)
-        ok = (self.tau >= 0) & np.isfinite(self.gamma)
-        delay[ok] = np.maximum(0.0, self.tau[ok] - self.gamma[ok])
-        return delay
 
 
 def draw_episode_randomness(change: ChangeSpec, horizon: int, master_seed: int,
@@ -121,8 +116,7 @@ def draw_episode_randomness(change: ChangeSpec, horizon: int, master_seed: int,
     callers must treat the returned arrays as read-only.
     """
     key = (change, horizon, int(master_seed), np.asarray(run_ids, dtype=int).tobytes())
-    with _CACHE_LOCK:
-        cached = _RANDOMNESS_CACHE.get(key)
+    cached = _RANDOMNESS_CACHE.get(key)
     if cached is not None:
         return cached
     n = len(run_ids)
@@ -135,72 +129,77 @@ def draw_episode_randomness(change: ChangeSpec, horizon: int, master_seed: int,
         gamma[i] = sample_change_point(change, rng)
         demand_u[i] = rng.random(horizon)
         action_u[i] = rng.random(horizon)
-    with _CACHE_LOCK:
-        if len(_RANDOMNESS_CACHE) >= 8:
-            _RANDOMNESS_CACHE.pop(next(iter(_RANDOMNESS_CACHE)))
-        _RANDOMNESS_CACHE[key] = (gamma, demand_u, action_u)
+    if len(_RANDOMNESS_CACHE) >= 8:
+        _RANDOMNESS_CACHE.pop(next(iter(_RANDOMNESS_CACHE)))
+    _RANDOMNESS_CACHE[key] = (gamma, demand_u, action_u)
     return gamma, demand_u, action_u
 
 
 _RANDOMNESS_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                    trace: bool = False) -> BatchResult:
-    """Simulate one batch of episodes; deterministic in (setup, seed, ids)."""
+    """Simulate one batch of episodes for every threshold cell of the setup;
+    deterministic in (setup, seed, ids)."""
     run_ids = np.asarray(run_ids, dtype=int)
-    n = len(run_ids)
+    shape = (np.size(setup.threshold_a), len(run_ids))
     env, horizon, kind = setup.env, setup.horizon, setup.policy_kind
     gamma, demand_u, action_u = draw_episode_randomness(
         setup.change, horizon, master_seed, run_ids)
 
-    cum_pre = np.cumsum(env.pmf_pre)
-    cum_pre[-1] = 1.0
-    cum_post = np.cumsum(env.pmf_post)
-    cum_post[-1] = 1.0
-    c_pre, c_post = env.mdp_pre.cost, env.mdp_post.cost
+    # (horizon, runs) regime and demand paths, worked out once for the block
+    post_path = np.arange(horizon)[:, None] >= gamma - 1.0
+    cum_pre, cum_post = np.cumsum(env.pmf_pre), np.cumsum(env.pmf_post)
+    cum_pre[-1] = cum_post[-1] = 1.0
+    demand_path = np.where(post_path, demand_from_uniform(cum_post, demand_u.T),
+                           demand_from_uniform(cum_pre, demand_u.T))
+    # flat tables: costs at post * n_pairs + sa, log ratios at sa_prev * n_states + s,
+    # where sa = s * n_actions + a indexes a state-action pair
+    n_states, n_actions = env.mdp_pre.cost.shape
+    n_pairs = n_states * n_actions
+    costs = np.stack((env.mdp_pre.cost, env.mdp_post.cost)).reshape(-1)
 
     uses_detector = kind in ("loc", "kl", "tt")
     uses_belief = kind == "momdp"
     if uses_detector or uses_belief:
-        log_lr = log_ratio_table(env.mdp_post.kernel, env.mdp_pre.kernel, setup.eps_prob)
+        log_lr = log_ratio_table(env.mdp_post.kernel, env.mdp_pre.kernel,
+                                 setup.eps_prob).reshape(-1)
     if uses_detector:
-        log_a, log_b = (threshold_domain(setup.detector_kind, t)
-                        for t in setup.effective_thresholds())
+        log_a, log_b = (np.array([threshold_domain(setup.detector_kind, float(t))
+                                  for t in np.broadcast_to(thr, shape[:1])])[:, None]
+                        for thr in setup.effective_thresholds())
         log1m_rho = float(np.log1p(-setup.detector_rho))
         if setup.detector_kind == "cusum":
-            buf = np.zeros((n, setup.window + 1))
-        stat = np.full(n, -math.inf)         # log S_n (S_0 = 0), or the CUSUM
+            buf = np.zeros(shape + (2 * (setup.window + 1),))
+        stat = np.full(shape, -math.inf)     # log S_n (S_0 = 0), or the CUSUM
         pi_probe = setup.pi_pre if setup.pi_probe is None else setup.pi_probe
         policies = np.stack((setup.pi_pre, pi_probe, setup.pi_post))
     if uses_belief:
         lr_lin = np.exp(log_lr)
-        belief = np.zeros(n)
+        belief = np.zeros(shape)
     if kind == "random":
-        for s, acts in enumerate(env.mdp_pre.feasible):
-            if tuple(acts) != tuple(range(len(acts))):
-                raise ValueError("random policy requires contiguous feasible actions")
+        if any(acts != tuple(range(len(acts))) for acts in env.mdp_pre.feasible):
+            raise ValueError("random policy requires contiguous feasible actions")
         n_feas = np.array([len(acts) for acts in env.mdp_pre.feasible])
+        action_path = action_u.T
 
-    s = np.full(n, setup.initial_state, dtype=int)
-    s_prev = np.zeros(n, dtype=int)
-    a_prev = np.zeros(n, dtype=int)
-    switched = np.zeros(n, dtype=bool)
-    tau = np.full(n, -1, dtype=int)
-    disc = np.zeros(n)
+    s = np.full(shape, setup.initial_state, dtype=int)
+    sa_prev = np.zeros(shape, dtype=int)
+    switched = np.zeros(shape, dtype=bool)
+    tau = np.full(shape, -1, dtype=int)
+    disc = np.zeros(shape)
     beta_pow = 1.0
-    traces: dict[str, np.ndarray] = {}
-    if trace:
-        traces = {name: np.zeros((n, horizon)) for name in
-                  ("state", "action", "demand", "statistic", "phase", "cost")}
+    traces = {name: np.zeros(shape + (horizon,)) for name in
+              ("state", "action", "demand", "statistic", "phase", "cost")} if trace else {}
 
     for k in range(horizon):
         if k >= 1:
+            transition = sa_prev * n_states + s
             if uses_detector:
                 active = ~switched
                 if active.any():
-                    step_lr = log_lr[s_prev[active], a_prev[active], s[active]]
+                    step_lr = log_lr[transition[active]]
                     if setup.detector_kind == "cusum":
                         stat[active] = windowed_cusum(buf, active, step_lr, k)
                     else:
@@ -209,39 +208,38 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                     tau[newly] = k
                     switched |= newly
             if uses_belief:
-                step_lr = lr_lin[s_prev, a_prev, s]
+                step_lr = lr_lin[transition]
                 belief = belief_step(belief, step_lr, setup.momdp.pomdp.rho)
 
-        post_regime = k >= gamma - 1.0
+        post = post_path[k]
         if kind == "oracle":
-            a = np.where(post_regime, setup.pi_post[s], setup.pi_pre[s])
+            a = np.where(post, setup.pi_post[s], setup.pi_pre[s])
         elif kind == "random":
-            a = (action_u[:, k] * n_feas[s]).astype(int)
+            a = (action_path[k] * n_feas[s]).astype(int)
         elif kind == "momdp":
             a = setup.momdp.action(s, belief)
         else:
             phase, a = switch_action(policies, switched, stat, log_b, s)
 
-        cost = np.where(post_regime, c_post[s, a], c_pre[s, a])
+        sa = s * n_actions + a
+        cost = costs[post * n_pairs + sa]
         disc += beta_pow * cost
         beta_pow *= setup.beta
 
-        u = demand_u[:, k]
-        w = np.where(post_regime,
-                     demand_from_uniform(cum_post, u),
-                     demand_from_uniform(cum_pre, u))
+        w = demand_path[k]
         if trace:
-            traces["state"][:, k] = s
-            traces["action"][:, k] = a
-            traces["demand"][:, k] = w
-            traces["cost"][:, k] = cost
+            traces["state"][..., k] = s
+            traces["action"][..., k] = a
+            traces["demand"][..., k] = w
+            traces["cost"][..., k] = cost
             if uses_detector:
-                traces["statistic"][:, k] = stat
-                traces["phase"][:, k] = phase
+                traces["statistic"][..., k] = stat
+                traces["phase"][..., k] = phase
             elif uses_belief:
-                traces["statistic"][:, k] = belief
-        s_prev, a_prev = s, a
-        s = np.maximum(0, s + a - w).astype(int)
+                traces["statistic"][..., k] = belief
+        sa_prev = sa
+        s = np.maximum(0, s + a - w)
 
-    return BatchResult(run_ids=run_ids, gamma=gamma, tau=tau,
-                       discounted_cost=disc, trace=traces)
+    return BatchResult(run_ids=np.tile(run_ids, shape[0]), gamma=np.tile(gamma, shape[0]),
+                       tau=tau.reshape(-1), discounted_cost=disc.reshape(-1),
+                       trace={name: t.reshape(-1, horizon) for name, t in traces.items()})

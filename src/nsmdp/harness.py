@@ -5,14 +5,15 @@ change-at-1 / change-never criterion, and the CSV surfaces.
 Every quantity here is a pure function of (configuration, master seed):
 per-run randomness comes from per-run seed sequences, grid cells share those
 seeds (common random numbers), and aggregation happens on run-id-sorted
-arrays, so reports do not depend on worker count or scheduling.
+arrays. A threshold grid is one engine pass per change spec, the cells a
+batch dimension; each cell's report is bit-identical to simulating it alone.
+The `n_workers` arguments are accepted for compatibility and have no effect.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +24,10 @@ from .inventory import ChangeSpec, InventoryEnv
 from .momdp import MomdpSolution, belief_grid_solve, build_pomdp
 from .mdp import value_iteration
 
-CHUNK_SIZE = 256
+CHUNK_SIZE = 256      # runs per randomness key
+ROW_BUDGET = 16384    # rows (cells x runs) per engine call
+CUSUM_ROWS = 256      # rows per call under windowed CUSUM, whose (rows, window + 1)
+                      # buffer makes wider calls slower
 
 
 @dataclass(frozen=True)
@@ -97,63 +101,71 @@ def make_setup(env: InventoryEnv, policies: PolicySet, kind: str,
                         momdp=policies.momdp, initial_state=initial_state)
 
 
-def _records_from_batch(batch: BatchResult, policy: str, horizon: int) -> list[RunRecord]:
-    delays = batch.detection_delay
-    premature = batch.premature
-    records = []
-    for i, run_id in enumerate(batch.run_ids):
-        tau = int(batch.tau[i]) if batch.tau[i] >= 0 else None
-        delay = float(delays[i]) if not math.isnan(delays[i]) else None
-        records.append(RunRecord(
-            run_id=int(run_id), policy=policy, gamma=float(batch.gamma[i]),
-            tau_switch=tau, horizon=horizon,
-            discounted_cost=float(batch.discounted_cost[i]),
-            detection_delay=delay, premature_switch=bool(premature[i])))
-    return records
-
-
-def _aggregate(policy: str, records: list[RunRecord], threshold_a: float,
-               threshold_b: float, seed: int) -> EvaluationReport:
-    costs = np.array([r.discounted_cost for r in records])
-    delays = [r.detection_delay for r in records if r.detection_delay is not None]
-    n = len(records)
+def _aggregate(policy: str, costs: np.ndarray, delays: np.ndarray,
+               premature: np.ndarray, threshold_a: float, threshold_b: float,
+               seed: int) -> EvaluationReport:
+    n = len(costs)
     stderr = float(np.std(costs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    delays = delays[~np.isnan(delays)]
     return EvaluationReport(
         policy=policy, n_runs=n, mean_cost=float(costs.mean()), stderr=stderr,
-        mean_delay=float(np.mean(delays)) if delays else None,
-        premature_rate=float(np.mean([r.premature_switch for r in records])),
-        threshold_a=threshold_a, threshold_b=threshold_b, seed=seed,
-        runs=tuple(records))
+        mean_delay=float(delays.mean()) if len(delays) else None,
+        premature_rate=float(premature.mean()),
+        threshold_a=threshold_a, threshold_b=threshold_b, seed=seed)
 
 
-def _batched_costs(setup: EpisodeSetup, n_runs: int, master_seed: int,
-                   n_workers: int = 1) -> BatchResult:
-    """Simulate n_runs episodes in fixed chunks; deterministic in the seed
-    regardless of worker count."""
-    chunks = [np.arange(lo, min(lo + CHUNK_SIZE, n_runs))
-              for lo in range(0, n_runs, CHUNK_SIZE)]
-    if n_workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(
-                lambda ids: simulate_batch(setup, master_seed, ids), chunks))
-    else:
-        results = [simulate_batch(setup, master_seed, ids) for ids in chunks]
-    return BatchResult(
-        run_ids=np.concatenate([r.run_ids for r in results]),
-        gamma=np.concatenate([r.gamma for r in results]),
-        tau=np.concatenate([r.tau for r in results]),
-        discounted_cost=np.concatenate([r.discounted_cost for r in results]))
+def _batched_costs(setup: EpisodeSetup, n_runs: int, master_seed: int) -> BatchResult:
+    """Simulate n_runs episodes per threshold cell, as (cells, runs) arrays.
+
+    Runs go in fixed CHUNK_SIZE chunks (the randomness keys), and each
+    chunk's cells are packed into engine calls of at most a fixed row
+    budget, so results are deterministic in the seed alone.
+    """
+    a, b = np.atleast_1d(setup.threshold_a, setup.threshold_b)
+    budget = CUSUM_ROWS if setup.detector_kind == "cusum" else ROW_BUDGET
+    chunks = []
+    for lo in range(0, n_runs, CHUNK_SIZE):
+        ids = np.arange(lo, min(lo + CHUNK_SIZE, n_runs))
+        step = max(1, budget // len(ids))
+        parts = [simulate_batch(replace(setup, threshold_a=a[c:c + step],
+                                        threshold_b=b[c:c + step]), master_seed, ids)
+                 for c in range(0, len(a), step)]
+        chunks.append([np.concatenate([getattr(p, name).reshape(-1, len(ids)) for p in parts])
+                       for name in ("gamma", "tau", "discounted_cost")])
+    gamma, tau, costs = (np.concatenate(column, axis=1) for column in zip(*chunks))
+    return BatchResult(run_ids=np.tile(np.arange(n_runs), (len(a), 1)), gamma=gamma,
+                       tau=tau, discounted_cost=costs)
 
 
 def monte_carlo(setup: EpisodeSetup, n_runs: int, master_seed: int,
-                n_workers: int = 1) -> EvaluationReport:
-    """Independent episodes with per-run seeds derived from the master seed."""
+                n_workers: int = 1) -> EvaluationReport | list[EvaluationReport]:
+    """Independent episodes with per-run seeds derived from the master seed.
+
+    A setup with threshold arrays gets a list of reports, one per cell in
+    cell order, without per-run records; otherwise one report with them.
+    """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    batch = _batched_costs(setup, n_runs, master_seed, n_workers)
-    records = _records_from_batch(batch, setup.policy_kind, setup.horizon)
-    a, b = setup.effective_thresholds()
-    return _aggregate(setup.policy_kind, records, a, b, master_seed)
+    batch = _batched_costs(setup, n_runs, master_seed)
+    n_cells = len(batch.tau)
+    a, b = (np.broadcast_to(t, n_cells) for t in setup.effective_thresholds())
+    tau, gamma = batch.tau, batch.gamma
+    premature = (tau >= 0) & (tau < gamma)
+    # (tau - gamma)^+ where a switch happened and the change is finite
+    delays = np.where((tau >= 0) & np.isfinite(gamma), np.maximum(0.0, tau - gamma), np.nan)
+    reports = [_aggregate(setup.policy_kind, batch.discounted_cost[c], delays[c],
+                          premature[c], float(a[c]), float(b[c]), master_seed)
+               for c in range(n_cells)]
+    if np.ndim(setup.threshold_a):
+        return reports
+    records = (RunRecord(run_id=int(i), policy=setup.policy_kind, gamma=float(g),
+                         tau_switch=int(t) if t >= 0 else None, horizon=setup.horizon,
+                         discounted_cost=float(c),
+                         detection_delay=None if math.isnan(d) else float(d),
+                         premature_switch=bool(p))
+               for i, g, t, c, d, p in zip(batch.run_ids[0], batch.gamma[0], batch.tau[0],
+                                           batch.discounted_cost[0], delays[0], premature[0]))
+    return replace(reports[0], runs=tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +226,18 @@ def optimize_thresholds(setup: EpisodeSetup, a_grid, b_grid=None,
     paired; ties resolve to the smallest A then the smallest B.
     """
     cells = threshold_cells(setup.policy_kind, a_grid, b_grid)
-    best = None
-    best_report = None
-    estimates = []
-    for a, b in cells:
-        cell_setup = replace(setup, threshold_a=a, threshold_b=b)
-        report = monte_carlo(cell_setup, n_runs, master_seed, n_workers)
-        estimates.append(CellEstimate(a, b, report.mean_cost, report.stderr))
-        if best is None or report.mean_cost < best_report.mean_cost:
-            best = (a, b)
-            best_report = report
-    return ThresholdChoice(threshold_a=best[0], threshold_b=best[1],
-                           report=best_report, cells=tuple(estimates))
+    reports = monte_carlo(_grid_setup(setup, cells), n_runs, master_seed)
+    best = min(range(len(cells)), key=lambda i: reports[i].mean_cost)
+    return ThresholdChoice(threshold_a=cells[best][0], threshold_b=cells[best][1],
+                           report=reports[best],
+                           cells=tuple(CellEstimate(a, b, r.mean_cost, r.stderr)
+                                       for (a, b), r in zip(cells, reports)))
+
+
+def _grid_setup(setup: EpisodeSetup, cells) -> EpisodeSetup:
+    """The setup with one threshold cell per entry of `cells`."""
+    a, b = np.array(cells, dtype=float).T
+    return replace(setup, threshold_a=a, threshold_b=b)
 
 
 @dataclass(frozen=True)
@@ -263,16 +275,12 @@ def estimate_nonbayes_grid(setup: EpisodeSetup, a_grid, b_grid=None,
     """Per-cell cost estimates under change-at-1 and change-never measures,
     shared across calibration levels."""
     cells = threshold_cells(setup.policy_kind, a_grid, b_grid)
-    e1_change = ChangeSpec(kind="fixed", gamma=1)
-    einf_change = ChangeSpec(kind="never")
-    out = []
-    for a, b in cells:
-        cell = replace(setup, threshold_a=a, threshold_b=b)
-        r1 = monte_carlo(replace(cell, change=e1_change), n_runs, master_seed, n_workers)
-        rinf = monte_carlo(replace(cell, change=einf_change), n_runs, master_seed, n_workers)
-        out.append(NonBayesCell(a, b, r1.mean_cost, r1.stderr,
-                                rinf.mean_cost, rinf.stderr))
-    return tuple(out)
+    grid = _grid_setup(setup, cells)
+    e1 = monte_carlo(replace(grid, change=ChangeSpec(kind="fixed", gamma=1)),
+                     n_runs, master_seed)
+    einf = monte_carlo(replace(grid, change=ChangeSpec(kind="never")), n_runs, master_seed)
+    return tuple(NonBayesCell(a, b, r1.mean_cost, r1.stderr, rinf.mean_cost, rinf.stderr)
+                 for (a, b), r1, rinf in zip(cells, e1, einf))
 
 
 def calibrate_from_grid(policy: str, alpha: float,
@@ -282,11 +290,9 @@ def calibrate_from_grid(policy: str, alpha: float,
     feasible = [c for c in grid if c.einf_cost <= alpha]
     if feasible:
         best = min(feasible, key=lambda c: (c.e1_cost, c.threshold_a, c.threshold_b))
-        return CalibrationResult(policy, alpha, True, best.threshold_a,
-                                 best.threshold_b, best.e1_cost, best.e1_stderr,
-                                 best.einf_cost, best.einf_stderr)
-    best = min(grid, key=lambda c: (c.einf_cost, c.threshold_a, c.threshold_b))
-    return CalibrationResult(policy, alpha, False, best.threshold_a,
+    else:
+        best = min(grid, key=lambda c: (c.einf_cost, c.threshold_a, c.threshold_b))
+    return CalibrationResult(policy, alpha, bool(feasible), best.threshold_a,
                              best.threshold_b, best.e1_cost, best.e1_stderr,
                              best.einf_cost, best.einf_stderr)
 
@@ -324,18 +330,18 @@ def delay_profile(setup: EpisodeSetup, thresholds, n_runs: int = 1000,
     that stop within the horizon. The probing policy is pinned by building a
     single-threshold setup whose pre- and post-switch policies coincide.
     """
-    rows = []
-    for a in thresholds:
-        cell = replace(setup, threshold_a=float(a))
-        b1 = _batched_costs(replace(cell, change=ChangeSpec(kind="fixed", gamma=1)),
-                            n_runs, master_seed, n_workers)
-        delay = np.where(b1.tau >= 0, np.maximum(0, b1.tau - 1), cell.horizon - 1)
-        binf = _batched_costs(replace(cell, change=ChangeSpec(kind="never")),
-                              n_runs, master_seed, n_workers)
-        rows.append({"threshold": float(a),
-                     "mean_delay": float(delay.mean()),
-                     "false_switch_rate": float(np.mean(binf.tau >= 0))})
-    return rows
+    thresholds = [float(a) for a in thresholds]
+    if not thresholds:
+        return []
+    grid = _grid_setup(setup, [(a, setup.threshold_b) for a in thresholds])
+    b1 = _batched_costs(replace(grid, change=ChangeSpec(kind="fixed", gamma=1)),
+                        n_runs, master_seed)
+    delay = np.where(b1.tau >= 0, np.maximum(0, b1.tau - 1), setup.horizon - 1)
+    binf = _batched_costs(replace(grid, change=ChangeSpec(kind="never")),
+                          n_runs, master_seed)
+    return [{"threshold": a, "mean_delay": float(delay[c].mean()),
+             "false_switch_rate": float(np.mean(binf.tau[c] >= 0))}
+            for c, a in enumerate(thresholds)]
 
 
 # ---------------------------------------------------------------------------

@@ -95,12 +95,6 @@ class VISolution(NamedTuple):
     deltas: list[float]
 
 
-def _masked_q(mdp: TabularMdp, value: np.ndarray, beta: float) -> np.ndarray:
-    q = mdp.cost + beta * mdp.kernel @ value
-    q = np.where(mdp.feasible_mask(), q, np.inf)
-    return q
-
-
 def value_iteration(mdp: TabularMdp, beta: float, tol: float = 1e-8,
                     max_iter: int = 10_000_000) -> VISolution:
     """Solve the discounted cost-minimization problem by value iteration.

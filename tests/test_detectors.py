@@ -295,3 +295,18 @@ class TestDetectorDriver:
                              min_separation=1e-3)
         with pytest.raises(ValueError):
             Detector(cfg, k0)
+
+    @pytest.mark.parametrize("kind", ["sr", "cusum", "glr"])
+    def test_transition_outside_table_rejected(self, rng, kind):
+        k0 = random_kernel(3, 2, rng)
+        k1 = random_kernel(3, 2, rng)
+        cfg = DetectorConfig(kind=kind, threshold=1e9, window=4,
+                             theta_grid=(k1,) if kind == "glr" else ())
+        det = Detector(cfg, k0, k1)
+        for s, a, s2 in [(-1, 0, -2), (0, -1, 0), (0, 0, -1), (3, 0, 0), (0, 2, 0),
+                         (0, 0, 3)]:
+            with pytest.raises(ValueError):
+                det.update(s, a, s2)
+        assert det.state.n == 0
+        det.update(2, 1, 2)
+        assert det.state.n == 1

@@ -2,6 +2,7 @@
 threshold optimization, calibration, and the CSV surfaces."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ import pytest
 from nsmdp.controllers import SwitchController
 from nsmdp.detectors import Detector, DetectorConfig
 from nsmdp.engine import draw_episode_randomness, simulate_batch
-from nsmdp.harness import (calibrate_nonbayes, default_a_grid, default_b_grid,
+from nsmdp.harness import (CHUNK_SIZE, CUSUM_ROWS, ROW_BUDGET, calibrate_nonbayes,
+                           default_a_grid, default_b_grid,
                            delay_profile, estimate_nonbayes_grid,
                            calibrate_from_grid, frontier_sweep, make_setup,
                            monte_carlo, optimize_thresholds, solve_policies,
                            threshold_cells, write_frontier_csv, write_runs_csv,
                            write_summary_csv)
-from nsmdp.inventory import ChangeSpec
+from nsmdp.inventory import ChangeSpec, demand_from_uniform
 from nsmdp.mdp import info_number
 
 from util import finite_horizon_policy_value
@@ -303,6 +305,116 @@ class TestDelayProfile:
         for pre, probe in zip(rows_pre, rows_probe):
             assert probe["mean_delay"] <= pre["mean_delay"]
             assert probe["false_switch_rate"] <= pre["false_switch_rate"] + 0.02
+
+
+class TestGridPass:
+    """A threshold grid simulated in one engine pass per change spec gives,
+    cell for cell, the estimates of simulating that cell alone."""
+
+    N_RUNS = 300    # crosses a 256-run chunk
+
+    @staticmethod
+    def grids(detector):
+        """A and B grids with enough cells that the first chunk's rows exceed
+        one engine call's row budget."""
+        if detector == "cusum":
+            return np.linspace(-1.0, 12.0, 8), [-math.inf, 0.5, 3.0]
+        return np.geomspace(0.5, 1e5, ROW_BUDGET // CHUNK_SIZE + 4), [0.0, 2.0, 50.0]
+
+    @pytest.mark.parametrize("detector", ["shiryaev", "sr", "cusum"])
+    @pytest.mark.parametrize("kind", ["loc", "kl", "tt"])
+    def test_cells_equal_cell_by_cell(self, small_env, small_policies, kind, detector):
+        setup = replace(small_setup(small_env, small_policies, kind, horizon=40,
+                                    detector=detector), window=5)
+        a_grid, b_grid = self.grids(detector)
+        if kind == "tt":
+            a_grid = a_grid[::3]
+        cells = threshold_cells(kind, a_grid, b_grid)
+        assert len(cells) * CHUNK_SIZE > (CUSUM_ROWS if detector == "cusum" else ROW_BUDGET)
+        choice = optimize_thresholds(setup, a_grid, b_grid, n_runs=self.N_RUNS,
+                                     master_seed=4)
+        grid = estimate_nonbayes_grid(setup, a_grid, b_grid, n_runs=self.N_RUNS,
+                                      master_seed=4)
+        assert [(c.threshold_a, c.threshold_b) for c in choice.cells] == cells
+        for cell, nb, (a, b) in zip(choice.cells, grid, cells):
+            one = replace(setup, threshold_a=a, threshold_b=b)
+            alone = monte_carlo(one, self.N_RUNS, master_seed=4)
+            assert (cell.mean_cost, cell.stderr) == (alone.mean_cost, alone.stderr)
+            for change, mean, err in ((ChangeSpec(kind="fixed", gamma=1),
+                                       nb.e1_cost, nb.e1_stderr),
+                                      (ChangeSpec(kind="never"),
+                                       nb.einf_cost, nb.einf_stderr)):
+                alone = monte_carlo(replace(one, change=change), self.N_RUNS,
+                                    master_seed=4)
+                assert (mean, err) == (alone.mean_cost, alone.stderr)
+        best = min(choice.cells, key=lambda c: c.mean_cost)
+        assert (choice.threshold_a, choice.threshold_b) == (best.threshold_a,
+                                                            best.threshold_b)
+        assert choice.report.mean_cost == best.mean_cost
+        if kind != "kl":   # the toy instance's probe policy is its post policy
+            assert len({c.mean_cost for c in choice.cells}) > 1
+
+    def test_array_report_equals_scalar_report(self, small_env, small_policies):
+        setup = small_setup(small_env, small_policies, "tt", horizon=60)
+        cells = [(5.0, 0.0), (50.0, 3.0), (50.0, 50.0)]
+        reports = monte_carlo(replace(setup, threshold_a=np.array([5.0, 50.0, 50.0]),
+                                      threshold_b=np.array([0.0, 3.0, 50.0])),
+                              self.N_RUNS, master_seed=2)
+        for (a, b), report in zip(cells, reports):
+            alone = monte_carlo(replace(setup, threshold_a=a, threshold_b=b),
+                                self.N_RUNS, master_seed=2)
+            assert report.runs == () and len(alone.runs) == self.N_RUNS
+            assert report == replace(alone, runs=())
+
+    def test_delay_profile_equals_per_threshold(self, small_env, small_policies):
+        setup = small_setup(small_env, small_policies, "loc", detector="sr",
+                            horizon=50)
+        thresholds = [0.5, 3.0, 40.0, 1e4]
+        rows = delay_profile(setup, thresholds, n_runs=self.N_RUNS, master_seed=8)
+        assert [r["threshold"] for r in rows] == thresholds
+        for a, row in zip(thresholds, rows):
+            one = replace(setup, threshold_a=a)
+            e1 = monte_carlo(replace(one, change=ChangeSpec(kind="fixed", gamma=1)),
+                             self.N_RUNS, master_seed=8)
+            delays = np.array([setup.horizon - 1 if r.tau_switch is None
+                               else max(0, r.tau_switch - 1) for r in e1.runs])
+            never = monte_carlo(replace(one, change=ChangeSpec(kind="never")),
+                                self.N_RUNS, master_seed=8)
+            assert row["mean_delay"] == float(delays.mean())
+            assert row["false_switch_rate"] == never.premature_rate
+
+    @pytest.mark.parametrize("n_cells", [1, 3])
+    def test_traced_demand_is_inverse_cdf_per_regime(self, small_env, small_policies,
+                                                     n_cells):
+        thresholds = np.geomspace(2.0, 200.0, n_cells)
+        setup = small_setup(small_env, small_policies, "loc", horizon=80)
+        if n_cells > 1:
+            setup = replace(setup, threshold_a=thresholds, threshold_b=thresholds)
+        ids = np.arange(40)
+        batch = simulate_batch(setup, 6, ids, trace=True)
+        gamma, demand_u, _ = draw_episode_randomness(setup.change, 80, 6, ids)
+        post = np.arange(80)[None, :] >= gamma[:, None] - 1.0
+        assert post.any() and (~post).any()
+        cum_pre = np.cumsum(small_env.pmf_pre)
+        cum_pre[-1] = 1.0
+        cum_post = np.cumsum(small_env.pmf_post)
+        cum_post[-1] = 1.0
+        expected = np.tile(np.where(post, demand_from_uniform(cum_post, demand_u),
+                                    demand_from_uniform(cum_pre, demand_u)),
+                           (n_cells, 1))
+        assert batch.trace["demand"].shape == (n_cells * len(ids), 80)
+        assert np.array_equal(batch.trace["demand"], expected)
+        assert np.array_equal(batch.run_ids, np.tile(ids, n_cells))
+        assert np.array_equal(batch.gamma, np.tile(gamma, n_cells))
+
+    def test_setup_rejects_mismatched_threshold_arrays(self, small_env, small_policies):
+        setup = small_setup(small_env, small_policies, "tt")
+        for a, b in ((np.array([1.0, 2.0]), np.array([1.0])),
+                     (np.array([1.0, 2.0]), 0.0),
+                     (np.array([]), np.array([])),
+                     (np.ones((2, 2)), np.ones((2, 2)))):
+            with pytest.raises(ValueError):
+                replace(setup, threshold_a=a, threshold_b=b)
 
 
 class TestCsvSurfaces:
