@@ -80,8 +80,8 @@ file values. Defaults in parentheses.
 [policies]
   kinds             comma list from oracle,loc,kl,tt,random,momdp
                     (oracle,loc,tt,random)
-  momdp_grid        belief grid size G (201)
-  momdp_tol         belief-grid Bellman residual tolerance (1e-6)
+  momdp_grid        belief grid size G, at least 2 (201)
+  momdp_tol         belief-grid Bellman residual tolerance, positive (1e-6)
 
 [thresholds]
   a                 fixed A; statistic domain (unset -> grid search)
@@ -203,6 +203,13 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         raise ConfigError(f"run.initial_state must be in [0, {params.capacity}], "
                           f"got {initial_state}")
 
+    momdp_grid = _get(parser, "policies", "momdp_grid", int, 201)
+    if momdp_grid < 2:
+        raise ConfigError(f"policies.momdp_grid must be >= 2, got {momdp_grid}")
+    momdp_tol = _get(parser, "policies", "momdp_tol", float, 1e-6)
+    if not 0.0 < momdp_tol < math.inf:
+        raise ConfigError(f"policies.momdp_tol must be positive and finite, got {momdp_tol}")
+
     alphas_raw = pick("alphas", _get(parser, "sweep", "alphas", str, ""))
     alphas = tuple(float(a) for a in alphas_raw.split(",") if a.strip())
 
@@ -216,8 +223,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         workers=workers,
         out_dir=Path(pick("out_dir", _get(parser, "run", "out_dir", str, "out"))),
         policy_kinds=kinds,
-        momdp_grid=_get(parser, "policies", "momdp_grid", int, 201),
-        momdp_tol=_get(parser, "policies", "momdp_tol", float, 1e-6),
+        momdp_grid=momdp_grid,
+        momdp_tol=momdp_tol,
         threshold_a=pick("threshold_a", _get(parser, "thresholds", "a", float, None)),
         threshold_b=pick("threshold_b", _get(parser, "thresholds", "b", float, None)),
         a_grid=_get(parser, "thresholds", "a_grid", int, 30),

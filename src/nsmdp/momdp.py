@@ -130,30 +130,46 @@ def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
     to go, so Bellman updates decrease monotonically; between full sweeps a
     block of fixed-policy sweeps accelerates convergence without affecting
     the fixed point. Returns once the Bellman residual is at most `tol`.
+
+    The continuation term depends on (s, a) only through the pair of
+    transition rows (kernel0[s, a], kernel1[s, a]), so the interpolation
+    tables are built once per distinct pair (rows equal bit for bit) and
+    have shape (U, G, S'), with U <= S * A.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     mdp0, mdp1, rho = pomdp.mdp0, pomdp.mdp1, pomdp.rho
     n_s, n_a = mdp0.n_states, mdp0.n_actions
     g = grid_size
     grid = np.linspace(0.0, 1.0, g)
 
+    # row[s, a] indexes the distinct (kernel0[s, a], kernel1[s, a]) pair;
+    # pairs are compared as bit patterns, so each group's tables hold exactly
+    # the values every member would compute for itself
+    k0 = mdp0.kernel.reshape(n_s * n_a, -1)
+    k1 = mdp1.kernel.reshape(n_s * n_a, -1)
+    _, first, row = np.unique(np.hstack([k0, k1]).view(np.uint64), axis=0,
+                              return_index=True, return_inverse=True)
+    row = row.reshape(n_s, n_a)
+    t0, t1 = k0[first][:, None, :], k1[first][:, None, :]   # (U, 1, S')
+
     mask = mdp0.feasible_mask()                      # shared with mdp1
     pred = grid + (1.0 - grid) * rho                 # (G,)
-    t0 = mdp0.kernel[:, :, None, :]                  # (S, A, 1, S')
-    t1 = mdp1.kernel[:, :, None, :]
-    pw = pred[None, None, :, None]
-    p_next = (1.0 - pw) * t0 + pw * t1               # (S, A, G, S')
+    pw = pred[None, :, None]
+    p_next = (1.0 - pw) * t0 + pw * t1               # (U, G, S')
 
-    lr = np.exp(log_ratio_table(mdp1.kernel, mdp0.kernel, eps_prob))
-    b_next = belief_step(grid[None, None, :, None], lr[:, :, None, :], rho)
+    lr = np.exp(log_ratio_table(t1, t0, eps_prob))
+    b_next = belief_step(grid[None, :, None], lr, rho)
     pos = np.clip(b_next, 0.0, 1.0) * (g - 1)
-    lo = np.minimum(pos.astype(np.int64), g - 2)     # (S, A, G, S')
+    lo = np.minimum(pos.astype(np.int64), g - 2)     # (U, G, S')
     w_hi = pos - lo
-    s_idx = np.arange(n_s)[None, None, None, :]
-    flat_lo = (s_idx * g + lo).astype(np.int64)
+    w_lo = 1.0 - w_hi
+    flat_lo = np.arange(n_s) * g + lo
+    flat_hi = flat_lo + 1
 
     step_cost = ((1.0 - pred[None, None, :]) * mdp0.cost[:, :, None]
                  + pred[None, None, :] * mdp1.cost[:, :, None])   # (S, A, G)
@@ -166,8 +182,9 @@ def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
     g_cols = np.arange(g)[None, :]
     for _ in range(max_iter):
         vf = v.ravel()
-        interp = (1.0 - w_hi) * vf[flat_lo] + w_hi * vf[flat_lo + 1]
-        q = step_cost + inf_cost + beta * np.einsum("sagn,sagn->sag", p_next, interp)
+        interp = w_lo * vf[flat_lo] + w_hi * vf[flat_hi]
+        cont = np.einsum("ugn,ugn->ug", p_next, interp)
+        q = step_cost + inf_cost + beta * cont[row]
         v_new = q.min(axis=1)
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
@@ -176,12 +193,13 @@ def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
             return MomdpSolution(pomdp=pomdp, grid=grid, value=v, policy=policy)
         # fixed-policy sweeps toward the greedy policy's value
         pi = q.argmin(axis=1)
-        p_pi = p_next[s_rows, pi, g_cols]            # (S, G, S')
+        u_pi = row[s_rows, pi]                       # (S, G)
+        p_pi = p_next[u_pi, g_cols]                  # (S, G, S')
         c_pi = step_cost[s_rows, pi, g_cols]
-        flat_pi = flat_lo[s_rows, pi, g_cols]
-        w_pi = w_hi[s_rows, pi, g_cols]
+        lo_pi, hi_pi = flat_lo[u_pi, g_cols], flat_hi[u_pi, g_cols]
+        wl_pi, wh_pi = w_lo[u_pi, g_cols], w_hi[u_pi, g_cols]
         for _ in range(inner_sweeps):
             vf = v.ravel()
-            interp_pi = (1.0 - w_pi) * vf[flat_pi] + w_pi * vf[flat_pi + 1]
+            interp_pi = wl_pi * vf[lo_pi] + wh_pi * vf[hi_pi]
             v = c_pi + beta * np.einsum("sgn,sgn->sg", p_pi, interp_pi)
     raise NumericalError(f"belief-grid value iteration did not converge in {max_iter} sweeps")

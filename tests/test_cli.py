@@ -131,8 +131,9 @@ class TestEvaluate:
         assert code == 1
 
     def test_momdp_policy_round_trips_through_solution_file(self, tmp_path):
-        cfg = write_config(tmp_path / "exp.ini", kinds="momdp", n_runs=6,
-                           extra="momdp_grid = 41\nmomdp_tol = 1e-5")
+        cfg = write_config(tmp_path / "exp.ini", kinds="momdp", n_runs=6)
+        cfg.write_text(cfg.read_text().replace(
+            "[policies]\n", "[policies]\nmomdp_grid = 41\nmomdp_tol = 1e-5\n"))
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
         assert main(["evaluate", "--config", str(cfg), "--out-dir", str(out)]) == 0
@@ -249,6 +250,27 @@ class TestConfigValidation:
         code = main(["evaluate", "--config", str(cfg), "--out-dir", str(out),
                      "--policies", "oracle,loc"])
         assert code == 0
+
+    @pytest.mark.parametrize("kinds", ["oracle,loc", "oracle,momdp"])
+    @pytest.mark.parametrize("grid", [1, 0, -3])
+    def test_momdp_grid_below_two(self, tmp_path, capsys, kinds, grid):
+        cfg = write_config(tmp_path / "exp.ini", capacity=3, kinds=kinds)
+        cfg.write_text(cfg.read_text().replace(
+            "[policies]\n", f"[policies]\nmomdp_grid = {grid}\n"))
+        code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "policies.momdp_grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_momdp_tol_positive_and_finite(self, tmp_path, capsys, tol):
+        # rejected at entry even when no belief grid would be solved
+        cfg = write_config(tmp_path / "exp.ini", capacity=3, kinds="oracle")
+        cfg.write_text(cfg.read_text().replace(
+            "[policies]\n", f"[policies]\nmomdp_tol = {tol}\n"))
+        code = main(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert "policies.momdp_tol" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.ini"]) == 1

@@ -8,11 +8,12 @@ import pytest
 from nsmdp.detectors import (log_likelihood_ratio, new_detector_state,
                              posterior_from_log_shiryaev, shiryaev_step)
 from nsmdp.errors import ModelError, NumericalError
+from nsmdp.inventory import InventoryParams, build_env
 from nsmdp.mdp import TabularMdp, value_iteration
 from nsmdp.momdp import (MomdpSolution, belief_grid_solve, belief_step,
                          belief_update, build_pomdp)
 
-from util import random_kernel, random_mdp
+from util import belief_grid_oracle, random_kernel, random_mdp
 
 
 def toy_pair(rng, n_states=2, n_actions=2):
@@ -20,6 +21,14 @@ def toy_pair(rng, n_states=2, n_actions=2):
     m1 = TabularMdp(kernel=random_kernel(n_states, n_actions, rng, min_prob=0.15),
                     cost=rng.random((n_states, n_actions)) * 2.0)
     return m0, m1
+
+
+def inventory_pomdp():
+    """Capacity 5: (s, a) pairs with one order-up-to level share their
+    transition rows, and infeasible pairs (s + a > 5) have zero rows."""
+    env = build_env(InventoryParams(capacity=5, order_cost=1.0, holding_cost=5.0,
+                                    penalty=100.0, demand_rate=2.0))
+    return build_pomdp(env.mdp_pre, env.mdp_post, rho=0.01)
 
 
 class TestBuildPomdp:
@@ -166,6 +175,37 @@ class TestBeliefGridSolve:
         m0, m1 = toy_pair(rng)
         with pytest.raises(ValueError):
             belief_grid_solve(build_pomdp(m0, m1, 0.1), grid_size=1)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_validation(self, rng, tol):
+        m0, m1 = toy_pair(rng)
+        with pytest.raises(ValueError, match="tol"):
+            belief_grid_solve(build_pomdp(m0, m1, 0.1), grid_size=11, tol=tol)
+
+    @pytest.mark.parametrize("model", ["toy_distinct_rows", "toy_rho_zero",
+                                       "inventory_shared_rows"])
+    def test_bit_identical_to_full_table_solver(self, rng, model):
+        if model == "inventory_shared_rows":
+            pomdp, kwargs = inventory_pomdp(), dict(grid_size=41, beta=0.95, tol=1e-8)
+        else:
+            m0, m1 = toy_pair(rng, n_states=3, n_actions=2)
+            rho = 0.0 if model == "toy_rho_zero" else 0.05
+            pomdp, kwargs = build_pomdp(m0, m1, rho), dict(grid_size=31, beta=0.9, tol=1e-9)
+        k0, k1 = pomdp.mdp0.kernel, pomdp.mdp1.kernel
+        n_pairs = k0.shape[0] * k0.shape[1]
+        n_distinct = len(np.unique(np.concatenate([k0, k1], axis=2).reshape(n_pairs, -1),
+                                   axis=0))
+        assert (n_distinct < n_pairs) == (model == "inventory_shared_rows")
+        sol = belief_grid_solve(pomdp, **kwargs)
+        ref = belief_grid_oracle(pomdp, **kwargs)
+        assert sol.value.tobytes() == ref.value.tobytes()
+        np.testing.assert_array_equal(sol.policy, ref.policy)
+        np.testing.assert_array_equal(sol.grid, ref.grid)
+
+    def test_inventory_bellman_residual_within_tolerance(self):
+        tol = 1e-7
+        sol = belief_grid_solve(inventory_pomdp(), grid_size=41, beta=0.95, tol=tol)
+        assert _bellman_residual(sol, beta=0.95) <= tol
 
 
 def _expected_step(pomdp, s, b, a):

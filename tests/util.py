@@ -2,7 +2,9 @@
 
 Oracles here deliberately avoid the package's numerics: plain-Python brute
 force (hypothesis enumeration, suffix scans, policy enumeration) so they can
-arbitrate the vectorized implementations.
+arbitrate the vectorized implementations. The one exception is
+`belief_grid_oracle`, a frozen copy of the full-table belief-grid solver
+that pins the grouped solver's output bit for bit.
 """
 
 import itertools
@@ -10,7 +12,10 @@ import math
 
 import numpy as np
 
-from nsmdp.mdp import TabularMdp
+from nsmdp.detectors import log_ratio_table
+from nsmdp.errors import NumericalError
+from nsmdp.mdp import EPS_PROB, TabularMdp
+from nsmdp.momdp import MomdpSolution, belief_step
 
 EPS = 1e-12
 
@@ -106,3 +111,60 @@ def is_order_up_to(policy):
         if a != expected:
             return False
     return True
+
+
+def belief_grid_oracle(pomdp, grid_size=201, beta=0.99, tol=1e-6,
+                       max_iter=100_000, inner_sweeps=30, eps_prob=EPS_PROB):
+    """The belief-grid solver as it was before it grouped (s, a) pairs by
+    transition rows: every table is (S, A, G, S'). Kept verbatim so that
+    `belief_grid_solve` can be checked against it bit for bit."""
+    mdp0, mdp1, rho = pomdp.mdp0, pomdp.mdp1, pomdp.rho
+    n_s, n_a = mdp0.n_states, mdp0.n_actions
+    g = grid_size
+    grid = np.linspace(0.0, 1.0, g)
+
+    mask = mdp0.feasible_mask()                      # shared with mdp1
+    pred = grid + (1.0 - grid) * rho                 # (G,)
+    t0 = mdp0.kernel[:, :, None, :]                  # (S, A, 1, S')
+    t1 = mdp1.kernel[:, :, None, :]
+    pw = pred[None, None, :, None]
+    p_next = (1.0 - pw) * t0 + pw * t1               # (S, A, G, S')
+
+    lr = np.exp(log_ratio_table(mdp1.kernel, mdp0.kernel, eps_prob))
+    b_next = belief_step(grid[None, None, :, None], lr[:, :, None, :], rho)
+    pos = np.clip(b_next, 0.0, 1.0) * (g - 1)
+    lo = np.minimum(pos.astype(np.int64), g - 2)     # (S, A, G, S')
+    w_hi = pos - lo
+    s_idx = np.arange(n_s)[None, None, None, :]
+    flat_lo = (s_idx * g + lo).astype(np.int64)
+
+    step_cost = ((1.0 - pred[None, None, :]) * mdp0.cost[:, :, None]
+                 + pred[None, None, :] * mdp1.cost[:, :, None])   # (S, A, G)
+    inf_cost = np.where(mask, 0.0, np.inf)[:, :, None]
+
+    c_max = max(float(mdp0.cost[mask].max()), float(mdp1.cost[mask].max()))
+    v = np.full((n_s, g), c_max / (1.0 - beta) if beta > 0 else c_max)
+
+    s_rows = np.arange(n_s)[:, None]
+    g_cols = np.arange(g)[None, :]
+    for _ in range(max_iter):
+        vf = v.ravel()
+        interp = (1.0 - w_hi) * vf[flat_lo] + w_hi * vf[flat_lo + 1]
+        q = step_cost + inf_cost + beta * np.einsum("sagn,sagn->sag", p_next, interp)
+        v_new = q.min(axis=1)
+        delta = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if beta * delta <= tol:
+            policy = q.argmin(axis=1).astype(int)
+            return MomdpSolution(pomdp=pomdp, grid=grid, value=v, policy=policy)
+        # fixed-policy sweeps toward the greedy policy's value
+        pi = q.argmin(axis=1)
+        p_pi = p_next[s_rows, pi, g_cols]            # (S, G, S')
+        c_pi = step_cost[s_rows, pi, g_cols]
+        flat_pi = flat_lo[s_rows, pi, g_cols]
+        w_pi = w_hi[s_rows, pi, g_cols]
+        for _ in range(inner_sweeps):
+            vf = v.ravel()
+            interp_pi = (1.0 - w_pi) * vf[flat_pi] + w_pi * vf[flat_pi + 1]
+            v = c_pi + beta * np.einsum("sgn,sgn->sg", p_pi, interp_pi)
+    raise NumericalError(f"belief-grid value iteration did not converge in {max_iter} sweeps")
