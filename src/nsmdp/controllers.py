@@ -17,7 +17,7 @@ import numpy as np
 
 from .detectors import Detector, DetectorConfig, DetectorState, threshold_domain
 from .errors import StateError
-from .mdp import EPS_PROB, TabularMdp, kl_per_action, value_iteration
+from .mdp import EPS_PROB, TabularMdp, action_mask, kl_per_action, value_iteration
 
 PHASES = ("pre", "probe", "post")
 
@@ -32,6 +32,25 @@ def kind_thresholds(kind: str, detector_kind: str, threshold_a: float,
     if kind == "kl":
         return threshold_a, 0.0 if detector_kind in ("shiryaev", "sr") else -math.inf
     return threshold_a, threshold_b
+
+
+def check_thresholds(detector_kind: str, detector_rho: float, threshold_a,
+                     threshold_b) -> None:
+    """Raise ValueError unless the detector can use these thresholds: no A
+    or B is NaN, B <= A in every cell, both are non-negative for shiryaev/sr
+    (whose thresholds are linear), and `detector_rho` is in [0, 1), and 0
+    for sr. A and B may be per-cell arrays."""
+    if not 0.0 <= detector_rho < 1.0 or (detector_kind == "sr" and detector_rho != 0.0):
+        raise ValueError(f"detector_rho must be in [0, 1), and 0 for sr, got {detector_rho}")
+    a, b = (t.reshape(-1) for t in np.broadcast_arrays(np.asarray(threshold_a, dtype=float),
+                                                      np.asarray(threshold_b, dtype=float)))
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("thresholds must not be NaN")
+    over = np.flatnonzero(b > a)
+    if over.size:
+        raise ValueError(f"need B <= A, got B={b[over[0]]:g}, A={a[over[0]]:g}")
+    if detector_kind in ("shiryaev", "sr") and (b < 0).any():
+        raise ValueError("thresholds must be non-negative for shiryaev/sr")
 
 
 def switch_action(policies: np.ndarray, switched, log_stat, log_b, s):
@@ -76,10 +95,7 @@ def worst_case_kl_policy(kernel0: np.ndarray,
 
 def _masked_argmax(score: np.ndarray, feasible) -> np.ndarray:
     if feasible is not None:
-        masked = np.full_like(score, -np.inf)
-        for s, acts in enumerate(feasible):
-            masked[s, list(acts)] = score[s, list(acts)]
-        score = masked
+        score = np.where(action_mask(feasible, score.shape[1]), score, -np.inf)
     return np.argmax(score, axis=1).astype(int)
 
 
@@ -135,12 +151,13 @@ class SwitchController:
         detector.config = replace(detector.config, threshold=self.threshold_a)
 
     def _arm(self, threshold_a: float, threshold_b: float, policies) -> None:
-        """Set the thresholds (B <= A) and the policy rows of the phase rule."""
-        if threshold_b > threshold_a:
-            raise ValueError(f"need B <= A, got B={threshold_b}, A={threshold_a}")
+        """Set the thresholds (see `check_thresholds`) and the policy rows of
+        the phase rule."""
+        config = self.detector.config
+        check_thresholds(config.kind, config.rho, threshold_a, threshold_b)
         self.threshold_a = float(threshold_a)
         self.threshold_b = float(threshold_b)
-        self._log_b = threshold_domain(self.detector.config.kind, self.threshold_b)
+        self._log_b = threshold_domain(config.kind, self.threshold_b)
         self._policies = np.stack(policies)
 
     def step(self, s: int, transition_feedback: tuple[int, int, int] | None,

@@ -18,22 +18,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import StateError
-from .mdp import EPS_PROB
+from .mdp import EPS_PROB, log_ratio_table
 
 NEG_INF = float("-inf")
-
-
-def log_ratio_table(kernel1: np.ndarray, kernel0: np.ndarray,
-                    eps_prob: float = EPS_PROB) -> np.ndarray:
-    """(S, A, S) table of log(max(T1, eps) / max(T0, eps)).
-
-    Computed as a difference of logs; every per-transition log-likelihood
-    ratio in the package comes from this same expression so that scalar and
-    vectorized paths agree bit for bit.
-    """
-    k1 = np.asarray(kernel1, dtype=float)
-    k0 = np.asarray(kernel0, dtype=float)
-    return np.log(np.maximum(k1, eps_prob)) - np.log(np.maximum(k0, eps_prob))
 
 
 def log_likelihood_ratio(kernel0: np.ndarray, kernel1: np.ndarray,

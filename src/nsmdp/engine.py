@@ -29,11 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import kind_thresholds, switch_action
-from .detectors import (log_ratio_table, shiryaev_log_update, threshold_domain,
-                        windowed_cusum)
+from .controllers import check_thresholds, kind_thresholds, switch_action
+from .detectors import shiryaev_log_update, threshold_domain, windowed_cusum
 from .inventory import ChangeSpec, InventoryEnv, demand_from_uniform, sample_change_point
-from .mdp import EPS_PROB
+from .mdp import EPS_PROB, log_ratio_table
 from .momdp import MomdpSolution, belief_step
 
 BATCHABLE_KINDS = ("oracle", "random", "loc", "kl", "tt", "momdp")
@@ -86,6 +85,7 @@ class EpisodeSetup:
         if a != b or len(a) > 1 or a == (0,):
             raise ValueError("thresholds must be two scalars or two nonempty 1-D arrays "
                              f"of equal length, got shapes {a} and {b}")
+        check_thresholds(self.detector_kind, self.detector_rho, *self.effective_thresholds())
 
     def effective_thresholds(self) -> tuple[float, float]:
         """(A, B) after applying the kind's degeneracies (per cell for

@@ -7,7 +7,6 @@ per-run randomness comes from per-run seed sequences, grid cells share those
 seeds (common random numbers), and aggregation happens on run-id-sorted
 arrays. A threshold grid is one engine pass per change spec, the cells a
 batch dimension; each cell's report is bit-identical to simulating it alone.
-The `n_workers` arguments are accepted for compatibility and have no effect.
 """
 
 from __future__ import annotations
@@ -137,8 +136,8 @@ def _batched_costs(setup: EpisodeSetup, n_runs: int, master_seed: int) -> BatchR
                        tau=tau, discounted_cost=costs)
 
 
-def monte_carlo(setup: EpisodeSetup, n_runs: int, master_seed: int,
-                n_workers: int = 1) -> EvaluationReport | list[EvaluationReport]:
+def monte_carlo(setup: EpisodeSetup, n_runs: int,
+                master_seed: int) -> EvaluationReport | list[EvaluationReport]:
     """Independent episodes with per-run seeds derived from the master seed.
 
     A setup with threshold arrays gets a list of reports, one per cell in
@@ -218,8 +217,7 @@ def default_b_grid(n: int = 15, lo: float = 1.0, hi: float = 1e6) -> np.ndarray:
 
 
 def optimize_thresholds(setup: EpisodeSetup, a_grid, b_grid=None,
-                        n_runs: int = 1000, master_seed: int = 0,
-                        n_workers: int = 1) -> ThresholdChoice:
+                        n_runs: int = 1000, master_seed: int = 0) -> ThresholdChoice:
     """Exhaustive threshold-grid search under the Bayesian cost.
 
     Every cell is evaluated on the same per-run seeds, so comparisons are
@@ -270,8 +268,8 @@ class NonBayesCell:
 
 
 def estimate_nonbayes_grid(setup: EpisodeSetup, a_grid, b_grid=None,
-                           n_runs: int = 1000, master_seed: int = 0,
-                           n_workers: int = 1) -> tuple[NonBayesCell, ...]:
+                           n_runs: int = 1000,
+                           master_seed: int = 0) -> tuple[NonBayesCell, ...]:
     """Per-cell cost estimates under change-at-1 and change-never measures,
     shared across calibration levels."""
     cells = threshold_cells(setup.policy_kind, a_grid, b_grid)
@@ -298,15 +296,13 @@ def calibrate_from_grid(policy: str, alpha: float,
 
 
 def calibrate_nonbayes(setup: EpisodeSetup, alpha: float, a_grid, b_grid=None,
-                       n_runs: int = 1000, master_seed: int = 0,
-                       n_workers: int = 1) -> CalibrationResult:
-    grid = estimate_nonbayes_grid(setup, a_grid, b_grid, n_runs, master_seed, n_workers)
+                       n_runs: int = 1000, master_seed: int = 0) -> CalibrationResult:
+    grid = estimate_nonbayes_grid(setup, a_grid, b_grid, n_runs, master_seed)
     return calibrate_from_grid(setup.policy_kind, alpha, grid)
 
 
 def frontier_sweep(setups: dict[str, EpisodeSetup], alphas, a_grid, b_grid=None,
-                   n_runs: int = 1000, master_seed: int = 0,
-                   n_workers: int = 1) -> list[CalibrationResult]:
+                   n_runs: int = 1000, master_seed: int = 0) -> list[CalibrationResult]:
     """Calibrate every policy at every constraint level; grid estimates are
     computed once per policy and reused across levels."""
     alphas = list(alphas)
@@ -314,15 +310,14 @@ def frontier_sweep(setups: dict[str, EpisodeSetup], alphas, a_grid, b_grid=None,
         raise ValueError("alphas must be nonempty")
     rows = []
     for kind, setup in setups.items():
-        grid = estimate_nonbayes_grid(setup, a_grid, b_grid, n_runs,
-                                      master_seed, n_workers)
+        grid = estimate_nonbayes_grid(setup, a_grid, b_grid, n_runs, master_seed)
         for alpha in alphas:
             rows.append(calibrate_from_grid(kind, float(alpha), grid))
     return rows
 
 
 def delay_profile(setup: EpisodeSetup, thresholds, n_runs: int = 1000,
-                  master_seed: int = 0, n_workers: int = 1) -> list[dict]:
+                  master_seed: int = 0) -> list[dict]:
     """Detection behavior of a fixed probing policy per threshold.
 
     Mean delay is measured under change-at-1 (censored at the horizon when no

@@ -73,10 +73,29 @@ class TabularMdp:
 
     def feasible_mask(self) -> np.ndarray:
         """Boolean (S, A) mask of feasible state-action pairs."""
-        mask = np.zeros((self.n_states, self.n_actions), dtype=bool)
-        for s, acts in enumerate(self.feasible):
-            mask[s, list(acts)] = True
-        return mask
+        return action_mask(self.feasible, self.n_actions)
+
+
+def action_mask(feasible: tuple[tuple[int, ...], ...], n_actions: int) -> np.ndarray:
+    """Boolean (S, A) mask of the pairs that `feasible` lists, one tuple of
+    action indices per state."""
+    mask = np.zeros((len(feasible), n_actions), dtype=bool)
+    for s, acts in enumerate(feasible):
+        mask[s, list(acts)] = True
+    return mask
+
+
+def log_ratio_table(kernel1: np.ndarray, kernel0: np.ndarray,
+                    eps_prob: float = EPS_PROB) -> np.ndarray:
+    """(S, A, S) table of log(max(T1, eps) / max(T0, eps)).
+
+    Computed as a difference of logs; every per-transition log-likelihood
+    ratio and KL divergence in the package comes from this same expression
+    so that scalar and vectorized paths agree bit for bit.
+    """
+    k1 = np.asarray(kernel1, dtype=float)
+    k0 = np.asarray(kernel0, dtype=float)
+    return np.log(np.maximum(k1, eps_prob)) - np.log(np.maximum(k0, eps_prob))
 
 
 def validate_policy(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
@@ -188,7 +207,7 @@ def kl_step(p: np.ndarray, q: np.ndarray, eps_prob: float = EPS_PROB) -> float:
         raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
     if np.any(p < 0) or np.any(q < 0):
         raise ValueError("probabilities must be non-negative")
-    ratio = np.log(np.maximum(p, eps_prob)) - np.log(np.maximum(q, eps_prob))
+    ratio = log_ratio_table(p, q, eps_prob)
     return max(float(np.sum(np.where(p > 0, p * ratio, 0.0))), 0.0)
 
 
@@ -196,8 +215,7 @@ def kl_per_action(kernel1: np.ndarray, kernel0: np.ndarray,
                   eps_prob: float = EPS_PROB) -> np.ndarray:
     """(S, A) table of KL(T1(s,a,.) || T0(s,a,.)); vectorized kl_step."""
     k1 = np.asarray(kernel1, dtype=float)
-    k0 = np.asarray(kernel0, dtype=float)
-    ratio = np.log(np.maximum(k1, eps_prob)) - np.log(np.maximum(k0, eps_prob))
+    ratio = log_ratio_table(k1, kernel0, eps_prob)
     return np.maximum(np.sum(np.where(k1 > 0, k1 * ratio, 0.0), axis=2), 0.0)
 
 
@@ -228,11 +246,8 @@ def max_info_number(kernel0: np.ndarray, kernel1: np.ndarray,
     k1 = np.asarray(kernel1, dtype=float)
     n_states, n_actions, _ = k1.shape
     reward = kl_per_action(k1, np.asarray(kernel0, dtype=float), eps_prob)
-    if feasible is None:
-        feasible = tuple(tuple(range(n_actions)) for _ in range(n_states))
-    mask = np.zeros((n_states, n_actions), dtype=bool)
-    for s, acts in enumerate(feasible):
-        mask[s, list(acts)] = True
+    mask = (np.ones((n_states, n_actions), dtype=bool) if feasible is None
+            else action_mask(feasible, n_actions))
     damped = 0.5 * k1
     damped[np.arange(n_states), :, np.arange(n_states)] += 0.5
 

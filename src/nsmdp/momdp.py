@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import log_ratio_table
 from .errors import ModelError, NumericalError
-from .mdp import EPS_PROB, TabularMdp
+from .mdp import EPS_PROB, TabularMdp, log_ratio_table
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,33 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from nsmdp.cli import main
+from nsmdp.cli import CONFIG_KEYS, FLAGS, build_parser, load_config, main
+
+# a valid value other than the default for every config key: (raw, parsed)
+NON_DEFAULT = {
+    "inventory.capacity": ("7", 7), "inventory.order_cost": ("2.5", 2.5),
+    "inventory.holding_cost": ("4", 4.0), "inventory.shortage_penalty": ("90", 90.0),
+    "inventory.demand_rate": ("1.5", 1.5), "inventory.uniform_max": ("5", 5),
+    "change.kind": ("never", "never"), "change.rho": ("0.02", 0.02),
+    "change.gamma": ("3", 3),
+    "detector.kind": ("cusum", "cusum"), "detector.rho": ("0.2", 0.2),
+    "detector.window": ("50", 50),
+    "run.beta": ("0.9", 0.9), "run.horizon": ("30", 30), "run.n_runs": ("40", 40),
+    "run.seed": ("9", 9), "run.initial_state": ("3", 3), "run.workers": ("3", 3),
+    "run.out_dir": ("elsewhere", Path("elsewhere")),
+    "policies.kinds": ("tt, momdp", ("tt", "momdp")),
+    "policies.momdp_grid": ("11", 11), "policies.momdp_tol": ("1e-4", 1e-4),
+    "thresholds.a": ("5", 5.0), "thresholds.b": ("2", 2.0),
+    "thresholds.a_grid": ("4", 4), "thresholds.a_min": ("3", 3.0),
+    "thresholds.a_max": ("300", 300.0), "thresholds.b_grid": ("2", 2),
+    "thresholds.opt_runs": ("10", 10),
+    "sweep.alphas": ("1,2.5", (1.0, 2.5)),
+}
 
 
 def write_config(path, *, capacity=4, penalty=60.0, horizon=60, n_runs=12,
@@ -278,7 +301,68 @@ class TestConfigValidation:
     def test_help_documents_config_keys(self, capsys):
         with pytest.raises(SystemExit):
             main(["evaluate", "--help"])
-        text = capsys.readouterr().out
-        for key in ("capacity", "demand_rate", "uniform_max", "horizon",
-                    "n_runs", "seed", "a_grid", "alphas", "momdp_grid"):
-            assert key in text
+        text = " ".join(capsys.readouterr().out.split())
+        text = text[text.index("[inventory]"):]
+        blocks = dict(zip(re.findall(r"\[(\w+)\]", text), re.split(r"\[\w+\]", text)[1:]))
+        for section, key, _, default, help_text in CONFIG_KEYS:
+            assert f" {key} {help_text} ({default or 'unset'})" in blocks[section]
+
+    @pytest.mark.parametrize("text, name", [("[run]\nbta = 0.5\n", "run.bta"),
+                                            ("[thresholds]\nmomdp_grid = 41\n",
+                                             "thresholds.momdp_grid"),
+                                            ("[runs]\nseed = 3\n", "runs.seed"),
+                                            ("[DEFAULT]\nhorizon = 7\n[run]\n",
+                                             "DEFAULT.horizon")])
+    def test_unknown_key_or_section(self, tmp_path, capsys, text, name):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, code, name", [
+        (["--policies", "tt", "--a", "1", "--b", "50"], 1, "thresholds.b"),
+        (["--a", "nan", "--b", "1"], 1, "thresholds.a"),
+        (["--a", "5", "--b", "nan"], 1, "thresholds.b"),
+        (["--a", "5", "--b", "-1"], 1, "thresholds.b"),
+        (["--detector", "sr", "--a", "-5", "--b", "-6"], 1, "thresholds.a"),
+        (["--detector", "cusum", "--a", "-1", "--b", "-2"], 0, None),
+    ])
+    def test_thresholds_checked_at_entry(self, tmp_path, capsys, flags, code, name):
+        cfg = write_config(tmp_path / "exp.ini")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--out-dir", str(out), *flags]) == code
+        if name is not None:
+            assert name in capsys.readouterr().err
+
+
+class TestConfigTable:
+    def test_every_key_has_a_test_value(self):
+        assert list(NON_DEFAULT) == [f"{s}.{k}" for s, k, *_ in CONFIG_KEYS]
+        for section, key, cast, default, _ in CONFIG_KEYS:
+            assert default is None or cast(default) != NON_DEFAULT[f"{section}.{key}"][1]
+
+    @pytest.mark.parametrize("name", list(NON_DEFAULT))
+    def test_file_value_reaches_config(self, tmp_path, name):
+        section, key = name.split(".")
+        raw, value = NON_DEFAULT[name]
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        cfg = load_config(str(path), {})
+        assert getattr(getattr(cfg, section), key) == value
+        if section == "inventory":
+            assert getattr(cfg.params, "penalty" if key == "shortage_penalty" else key) == value
+
+    @pytest.mark.parametrize("flag", list(FLAGS))
+    def test_flag_overrides_file_value(self, tmp_path, flag):
+        section, key = FLAGS[flag].split(".")
+        raw, value = NON_DEFAULT[FLAGS[flag]]
+        default = next(row[3] for row in CONFIG_KEYS if row[:2] == (section, key))
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[{section}]\n{key} = {default or ''}\n")
+        args = build_parser().parse_args(["sweep", "--config", str(path), flag, raw])
+        cfg = load_config(args.config, {k: getattr(args, k) for k in FLAGS.values()})
+        assert getattr(getattr(cfg, section), key) == value

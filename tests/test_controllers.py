@@ -136,8 +136,9 @@ class TestPhaseMachine:
         ctrl.threshold_b = 20.0  # corrupt the state machine
         with pytest.raises(StateError):
             ctrl.step(0, None, 0)
-        with pytest.raises(ValueError):
-            make_controller(small_env, small_policies, "tt", a=10.0, b=20.0)
+        for a, b in ((10.0, 20.0), (math.nan, 1.0), (10.0, math.nan), (10.0, -1.0)):
+            with pytest.raises(ValueError):
+                make_controller(small_env, small_policies, "tt", a=a, b=b)
 
     def test_feedback_required_after_first_step(self, small_env, small_policies):
         ctrl = make_controller(small_env, small_policies, "tt", a=10.0, b=1.0)

@@ -52,14 +52,6 @@ class TestDeterminism:
         assert [x.discounted_cost for x in r1.runs] == \
                [x.discounted_cost for x in r2.runs]
 
-    def test_worker_count_does_not_change_results(self, small_env, small_policies):
-        setup = small_setup(small_env, small_policies, "tt", horizon=150)
-        serial = monte_carlo(setup, 600, master_seed=3, n_workers=1)
-        parallel = monte_carlo(setup, 600, master_seed=3, n_workers=4)
-        assert serial.mean_cost == parallel.mean_cost
-        assert [x.discounted_cost for x in serial.runs] == \
-               [x.discounted_cost for x in parallel.runs]
-
     def test_single_run_report_equals_record(self, small_env, small_policies):
         setup = small_setup(small_env, small_policies, "loc")
         report = monte_carlo(setup, 1, master_seed=9)
@@ -406,6 +398,27 @@ class TestGridPass:
         assert np.array_equal(batch.trace["demand"], expected)
         assert np.array_equal(batch.run_ids, np.tile(ids, n_cells))
         assert np.array_equal(batch.gamma, np.tile(gamma, n_cells))
+
+    def test_setup_rejects_unusable_thresholds_and_rho(self, small_env, small_policies):
+        # B > A, NaN, a negative Shiryaev/SR threshold, or rho outside [0, 1)
+        # (0 for sr), in a scalar setup or in any one cell of a grid
+        bad = [("tt", "shiryaev", 0.05, 1.0, 50.0), ("tt", "sr", 0.0, math.nan, 1.0),
+               ("loc", "shiryaev", 0.05, math.nan, 0.0), ("tt", "cusum", 0.0, 5.0, math.nan),
+               ("tt", "sr", 0.0, 5.0, -1.0), ("loc", "shiryaev", 0.05, -2.0, 0.0),
+               ("tt", "shiryaev", 0.05, np.array([5.0, 1.0]), np.array([1.0, 3.0])),
+               ("loc", "shiryaev", 1.5, 5.0, 5.0), ("oracle", "shiryaev", -0.1, math.inf, 0.0),
+               ("loc", "sr", 0.1, 5.0, 5.0)]
+        for kind, detector, rho, a, b in bad:
+            with pytest.raises(ValueError, match="B <= A|NaN|non-negative|detector_rho"):
+                make_setup(small_env, small_policies, kind, CHANGE, 10, 0.95,
+                           detector_kind=detector, detector_rho=rho,
+                           threshold_a=a, threshold_b=b)
+        # loc forces B = A and kl puts B at the floor, so a larger B is unused;
+        # CUSUM thresholds are log-domain and may be negative
+        for kind, detector, a, b in (("loc", "sr", 1.0, 50.0), ("kl", "sr", 1.0, 50.0),
+                                     ("tt", "cusum", -1.0, -2.0), ("kl", "cusum", -1.0, 0.0)):
+            make_setup(small_env, small_policies, kind, CHANGE, 10, 0.95,
+                       detector_kind=detector, threshold_a=a, threshold_b=b)
 
     def test_setup_rejects_mismatched_threshold_arrays(self, small_env, small_policies):
         setup = small_setup(small_env, small_policies, "tt")
