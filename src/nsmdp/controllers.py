@@ -17,7 +17,7 @@ import numpy as np
 
 from .detectors import Detector, DetectorConfig, DetectorState, threshold_domain
 from .errors import StateError
-from .mdp import EPS_PROB, TabularMdp, action_mask, kl_per_action, value_iteration
+from .mdp import TabularMdp, action_mask, kl_per_action, value_iteration
 
 PHASES = ("pre", "probe", "post")
 
@@ -67,28 +67,27 @@ def switch_action(policies: np.ndarray, switched, log_stat, log_b, s):
 
 
 def kl_policy(kernel0: np.ndarray, kernel1: np.ndarray,
-              feasible: tuple[tuple[int, ...], ...] | None = None,
-              eps_prob: float = EPS_PROB) -> np.ndarray:
+              feasible: tuple[tuple[int, ...], ...] | None = None) -> np.ndarray:
     """Per-state action maximizing KL(T1(s,a,.) || T0(s,a,.)).
 
     Ties break toward the lowest action index, so identical kernels give the
     all-zeros policy.
     """
-    kl = kl_per_action(kernel1, kernel0, eps_prob)
+    kl = kl_per_action(kernel1, kernel0)
     return _masked_argmax(kl, feasible)
 
 
 def worst_case_kl_policy(kernel0: np.ndarray,
                          theta_grid: tuple[np.ndarray, ...],
-                         feasible: tuple[tuple[int, ...], ...] | None = None,
-                         eps_prob: float = EPS_PROB) -> np.ndarray:
+                         feasible: tuple[tuple[int, ...], ...] | None = None
+                         ) -> np.ndarray:
     """Probing policy for an unknown post-change model: maximize the worst-case
     KL divergence over the candidate grid."""
     if len(theta_grid) == 0:
         raise ValueError("theta_grid must be nonempty")
     worst = None
     for kernel_theta in theta_grid:
-        kl = kl_per_action(np.asarray(kernel_theta, dtype=float), kernel0, eps_prob)
+        kl = kl_per_action(np.asarray(kernel_theta, dtype=float), kernel0)
         worst = kl if worst is None else np.minimum(worst, kl)
     return _masked_argmax(worst, feasible)
 
@@ -210,27 +209,23 @@ class GlrController(SwitchController):
 
     def __init__(self, models: tuple[TabularMdp, ...], pre_index: int,
                  threshold_a: float, threshold_b: float, window: int,
-                 beta: float, vi_tol: float = 1e-8,
-                 min_separation: float = 1e-6, eps_prob: float = EPS_PROB,
+                 beta: float, min_separation: float = 1e-6,
                  _policy_cache: dict | None = None):
         self.models = tuple(models)
         self.pre_index = pre_index
         self.window = window
         self.beta = beta
-        self.vi_tol = vi_tol
         self.min_separation = min_separation
-        self.eps_prob = eps_prob
         self._policy_cache = {} if _policy_cache is None else _policy_cache
         pre = self.models[pre_index]
         self.candidates = tuple(i for i in range(len(self.models)) if i != pre_index)
         grid = tuple(self.models[i].kernel for i in self.candidates)
         self.detector = Detector(
             DetectorConfig(kind="glr", threshold=float(threshold_a), window=window,
-                           theta_grid=grid, min_separation=min_separation,
-                           eps_prob=eps_prob),
+                           theta_grid=grid, min_separation=min_separation),
             pre.kernel)
         self.pi_pre = self._optimal_policy(pre_index)
-        self.pi_probe = worst_case_kl_policy(pre.kernel, grid, pre.feasible, eps_prob)
+        self.pi_probe = worst_case_kl_policy(pre.kernel, grid, pre.feasible)
         self.pi_post: np.ndarray | None = None
         # the post row is added by _on_stop, once the candidate is known
         self._arm(threshold_a, threshold_b, (self.pi_pre, self.pi_probe))
@@ -240,8 +235,7 @@ class GlrController(SwitchController):
 
     def _optimal_policy(self, index: int) -> np.ndarray:
         if index not in self._policy_cache:
-            self._policy_cache[index] = value_iteration(
-                self.models[index], self.beta, self.vi_tol).policy
+            self._policy_cache[index] = value_iteration(self.models[index], self.beta).policy
         return self._policy_cache[index]
 
     def _on_stop(self, state: DetectorState) -> None:
@@ -260,5 +254,5 @@ def glr_reset(ctrl: GlrController, theta_hat: int | None = None) -> GlrControlle
         raise StateError("glr_reset requires a stopped controller")
     new_pre = ctrl.estimated_index if theta_hat is None else theta_hat
     return GlrController(ctrl.models, new_pre, ctrl.threshold_a, ctrl.threshold_b,
-                         ctrl.window, ctrl.beta, ctrl.vi_tol, ctrl.min_separation,
-                         ctrl.eps_prob, _policy_cache=ctrl._policy_cache)
+                         ctrl.window, ctrl.beta, ctrl.min_separation,
+                         _policy_cache=ctrl._policy_cache)

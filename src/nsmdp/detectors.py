@@ -18,14 +18,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import StateError
-from .mdp import EPS_PROB, log_ratio_table
+from .mdp import log_ratio_table
 
 NEG_INF = float("-inf")
 
 
 def log_likelihood_ratio(kernel0: np.ndarray, kernel1: np.ndarray,
-                         s: int, a: int, s_next: int,
-                         eps_prob: float = EPS_PROB) -> float:
+                         s: int, a: int, s_next: int) -> float:
     """Per-transition log-likelihood ratio of post- vs pre-change kernel."""
     k0 = np.asarray(kernel0, dtype=float)
     k1 = np.asarray(kernel1, dtype=float)
@@ -34,7 +33,7 @@ def log_likelihood_ratio(kernel0: np.ndarray, kernel1: np.ndarray,
         raise ValueError(f"state out of range: {s} -> {s_next}")
     if not 0 <= a < n_actions:
         raise ValueError(f"action {a} out of range")
-    return float(log_ratio_table(k1[s, a, s_next], k0[s, a, s_next], eps_prob))
+    return float(log_ratio_table(k1[s, a, s_next], k0[s, a, s_next]))
 
 
 def shiryaev_log_update(log_stat, log_lr, log_one_minus_rho):
@@ -91,7 +90,6 @@ class DetectorConfig:
     window: int = 200                           # m, suffix window for cusum/glr
     theta_grid: tuple[np.ndarray, ...] = ()     # candidate post-change kernels (glr)
     min_separation: float = 1e-6                # required sup-distance of candidates from T0
-    eps_prob: float = EPS_PROB
 
     def __post_init__(self):
         if self.kind not in ("shiryaev", "sr", "cusum", "glr"):
@@ -181,7 +179,7 @@ def cusum_step(state: DetectorState, log_lr: float, window: int) -> DetectorStat
 
 def glr_step(state: DetectorState, transition: tuple[int, int, int],
              kernel0: np.ndarray, theta_grid: tuple[np.ndarray, ...],
-             window: int, eps_prob: float = EPS_PROB) -> DetectorState:
+             window: int) -> DetectorState:
     """Windowed GLR update over a grid of candidate post-change kernels.
 
     The statistic is the max over suffixes and candidates of the summed
@@ -190,7 +188,7 @@ def glr_step(state: DetectorState, transition: tuple[int, int, int],
     """
     if len(theta_grid) == 0:
         raise ValueError("theta_grid must be nonempty")
-    log_lrs = np.array([log_likelihood_ratio(kernel0, kernel_theta, *transition, eps_prob)
+    log_lrs = np.array([log_likelihood_ratio(kernel0, kernel_theta, *transition)
                         for kernel_theta in theta_grid])
     return _advance(state, log_lrs, window=window)
 
@@ -289,8 +287,7 @@ class Detector:
                 raise ValueError(f"{config.kind} requires the post-change kernel")
             kernels = (kernel1,)
         # (candidates, S, A, S) per-transition log-likelihood ratios
-        self._log_lr = np.stack([log_ratio_table(kernel, self.kernel0, config.eps_prob)
-                                 for kernel in kernels])
+        self._log_lr = np.stack([log_ratio_table(kernel, self.kernel0) for kernel in kernels])
         self._log1m_rho = float(np.log1p(-config.rho))
         self.state = new_detector_state(config.kind)
 

@@ -32,7 +32,7 @@ import numpy as np
 from .controllers import check_thresholds, kind_thresholds, switch_action
 from .detectors import shiryaev_log_update, threshold_domain, windowed_cusum
 from .inventory import ChangeSpec, InventoryEnv, demand_from_uniform, sample_change_point
-from .mdp import EPS_PROB, log_ratio_table
+from .mdp import log_ratio_table
 from .momdp import MomdpSolution, belief_step
 
 BATCHABLE_KINDS = ("oracle", "random", "loc", "kl", "tt", "momdp")
@@ -53,7 +53,6 @@ class EpisodeSetup:
     detector_kind: str = "shiryaev"      # shiryaev | sr | cusum
     detector_rho: float = 0.0
     window: int = 200
-    eps_prob: float = EPS_PROB
     threshold_a: float | np.ndarray = math.inf   # or one entry per cell
     threshold_b: float | np.ndarray = 0.0
     momdp: MomdpSolution | None = None
@@ -163,8 +162,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
     uses_detector = kind in ("loc", "kl", "tt")
     uses_belief = kind == "momdp"
     if uses_detector or uses_belief:
-        log_lr = log_ratio_table(env.mdp_post.kernel, env.mdp_pre.kernel,
-                                 setup.eps_prob).reshape(-1)
+        log_lr = log_ratio_table(env.mdp_post.kernel, env.mdp_pre.kernel).reshape(-1)
     if uses_detector:
         log_a, log_b = (np.array([threshold_domain(setup.detector_kind, float(t))
                                   for t in np.broadcast_to(thr, shape[:1])])[:, None]

@@ -71,13 +71,12 @@ class PolicySet:
     momdp: MomdpSolution | None = None
 
 
-def solve_policies(env: InventoryEnv, beta: float, tol: float = 1e-8,
-                   momdp_grid: int | None = None, momdp_rho: float = 0.01,
-                   momdp_tol: float = 1e-6) -> PolicySet:
+def solve_policies(env: InventoryEnv, beta: float, momdp_grid: int | None = None,
+                   momdp_rho: float = 0.01, momdp_tol: float = 1e-6) -> PolicySet:
     """Value-iterate both regimes, build the probing policy, and optionally
     solve the belief-grid baseline."""
-    sol_pre = value_iteration(env.mdp_pre, beta, tol)
-    sol_post = value_iteration(env.mdp_post, beta, tol)
+    sol_pre = value_iteration(env.mdp_pre, beta)
+    sol_post = value_iteration(env.mdp_post, beta)
     probe = kl_policy(env.mdp_pre.kernel, env.mdp_post.kernel, env.mdp_pre.feasible)
     momdp = None
     if momdp_grid is not None:

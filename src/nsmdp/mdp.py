@@ -16,7 +16,12 @@ import numpy as np
 from .errors import ModelError, NumericalError
 
 ROW_SUM_TOL = 1e-9
-EPS_PROB = 1e-12  # default floor for probabilities inside log ratios
+EPS_PROB = 1e-12          # floor for probabilities inside log ratios
+VI_MAX_ITER = 10_000_000  # value-iteration sweeps before giving up
+EVAL_TOL = 1e-8           # policy-evaluation residual tolerance
+STATIONARY_TOL = 1e-9     # stationary-distribution residual tolerance
+RVI_TOL = 1e-8            # relative-VI span tolerance for the information rate
+RVI_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,8 @@ def action_mask(feasible: tuple[tuple[int, ...], ...], n_actions: int) -> np.nda
     return mask
 
 
-def log_ratio_table(kernel1: np.ndarray, kernel0: np.ndarray,
-                    eps_prob: float = EPS_PROB) -> np.ndarray:
-    """(S, A, S) table of log(max(T1, eps) / max(T0, eps)).
+def log_ratio_table(kernel1: np.ndarray, kernel0: np.ndarray) -> np.ndarray:
+    """(S, A, S) table of log(max(T1, EPS_PROB) / max(T0, EPS_PROB)).
 
     Computed as a difference of logs; every per-transition log-likelihood
     ratio and KL divergence in the package comes from this same expression
@@ -95,7 +99,7 @@ def log_ratio_table(kernel1: np.ndarray, kernel0: np.ndarray,
     """
     k1 = np.asarray(kernel1, dtype=float)
     k0 = np.asarray(kernel0, dtype=float)
-    return np.log(np.maximum(k1, eps_prob)) - np.log(np.maximum(k0, eps_prob))
+    return np.log(np.maximum(k1, EPS_PROB)) - np.log(np.maximum(k0, EPS_PROB))
 
 
 def validate_policy(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
@@ -114,8 +118,7 @@ class VISolution(NamedTuple):
     deltas: list[float]
 
 
-def value_iteration(mdp: TabularMdp, beta: float, tol: float = 1e-8,
-                    max_iter: int = 10_000_000) -> VISolution:
+def value_iteration(mdp: TabularMdp, beta: float, tol: float = 1e-8) -> VISolution:
     """Solve the discounted cost-minimization problem by value iteration.
 
     Returns a value function whose Bellman residual is at most `tol`, the
@@ -129,7 +132,7 @@ def value_iteration(mdp: TabularMdp, beta: float, tol: float = 1e-8,
     mask = mdp.feasible_mask()
     v = np.zeros(mdp.n_states)
     deltas: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(VI_MAX_ITER):
         q = np.where(mask, mdp.cost + beta * mdp.kernel @ v, np.inf)
         v_new = q.min(axis=1)
         delta = float(np.max(np.abs(v_new - v)))
@@ -139,36 +142,32 @@ def value_iteration(mdp: TabularMdp, beta: float, tol: float = 1e-8,
         if beta * delta <= tol:
             break
     else:
-        raise NumericalError(f"value iteration did not converge in {max_iter} sweeps")
+        raise NumericalError(f"value iteration did not converge in {VI_MAX_ITER} sweeps")
     q = np.where(mask, mdp.cost + beta * mdp.kernel @ v, np.inf)
     policy = np.argmin(q, axis=1)
     return VISolution(v, policy.astype(int), deltas)
 
 
-def policy_evaluation(mdp: TabularMdp, policy: np.ndarray, beta: float,
-                      tol: float = 1e-8) -> np.ndarray:
+def policy_evaluation(mdp: TabularMdp, policy: np.ndarray, beta: float) -> np.ndarray:
     """Discounted value of a fixed stationary policy, solved exactly.
 
     Solves (I - beta * P_pi) v = c_pi; the dense solve gives a fixed point
-    well inside any reasonable `tol`.
+    well inside EVAL_TOL.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     policy = validate_policy(mdp, policy)
     idx = np.arange(mdp.n_states)
     p_pi = mdp.kernel[idx, policy]          # (S, S)
     c_pi = mdp.cost[idx, policy]
     v = np.linalg.solve(np.eye(mdp.n_states) - beta * p_pi, c_pi)
     residual = float(np.max(np.abs(v - (c_pi + beta * p_pi @ v))))
-    if residual > max(tol, 1e-9 * (1 + np.max(np.abs(v)))):
-        raise NumericalError(f"policy evaluation residual {residual:.3e} exceeds tol")
+    if residual > max(EVAL_TOL, 1e-9 * (1 + np.max(np.abs(v)))):
+        raise NumericalError(f"policy evaluation residual {residual:.3e} exceeds the tolerance")
     return v
 
 
-def stationary_distribution(kernel: np.ndarray, policy: np.ndarray,
-                            tol: float = 1e-9) -> np.ndarray:
+def stationary_distribution(kernel: np.ndarray, policy: np.ndarray) -> np.ndarray:
     """Unique stationary distribution of the policy-induced chain.
 
     `kernel` is a full (S, A, S) transition kernel (typically the post-change
@@ -187,7 +186,8 @@ def stationary_distribution(kernel: np.ndarray, policy: np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"no unique stationary distribution: {exc}") from exc
     residual = float(np.max(np.abs(mu @ p - mu)))
-    if residual > tol or np.any(mu < -1e-9) or abs(mu.sum() - 1.0) > tol:
+    if (residual > STATIONARY_TOL or np.any(mu < -1e-9)
+            or abs(mu.sum() - 1.0) > STATIONARY_TOL):
         raise NumericalError(
             f"stationary distribution failed (residual {residual:.3e}, "
             f"min {mu.min():.3e}); chain may be reducible"
@@ -195,10 +195,10 @@ def stationary_distribution(kernel: np.ndarray, policy: np.ndarray,
     return np.maximum(mu, 0.0) / np.maximum(mu, 0.0).sum()
 
 
-def kl_step(p: np.ndarray, q: np.ndarray, eps_prob: float = EPS_PROB) -> float:
+def kl_step(p: np.ndarray, q: np.ndarray) -> float:
     """KL divergence sum(p * log(p/q)) in nats with 0*log0 = 0.
 
-    Probabilities inside the log are floored at `eps_prob` so that support
+    Probabilities inside the log are floored at EPS_PROB so that support
     mismatches give large but finite values; the result is clamped at zero.
     """
     p = np.asarray(p, dtype=float)
@@ -207,35 +207,32 @@ def kl_step(p: np.ndarray, q: np.ndarray, eps_prob: float = EPS_PROB) -> float:
         raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
     if np.any(p < 0) or np.any(q < 0):
         raise ValueError("probabilities must be non-negative")
-    ratio = log_ratio_table(p, q, eps_prob)
+    ratio = log_ratio_table(p, q)
     return max(float(np.sum(np.where(p > 0, p * ratio, 0.0))), 0.0)
 
 
-def kl_per_action(kernel1: np.ndarray, kernel0: np.ndarray,
-                  eps_prob: float = EPS_PROB) -> np.ndarray:
+def kl_per_action(kernel1: np.ndarray, kernel0: np.ndarray) -> np.ndarray:
     """(S, A) table of KL(T1(s,a,.) || T0(s,a,.)); vectorized kl_step."""
     k1 = np.asarray(kernel1, dtype=float)
-    ratio = log_ratio_table(k1, kernel0, eps_prob)
+    ratio = log_ratio_table(k1, kernel0)
     return np.maximum(np.sum(np.where(k1 > 0, k1 * ratio, 0.0), axis=2), 0.0)
 
 
-def info_number(kernel0: np.ndarray, kernel1: np.ndarray, policy: np.ndarray,
-                eps_prob: float = EPS_PROB) -> float:
+def info_number(kernel0: np.ndarray, kernel1: np.ndarray, policy: np.ndarray) -> float:
     """Long-run average log-likelihood ratio of the policy under the
     post-change law: sum_s mu(s) * KL(T1(s,pi(s),.) || T0(s,pi(s),.)),
     with mu the stationary distribution of the policy under kernel1.
     """
     policy = np.asarray(policy, dtype=int)
     mu = stationary_distribution(kernel1, policy)
-    kl = kl_per_action(kernel1, kernel0, eps_prob)
+    kl = kl_per_action(kernel1, kernel0)
     n = len(policy)
     return float(mu @ kl[np.arange(n), policy])
 
 
 def max_info_number(kernel0: np.ndarray, kernel1: np.ndarray,
-                    feasible: tuple[tuple[int, ...], ...] | None = None,
-                    tol: float = 1e-8, max_iter: int = 200_000,
-                    eps_prob: float = EPS_PROB) -> tuple[float, np.ndarray]:
+                    feasible: tuple[tuple[int, ...], ...] | None = None
+                    ) -> tuple[float, np.ndarray]:
     """Best achievable information rate over stationary policies.
 
     Solves the average-reward MDP with dynamics kernel1 and per-step reward
@@ -245,22 +242,22 @@ def max_info_number(kernel0: np.ndarray, kernel1: np.ndarray,
     """
     k1 = np.asarray(kernel1, dtype=float)
     n_states, n_actions, _ = k1.shape
-    reward = kl_per_action(k1, np.asarray(kernel0, dtype=float), eps_prob)
+    reward = kl_per_action(k1, np.asarray(kernel0, dtype=float))
     mask = (np.ones((n_states, n_actions), dtype=bool) if feasible is None
             else action_mask(feasible, n_actions))
     damped = 0.5 * k1
     damped[np.arange(n_states), :, np.arange(n_states)] += 0.5
 
     w = np.zeros(n_states)
-    for _ in range(max_iter):
+    for _ in range(RVI_MAX_ITER):
         q = np.where(mask, reward + damped @ w, -np.inf)
         tw = q.max(axis=1)
         diff = tw - w
         span = float(diff.max() - diff.min())
         w = tw - tw[0]
-        if span <= tol:
+        if span <= RVI_TOL:
             gain = float(0.5 * (diff.max() + diff.min()))
             q = np.where(mask, reward + damped @ w, -np.inf)
             policy = np.argmax(q, axis=1).astype(int)
             return gain, policy
-    raise NumericalError(f"relative value iteration did not converge in {max_iter} sweeps")
+    raise NumericalError(f"relative value iteration did not converge in {RVI_MAX_ITER} sweeps")

@@ -14,25 +14,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, NumericalError
-from .mdp import EPS_PROB, TabularMdp, log_ratio_table
+from .mdp import TabularMdp, log_ratio_table
+
+GRID_MAX_ITER = 100_000   # belief-grid Bellman sweeps before giving up
+INNER_SWEEPS = 30         # fixed-policy sweeps between Bellman sweeps
 
 
 @dataclass(frozen=True)
 class RegimePomdp:
-    """Joint model over (mdp state, latent regime) pairs.
-
-    `t_joint[s, th, a, s2, th2]` is the probability of landing in (s2, th2)
-    from (s, th) under action a: the regime moves first (absorbing change
-    with probability rho), then the state moves under the new regime's
-    kernel. Costs depend on the current regime only.
-    """
+    """The two-regime model: each step the regime moves first (from mdp0 to
+    the absorbing mdp1 with probability rho), then the state moves under the
+    new regime's kernel; costs follow the current regime. Observations are
+    the MDP state itself."""
 
     mdp0: TabularMdp
     mdp1: TabularMdp
     rho: float
-    t_joint: np.ndarray        # (S, 2, A, S, 2)
-    regime_matrix: np.ndarray  # (2, 2): regime_matrix[th, th2]
-    cost: np.ndarray           # (S, 2, A)
 
     @property
     def n_states(self) -> int:
@@ -40,28 +37,15 @@ class RegimePomdp:
 
 
 def build_pomdp(mdp0: TabularMdp, mdp1: TabularMdp, rho: float) -> RegimePomdp:
-    """Assemble the joint kernel for the two-regime model.
-
-    Observations are the MDP state itself, so no observation matrix is
-    materialized. The latent regime 1 is absorbing.
-    """
+    """The two-regime model, once the MDPs share their state and action
+    spaces and feasible sets, and rho is in [0, 1)."""
     if mdp0.kernel.shape != mdp1.kernel.shape:
         raise ModelError("regime MDPs must share state and action spaces")
     if mdp0.feasible != mdp1.feasible:
         raise ModelError("regime MDPs must share feasible action sets")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must be in [0, 1), got {rho}")
-    n_s, n_a, _ = mdp0.kernel.shape
-    f = np.array([[1.0 - rho, rho], [0.0, 1.0]])
-    kernels = (mdp0.kernel, mdp1.kernel)
-    t_joint = np.zeros((n_s, 2, n_a, n_s, 2))
-    for th in range(2):
-        for th2 in range(2):
-            # regime moves first, then the state moves under the new regime
-            t_joint[:, th, :, :, th2] = f[th, th2] * kernels[th2]
-    cost = np.stack([mdp0.cost, mdp1.cost], axis=1)
-    return RegimePomdp(mdp0=mdp0, mdp1=mdp1, rho=rho, t_joint=t_joint,
-                       regime_matrix=f, cost=cost)
+    return RegimePomdp(mdp0=mdp0, mdp1=mdp1, rho=rho)
 
 
 def belief_step(b, lr, rho):
@@ -76,27 +60,19 @@ def belief_step(b, lr, rho):
 
 
 def belief_update(b: float, s: int, a: int, s_next: int,
-                  kernel0: np.ndarray, kernel1: np.ndarray, rho: float,
-                  eps_prob: float = EPS_PROB) -> float:
+                  kernel0: np.ndarray, kernel1: np.ndarray, rho: float) -> float:
     """Bayes update of the change belief from one observed transition.
 
-    Kernel probabilities inside the ratio are floored at `eps_prob`, so a
+    Kernel probabilities inside the ratio are floored at EPS_PROB, so a
     transition impossible under both models leaves the belief at its
     prior-drifted value; one impossible only under the pre-change model
-    drives the belief to 1.
+    drives the belief to nearly 1.
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"belief must be in [0, 1], got {b}")
-    p1 = max(float(np.asarray(kernel1)[s, a, s_next]), eps_prob)
-    p0 = max(float(np.asarray(kernel0)[s, a, s_next]), eps_prob)
-    pred = b + (1.0 - b) * rho
-    if p0 > 0.0:
-        lr = float(np.exp(log_ratio_table(p1, p0, eps_prob))) if p1 > 0.0 else 0.0
-        if pred * lr + (1.0 - pred) > 0.0:
-            return min(max(float(belief_step(b, lr, rho)), 0.0), 1.0)
-    elif p1 > 0.0 and pred > 0.0:
-        return 1.0  # transition impossible under the pre-change model
-    raise NumericalError(f"zero belief normalizer at (s={s}, a={a}, s'={s_next})")
+    lr = float(np.exp(log_ratio_table(np.asarray(kernel1)[s, a, s_next],
+                                      np.asarray(kernel0)[s, a, s_next])))
+    return min(max(float(belief_step(b, lr, rho)), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -119,9 +95,7 @@ class MomdpSolution:
 
 
 def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
-                      beta: float = 0.99, tol: float = 1e-6,
-                      max_iter: int = 100_000, inner_sweeps: int = 30,
-                      eps_prob: float = EPS_PROB) -> MomdpSolution:
+                      beta: float = 0.99, tol: float = 1e-6) -> MomdpSolution:
     """Value iteration over (state, belief-grid) cells.
 
     Next-step values are read off the grid by linear interpolation in the
@@ -161,7 +135,7 @@ def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
     pw = pred[None, :, None]
     p_next = (1.0 - pw) * t0 + pw * t1               # (U, G, S')
 
-    lr = np.exp(log_ratio_table(t1, t0, eps_prob))
+    lr = np.exp(log_ratio_table(t1, t0))
     b_next = belief_step(grid[None, :, None], lr, rho)
     pos = np.clip(b_next, 0.0, 1.0) * (g - 1)
     lo = np.minimum(pos.astype(np.int64), g - 2)     # (U, G, S')
@@ -179,7 +153,7 @@ def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
 
     s_rows = np.arange(n_s)[:, None]
     g_cols = np.arange(g)[None, :]
-    for _ in range(max_iter):
+    for _ in range(GRID_MAX_ITER):
         vf = v.ravel()
         interp = w_lo * vf[flat_lo] + w_hi * vf[flat_hi]
         cont = np.einsum("ugn,ugn->ug", p_next, interp)
@@ -197,8 +171,8 @@ def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
         c_pi = step_cost[s_rows, pi, g_cols]
         lo_pi, hi_pi = flat_lo[u_pi, g_cols], flat_hi[u_pi, g_cols]
         wl_pi, wh_pi = w_lo[u_pi, g_cols], w_hi[u_pi, g_cols]
-        for _ in range(inner_sweeps):
+        for _ in range(INNER_SWEEPS):
             vf = v.ravel()
             interp_pi = wl_pi * vf[lo_pi] + wh_pi * vf[hi_pi]
             v = c_pi + beta * np.einsum("sgn,sgn->sg", p_pi, interp_pi)
-    raise NumericalError(f"belief-grid value iteration did not converge in {max_iter} sweeps")
+    raise NumericalError(f"belief-grid value iteration did not converge in {GRID_MAX_ITER} sweeps")

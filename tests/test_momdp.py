@@ -7,7 +7,7 @@ import pytest
 
 from nsmdp.detectors import (log_likelihood_ratio, new_detector_state,
                              posterior_from_log_shiryaev, shiryaev_step)
-from nsmdp.errors import ModelError, NumericalError
+from nsmdp.errors import ModelError
 from nsmdp.inventory import InventoryParams, build_env
 from nsmdp.mdp import TabularMdp, value_iteration
 from nsmdp.momdp import (MomdpSolution, belief_grid_solve, belief_step,
@@ -32,33 +32,6 @@ def inventory_pomdp():
 
 
 class TestBuildPomdp:
-    def test_rho_zero_reduces_to_standalone_models(self, rng):
-        m0, m1 = toy_pair(rng)
-        pomdp = build_pomdp(m0, m1, rho=0.0)
-        # no cross-regime mass, each slice is the standalone kernel
-        assert pomdp.t_joint[:, 0, :, :, 1].sum() == 0.0
-        np.testing.assert_allclose(pomdp.t_joint[:, 0, :, :, 0], m0.kernel)
-        np.testing.assert_allclose(pomdp.t_joint[:, 1, :, :, 1], m1.kernel)
-
-    def test_post_change_regime_absorbing(self, rng):
-        m0, m1 = toy_pair(rng)
-        pomdp = build_pomdp(m0, m1, rho=0.3)
-        assert pomdp.regime_matrix[1, 0] == 0.0
-        assert pomdp.regime_matrix[1, 1] == 1.0
-        assert pomdp.t_joint[:, 1, :, :, 0].sum() == 0.0
-
-    def test_joint_rows_stochastic(self, rng):
-        m0, m1 = toy_pair(rng, n_states=3, n_actions=2)
-        pomdp = build_pomdp(m0, m1, rho=0.07)
-        sums = pomdp.t_joint.sum(axis=(3, 4))
-        np.testing.assert_allclose(sums, 1.0, atol=1e-12)
-
-    def test_costs_follow_current_regime(self, rng):
-        m0, m1 = toy_pair(rng)
-        pomdp = build_pomdp(m0, m1, rho=0.1)
-        np.testing.assert_allclose(pomdp.cost[:, 0, :], m0.cost)
-        np.testing.assert_allclose(pomdp.cost[:, 1, :], m1.cost)
-
     def test_mismatched_spaces_rejected(self, rng):
         m0 = random_mdp(2, 2, rng)
         m1 = random_mdp(3, 2, rng)
@@ -114,12 +87,6 @@ class TestBeliefUpdate:
         k1 = np.array([[[0.2, 0.8]]])
         b = belief_update(0.1, 0, 0, 1, k0, k1, rho=0.01)
         assert b > 1.0 - 1e-9
-
-    def test_zero_normalizer_raises_without_flooring(self):
-        k0 = np.array([[[1.0, 0.0]]])
-        k1 = np.array([[[1.0, 0.0]]])
-        with pytest.raises(NumericalError):
-            belief_update(0.0, 0, 0, 1, k0, k1, rho=0.0, eps_prob=0.0)
 
 
 class TestBeliefGridSolve:

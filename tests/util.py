@@ -14,7 +14,7 @@ import numpy as np
 
 from nsmdp.detectors import log_ratio_table
 from nsmdp.errors import NumericalError
-from nsmdp.mdp import EPS_PROB, TabularMdp
+from nsmdp.mdp import TabularMdp
 from nsmdp.momdp import MomdpSolution, belief_step
 
 EPS = 1e-12
@@ -114,7 +114,7 @@ def is_order_up_to(policy):
 
 
 def belief_grid_oracle(pomdp, grid_size=201, beta=0.99, tol=1e-6,
-                       max_iter=100_000, inner_sweeps=30, eps_prob=EPS_PROB):
+                       max_iter=100_000, inner_sweeps=30):
     """The belief-grid solver as it was before it grouped (s, a) pairs by
     transition rows: every table is (S, A, G, S'). Kept verbatim so that
     `belief_grid_solve` can be checked against it bit for bit."""
@@ -130,7 +130,7 @@ def belief_grid_oracle(pomdp, grid_size=201, beta=0.99, tol=1e-6,
     pw = pred[None, None, :, None]
     p_next = (1.0 - pw) * t0 + pw * t1               # (S, A, G, S')
 
-    lr = np.exp(log_ratio_table(mdp1.kernel, mdp0.kernel, eps_prob))
+    lr = np.exp(log_ratio_table(mdp1.kernel, mdp0.kernel))
     b_next = belief_step(grid[None, None, :, None], lr[:, :, None, :], rho)
     pos = np.clip(b_next, 0.0, 1.0) * (g - 1)
     lo = np.minimum(pos.astype(np.int64), g - 2)     # (S, A, G, S')
