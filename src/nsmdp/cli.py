@@ -91,12 +91,13 @@ CONFIG_KEYS = (
      "unset means grid search"),
     ("thresholds", "b", float, None,
      "fixed B for the two-threshold policy, B <= A, same domain as A"),
-    ("thresholds", "a_grid", int, "30", "size of the log-spaced A grid"),
-    ("thresholds", "a_min", float, "1", "lower end of the A grid"),
-    ("thresholds", "a_max", float, "1e6", "upper end of the A grid"),
+    ("thresholds", "a_grid", int, "30", "size of the log-spaced A grid, at least 1"),
+    ("thresholds", "a_min", float, "1", "lower end of the A and B grids, positive and finite"),
+    ("thresholds", "a_max", float, "1e6", "upper end of the A and B grids, positive and finite"),
     ("thresholds", "b_grid", int, "15",
-     "size of the log-spaced B grid; 0 is always included"),
-    ("thresholds", "opt_runs", int, "0", "episodes per grid cell; 0 means n_runs"),
+     "size of the log-spaced B grid, at least 0; B = 0 is always included"),
+    ("thresholds", "opt_runs", int, "0",
+     "episodes per grid cell, at least 0; 0 means n_runs"),
     ("sweep", "alphas", _floats, "", "comma list of caps on the change-never cost"),
 )
 KEY_HELP = {f"{section}.{key}": text for section, key, _, _, text in CONFIG_KEYS}
@@ -198,6 +199,13 @@ def load_config(path: str | None, overrides: dict[str, str | None]) -> Experimen
         det.rho = 0.0   # only the Shiryaev statistic reads it
     if det.kind == "cusum" and det.window < 1:
         raise ConfigError(f"detector.window must be >= 1 for cusum, got {det.window}")
+    for key in ("a_min", "a_max"):
+        if not 0.0 < getattr(thr, key) < math.inf:
+            raise ConfigError(f"thresholds.{key} must be positive and finite, "
+                              f"got {getattr(thr, key)}")
+    for key, least in (("a_grid", 1), ("b_grid", 0), ("opt_runs", 0)):
+        if getattr(thr, key) < least:
+            raise ConfigError(f"thresholds.{key} must be >= {least}, got {getattr(thr, key)}")
     # the engine's threshold rule, on A alone and then on (A, B)
     a = math.inf if thr.a is None else thr.a
     for key, b in (("a", a), ("b", thr.b)):

@@ -25,14 +25,14 @@ NEG_INF = float("-inf")
 
 def log_likelihood_ratio(kernel0: np.ndarray, kernel1: np.ndarray,
                          s: int, a: int, s_next: int) -> float:
-    """Per-transition log-likelihood ratio of post- vs pre-change kernel."""
+    """Per-transition log-likelihood ratio of post- vs pre-change kernel;
+    ValueError unless both kernels have one shape and (s, a, s_next) indexes
+    an entry of it."""
     k0 = np.asarray(kernel0, dtype=float)
     k1 = np.asarray(kernel1, dtype=float)
-    n_states, n_actions = k0.shape[0], k0.shape[1]
-    if not (0 <= s < n_states and 0 <= s_next < n_states):
-        raise ValueError(f"state out of range: {s} -> {s_next}")
-    if not 0 <= a < n_actions:
-        raise ValueError(f"action {a} out of range")
+    if k0.shape != k1.shape or not all(0 <= i < n for i, n in zip((s, a, s_next), k0.shape)):
+        raise ValueError(f"transition ({s}, {a}, {s_next}) outside the kernels, "
+                         f"shapes {k0.shape} and {k1.shape}")
     return float(log_ratio_table(k1[s, a, s_next], k0[s, a, s_next]))
 
 

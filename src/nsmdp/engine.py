@@ -112,7 +112,7 @@ def draw_episode_randomness(change: ChangeSpec, horizon: int, master_seed: int,
 
     Draws are cached on (change, horizon, seed, ids) so threshold-grid
     searches reuse the same paths instead of regenerating them per cell;
-    callers must treat the returned arrays as read-only.
+    the returned arrays are the cached ones and are read-only.
     """
     key = (change, horizon, int(master_seed), np.asarray(run_ids, dtype=int).tobytes())
     cached = _RANDOMNESS_CACHE.get(key)
@@ -128,6 +128,8 @@ def draw_episode_randomness(change: ChangeSpec, horizon: int, master_seed: int,
         gamma[i] = sample_change_point(change, rng)
         demand_u[i] = rng.random(horizon)
         action_u[i] = rng.random(horizon)
+    for block in (gamma, demand_u, action_u):
+        block.flags.writeable = False
     if len(_RANDOMNESS_CACHE) >= 8:
         _RANDOMNESS_CACHE.pop(next(iter(_RANDOMNESS_CACHE)))
     _RANDOMNESS_CACHE[key] = (gamma, demand_u, action_u)

@@ -56,8 +56,8 @@ class TabularMdp:
                 if not 0 <= a < n_actions:
                     raise ModelError(f"action {a} out of range at state {s}")
                 row = kernel[s, a]
-                if np.any(row < 0):
-                    raise ModelError(f"negative transition probability at (s={s}, a={a})")
+                if not np.all(row >= 0):   # also catches NaN; an inf fails the sum
+                    raise ModelError(f"negative or NaN transition probability at (s={s}, a={a})")
                 if abs(row.sum() - 1.0) > ROW_SUM_TOL:
                     raise ModelError(
                         f"kernel row (s={s}, a={a}) sums to {row.sum():.12f}, not 1"

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, NumericalError
+from .detectors import log_likelihood_ratio
 from .mdp import TabularMdp, log_ratio_table
 
 GRID_MAX_ITER = 100_000   # belief-grid Bellman sweeps before giving up
@@ -66,12 +67,12 @@ def belief_update(b: float, s: int, a: int, s_next: int,
     Kernel probabilities inside the ratio are floored at EPS_PROB, so a
     transition impossible under both models leaves the belief at its
     prior-drifted value; one impossible only under the pre-change model
-    drives the belief to nearly 1.
+    drives the belief to nearly 1. A state or action outside the kernels
+    raises ValueError.
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"belief must be in [0, 1], got {b}")
-    lr = float(np.exp(log_ratio_table(np.asarray(kernel1)[s, a, s_next],
-                                      np.asarray(kernel0)[s, a, s_next])))
+    lr = float(np.exp(log_likelihood_ratio(kernel0, kernel1, s, a, s_next)))
     return min(max(float(belief_step(b, lr, rho)), 0.0), 1.0)
 
 

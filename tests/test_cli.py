@@ -295,6 +295,25 @@ class TestConfigValidation:
         assert code == 1
         assert "policies.momdp_tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("a_min", "0"), ("a_min", "-2"),
+                                            ("a_max", "inf"), ("a_max", "nan"),
+                                            ("a_grid", "0"), ("b_grid", "-2"),
+                                            ("opt_runs", "-3")])
+    def test_grid_keys_range_checked(self, tmp_path, capsys, key, value):
+        good = write_config(tmp_path / "good.ini")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(good), "--out-dir", str(out)]) == 0
+        bad = tmp_path / "bad.ini"
+        bad.write_text(re.sub(rf"^{key} = .*\n", "", good.read_text(), flags=re.M)
+                       .replace("[thresholds]\n", f"[thresholds]\n{key} = {value}\n"))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(bad), "--out-dir", str(out)]) == 1
+        assert f"thresholds.{key}" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+        fresh = tmp_path / "fresh"
+        assert main(["solve", "--config", str(bad), "--out-dir", str(fresh)]) == 1
+        assert not fresh.exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.ini"]) == 1
 

@@ -375,6 +375,16 @@ class TestGridPass:
             assert row["mean_delay"] == float(delays.mean())
             assert row["false_switch_rate"] == never.premature_rate
 
+    def test_cached_randomness_is_read_only(self):
+        ids = np.arange(5)
+        first = draw_episode_randomness(CHANGE, 30, 11, ids)
+        copies = [block.copy() for block in first]
+        for block in first:
+            with pytest.raises(ValueError, match="read-only"):
+                block[0] = 0.999
+        again = draw_episode_randomness(CHANGE, 30, 11, ids)
+        assert all(np.array_equal(a, b) for a, b in zip(again, copies))
+
     @pytest.mark.parametrize("n_cells", [1, 3])
     def test_traced_demand_is_inverse_cdf_per_regime(self, small_env, small_policies,
                                                      n_cells):

@@ -34,6 +34,12 @@ class TestTabularMdp:
         with pytest.raises(ModelError):
             TabularMdp(kernel=kernel, cost=np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_probability(self, bad):
+        kernel = np.array([[[bad, 1.0]], [[0.5, 0.5]]])
+        with pytest.raises(ModelError, match=r"s=0, a=0"):
+            TabularMdp(kernel=kernel, cost=np.zeros((2, 1)))
+
     def test_rejects_state_without_actions(self):
         kernel = np.ones((1, 1, 1))
         with pytest.raises(ModelError):

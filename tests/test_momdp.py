@@ -51,6 +51,14 @@ class TestBeliefUpdate:
             with pytest.raises(ValueError):
                 belief_update(b, 0, 0, 1, m0.kernel, m1.kernel, rho=0.05)
 
+    @pytest.mark.parametrize("s, a, s_next", [(-1, 0, 1), (2, 0, 1), (0, -1, 1),
+                                              (0, 2, 1), (0, 0, -1), (0, 0, 2)])
+    def test_index_outside_kernel_rejected(self, rng, s, a, s_next):
+        # a negative index would otherwise wrap to the last state or action
+        m0, m1 = toy_pair(rng)
+        with pytest.raises(ValueError, match="outside the kernels"):
+            belief_update(0.2, s, a, s_next, m0.kernel, m1.kernel, 0.01)
+
     def test_pure_prior_drift_when_kernels_equal(self, rng):
         kernel = random_kernel(2, 2, rng)
         rho, b = 0.04, 0.3
