@@ -58,7 +58,7 @@ def windowed_cusum(buffer: np.ndarray, rows: np.ndarray, log_lr, n_seen: int) ->
     `rows` is a boolean mask over the leading axes or an index array, never
     a slice: the sums are accumulated in place in the copy such indexing
     makes. Shared by the scalar CUSUM/GLR detectors (one row per candidate)
-    and the batch engine (one row per cell and run).
+    and the batch engine (one row per pre-switch path and run).
     """
     width = buffer.shape[-1] // 2
     p = -n_seen % width

@@ -1,12 +1,16 @@
 """Vectorized episode simulation.
 
 Episodes are simulated in batches: one numpy-level loop over time steps,
-with every per-run quantity (state, statistic, phase, cost) held in arrays
-across runs. Demands are exogenous inverse-CDF draws, so runs with the same
-seed share demand paths across policies and threshold settings (common
-random numbers). A setup whose thresholds are arrays simulates every
-threshold cell in one pass: state has shape (cells, runs), per-run inputs
-broadcast along the cell axis and per-cell thresholds along the run axis.
+with every per-run quantity held in arrays across runs. Demands are
+exogenous inverse-CDF draws, so runs with the same seed share demand paths
+across policies and threshold settings (common random numbers).
+
+A setup whose thresholds are arrays holds one threshold cell per entry.
+Cells share a pre-switch path per B (`cell_paths`): the detector and the
+phase rule run once per path, for its largest A, and every other cell joins
+the post phase at its own first passage and follows pi_post through
+per-step (runs, S) tables, with the float operations, and so the bits, of
+simulating it alone. With trace=True every cell is a path of its own.
 
 Randomness protocol, fixed per run: seed the generator from
 SeedSequence(master_seed, spawn_key=(run_id,)), draw the change point (one
@@ -139,12 +143,23 @@ def draw_episode_randomness(change: ChangeSpec, horizon: int, master_seed: int,
 _RANDOMNESS_CACHE: dict = {}
 
 
+def cell_paths(setup: EpisodeSetup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell, A in the statistic's domain and the index of its pre-switch
+    path; per path, B in that domain, or +inf for the cells with B >= A,
+    which switch wherever their statistic exceeds B and so never probe."""
+    log_a, log_b = (np.array([threshold_domain(setup.detector_kind, float(t))
+                              for t in np.broadcast_to(thr, np.size(setup.threshold_a))])
+                    for thr in setup.effective_thresholds())
+    path_b, cell_path = np.unique(np.where(log_b >= log_a, math.inf, log_b),
+                                  return_inverse=True)
+    return log_a, cell_path, path_b
+
+
 def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                    trace: bool = False) -> BatchResult:
     """Simulate one batch of episodes for every threshold cell of the setup;
     deterministic in (setup, seed, ids)."""
     run_ids = np.asarray(run_ids, dtype=int)
-    shape = (np.size(setup.threshold_a), len(run_ids))
     env, horizon, kind = setup.env, setup.horizon, setup.policy_kind
     gamma, demand_u, action_u = draw_episode_randomness(
         setup.change, horizon, master_seed, run_ids)
@@ -161,23 +176,40 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
     n_pairs = n_states * n_actions
     costs = np.stack((env.mdp_pre.cost, env.mdp_post.cost)).reshape(-1)
 
+    log_a, cell_path, path_b = cell_paths(setup)
+    if trace:
+        path_b, cell_path = path_b[cell_path], np.arange(len(log_a))
+    path_a = np.array([log_a[cell_path == p].max() for p in range(len(path_b))])
+    extra = np.flatnonzero(log_a < path_a[cell_path])
+    shape = (len(path_b), len(run_ids))
     uses_detector = kind in ("loc", "kl", "tt")
+    joins = uses_detector and len(extra) > 0
     uses_belief = kind == "momdp"
     if uses_detector or uses_belief:
         log_lr = log_ratio_table(env.mdp_post.kernel, env.mdp_pre.kernel).reshape(-1)
     if uses_detector:
-        log_a, log_b = (np.array([threshold_domain(setup.detector_kind, float(t))
-                                  for t in np.broadcast_to(thr, shape[:1])])[:, None]
-                        for thr in setup.effective_thresholds())
+        log_b = path_b[:, None]
         log1m_rho = float(np.log1p(-setup.detector_rho))
         if setup.detector_kind == "cusum":
             buf = np.zeros(shape + (2 * (setup.window + 1),))
         stat = np.full(shape, -math.inf)     # log S_n (S_0 = 0), or the CUSUM
         pi_probe = setup.pi_pre if setup.pi_probe is None else setup.pi_probe
         policies = np.stack((setup.pi_pre, pi_probe, setup.pi_post))
+    if joins:
+        # a cell row's A turns +inf once it has joined; joined rows are kept in
+        # joining order, with their state as a flat index into the (runs, S) tables
+        extra_path, n_runs = cell_path[extra], len(run_ids)
+        row_path = (extra_path[:, None] * n_runs + np.arange(n_runs)).reshape(-1)
+        states, row_base = np.arange(n_states), np.arange(n_runs) * n_states
+        post_costs = costs.reshape(2, n_pairs)[:, states * n_actions + setup.pi_post]
+        cell_a = np.repeat(log_a[extra, None], n_runs, axis=1)
+        cell_tau = np.full(cell_a.shape, -1)
+        joined, cell_s = np.empty((2, cell_a.size), dtype=int)
+        cell_disc, n_joined = np.empty(cell_a.size), 0
     if uses_belief:
         lr_lin = np.exp(log_lr)
         belief = np.zeros(shape)
+        grid = setup.momdp.grid_size
     if kind == "random":
         if any(acts != tuple(range(len(acts))) for acts in env.mdp_pre.feasible):
             raise ValueError("random policy requires contiguous feasible actions")
@@ -204,9 +236,16 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                         stat[active] = windowed_cusum(buf, active, step_lr, k)
                     else:
                         stat[active] = shiryaev_log_update(stat[active], step_lr, log1m_rho)
-                    newly = active & (stat > log_a)
+                    newly = active & (stat > path_a[:, None])
                     tau[newly] = k
                     switched |= newly
+            if joins:
+                j = np.flatnonzero(stat[extra_path] > cell_a)     # cell rows joining now
+                cell_a.flat[j], cell_tau.flat[j] = math.inf, k
+                p, new = row_path[j], slice(n_joined, n_joined + len(j))
+                joined[new], cell_disc[new] = j, disc.flat[p]
+                cell_s[new] = row_base[p % n_runs] + s.flat[p]
+                n_joined += len(j)
             if uses_belief:
                 step_lr = lr_lin[transition]
                 belief = belief_step(belief, step_lr, setup.momdp.pomdp.rho)
@@ -217,16 +256,21 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         elif kind == "random":
             a = (action_path[k] * n_feas[s]).astype(int)
         elif kind == "momdp":
-            a = setup.momdp.action(s, belief)
+            a = np.take(setup.momdp.policy, s * grid + np.rint(belief * (grid - 1)).astype(int))
         else:
             phase, a = switch_action(policies, switched, stat, log_b, s)
 
         sa = s * n_actions + a
         cost = costs[post * n_pairs + sa]
         disc += beta_pow * cost
+        w = demand_path[k]
+        if joins:
+            step_cost = beta_pow * post_costs[post.astype(int)]
+            succ = row_base[:, None] + np.maximum(0, states + setup.pi_post - w[:, None])
+            cell_disc[:n_joined] += np.take(step_cost, cell_s[:n_joined])
+            cell_s[:n_joined] = np.take(succ, cell_s[:n_joined])
         beta_pow *= setup.beta
 
-        w = demand_path[k]
         if trace:
             traces["state"][..., k] = s
             traces["action"][..., k] = a
@@ -240,6 +284,12 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         sa_prev = sa
         s = np.maximum(0, s + a - w)
 
-    return BatchResult(run_ids=np.tile(run_ids, shape[0]), gamma=np.tile(gamma, shape[0]),
+    tau, disc = tau[cell_path], disc[cell_path]
+    if joins:     # a cell row that never joined reports its path's cost
+        tau[extra] = cell_tau
+        cell_cost = disc[extra]
+        cell_cost.flat[joined[:n_joined]] = cell_disc[:n_joined]
+        disc[extra] = cell_cost
+    return BatchResult(run_ids=np.tile(run_ids, len(log_a)), gamma=np.tile(gamma, len(log_a)),
                        tau=tau.reshape(-1), discounted_cost=disc.reshape(-1),
                        trace={name: t.reshape(-1, horizon) for name, t in traces.items()})

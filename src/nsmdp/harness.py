@@ -18,15 +18,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .controllers import kl_policy
-from .engine import BatchResult, EpisodeSetup, simulate_batch
+from .engine import BatchResult, EpisodeSetup, cell_paths, simulate_batch
 from .inventory import ChangeSpec, InventoryEnv
 from .momdp import MomdpSolution, belief_grid_solve, build_pomdp
 from .mdp import value_iteration
 
 CHUNK_SIZE = 256      # runs per randomness key
-ROW_BUDGET = 16384    # rows (cells x runs) per engine call
-CUSUM_ROWS = 256      # rows per call under windowed CUSUM, whose (rows, window + 1)
-                      # buffer makes wider calls slower
+ROW_BUDGET = 16384    # path rows (paths x runs) per engine call
+CUSUM_ROWS = 256      # path rows per call under windowed CUSUM, whose (rows, window + 1)
+                      # temporaries make wider calls slower and raise peak memory
 
 
 @dataclass(frozen=True)
@@ -116,23 +116,25 @@ def _batched_costs(setup: EpisodeSetup, n_runs: int, master_seed: int) -> BatchR
     """Simulate n_runs episodes per threshold cell, as (cells, runs) arrays.
 
     Runs go in fixed CHUNK_SIZE chunks (the randomness keys), and each
-    chunk's cells are packed into engine calls of at most a fixed row
-    budget, so results are deterministic in the seed alone.
+    chunk's pre-switch paths, each with all of its cells, are packed into
+    engine calls of at most a fixed budget of path rows, so results are
+    deterministic in the seed alone.
     """
     a, b = np.atleast_1d(setup.threshold_a, setup.threshold_b)
+    path = cell_paths(setup)[1]
     budget = CUSUM_ROWS if setup.detector_kind == "cusum" else ROW_BUDGET
-    chunks = []
+    out = np.empty((3, len(a), n_runs))     # gamma, tau and cost per cell and run
     for lo in range(0, n_runs, CHUNK_SIZE):
         ids = np.arange(lo, min(lo + CHUNK_SIZE, n_runs))
-        step = max(1, budget // len(ids))
-        parts = [simulate_batch(replace(setup, threshold_a=a[c:c + step],
-                                        threshold_b=b[c:c + step]), master_seed, ids)
-                 for c in range(0, len(a), step)]
-        chunks.append([np.concatenate([getattr(p, name).reshape(-1, len(ids)) for p in parts])
-                       for name in ("gamma", "tau", "discounted_cost")])
-    gamma, tau, costs = (np.concatenate(column, axis=1) for column in zip(*chunks))
-    return BatchResult(run_ids=np.tile(np.arange(n_runs), (len(a), 1)), gamma=gamma,
-                       tau=tau, discounted_cost=costs)
+        call = path // max(1, budget // len(ids))
+        for c in range(call.max() + 1):
+            part = simulate_batch(replace(setup, threshold_a=a[call == c],
+                                          threshold_b=b[call == c]), master_seed, ids)
+            out[:, call == c, lo:lo + len(ids)] = [
+                getattr(part, name).reshape(-1, len(ids))
+                for name in ("gamma", "tau", "discounted_cost")]
+    return BatchResult(run_ids=np.tile(np.arange(n_runs), (len(a), 1)), gamma=out[0],
+                       tau=out[1].astype(int), discounted_cost=out[2])
 
 
 def monte_carlo(setup: EpisodeSetup, n_runs: int,

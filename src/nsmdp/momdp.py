@@ -72,6 +72,8 @@ def belief_update(b: float, s: int, a: int, s_next: int,
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"belief must be in [0, 1], got {b}")
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"rho must be in [0, 1), got {rho}")
     lr = float(np.exp(log_likelihood_ratio(kernel0, kernel1, s, a, s_next)))
     return min(max(float(belief_step(b, lr, rho)), 0.0), 1.0)
 
@@ -91,8 +93,12 @@ class MomdpSolution:
 
     def action(self, s, b):
         """Nearest-neighbor action lookup on the belief grid; works
-        elementwise on arrays of states and beliefs."""
-        return self.policy[s, np.rint(np.asarray(b) * (self.grid_size - 1)).astype(int)]
+        elementwise on arrays of states and beliefs. ValueError for a state
+        outside [0, S) or a belief outside [0, 1] (or NaN)."""
+        s, b = np.asarray(s), np.asarray(b, dtype=float)
+        if not (np.all((0 <= s) & (s < self.pomdp.n_states)) and np.all((0 <= b) & (b <= 1))):
+            raise ValueError(f"need states in [0, {self.pomdp.n_states}) and beliefs in [0, 1]")
+        return self.policy[s, np.rint(b * (self.grid_size - 1)).astype(int)]
 
 
 def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,

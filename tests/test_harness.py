@@ -9,7 +9,7 @@ import pytest
 
 from nsmdp.controllers import SwitchController
 from nsmdp.detectors import Detector, DetectorConfig
-from nsmdp.engine import draw_episode_randomness, simulate_batch
+from nsmdp.engine import cell_paths, draw_episode_randomness, simulate_batch
 from nsmdp.harness import (CHUNK_SIZE, CUSUM_ROWS, ROW_BUDGET, calibrate_nonbayes,
                            default_a_grid, default_b_grid,
                            delay_profile, estimate_nonbayes_grid,
@@ -307,11 +307,12 @@ class TestGridPass:
 
     @staticmethod
     def grids(detector):
-        """A and B grids with enough cells that the first chunk's rows exceed
-        one engine call's row budget."""
+        """A and B grids whose tt grid has enough distinct pre-switch paths
+        that the first chunk's path rows exceed one engine call's budget."""
         if detector == "cusum":
             return np.linspace(-1.0, 12.0, 8), [-math.inf, 0.5, 3.0]
-        return np.geomspace(0.5, 1e5, ROW_BUDGET // CHUNK_SIZE + 4), [0.0, 2.0, 50.0]
+        return (np.geomspace(0.5, 1e5, ROW_BUDGET // CHUNK_SIZE + 4),
+                np.concatenate([[0.0], np.geomspace(0.6, 9e4, ROW_BUDGET // CHUNK_SIZE)]))
 
     @pytest.mark.parametrize("detector", ["shiryaev", "sr", "cusum"])
     @pytest.mark.parametrize("kind", ["loc", "kl", "tt"])
@@ -320,9 +321,12 @@ class TestGridPass:
                                     detector=detector), window=5)
         a_grid, b_grid = self.grids(detector)
         if kind == "tt":
-            a_grid = a_grid[::3]
+            a_grid = a_grid[::3] if detector == "cusum" else a_grid[::22]
         cells = threshold_cells(kind, a_grid, b_grid)
-        assert len(cells) * CHUNK_SIZE > (CUSUM_ROWS if detector == "cusum" else ROW_BUDGET)
+        a, b = np.array(cells).T
+        paths = cell_paths(replace(setup, threshold_a=a, threshold_b=b))[2]
+        if kind == "tt":    # loc's and kl's cells share one path, so one call holds them
+            assert len(paths) * CHUNK_SIZE > (CUSUM_ROWS if detector == "cusum" else ROW_BUDGET)
         choice = optimize_thresholds(setup, a_grid, b_grid, n_runs=self.N_RUNS,
                                      master_seed=4)
         grid = estimate_nonbayes_grid(setup, a_grid, b_grid, n_runs=self.N_RUNS,

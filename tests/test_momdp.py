@@ -51,6 +51,14 @@ class TestBeliefUpdate:
             with pytest.raises(ValueError):
                 belief_update(b, 0, 0, 1, m0.kernel, m1.kernel, rho=0.05)
 
+    @pytest.mark.parametrize("rho", [1.5, -3.0, 1.0, math.nan])
+    def test_rho_outside_unit_interval_rejected(self, rho):
+        # the [0, 1] clamp would otherwise return 1.0, or let NaN through
+        k0 = np.array([[[0.5, 0.5]], [[0.5, 0.5]]])
+        k1 = np.array([[[0.2, 0.8]], [[0.5, 0.5]]])
+        with pytest.raises(ValueError, match="rho"):
+            belief_update(0.2, 0, 0, 1, k0, k1, rho)
+
     @pytest.mark.parametrize("s, a, s_next", [(-1, 0, 1), (2, 0, 1), (0, -1, 1),
                                               (0, 2, 1), (0, 0, -1), (0, 0, 2)])
     def test_index_outside_kernel_rejected(self, rng, s, a, s_next):
@@ -270,3 +278,16 @@ class TestMomdpController:
         lr = np.exp(rng.uniform(-3.0, 3.0, 8))
         assert np.all(belief_step(np.ones(8), lr, 0.2) == 1.0)
         np.testing.assert_array_equal(sol.action(np.array([0, 1]), np.ones(2)), pi1)
+
+    @pytest.mark.parametrize("s, b", [(-1, 0.0), (5, 0.0), (0, -0.3), (0, 1.7),
+                                      (0, math.nan), (np.array([0, 5]), np.zeros(2)),
+                                      (np.array([0, 1]), np.array([0.5, -0.01]))])
+    def test_action_rejects_state_or_belief_out_of_range(self, s, b):
+        # a bad index would otherwise wrap: s = -1 reads the last state's row
+        # and b = -0.3 grid column -3; b = 1.7 raised a bare IndexError
+        env = build_env(InventoryParams(capacity=4, order_cost=1.0, holding_cost=5.0,
+                                        penalty=100.0, demand_rate=2.0))
+        sol = belief_grid_solve(build_pomdp(env.mdp_pre, env.mdp_post, rho=0.01),
+                                grid_size=11, beta=0.9)
+        with pytest.raises(ValueError, match="states in"):
+            sol.action(s, b)

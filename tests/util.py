@@ -2,9 +2,10 @@
 
 Oracles here deliberately avoid the package's numerics: plain-Python brute
 force (hypothesis enumeration, suffix scans, policy enumeration) so they can
-arbitrate the vectorized implementations. The one exception is
-`belief_grid_oracle`, a frozen copy of the full-table belief-grid solver
-that pins the grouped solver's output bit for bit.
+arbitrate the vectorized implementations. The exceptions are frozen
+copies that pin a faster implementation's output bit for bit:
+`belief_grid_oracle`, the full-table belief-grid solver, and
+`engine_oracle`, the one-row-per-cell episode loop.
 """
 
 import itertools
@@ -12,8 +13,11 @@ import math
 
 import numpy as np
 
-from nsmdp.detectors import log_ratio_table
+from nsmdp.controllers import switch_action
+from nsmdp.detectors import log_ratio_table, shiryaev_log_update, threshold_domain, windowed_cusum
+from nsmdp.engine import BatchResult, EpisodeSetup, draw_episode_randomness
 from nsmdp.errors import NumericalError
+from nsmdp.inventory import demand_from_uniform
 from nsmdp.mdp import TabularMdp
 from nsmdp.momdp import MomdpSolution, belief_step
 
@@ -168,3 +172,111 @@ def belief_grid_oracle(pomdp, grid_size=201, beta=0.99, tol=1e-6,
             interp_pi = (1.0 - w_pi) * vf[flat_pi] + w_pi * vf[flat_pi + 1]
             v = c_pi + beta * np.einsum("sgn,sgn->sg", p_pi, interp_pi)
     raise NumericalError(f"belief-grid value iteration did not converge in {max_iter} sweeps")
+
+
+def engine_oracle(setup: EpisodeSetup, master_seed: int, run_ids,
+                   trace: bool = False) -> BatchResult:
+    """`simulate_batch` as it was before it ran the detector once per
+    distinct pre-switch path: every threshold cell is a row of its own,
+    with an active mask for the detector. Kept verbatim so that
+    `simulate_batch` can be checked against it bit for bit."""
+    run_ids = np.asarray(run_ids, dtype=int)
+    shape = (np.size(setup.threshold_a), len(run_ids))
+    env, horizon, kind = setup.env, setup.horizon, setup.policy_kind
+    gamma, demand_u, action_u = draw_episode_randomness(
+        setup.change, horizon, master_seed, run_ids)
+
+    # (horizon, runs) regime and demand paths, worked out once for the block
+    post_path = np.arange(horizon)[:, None] >= gamma - 1.0
+    cum_pre, cum_post = np.cumsum(env.pmf_pre), np.cumsum(env.pmf_post)
+    cum_pre[-1] = cum_post[-1] = 1.0
+    demand_path = np.where(post_path, demand_from_uniform(cum_post, demand_u.T),
+                           demand_from_uniform(cum_pre, demand_u.T))
+    # flat tables: costs at post * n_pairs + sa, log ratios at sa_prev * n_states + s,
+    # where sa = s * n_actions + a indexes a state-action pair
+    n_states, n_actions = env.mdp_pre.cost.shape
+    n_pairs = n_states * n_actions
+    costs = np.stack((env.mdp_pre.cost, env.mdp_post.cost)).reshape(-1)
+
+    uses_detector = kind in ("loc", "kl", "tt")
+    uses_belief = kind == "momdp"
+    if uses_detector or uses_belief:
+        log_lr = log_ratio_table(env.mdp_post.kernel, env.mdp_pre.kernel).reshape(-1)
+    if uses_detector:
+        log_a, log_b = (np.array([threshold_domain(setup.detector_kind, float(t))
+                                  for t in np.broadcast_to(thr, shape[:1])])[:, None]
+                        for thr in setup.effective_thresholds())
+        log1m_rho = float(np.log1p(-setup.detector_rho))
+        if setup.detector_kind == "cusum":
+            buf = np.zeros(shape + (2 * (setup.window + 1),))
+        stat = np.full(shape, -math.inf)     # log S_n (S_0 = 0), or the CUSUM
+        pi_probe = setup.pi_pre if setup.pi_probe is None else setup.pi_probe
+        policies = np.stack((setup.pi_pre, pi_probe, setup.pi_post))
+    if uses_belief:
+        lr_lin = np.exp(log_lr)
+        belief = np.zeros(shape)
+    if kind == "random":
+        if any(acts != tuple(range(len(acts))) for acts in env.mdp_pre.feasible):
+            raise ValueError("random policy requires contiguous feasible actions")
+        n_feas = np.array([len(acts) for acts in env.mdp_pre.feasible])
+        action_path = action_u.T
+
+    s = np.full(shape, setup.initial_state, dtype=int)
+    sa_prev = np.zeros(shape, dtype=int)
+    switched = np.zeros(shape, dtype=bool)
+    tau = np.full(shape, -1, dtype=int)
+    disc = np.zeros(shape)
+    beta_pow = 1.0
+    traces = {name: np.zeros(shape + (horizon,)) for name in
+              ("state", "action", "demand", "statistic", "phase", "cost")} if trace else {}
+
+    for k in range(horizon):
+        if k >= 1:
+            transition = sa_prev * n_states + s
+            if uses_detector:
+                active = ~switched
+                if active.any():
+                    step_lr = log_lr[transition[active]]
+                    if setup.detector_kind == "cusum":
+                        stat[active] = windowed_cusum(buf, active, step_lr, k)
+                    else:
+                        stat[active] = shiryaev_log_update(stat[active], step_lr, log1m_rho)
+                    newly = active & (stat > log_a)
+                    tau[newly] = k
+                    switched |= newly
+            if uses_belief:
+                step_lr = lr_lin[transition]
+                belief = belief_step(belief, step_lr, setup.momdp.pomdp.rho)
+
+        post = post_path[k]
+        if kind == "oracle":
+            a = np.where(post, setup.pi_post[s], setup.pi_pre[s])
+        elif kind == "random":
+            a = (action_path[k] * n_feas[s]).astype(int)
+        elif kind == "momdp":
+            a = setup.momdp.action(s, belief)
+        else:
+            phase, a = switch_action(policies, switched, stat, log_b, s)
+
+        sa = s * n_actions + a
+        cost = costs[post * n_pairs + sa]
+        disc += beta_pow * cost
+        beta_pow *= setup.beta
+
+        w = demand_path[k]
+        if trace:
+            traces["state"][..., k] = s
+            traces["action"][..., k] = a
+            traces["demand"][..., k] = w
+            traces["cost"][..., k] = cost
+            if uses_detector:
+                traces["statistic"][..., k] = stat
+                traces["phase"][..., k] = phase
+            elif uses_belief:
+                traces["statistic"][..., k] = belief
+        sa_prev = sa
+        s = np.maximum(0, s + a - w)
+
+    return BatchResult(run_ids=np.tile(run_ids, shape[0]), gamma=np.tile(gamma, shape[0]),
+                       tau=tau.reshape(-1), discounted_cost=disc.reshape(-1),
+                       trace={name: t.reshape(-1, horizon) for name, t in traces.items()})
