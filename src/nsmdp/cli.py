@@ -225,6 +225,12 @@ def _solution_path(cfg: ExperimentConfig) -> Path:
     return cfg.run.out_dir / "solution.json"
 
 
+def _model_params(cfg: ExperimentConfig) -> dict:
+    """The [inventory] parameters as models.json and solution.json record them."""
+    return {name: getattr(cfg.params, name) for name in (
+        "capacity", "order_cost", "holding_cost", "penalty", "demand_rate", "uniform_max")}
+
+
 def cmd_solve(cfg: ExperimentConfig) -> int:
     env = build_env(cfg.params)
     cfg.run.out_dir.mkdir(parents=True, exist_ok=True)
@@ -238,11 +244,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     info_max, pi_info = max_info_number(k0, k1, env.mdp_pre.feasible)
 
     models = {
-        "params": {
-            "capacity": cfg.params.capacity, "order_cost": cfg.params.order_cost,
-            "holding_cost": cfg.params.holding_cost, "penalty": cfg.params.penalty,
-            "demand_rate": cfg.params.demand_rate, "uniform_max": cfg.params.uniform_max,
-        },
+        "params": _model_params(cfg),
         "pre": {"kernel": env.mdp_pre.kernel.tolist(), "cost": env.mdp_pre.cost.tolist()},
         "post": {"kernel": env.mdp_post.kernel.tolist(), "cost": env.mdp_post.cost.tolist()},
     }
@@ -280,6 +282,15 @@ def _load_policies(cfg: ExperimentConfig, env) -> harness.PolicySet:
     if not path.exists():
         raise ConfigError(f"missing solution file {path}; run `nsmdp solve` first")
     sol = json.loads(path.read_text())
+    # the file must have been solved for the config's model and discount
+    solved = {**sol.get("params", {}), "beta": sol.get("beta")}
+    wanted = {**_model_params(cfg), "beta": cfg.run.beta}
+    names = {"penalty": "inventory.shortage_penalty", "beta": "run.beta"}
+    stale = [f"{names.get(k, 'inventory.' + k)} = {solved.get(k)} there, {v} in the config"
+             for k, v in wanted.items() if solved.get(k) != v]
+    if stale:
+        raise ConfigError(f"{path} was solved for another model ({'; '.join(stale)}); "
+                          "rerun `nsmdp solve`")
     momdp = None
     if "momdp" in cfg.policies.kinds:
         if "momdp" not in sol:

@@ -40,6 +40,7 @@ from .mdp import log_ratio_table
 from .momdp import MomdpSolution, belief_step
 
 BATCHABLE_KINDS = ("oracle", "random", "loc", "kl", "tt", "momdp")
+CUSUM_REACH_MARGIN = 1e-9   # relative slack on the windowed CUSUM's largest value
 
 
 @dataclass(frozen=True)
@@ -145,12 +146,21 @@ _RANDOMNESS_CACHE: dict = {}
 
 def cell_paths(setup: EpisodeSetup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per cell, A in the statistic's domain and the index of its pre-switch
-    path; per path, B in that domain, or +inf for the cells with B >= A,
-    which switch wherever their statistic exceeds B and so never probe."""
+    path; per path, B in that domain, or +inf for the cells that never probe:
+    those with B >= A, which switch wherever their statistic exceeds B, and
+    under CUSUM those whose B is beyond the windowed statistic's reach."""
     log_a, log_b = (np.array([threshold_domain(setup.detector_kind, float(t))
                               for t in np.broadcast_to(thr, np.size(setup.threshold_a))])
                     for thr in setup.effective_thresholds())
-    path_b, cell_path = np.unique(np.where(log_b >= log_a, math.inf, log_b),
+    never_probes = log_b >= log_a
+    if setup.detector_kind == "cusum":
+        # the statistic sums at most window + 1 log ratios; the margin is far
+        # above the rounding of those additions
+        lr = log_ratio_table(setup.env.mdp_post.kernel, setup.env.mdp_pre.kernel)
+        reach = (setup.window + 1) * (max(float(lr.max()), 0.0)
+                                      + CUSUM_REACH_MARGIN * float(np.abs(lr).max()))
+        never_probes |= log_b > reach
+    path_b, cell_path = np.unique(np.where(never_probes, math.inf, log_b),
                                   return_inverse=True)
     return log_a, cell_path, path_b
 

@@ -114,7 +114,8 @@ def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
     The continuation term depends on (s, a) only through the pair of
     transition rows (kernel0[s, a], kernel1[s, a]), so the interpolation
     tables are built once per distinct pair (rows equal bit for bit) and
-    have shape (U, G, S'), with U <= S * A.
+    have shape (U, G, S'), with U <= S * A. Likewise the fixed-policy sweeps
+    work once per distinct (row pair, grid point) of the greedy policy.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -148,8 +149,7 @@ def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
     lo = np.minimum(pos.astype(np.int64), g - 2)     # (U, G, S')
     w_hi = pos - lo
     w_lo = 1.0 - w_hi
-    flat_lo = np.arange(n_s) * g + lo
-    flat_hi = flat_lo + 1
+    flat_lo = np.arange(n_s) * g + lo                # high corner: flat_lo + 1
 
     step_cost = ((1.0 - pred[None, None, :]) * mdp0.cost[:, :, None]
                  + pred[None, None, :] * mdp1.cost[:, :, None])   # (S, A, G)
@@ -162,7 +162,7 @@ def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
     g_cols = np.arange(g)[None, :]
     for _ in range(GRID_MAX_ITER):
         vf = v.ravel()
-        interp = w_lo * vf[flat_lo] + w_hi * vf[flat_hi]
+        interp = w_lo * np.take(vf, flat_lo) + w_hi * np.take(vf[1:], flat_lo)
         cont = np.einsum("ugn,ugn->ug", p_next, interp)
         q = step_cost + inf_cost + beta * cont[row]
         v_new = q.min(axis=1)
@@ -171,15 +171,17 @@ def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
         if beta * delta <= tol:
             policy = q.argmin(axis=1).astype(int)
             return MomdpSolution(pomdp=pomdp, grid=grid, value=v, policy=policy)
-        # fixed-policy sweeps toward the greedy policy's value
+        # fixed-policy sweeps toward the greedy policy's value; a cell's
+        # continuation depends only on (row[s, pi[s, g]], g), so each sweep
+        # works on the K distinct such pairs and scatters back through `where`
         pi = q.argmin(axis=1)
-        u_pi = row[s_rows, pi]                       # (S, G)
-        p_pi = p_next[u_pi, g_cols]                  # (S, G, S')
+        keys, where = np.unique((row[s_rows, pi] * g + g_cols).ravel(), return_inverse=True)
+        where = where.reshape(n_s, g)
+        p_k, lo_k, wl_k, wh_k = (np.take(t.reshape(-1, n_s), keys, axis=0)
+                                 for t in (p_next, flat_lo, w_lo, w_hi))   # (K, S')
         c_pi = step_cost[s_rows, pi, g_cols]
-        lo_pi, hi_pi = flat_lo[u_pi, g_cols], flat_hi[u_pi, g_cols]
-        wl_pi, wh_pi = w_lo[u_pi, g_cols], w_hi[u_pi, g_cols]
         for _ in range(INNER_SWEEPS):
             vf = v.ravel()
-            interp_pi = wl_pi * vf[lo_pi] + wh_pi * vf[hi_pi]
-            v = c_pi + beta * np.einsum("sgn,sgn->sg", p_pi, interp_pi)
+            interp_k = wl_k * np.take(vf, lo_k) + wh_k * np.take(vf[1:], lo_k)
+            v = c_pi + beta * np.einsum("kn,kn->k", p_k, interp_k)[where]
     raise NumericalError(f"belief-grid value iteration did not converge in {GRID_MAX_ITER} sweeps")

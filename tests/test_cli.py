@@ -113,6 +113,21 @@ class TestEvaluate:
         assert code == 1
         assert "solve" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, solved, evaluated", [
+        ("inventory.capacity", "capacity = 6", "capacity = 3"),
+        ("inventory.capacity", "capacity = 6", "capacity = 12"),
+        ("run.beta", "beta = 0.95", "beta = 0.9"),
+    ])
+    def test_stale_solution_file_rejected(self, tmp_path, capsys, key, solved, evaluated):
+        cfg, out = write_config(tmp_path / "exp.ini", capacity=6), tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        cfg.write_text(cfg.read_text().replace(solved, evaluated))
+        code = main(["evaluate", "--config", str(cfg), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert key in err and "nsmdp solve" in err
+        assert not (out / "summary.csv").exists()
+
     def test_single_policy_summary(self, config):
         cfg, out = config
         main(["solve", "--config", str(cfg), "--out-dir", str(out)])

@@ -18,7 +18,7 @@ from nsmdp.harness import (CHUNK_SIZE, CUSUM_ROWS, ROW_BUDGET, calibrate_nonbaye
                            threshold_cells, write_frontier_csv, write_runs_csv,
                            write_summary_csv)
 from nsmdp.inventory import ChangeSpec, demand_from_uniform
-from nsmdp.mdp import info_number
+from nsmdp.mdp import info_number, log_ratio_table
 
 from util import finite_horizon_policy_value
 
@@ -349,6 +349,31 @@ class TestGridPass:
         assert choice.report.mean_cost == best.mean_cost
         if kind != "kl":   # the toy instance's probe policy is its post policy
             assert len({c.mean_cost for c in choice.cells}) > 1
+
+    def test_cusum_b_beyond_reach_joins_the_never_probe_path(self, small_env,
+                                                              small_policies):
+        # the windowed statistic sums at most window + 1 = 6 log ratios, so a
+        # B above 6 times the largest one never probes, as on the B = +inf path
+        setup = replace(small_setup(small_env, small_policies, "tt", horizon=80,
+                                    detector="cusum"), window=5)
+        reach = 6 * log_ratio_table(small_env.mdp_post.kernel, small_env.mdp_pre.kernel).max()
+        a = np.array([2.0, 2.0, 3 * reach, 4 * reach, 4 * reach])
+        b = np.array([0.5, 2.0, 1.5 * reach, 1.5 * reach, 2 * reach])
+        beyond = b > reach
+        _, cell_path, path_b = cell_paths(replace(setup, threshold_a=a, threshold_b=b))
+        assert path_b.tolist() == [0.5, math.inf]
+        assert (path_b[cell_path] == math.inf).tolist() == (beyond | (b >= a)).tolist()
+        n_runs = 40
+        batch = simulate_batch(replace(setup, threshold_a=a, threshold_b=b), 6,
+                               np.arange(n_runs))
+        costs, taus = (x.reshape(len(a), n_runs) for x in (batch.discounted_cost, batch.tau))
+        for c in range(len(a)):
+            alone = monte_carlo(replace(setup, threshold_a=float(a[c]), threshold_b=float(b[c])),
+                                n_runs, master_seed=6).runs
+            assert costs[c].tolist() == [r.discounted_cost for r in alone]
+            assert taus[c].tolist() == [-1 if r.tau_switch is None else r.tau_switch
+                                        for r in alone]
+        assert (taus[1] >= 0).any() and (taus[beyond] == -1).all()
 
     def test_array_report_equals_scalar_report(self, small_env, small_policies):
         setup = small_setup(small_env, small_policies, "tt", horizon=60)

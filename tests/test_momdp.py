@@ -23,11 +23,11 @@ def toy_pair(rng, n_states=2, n_actions=2):
     return m0, m1
 
 
-def inventory_pomdp():
-    """Capacity 5: (s, a) pairs with one order-up-to level share their
-    transition rows, and infeasible pairs (s + a > 5) have zero rows."""
-    env = build_env(InventoryParams(capacity=5, order_cost=1.0, holding_cost=5.0,
-                                    penalty=100.0, demand_rate=2.0))
+def inventory_pomdp(capacity=5, penalty=100.0):
+    """Capacity 5 by default: (s, a) pairs with one order-up-to level share
+    their transition rows, and infeasible pairs (s + a > 5) have zero rows."""
+    env = build_env(InventoryParams(capacity=capacity, order_cost=1.0, holding_cost=5.0,
+                                    penalty=penalty, demand_rate=2.0))
     return build_pomdp(env.mdp_pre, env.mdp_post, rho=0.01)
 
 
@@ -166,24 +166,33 @@ class TestBeliefGridSolve:
             belief_grid_solve(build_pomdp(m0, m1, 0.1), grid_size=11, tol=tol)
 
     @pytest.mark.parametrize("model", ["toy_distinct_rows", "toy_rho_zero",
-                                       "inventory_shared_rows"])
+                                       "inventory_shared_rows", "inventory_benchmark_scale"])
     def test_bit_identical_to_full_table_solver(self, rng, model):
         if model == "inventory_shared_rows":
             pomdp, kwargs = inventory_pomdp(), dict(grid_size=41, beta=0.95, tol=1e-8)
+        elif model == "inventory_benchmark_scale":    # one of the table instances
+            pomdp = inventory_pomdp(capacity=10, penalty=300.0)
+            kwargs = dict(grid_size=201, beta=0.99, tol=1e-6)
         else:
             m0, m1 = toy_pair(rng, n_states=3, n_actions=2)
             rho = 0.0 if model == "toy_rho_zero" else 0.05
             pomdp, kwargs = build_pomdp(m0, m1, rho), dict(grid_size=31, beta=0.9, tol=1e-9)
         k0, k1 = pomdp.mdp0.kernel, pomdp.mdp1.kernel
-        n_pairs = k0.shape[0] * k0.shape[1]
-        n_distinct = len(np.unique(np.concatenate([k0, k1], axis=2).reshape(n_pairs, -1),
-                                   axis=0))
-        assert (n_distinct < n_pairs) == (model == "inventory_shared_rows")
+        n_states, n_actions = k0.shape[:2]
+        _, row = np.unique(np.concatenate([k0, k1], axis=2).reshape(n_states * n_actions, -1),
+                           axis=0, return_inverse=True)
+        row = row.reshape(n_states, n_actions)
+        assert (row.max() + 1 < row.size) == model.startswith("inventory")
         sol = belief_grid_solve(pomdp, **kwargs)
         ref = belief_grid_oracle(pomdp, **kwargs)
         assert sol.value.tobytes() == ref.value.tobytes()
         np.testing.assert_array_equal(sol.policy, ref.policy)
         np.testing.assert_array_equal(sol.grid, ref.grid)
+        if model == "inventory_benchmark_scale":
+            # the greedy policy's cells share (row pair, grid point) continuations
+            grid_size = kwargs["grid_size"]
+            cells = row[np.arange(n_states)[:, None], sol.policy] * grid_size + np.arange(grid_size)
+            assert len(np.unique(cells)) < cells.size
 
     def test_inventory_bellman_residual_within_tolerance(self):
         tol = 1e-7
