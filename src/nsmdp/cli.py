@@ -184,6 +184,8 @@ def load_config(path: str | None, overrides: dict[str, str | None]) -> Experimen
     for k in pol.kinds:
         if k not in ("oracle", "loc", "kl", "tt", "random", "momdp"):
             raise ConfigError(f"policies.kinds: unknown policy kind {k!r}")
+        if pol.kinds.count(k) > 1:
+            raise ConfigError(f"policies.kinds: policy kind {k!r} is listed more than once")
     if not pol.kinds:
         raise ConfigError("policies.kinds must list at least one policy")
     if pol.momdp_grid < 2:
@@ -282,20 +284,26 @@ def _load_policies(cfg: ExperimentConfig, env) -> harness.PolicySet:
     if not path.exists():
         raise ConfigError(f"missing solution file {path}; run `nsmdp solve` first")
     sol = json.loads(path.read_text())
-    # the file must have been solved for the config's model and discount
+    with_momdp = "momdp" in cfg.policies.kinds
+    if with_momdp and "momdp" not in sol:
+        raise ConfigError("solution file has no momdp policy; rerun `nsmdp solve` "
+                          "with momdp in policies.kinds")
+    # the file must have been solved for the config's model and discount, and
+    # a momdp policy for its change prior and belief grid
     solved = {**sol.get("params", {}), "beta": sol.get("beta")}
     wanted = {**_model_params(cfg), "beta": cfg.run.beta}
-    names = {"penalty": "inventory.shortage_penalty", "beta": "run.beta"}
+    names = {"penalty": "inventory.shortage_penalty", "beta": "run.beta",
+             "rho": "change.rho", "grid_size": "policies.momdp_grid"}
+    if with_momdp:
+        solved |= {k: sol["momdp"].get(k) for k in ("rho", "grid_size")}
+        wanted |= {"rho": cfg.change.rho, "grid_size": cfg.policies.momdp_grid}
     stale = [f"{names.get(k, 'inventory.' + k)} = {solved.get(k)} there, {v} in the config"
              for k, v in wanted.items() if solved.get(k) != v]
     if stale:
         raise ConfigError(f"{path} was solved for another model ({'; '.join(stale)}); "
                           "rerun `nsmdp solve`")
     momdp = None
-    if "momdp" in cfg.policies.kinds:
-        if "momdp" not in sol:
-            raise ConfigError("solution file has no momdp policy; rerun `nsmdp solve` "
-                              "with momdp in policies.kinds")
+    if with_momdp:
         m = sol["momdp"]
         pomdp = build_pomdp(env.mdp_pre, env.mdp_post, m["rho"])
         momdp = MomdpSolution(pomdp=pomdp,
@@ -349,7 +357,7 @@ def cmd_evaluate(cfg: ExperimentConfig, assert_ordering: bool = False) -> int:
     a_grid, b_grid = _grids(cfg)
     opt_runs = cfg.thresholds.opt_runs if cfg.thresholds.opt_runs > 0 else n_runs
 
-    reports, all_records = [], []
+    reports = []
     for kind in cfg.policies.kinds:
         setup = _episode_setup(cfg, env, policies, kind)
         if kind in ("loc", "kl", "tt"):
@@ -362,11 +370,10 @@ def cmd_evaluate(cfg: ExperimentConfig, assert_ordering: bool = False) -> int:
                                 threshold_b=choice.threshold_b)
         report = harness.monte_carlo(setup, n_runs, seed)
         reports.append(report)
-        all_records.extend(report.runs)
         print(f"{kind:7s} mean_cost={report.mean_cost:.6g} stderr={report.stderr:.4g} "
               f"A={report.threshold_a:.6g} B={report.threshold_b:.6g}")
 
-    harness.write_runs_csv(out_dir / "runs.csv", all_records)
+    harness.write_runs_csv(out_dir / "runs.csv", reports, cfg.run.horizon)
     harness.write_summary_csv(out_dir / "summary.csv", reports)
     print(f"wrote {out_dir / 'runs.csv'} and {out_dir / 'summary.csv'}")
 

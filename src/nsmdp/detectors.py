@@ -142,7 +142,8 @@ def _advance(state: DetectorState, log_lrs, log_one_minus_rho: float = 0.0,
     """One step of the state's statistic from one log-likelihood ratio per
     row: a single row for shiryaev/sr/cusum, one per candidate for glr,
     whose statistic is the largest row's and `theta_hat` that row (lowest
-    index on ties)."""
+    index on ties). ValueError when the rows or the window differ from
+    those the state's buffers were made with."""
     if state.stopped:
         raise StateError("detector already stopped")
     if state.kind in ("shiryaev", "sr"):
@@ -150,7 +151,11 @@ def _advance(state: DetectorState, log_lrs, log_one_minus_rho: float = 0.0,
         return replace(state, n=state.n + 1, log_stat=float(new_log))
     if window < 1:
         raise ValueError("window must be >= 1")
-    buf = np.zeros((len(log_lrs), 2 * (window + 1))) if state.n == 0 else state.buffers.copy()
+    shape = (len(log_lrs), 2 * (window + 1))
+    if state.n > 0 and state.buffers.shape != shape:
+        raise ValueError(f"the state holds {state.buffers.shape[0]} row(s) of window "
+                         f"{state.buffers.shape[1] // 2 - 1}, got {shape[0]} of window {window}")
+    buf = np.zeros(shape) if state.n == 0 else state.buffers.copy()
     stats = windowed_cusum(buf, np.arange(len(log_lrs)), log_lrs, state.n + 1)
     best = int(np.argmax(stats))
     return replace(state, n=state.n + 1, log_stat=float(stats[best]), buffers=buf,

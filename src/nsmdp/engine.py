@@ -101,8 +101,7 @@ class EpisodeSetup:
 @dataclass
 class BatchResult:
     """Per-run outcomes of a simulated batch, aligned with run_ids: one entry
-    per row, run_ids repeating once per threshold cell (cell-major), or
-    (cells, runs) arrays as the harness assembles them."""
+    per row, run_ids repeating once per threshold cell (cell-major)."""
 
     run_ids: np.ndarray
     gamma: np.ndarray              # float, inf = never

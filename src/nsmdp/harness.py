@@ -1,24 +1,25 @@
-"""Monte Carlo evaluation: episode records, aggregate reports, threshold
-optimization under the Bayesian criterion, constrained calibration under the
-change-at-1 / change-never criterion, and the CSV surfaces.
+"""Monte Carlo evaluation: per-cell reports with their per-run arrays,
+threshold optimization under the Bayesian criterion, constrained calibration
+under the change-at-1 / change-never criterion, and the CSV surfaces.
 
 Every quantity here is a pure function of (configuration, master seed):
 per-run randomness comes from per-run seed sequences, grid cells share those
 seeds (common random numbers), and aggregation happens on run-id-sorted
 arrays. A threshold grid is one engine pass per change spec, the cells a
-batch dimension; each cell's report is bit-identical to simulating it alone.
+batch dimension; each cell's report, per-run arrays included, is
+bit-identical to simulating it alone.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .controllers import kl_policy
-from .engine import BatchResult, EpisodeSetup, cell_paths, simulate_batch
+from .engine import EpisodeSetup, cell_paths, simulate_batch
 from .inventory import ChangeSpec, InventoryEnv
 from .momdp import MomdpSolution, belief_grid_solve, build_pomdp
 from .mdp import value_iteration
@@ -30,22 +31,9 @@ CUSUM_ROWS = 256      # path rows per call under windowed CUSUM, whose (rows, wi
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    """Outcome of one simulated episode."""
-
-    run_id: int
-    policy: str
-    gamma: float                      # change point (inf = never)
-    tau_switch: int | None            # absorbing-switch transition index
-    horizon: int
-    discounted_cost: float
-    detection_delay: float | None     # (tau - gamma)^+ when both defined
-    premature_switch: bool            # tau < gamma
-
-
-@dataclass(frozen=True)
 class EvaluationReport:
-    """Aggregates over one policy's Monte Carlo runs."""
+    """Aggregates over one policy's Monte Carlo runs, for one threshold cell,
+    with the read-only per-run arrays they come from, indexed by run id."""
 
     policy: str
     n_runs: int
@@ -56,7 +44,9 @@ class EvaluationReport:
     threshold_a: float
     threshold_b: float
     seed: int
-    runs: tuple[RunRecord, ...] = ()
+    gamma: np.ndarray = field(compare=False, repr=False)      # float, inf = never
+    tau: np.ndarray = field(compare=False, repr=False)        # int, -1 = no switch
+    discounted_cost: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -99,21 +89,18 @@ def make_setup(env: InventoryEnv, policies: PolicySet, kind: str,
                         momdp=policies.momdp, initial_state=initial_state)
 
 
-def _aggregate(policy: str, costs: np.ndarray, delays: np.ndarray,
-               premature: np.ndarray, threshold_a: float, threshold_b: float,
-               seed: int) -> EvaluationReport:
-    n = len(costs)
-    stderr = float(np.std(costs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    delays = delays[~np.isnan(delays)]
-    return EvaluationReport(
-        policy=policy, n_runs=n, mean_cost=float(costs.mean()), stderr=stderr,
-        mean_delay=float(delays.mean()) if len(delays) else None,
-        premature_rate=float(premature.mean()),
-        threshold_a=threshold_a, threshold_b=threshold_b, seed=seed)
+def _switch_outcomes(gamma: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per run, whether it switched before the change, and its detection
+    delay (tau - gamma)^+, NaN where it never switched or the change never came."""
+    switched = tau >= 0
+    delay = np.where(switched & np.isfinite(gamma), np.maximum(0.0, tau - gamma), np.nan)
+    return switched & (tau < gamma), delay
 
 
-def _batched_costs(setup: EpisodeSetup, n_runs: int, master_seed: int) -> BatchResult:
-    """Simulate n_runs episodes per threshold cell, as (cells, runs) arrays.
+def _batched_costs(setup: EpisodeSetup, n_runs: int,
+                   master_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate n_runs episodes per threshold cell: the per-run change points,
+    and the (cells, runs) switch times and discounted costs.
 
     Runs go in fixed CHUNK_SIZE chunks (the randomness keys), and each
     chunk's pre-switch paths, each with all of its cells, are packed into
@@ -123,18 +110,18 @@ def _batched_costs(setup: EpisodeSetup, n_runs: int, master_seed: int) -> BatchR
     a, b = np.atleast_1d(setup.threshold_a, setup.threshold_b)
     path = cell_paths(setup)[1]
     budget = CUSUM_ROWS if setup.detector_kind == "cusum" else ROW_BUDGET
-    out = np.empty((3, len(a), n_runs))     # gamma, tau and cost per cell and run
+    gamma, cost = np.empty(n_runs), np.empty((len(a), n_runs))
+    tau = np.empty((len(a), n_runs), dtype=int)
     for lo in range(0, n_runs, CHUNK_SIZE):
         ids = np.arange(lo, min(lo + CHUNK_SIZE, n_runs))
         call = path // max(1, budget // len(ids))
         for c in range(call.max() + 1):
             part = simulate_batch(replace(setup, threshold_a=a[call == c],
                                           threshold_b=b[call == c]), master_seed, ids)
-            out[:, call == c, lo:lo + len(ids)] = [
-                getattr(part, name).reshape(-1, len(ids))
-                for name in ("gamma", "tau", "discounted_cost")]
-    return BatchResult(run_ids=np.tile(np.arange(n_runs), (len(a), 1)), gamma=out[0],
-                       tau=out[1].astype(int), discounted_cost=out[2])
+            gamma[lo:lo + len(ids)] = part.gamma[:len(ids)]
+            tau[call == c, lo:lo + len(ids)] = part.tau.reshape(-1, len(ids))
+            cost[call == c, lo:lo + len(ids)] = part.discounted_cost.reshape(-1, len(ids))
+    return gamma, tau, cost
 
 
 def monte_carlo(setup: EpisodeSetup, n_runs: int,
@@ -142,49 +129,37 @@ def monte_carlo(setup: EpisodeSetup, n_runs: int,
     """Independent episodes with per-run seeds derived from the master seed.
 
     A setup with threshold arrays gets a list of reports, one per cell in
-    cell order, without per-run records; otherwise one report with them.
+    cell order; otherwise one report. Every report holds its runs' arrays.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    batch = _batched_costs(setup, n_runs, master_seed)
-    n_cells = len(batch.tau)
-    a, b = (np.broadcast_to(t, n_cells) for t in setup.effective_thresholds())
-    tau, gamma = batch.tau, batch.gamma
-    premature = (tau >= 0) & (tau < gamma)
-    # (tau - gamma)^+ where a switch happened and the change is finite
-    delays = np.where((tau >= 0) & np.isfinite(gamma), np.maximum(0.0, tau - gamma), np.nan)
-    reports = [_aggregate(setup.policy_kind, batch.discounted_cost[c], delays[c],
-                          premature[c], float(a[c]), float(b[c]), master_seed)
-               for c in range(n_cells)]
-    if np.ndim(setup.threshold_a):
-        return reports
-    records = (RunRecord(run_id=int(i), policy=setup.policy_kind, gamma=float(g),
-                         tau_switch=int(t) if t >= 0 else None, horizon=setup.horizon,
-                         discounted_cost=float(c),
-                         detection_delay=None if math.isnan(d) else float(d),
-                         premature_switch=bool(p))
-               for i, g, t, c, d, p in zip(batch.run_ids[0], batch.gamma[0], batch.tau[0],
-                                           batch.discounted_cost[0], delays[0], premature[0]))
-    return replace(reports[0], runs=tuple(records))
+    gamma, tau, cost = _batched_costs(setup, n_runs, master_seed)
+    for block in (gamma, tau, cost):
+        block.flags.writeable = False
+    premature, delay = _switch_outcomes(gamma, tau)
+    a, b = (np.broadcast_to(t, len(tau)) for t in setup.effective_thresholds())
+    reports = []
+    for c in range(len(tau)):
+        delays = delay[c][~np.isnan(delay[c])]
+        reports.append(EvaluationReport(
+            policy=setup.policy_kind, n_runs=n_runs, mean_cost=float(cost[c].mean()),
+            stderr=float(np.std(cost[c], ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0,
+            mean_delay=float(delays.mean()) if len(delays) else None,
+            premature_rate=float(premature[c].mean()), threshold_a=float(a[c]),
+            threshold_b=float(b[c]), seed=master_seed, gamma=gamma, tau=tau[c],
+            discounted_cost=cost[c]))
+    return reports if np.ndim(setup.threshold_a) else reports[0]
 
 
 # ---------------------------------------------------------------------------
 # threshold optimization and non-Bayesian calibration
 
 @dataclass(frozen=True)
-class CellEstimate:
-    threshold_a: float
-    threshold_b: float
-    mean_cost: float
-    stderr: float
-
-
-@dataclass(frozen=True)
 class ThresholdChoice:
     threshold_a: float
     threshold_b: float
     report: EvaluationReport
-    cells: tuple[CellEstimate, ...]
+    cells: tuple[EvaluationReport, ...]     # in threshold_cells order
 
 
 def threshold_cells(kind: str, a_grid, b_grid=None) -> list[tuple[float, float]]:
@@ -228,9 +203,7 @@ def optimize_thresholds(setup: EpisodeSetup, a_grid, b_grid=None,
     reports = monte_carlo(_grid_setup(setup, cells), n_runs, master_seed)
     best = min(range(len(cells)), key=lambda i: reports[i].mean_cost)
     return ThresholdChoice(threshold_a=cells[best][0], threshold_b=cells[best][1],
-                           report=reports[best],
-                           cells=tuple(CellEstimate(a, b, r.mean_cost, r.stderr)
-                                       for (a, b), r in zip(cells, reports)))
+                           report=reports[best], cells=tuple(reports))
 
 
 def _grid_setup(setup: EpisodeSetup, cells) -> EpisodeSetup:
@@ -322,22 +295,22 @@ def delay_profile(setup: EpisodeSetup, thresholds, n_runs: int = 1000,
     """Detection behavior of a fixed probing policy per threshold.
 
     Mean delay is measured under change-at-1 (censored at the horizon when no
-    stop occurs); the false-switch rate is the fraction of change-never runs
-    that stop within the horizon. The probing policy is pinned by building a
-    single-threshold setup whose pre- and post-switch policies coincide.
+    stop occurs); the false-switch rate is the change-never report's
+    premature rate, the fraction of runs that stop within the horizon. The
+    probing policy is pinned by building a single-threshold setup whose pre-
+    and post-switch policies coincide.
     """
     thresholds = [float(a) for a in thresholds]
     if not thresholds:
         return []
     grid = _grid_setup(setup, [(a, setup.threshold_b) for a in thresholds])
-    b1 = _batched_costs(replace(grid, change=ChangeSpec(kind="fixed", gamma=1)),
-                        n_runs, master_seed)
-    delay = np.where(b1.tau >= 0, np.maximum(0, b1.tau - 1), setup.horizon - 1)
-    binf = _batched_costs(replace(grid, change=ChangeSpec(kind="never")),
-                          n_runs, master_seed)
-    return [{"threshold": a, "mean_delay": float(delay[c].mean()),
-             "false_switch_rate": float(np.mean(binf.tau[c] >= 0))}
-            for c, a in enumerate(thresholds)]
+    e1, einf = (monte_carlo(replace(grid, change=change), n_runs, master_seed)
+                for change in (ChangeSpec(kind="fixed", gamma=1), ChangeSpec(kind="never")))
+    return [{"threshold": a,
+             "mean_delay": float(np.nan_to_num(_switch_outcomes(r1.gamma, r1.tau)[1],
+                                               nan=setup.horizon - 1).mean()),
+             "false_switch_rate": rinf.premature_rate}
+            for a, r1, rinf in zip(thresholds, e1, einf)]
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +329,20 @@ def _fmt(value) -> str:
     return f"{v:.9g}"
 
 
-def write_runs_csv(path, records: list[RunRecord]) -> None:
+def write_runs_csv(path, reports: list[EvaluationReport], horizon: int) -> None:
+    """One row per run of each report, by policy and then run id; each
+    policy appears in at most one report."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run_id", "policy", "gamma", "tau_switch", "horizon",
                          "discounted_cost", "detection_delay", "premature_switch"])
-        for r in sorted(records, key=lambda r: (r.policy, r.run_id)):
-            writer.writerow([r.run_id, r.policy, _fmt(r.gamma), _fmt(r.tau_switch),
-                             r.horizon, _fmt(r.discounted_cost),
-                             _fmt(r.detection_delay), _fmt(r.premature_switch)])
+        for r in sorted(reports, key=lambda r: r.policy):
+            premature, delay = _switch_outcomes(r.gamma, r.tau)
+            for i, (g, t, c, d, p) in enumerate(zip(
+                    r.gamma.tolist(), r.tau.tolist(), r.discounted_cost.tolist(),
+                    delay.tolist(), premature.tolist())):
+                writer.writerow([i, r.policy, _fmt(g), _fmt(t if t >= 0 else None), horizon,
+                                 _fmt(c), _fmt(None if math.isnan(d) else d), _fmt(p)])
 
 
 def write_summary_csv(path, reports: list[EvaluationReport]) -> None:

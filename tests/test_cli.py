@@ -128,6 +128,40 @@ class TestEvaluate:
         assert key in err and "nsmdp solve" in err
         assert not (out / "summary.csv").exists()
 
+    @pytest.mark.parametrize("rho, grid, keys", [
+        ("0.2", 21, ["change.rho"]),
+        ("0.05", 41, ["policies.momdp_grid"]),
+        ("0.2", 41, ["change.rho", "policies.momdp_grid"]),
+    ])
+    def test_momdp_solved_for_another_prior_or_grid_rejected(self, tmp_path, capsys,
+                                                              rho, grid, keys):
+        def config(rho, grid):
+            cfg = write_config(tmp_path / "exp.ini", kinds="momdp", n_runs=6)
+            cfg.write_text(cfg.read_text()
+                           .replace("[change]\nkind = geometric\nrho = 0.05\n",
+                                    f"[change]\nkind = geometric\nrho = {rho}\n")
+                           .replace("[policies]\n", f"[policies]\nmomdp_grid = {grid}\n"))
+            return str(cfg)
+
+        out = tmp_path / "out"
+        assert main(["solve", "--config", config("0.05", 21), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--config", config(rho, grid), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert all(key in err for key in keys) and "nsmdp solve" in err
+        assert not (out / "summary.csv").exists()
+
+    def test_repeated_policy_kind_rejected(self, config, capsys):
+        cfg, out = config
+        main(["solve", "--config", str(cfg), "--out-dir", str(out)])
+        capsys.readouterr()
+        code = main(["evaluate", "--config", str(cfg), "--out-dir", str(out),
+                     "--policies", "oracle,oracle"])
+        assert code == 1
+        assert "policies.kinds" in capsys.readouterr().err
+        assert not (out / "runs.csv").exists()
+
     def test_single_policy_summary(self, config):
         cfg, out = config
         main(["solve", "--config", str(cfg), "--out-dir", str(out)])

@@ -156,8 +156,8 @@ class TestControllerEpisodes:
                            detector_kind="shiryaev", detector_rho=0.05,
                            threshold_a=a, threshold_b=b)
         report = monte_carlo(setup, n_runs, master_seed=0)
-        return ([r.discounted_cost for r in report.runs],
-                [r.tau_switch for r in report.runs])
+        return (report.discounted_cost.tolist(),
+                [tau if tau >= 0 else None for tau in report.tau.tolist()])
 
     def test_tt_equals_loc_when_thresholds_meet(self, small_env, small_policies):
         tt = self.episode_outcomes(small_env, small_policies, "tt", a=40.0, b=40.0)

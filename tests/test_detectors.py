@@ -148,6 +148,11 @@ class TestCusum:
             assert state.log_stat == pytest.approx(
                 suffix_max_oracle(lrs[:n], m), abs=1e-12)
 
+    def test_window_change_mid_stream_rejected(self):
+        state = cusum_step(new_detector_state("cusum"), 1.0, window=2)
+        with pytest.raises(ValueError, match="window"):
+            cusum_step(state, 1.0, window=10)
+
 
 class TestGlr:
     def setup_method(self):
@@ -193,6 +198,16 @@ class TestGlr:
                 per_candidate.append(suffix_max_oracle(lrs, m))
             assert state.log_stat == pytest.approx(max(per_candidate), abs=1e-12)
             assert state.theta_hat == int(np.argmax(per_candidate))
+
+    @pytest.mark.parametrize("later", [1, 3])
+    def test_candidate_count_change_mid_stream_rejected(self, later):
+        state = glr_step(new_detector_state("glr"), self.transitions[0], self.k0,
+                         (self.k1, self.k2), 4)
+        grid = (self.k1, self.k2, self.k1)[:later]
+        with pytest.raises(ValueError, match="row"):
+            glr_step(state, self.transitions[1], self.k0, grid, 4)
+        with pytest.raises(ValueError, match="window"):
+            glr_step(state, self.transitions[1], self.k0, (self.k1, self.k2), 5)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -85,11 +85,13 @@ def test_batch_and_trace_equal_oracle(setup, first_id, n_runs, seed):
 def test_packed_chunks_equal_oracle(setup, n_runs, budget, seed):
     # a small path-row budget splits a chunk's paths over several calls
     with mock.patch.object(harness, "ROW_BUDGET", budget):
-        batch = harness._batched_costs(setup, n_runs, seed)
+        gamma, tau, cost = harness._batched_costs(setup, n_runs, seed)
     n_cells = np.size(setup.threshold_a)
     for lo in range(0, n_runs, CHUNK_SIZE):
         ids = np.arange(lo, min(lo + CHUNK_SIZE, n_runs))
         old = engine_oracle(setup, seed, ids)
-        for name in ("gamma", "tau", "discounted_cost"):
-            np.testing.assert_array_equal(getattr(batch, name)[:, lo:lo + len(ids)],
+        for new, name in ((np.tile(gamma, (n_cells, 1)), "gamma"), (tau, "tau"),
+                          (cost, "discounted_cost")):
+            np.testing.assert_array_equal(new[:, lo:lo + len(ids)],
                                           getattr(old, name).reshape(n_cells, -1))
+            assert new.dtype == getattr(old, name).dtype

@@ -10,8 +10,8 @@ import pytest
 from nsmdp.controllers import SwitchController
 from nsmdp.detectors import Detector, DetectorConfig
 from nsmdp.engine import cell_paths, draw_episode_randomness, simulate_batch
-from nsmdp.harness import (CHUNK_SIZE, CUSUM_ROWS, ROW_BUDGET, calibrate_nonbayes,
-                           default_a_grid, default_b_grid,
+from nsmdp.harness import (CHUNK_SIZE, CUSUM_ROWS, ROW_BUDGET, _switch_outcomes,
+                           calibrate_nonbayes, default_a_grid, default_b_grid,
                            delay_profile, estimate_nonbayes_grid,
                            calibrate_from_grid, frontier_sweep, make_setup,
                            monte_carlo, optimize_thresholds, solve_policies,
@@ -49,13 +49,12 @@ class TestDeterminism:
         r1 = monte_carlo(setup, 64, master_seed=11)
         r2 = monte_carlo(setup, 64, master_seed=11)
         assert r1.mean_cost == r2.mean_cost
-        assert [x.discounted_cost for x in r1.runs] == \
-               [x.discounted_cost for x in r2.runs]
+        assert r1.discounted_cost.tolist() == r2.discounted_cost.tolist()
 
     def test_single_run_report_equals_record(self, small_env, small_policies):
         setup = small_setup(small_env, small_policies, "loc")
         report = monte_carlo(setup, 1, master_seed=9)
-        assert report.mean_cost == report.runs[0].discounted_cost
+        assert report.mean_cost == report.discounted_cost[0]
         assert report.stderr == 0.0
 
     def test_runs_are_order_independent(self, small_env, small_policies):
@@ -72,8 +71,8 @@ class TestEpisodeAccounting:
                             change=ChangeSpec(kind="never"))
         report = monte_carlo(setup, 4, master_seed=2)
         expected = small_env.mdp_pre.cost[0, small_policies.pi_pre[0]]
-        for rec in report.runs:
-            assert rec.discounted_cost == pytest.approx(expected, abs=1e-12)
+        for cost in report.discounted_cost:
+            assert cost == pytest.approx(expected, abs=1e-12)
 
     def test_never_change_loc_with_infinite_threshold_is_pure_pre_policy(
             self, small_env, small_policies):
@@ -83,7 +82,7 @@ class TestEpisodeAccounting:
         r_loc = monte_carlo(loc, 32, master_seed=4)
         r_oracle = monte_carlo(oracle, 32, master_seed=4)
         assert r_loc.mean_cost == r_oracle.mean_cost
-        assert all(r.tau_switch is None for r in r_loc.runs)
+        assert (r_loc.tau == -1).all()
 
     def test_change_at_one_oracle_mean_matches_backward_induction(
             self, small_env, small_policies):
@@ -100,13 +99,16 @@ class TestEpisodeAccounting:
         setup = small_setup(small_env, small_policies, "loc", a=20.0,
                             change=ChangeSpec(kind="fixed", gamma=40))
         report = monte_carlo(setup, 50, master_seed=21)
-        for rec in report.runs:
-            if rec.tau_switch is None:
-                assert rec.detection_delay is None and not rec.premature_switch
-            elif rec.tau_switch < 40:
-                assert rec.premature_switch and rec.detection_delay == 0.0
+        premature, delay = _switch_outcomes(report.gamma, report.tau)
+        for tau, early, d in zip(report.tau, premature, delay):
+            if tau == -1:
+                assert math.isnan(d) and not early
+            elif tau < 40:
+                assert early and d == 0.0
             else:
-                assert rec.detection_delay == rec.tau_switch - 40
+                assert d == tau - 40
+        assert report.premature_rate == premature.mean()
+        assert report.mean_delay == delay[~np.isnan(delay)].mean()
 
     def test_object_path_matches_engine(self, small_env, small_policies):
         """Replay each traced engine run through a SwitchController: the
@@ -331,11 +333,14 @@ class TestGridPass:
                                      master_seed=4)
         grid = estimate_nonbayes_grid(setup, a_grid, b_grid, n_runs=self.N_RUNS,
                                       master_seed=4)
-        assert [(c.threshold_a, c.threshold_b) for c in choice.cells] == cells
+        assert len(choice.cells) == len(cells)
         for cell, nb, (a, b) in zip(choice.cells, grid, cells):
             one = replace(setup, threshold_a=a, threshold_b=b)
+            # a cell reports its effective (A, B): kl's B is the statistic's floor
+            assert (cell.threshold_a, cell.threshold_b) == one.effective_thresholds()
             alone = monte_carlo(one, self.N_RUNS, master_seed=4)
             assert (cell.mean_cost, cell.stderr) == (alone.mean_cost, alone.stderr)
+            assert cell == alone and cell.tau.tolist() == alone.tau.tolist()
             for change, mean, err in ((ChangeSpec(kind="fixed", gamma=1),
                                        nb.e1_cost, nb.e1_stderr),
                                       (ChangeSpec(kind="never"),
@@ -344,8 +349,8 @@ class TestGridPass:
                                     master_seed=4)
                 assert (mean, err) == (alone.mean_cost, alone.stderr)
         best = min(choice.cells, key=lambda c: c.mean_cost)
-        assert (choice.threshold_a, choice.threshold_b) == (best.threshold_a,
-                                                            best.threshold_b)
+        chosen = replace(setup, threshold_a=choice.threshold_a, threshold_b=choice.threshold_b)
+        assert chosen.effective_thresholds() == (best.threshold_a, best.threshold_b)
         assert choice.report.mean_cost == best.mean_cost
         if kind != "kl":   # the toy instance's probe policy is its post policy
             assert len({c.mean_cost for c in choice.cells}) > 1
@@ -369,10 +374,9 @@ class TestGridPass:
         costs, taus = (x.reshape(len(a), n_runs) for x in (batch.discounted_cost, batch.tau))
         for c in range(len(a)):
             alone = monte_carlo(replace(setup, threshold_a=float(a[c]), threshold_b=float(b[c])),
-                                n_runs, master_seed=6).runs
-            assert costs[c].tolist() == [r.discounted_cost for r in alone]
-            assert taus[c].tolist() == [-1 if r.tau_switch is None else r.tau_switch
-                                        for r in alone]
+                                n_runs, master_seed=6)
+            assert costs[c].tolist() == alone.discounted_cost.tolist()
+            assert taus[c].tolist() == alone.tau.tolist()
         assert (taus[1] >= 0).any() and (taus[beyond] == -1).all()
 
     def test_array_report_equals_scalar_report(self, small_env, small_policies):
@@ -384,8 +388,12 @@ class TestGridPass:
         for (a, b), report in zip(cells, reports):
             alone = monte_carlo(replace(setup, threshold_a=a, threshold_b=b),
                                 self.N_RUNS, master_seed=2)
-            assert report.runs == () and len(alone.runs) == self.N_RUNS
-            assert report == replace(alone, runs=())
+            for name in ("gamma", "tau", "discounted_cost"):
+                cell, one = getattr(report, name), getattr(alone, name)
+                assert len(one) == self.N_RUNS and cell.dtype == one.dtype
+                assert cell.tobytes() == one.tobytes()
+                assert not cell.flags.writeable and not one.flags.writeable
+            assert report == alone
 
     def test_delay_profile_equals_per_threshold(self, small_env, small_policies):
         setup = small_setup(small_env, small_policies, "loc", detector="sr",
@@ -397,8 +405,8 @@ class TestGridPass:
             one = replace(setup, threshold_a=a)
             e1 = monte_carlo(replace(one, change=ChangeSpec(kind="fixed", gamma=1)),
                              self.N_RUNS, master_seed=8)
-            delays = np.array([setup.horizon - 1 if r.tau_switch is None
-                               else max(0, r.tau_switch - 1) for r in e1.runs])
+            delays = np.array([setup.horizon - 1 if tau == -1 else max(0, tau - 1)
+                               for tau in e1.tau.tolist()])
             never = monte_carlo(replace(one, change=ChangeSpec(kind="never")),
                                 self.N_RUNS, master_seed=8)
             assert row["mean_delay"] == float(delays.mean())
@@ -474,7 +482,7 @@ class TestCsvSurfaces:
         report = monte_carlo(small_setup(small_env, small_policies, "tt"), 5,
                              master_seed=0)
         path = tmp_path / "runs.csv"
-        write_runs_csv(path, list(report.runs))
+        write_runs_csv(path, [report], 200)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ("run_id,policy,gamma,tau_switch,horizon,"
                             "discounted_cost,detection_delay,premature_switch")
@@ -508,5 +516,5 @@ class TestCsvSurfaces:
                             change=ChangeSpec(kind="never"))
         report = monte_carlo(setup, 2, master_seed=0)
         path = tmp_path / "runs.csv"
-        write_runs_csv(path, list(report.runs))
+        write_runs_csv(path, [report], 200)
         assert ",inf," in path.read_text().splitlines()[1]
