@@ -14,11 +14,11 @@ calibrate  single-alpha constrained threshold selection; writes frontier.csv.
 info       print a per-step statistic trace, either for one simulated
            episode or for a scripted trajectory file of s,a,s_next rows.
 
-Every config key is declared once, in CONFIG_KEYS; flags override keys
-through FLAGS. Exit codes: 0 success, 1 configuration error (including an
-unknown section or key), 2 runtime/numerical error. All randomness derives
-from the single seed; reruns with the same config and seed reproduce
-outputs byte for byte. `--workers` is accepted and has no effect.
+Every config key is declared once, with its rule, in CONFIG_KEYS; flags
+override keys through FLAGS. Exit codes: 0 success, 1 configuration error
+(including an unknown section or key), 2 runtime/numerical error. All
+randomness derives from the single seed; reruns with the same config and
+seed reproduce outputs byte for byte. `--workers` is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ import numpy as np
 from . import harness
 from .controllers import PHASES, check_thresholds
 from .detectors import Detector, DetectorConfig
-from .engine import EpisodeSetup, simulate_batch
+from .engine import BATCHABLE_KINDS, EpisodeSetup, simulate_batch
 from .errors import ModelError, NumericalError, StateError
 from .inventory import ChangeSpec, InventoryParams, build_env
-from .mdp import info_number, max_info_number
+from .mdp import info_number, max_info_number, validate_policy
 from .momdp import MomdpSolution, build_pomdp
 
 
@@ -57,50 +57,59 @@ def _floats(raw: str) -> tuple[float, ...]:
     return tuple(float(x) for x in _names(raw))
 
 
-# Every config key, declared once as (section, key, cast, default, help).
+def _at_least(least: int) -> tuple:
+    return (lambda v: v >= least), f"at least {least}"
+
+
+def _one_of(*names: str) -> tuple:
+    return (lambda v: v in names), f"one of {', '.join(names)}"
+
+
+POSITIVE_FINITE = (lambda v: 0.0 < v < math.inf), "positive and finite"
+
+# Every config key, declared once as (section, key, cast, default, help, rule).
 # Defaults are raw strings, parsed like file and flag values; None is unset.
+# A rule is (test of the parsed value, the phrase that states it), or None.
 CONFIG_KEYS = (
-    ("inventory", "capacity", int, "20", "stock capacity N, units"),
-    ("inventory", "order_cost", float, "1.0", "c, cost per unit ordered"),
-    ("inventory", "holding_cost", float, "5.0", "h, cost per unit held per period"),
-    ("inventory", "shortage_penalty", float, "100.0", "p, cost per unit of lost demand"),
-    ("inventory", "demand_rate", float, "2.0", "lambda, Poisson demand mean, pre-change"),
+    ("inventory", "capacity", int, "20", "stock capacity N, units", None),
+    ("inventory", "order_cost", float, "1.0", "c, cost per unit ordered", None),
+    ("inventory", "holding_cost", float, "5.0", "h, cost per unit held per period", None),
+    ("inventory", "shortage_penalty", float, "100.0", "p, cost per unit of lost demand", None),
+    ("inventory", "demand_rate", float, "2.0", "lambda, Poisson demand mean, pre-change", None),
     ("inventory", "uniform_max", int, None,
-     "u_max, post-change Uniform support {0..u_max}; unset means capacity"),
-    ("change", "kind", str, "geometric", "geometric | fixed | never"),
-    ("change", "rho", float, "0.01", "geometric change probability per step"),
-    ("change", "gamma", int, "1", "fixed change point, first post-change transition"),
-    ("detector", "kind", str, "shiryaev",
-     "shiryaev | sr | cusum; sweep and calibrate run shiryaev as sr"),
-    ("detector", "rho", float, "0.01", "Shiryaev prior parameter, in (0, 1)"),
-    ("detector", "window", int, "200", "CUSUM window m, steps, at least 1"),
-    ("run", "beta", float, "0.99", "discount factor in [0, 1)"),
-    ("run", "horizon", int, "1000", "steps per episode"),
-    ("run", "n_runs", int, "1000", "Monte Carlo episodes"),
-    ("run", "seed", int, "0", "master seed; all randomness derives from it"),
-    ("run", "initial_state", int, "0", "starting stock level, in [0, N]"),
-    ("run", "workers", int, "1", "accepted for compatibility; has no effect"),
-    ("run", "out_dir", Path, "out", "output directory"),
+     "u_max, post-change Uniform support {0..u_max}; unset means capacity", None),
+    ("change", "kind", str, "geometric", "change model", _one_of("geometric", "fixed", "never")),
+    ("change", "rho", float, "0.01", "geometric change probability per step", None),
+    ("change", "gamma", int, "1", "fixed change point, first post-change transition", None),
+    ("detector", "kind", str, "shiryaev", "statistic (sweep and calibrate run shiryaev as sr)",
+     _one_of("shiryaev", "sr", "cusum")),
+    ("detector", "rho", float, "0.01", "Shiryaev prior parameter, in (0, 1) under shiryaev", None),
+    ("detector", "window", int, "200", "CUSUM window m, steps, at least 1 under cusum", None),
+    ("run", "beta", float, "0.99", "discount factor", ((lambda v: 0.0 <= v < 1.0), "in [0, 1)")),
+    ("run", "horizon", int, "1000", "steps per episode", _at_least(1)),
+    ("run", "n_runs", int, "1000", "Monte Carlo episodes", _at_least(1)),
+    ("run", "seed", int, "0", "master seed, the source of all randomness", _at_least(0)),
+    ("run", "initial_state", int, "0", "starting stock level, in [0, N]", None),
+    ("run", "workers", int, "1", "accepted for compatibility; has no effect", None),
+    ("run", "out_dir", Path, "out", "output directory", None),
     ("policies", "kinds", _names, "oracle,loc,tt,random",
-     "comma list from oracle,loc,kl,tt,random,momdp"),
-    ("policies", "momdp_grid", int, "201", "belief grid size G, at least 2"),
-    ("policies", "momdp_tol", float, "1e-6",
-     "belief-grid Bellman residual tolerance, positive"),
+     f"comma list of distinct kinds from {','.join(BATCHABLE_KINDS)}", None),
+    ("policies", "momdp_grid", int, "201", "belief grid size G", _at_least(2)),
+    ("policies", "momdp_tol", float, "1e-6", "belief-grid Bellman tolerance", POSITIVE_FINITE),
     ("thresholds", "a", float, None,
      "fixed A in the statistic's domain, not NaN, non-negative for shiryaev/sr; "
-     "unset means grid search"),
+     "unset means grid search", None),
     ("thresholds", "b", float, None,
-     "fixed B for the two-threshold policy, B <= A, same domain as A"),
-    ("thresholds", "a_grid", int, "30", "size of the log-spaced A grid, at least 1"),
-    ("thresholds", "a_min", float, "1", "lower end of the A and B grids, positive and finite"),
-    ("thresholds", "a_max", float, "1e6", "upper end of the A and B grids, positive and finite"),
-    ("thresholds", "b_grid", int, "15",
-     "size of the log-spaced B grid, at least 0; B = 0 is always included"),
-    ("thresholds", "opt_runs", int, "0",
-     "episodes per grid cell, at least 0; 0 means n_runs"),
-    ("sweep", "alphas", _floats, "", "comma list of caps on the change-never cost"),
+     "fixed B for the two-threshold policy, B <= A, same domain as A", None),
+    ("thresholds", "a_grid", int, "30", "size of the log-spaced A grid", _at_least(1)),
+    ("thresholds", "a_min", float, "1", "lower end of the A and B grids", POSITIVE_FINITE),
+    ("thresholds", "a_max", float, "1e6", "upper end of the A and B grids", POSITIVE_FINITE),
+    ("thresholds", "b_grid", int, "15", "log-spaced B grid size (B = 0 is added)", _at_least(0)),
+    ("thresholds", "opt_runs", int, "0", "episodes per grid cell (0 means n_runs)", _at_least(0)),
+    ("sweep", "alphas", _floats, "", "comma list of caps on the change-never cost", None),
 )
-KEY_HELP = {f"{section}.{key}": text for section, key, _, _, text in CONFIG_KEYS}
+KEY_HELP = {f"{section}.{key}": text + (f", must be {rule[1]}" if rule else "")
+            for section, key, _, _, text, rule in CONFIG_KEYS}
 
 # flag -> the key it overrides; --alphas belongs to sweep alone
 FLAGS = {"--seed": "run.seed", "--out-dir": "run.out_dir", "--n-runs": "run.n_runs",
@@ -114,11 +123,11 @@ def _config_help() -> str:
     lines = ["Configuration file (INI syntax); every key is optional, flags win over",
              "file values, and an unknown section or key is an error. Defaults in",
              "parentheses."]
-    for i, (section, key, _, default, text) in enumerate(CONFIG_KEYS):
+    for i, (section, key, _, default, *_) in enumerate(CONFIG_KEYS):
         if i == 0 or CONFIG_KEYS[i - 1][0] != section:
             lines += ["", f"[{section}]"]
-        lines.append(textwrap.fill(f"{text} ({default or 'unset'})", width=78,
-                                   initial_indent=f"  {key:<17} ",
+        lines.append(textwrap.fill(f"{KEY_HELP[f'{section}.{key}']} ({default or 'unset'})",
+                                   width=78, initial_indent=f"  {key:<17} ",
                                    subsequent_indent=" " * 20))
     return "\n".join(lines) + "\n"
 
@@ -150,64 +159,45 @@ def load_config(path: str | None, overrides: dict[str, str | None]) -> Experimen
                 raise ConfigError(f"{name}: unknown key")
 
     values: dict[str, dict] = {}
-    for section, key, cast, default, _ in CONFIG_KEYS:
+    for section, key, cast, default, _, rule in CONFIG_KEYS:
         raw = overrides.get(f"{section}.{key}")
         if raw is None:
             raw = parser.get(section, key, fallback="").strip() or default
         try:
-            values.setdefault(section, {})[key] = None if raw is None else cast(raw)
+            value = None if raw is None else cast(raw)
         except ValueError as exc:
             raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"{section}.{key} must be {rule[1]}, got {value!r}")
+        values.setdefault(section, {})[key] = value
     cfg = ExperimentConfig(**{name: SimpleNamespace(**keys) for name, keys in values.items()})
 
     inventory = dict(values["inventory"])
     inventory["penalty"] = inventory.pop("shortage_penalty")
-    try:
-        cfg.params = InventoryParams(**inventory)
-    except ValueError as exc:
-        raise ConfigError(f"inventory.*: {exc}") from exc
-    try:
-        cfg.change = ChangeSpec(**values["change"])
-    except ValueError as exc:
-        raise ConfigError(f"change.*: {exc}") from exc
+    for section, name, build, kwargs in (("inventory", "params", InventoryParams, inventory),
+                                         ("change", "change", ChangeSpec, values["change"])):
+        try:
+            setattr(cfg, name, build(**kwargs))
+        except ValueError as exc:
+            raise ConfigError(f"{section}.*: {exc}") from exc
 
     run, det, pol, thr = cfg.run, cfg.detector, cfg.policies, cfg.thresholds
-    if not 0.0 <= run.beta < 1.0:
-        raise ConfigError(f"run.beta must be in [0, 1), got {run.beta}")
-    if run.horizon < 1:
-        raise ConfigError(f"run.horizon must be >= 1, got {run.horizon}")
-    if run.n_runs < 1:
-        raise ConfigError(f"run.n_runs must be >= 1, got {run.n_runs}")
     if not 0 <= run.initial_state <= cfg.params.capacity:
         raise ConfigError(f"run.initial_state must be in [0, {cfg.params.capacity}], "
                           f"got {run.initial_state}")
     for k in pol.kinds:
-        if k not in ("oracle", "loc", "kl", "tt", "random", "momdp"):
+        if k not in BATCHABLE_KINDS:
             raise ConfigError(f"policies.kinds: unknown policy kind {k!r}")
         if pol.kinds.count(k) > 1:
             raise ConfigError(f"policies.kinds: policy kind {k!r} is listed more than once")
     if not pol.kinds:
         raise ConfigError("policies.kinds must list at least one policy")
-    if pol.momdp_grid < 2:
-        raise ConfigError(f"policies.momdp_grid must be >= 2, got {pol.momdp_grid}")
-    if not 0.0 < pol.momdp_tol < math.inf:
-        raise ConfigError(f"policies.momdp_tol must be positive and finite, "
-                          f"got {pol.momdp_tol}")
-    if det.kind not in ("shiryaev", "sr", "cusum"):
-        raise ConfigError(f"detector.kind must be shiryaev, sr or cusum, got {det.kind!r}")
     if det.kind == "shiryaev" and not 0.0 < det.rho < 1.0:
         raise ConfigError(f"detector.rho must be in (0, 1) for shiryaev, got {det.rho}")
     if det.kind != "shiryaev":
         det.rho = 0.0   # only the Shiryaev statistic reads it
     if det.kind == "cusum" and det.window < 1:
         raise ConfigError(f"detector.window must be >= 1 for cusum, got {det.window}")
-    for key in ("a_min", "a_max"):
-        if not 0.0 < getattr(thr, key) < math.inf:
-            raise ConfigError(f"thresholds.{key} must be positive and finite, "
-                              f"got {getattr(thr, key)}")
-    for key, least in (("a_grid", 1), ("b_grid", 0), ("opt_runs", 0)):
-        if getattr(thr, key) < least:
-            raise ConfigError(f"thresholds.{key} must be >= {least}, got {getattr(thr, key)}")
     # the engine's threshold rule, on A alone and then on (A, B)
     a = math.inf if thr.a is None else thr.a
     for key, b in (("a", a), ("b", thr.b)):
@@ -225,6 +215,10 @@ def _json_dump(obj, path: Path) -> None:
 
 def _solution_path(cfg: ExperimentConfig) -> Path:
     return cfg.run.out_dir / "solution.json"
+
+
+# PolicySet's arrays, under the names solution.json stores them by
+POLICY_ARRAYS = ("pi_pre", "pi_post", "pi_probe", "v_pre", "v_post")
 
 
 def _model_params(cfg: ExperimentConfig) -> dict:
@@ -252,26 +246,13 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     }
     _json_dump(models, cfg.run.out_dir / "models.json")
 
-    solution = {
-        "params": models["params"],
-        "beta": cfg.run.beta,
-        "pi_pre": policies.pi_pre.tolist(),
-        "pi_post": policies.pi_post.tolist(),
-        "pi_probe": policies.pi_probe.tolist(),
-        "v_pre": policies.v_pre.tolist(),
-        "v_post": policies.v_post.tolist(),
-        "info_pre": info_pre,
-        "info_probe": info_probe,
-        "info_max": info_max,
-        "pi_info_max": pi_info.tolist(),
-    }
+    solution = {"params": models["params"], "beta": cfg.run.beta, "info_pre": info_pre,
+                "info_probe": info_probe, "info_max": info_max, "pi_info_max": pi_info.tolist(),
+                **{name: getattr(policies, name).tolist() for name in POLICY_ARRAYS}}
     if with_momdp:
-        solution["momdp"] = {
-            "rho": cfg.change.rho,
-            "grid_size": cfg.policies.momdp_grid,
-            "policy": policies.momdp.policy.tolist(),
-            "value": policies.momdp.value.tolist(),
-        }
+        solution["momdp"] = {"rho": cfg.change.rho, "grid_size": cfg.policies.momdp_grid,
+                             "policy": policies.momdp.policy.tolist(),
+                             "value": policies.momdp.value.tolist()}
     _json_dump(solution, _solution_path(cfg))
     print(f"solved both regimes: I_pi0={info_pre:.6g} I_probe={info_probe:.6g} "
           f"I_max={info_max:.6g}")
@@ -280,43 +261,48 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
 
 def _load_policies(cfg: ExperimentConfig, env) -> harness.PolicySet:
+    """The policies in solution.json. ConfigError naming the file unless it
+    was solved for the config and each policy in it is a feasible table for `env`."""
     path = _solution_path(cfg)
     if not path.exists():
         raise ConfigError(f"missing solution file {path}; run `nsmdp solve` first")
-    sol = json.loads(path.read_text())
     with_momdp = "momdp" in cfg.policies.kinds
-    if with_momdp and "momdp" not in sol:
-        raise ConfigError("solution file has no momdp policy; rerun `nsmdp solve` "
-                          "with momdp in policies.kinds")
-    # the file must have been solved for the config's model and discount, and
-    # a momdp policy for its change prior and belief grid
-    solved = {**sol.get("params", {}), "beta": sol.get("beta")}
-    wanted = {**_model_params(cfg), "beta": cfg.run.beta}
-    names = {"penalty": "inventory.shortage_penalty", "beta": "run.beta",
-             "rho": "change.rho", "grid_size": "policies.momdp_grid"}
-    if with_momdp:
-        solved |= {k: sol["momdp"].get(k) for k in ("rho", "grid_size")}
-        wanted |= {"rho": cfg.change.rho, "grid_size": cfg.policies.momdp_grid}
-    stale = [f"{names.get(k, 'inventory.' + k)} = {solved.get(k)} there, {v} in the config"
-             for k, v in wanted.items() if solved.get(k) != v]
-    if stale:
-        raise ConfigError(f"{path} was solved for another model ({'; '.join(stale)}); "
-                          "rerun `nsmdp solve`")
-    momdp = None
-    if with_momdp:
-        m = sol["momdp"]
-        pomdp = build_pomdp(env.mdp_pre, env.mdp_post, m["rho"])
-        momdp = MomdpSolution(pomdp=pomdp,
-                              grid=np.linspace(0.0, 1.0, m["grid_size"]),
-                              value=np.array(m["value"]),
-                              policy=np.array(m["policy"], dtype=int))
-    return harness.PolicySet(
-        pi_pre=np.array(sol["pi_pre"], dtype=int),
-        pi_post=np.array(sol["pi_post"], dtype=int),
-        pi_probe=np.array(sol["pi_probe"], dtype=int),
-        v_pre=np.array(sol["v_pre"]),
-        v_post=np.array(sol["v_post"]),
-        momdp=momdp)
+    try:
+        sol = json.loads(path.read_text())
+        if with_momdp and "momdp" not in sol:
+            raise ValueError("no momdp policy (momdp was not in policies.kinds)")
+        # solved for the config's model and discount, and a momdp policy for
+        # its change prior and belief grid
+        solved = {**sol.get("params", {}), "beta": sol.get("beta")}
+        wanted = {**_model_params(cfg), "beta": cfg.run.beta}
+        names = {"penalty": "inventory.shortage_penalty", "beta": "run.beta",
+                 "rho": "change.rho", "grid_size": "policies.momdp_grid"}
+        if with_momdp:
+            solved |= {k: sol["momdp"].get(k) for k in ("rho", "grid_size")}
+            wanted |= {"rho": cfg.change.rho, "grid_size": cfg.policies.momdp_grid}
+        stale = [f"{names.get(k, 'inventory.' + k)} = {solved.get(k)} there, {v} in the config"
+                 for k, v in wanted.items() if solved.get(k) != v]
+        if stale:
+            raise ValueError(f"solved for another model ({'; '.join(stale)})")
+        n, arrays, momdp = env.n_states, {}, None
+        for name in POLICY_ARRAYS:
+            arrays[name] = np.array(sol[name])
+            if name.startswith("pi_"):
+                validate_policy(env.mdp_pre, arrays[name], (n,), name)
+            elif arrays[name].shape != (n,) or arrays[name].dtype.kind != "f":
+                raise ValueError(f"{name} must be a float array of shape ({n},)")
+        if with_momdp:
+            m = sol["momdp"]
+            momdp = MomdpSolution(
+                pomdp=build_pomdp(env.mdp_pre, env.mdp_post, m["rho"]),
+                grid=np.linspace(0.0, 1.0, m["grid_size"]), value=np.array(m["value"]),
+                policy=validate_policy(env.mdp_pre, np.array(m["policy"]),
+                                       (n, m["grid_size"]), "momdp.policy"))
+    except KeyError as exc:
+        raise ConfigError(f"{path}: field {exc} is missing; rerun `nsmdp solve`") from exc
+    except (AttributeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}; rerun `nsmdp solve`") from exc
+    return harness.PolicySet(**arrays, momdp=momdp)
 
 
 def _episode_setup(cfg: ExperimentConfig, env, policies, kind: str,
@@ -529,17 +515,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, {key: getattr(args, key, None)
                                         for key in FLAGS.values()})
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, assert_ordering=args.assert_ordering)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg, args.alpha)
-        if args.command == "info":
-            return cmd_info(cfg, args.trajectory)
-        raise ConfigError(f"unknown command {args.command!r}")
+        commands = {"solve": lambda: cmd_solve(cfg),
+                    "evaluate": lambda: cmd_evaluate(cfg, assert_ordering=args.assert_ordering),
+                    "sweep": lambda: cmd_sweep(cfg),
+                    "calibrate": lambda: cmd_calibrate(cfg, args.alpha),
+                    "info": lambda: cmd_info(cfg, args.trajectory)}
+        return commands[args.command]()
     except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

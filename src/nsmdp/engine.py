@@ -36,7 +36,7 @@ import numpy as np
 from .controllers import check_thresholds, kind_thresholds, switch_action
 from .detectors import shiryaev_log_update, threshold_domain, windowed_cusum
 from .inventory import ChangeSpec, InventoryEnv, demand_from_uniform, sample_change_point
-from .mdp import log_ratio_table
+from .mdp import log_ratio_table, validate_policy
 from .momdp import MomdpSolution, belief_step
 
 BATCHABLE_KINDS = ("oracle", "random", "loc", "kl", "tt", "momdp")
@@ -85,6 +85,13 @@ class EpisodeSetup:
             raise ValueError(f"unsupported detector kind {self.detector_kind!r}")
         if self.policy_kind == "momdp" and self.momdp is None:
             raise ValueError("momdp needs a solved belief-grid policy")
+        # every given table, so that no bad action index wraps in the step loop
+        for name in ("pi_pre", "pi_probe", "pi_post"):
+            if getattr(self, name) is not None:
+                validate_policy(self.env.mdp_pre, getattr(self, name), (self.env.n_states,), name)
+        if self.momdp is not None:
+            validate_policy(self.env.mdp_pre, self.momdp.policy,
+                            (self.env.n_states, self.momdp.grid_size), "momdp.policy")
         a, b = np.shape(self.threshold_a), np.shape(self.threshold_b)
         if a != b or len(a) > 1 or a == (0,):
             raise ValueError("thresholds must be two scalars or two nonempty 1-D arrays "

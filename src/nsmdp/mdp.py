@@ -64,9 +64,12 @@ class TabularMdp:
                     )
                 if not np.isfinite(cost[s, a]):
                     raise ModelError(f"non-finite cost at (s={s}, a={a})")
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "feasible", tuple(tuple(int(a) for a in acts) for acts in feasible))
+        feasible = tuple(tuple(int(a) for a in acts) for acts in feasible)
+        mask = action_mask(feasible, n_actions)
+        mask.flags.writeable = False
+        for name, value in (("kernel", kernel), ("cost", cost), ("feasible", feasible),
+                            ("_mask", mask)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_states(self) -> int:
@@ -77,8 +80,8 @@ class TabularMdp:
         return self.kernel.shape[1]
 
     def feasible_mask(self) -> np.ndarray:
-        """Boolean (S, A) mask of feasible state-action pairs."""
-        return action_mask(self.feasible, self.n_actions)
+        """Boolean (S, A) mask of feasible state-action pairs (read-only)."""
+        return self._mask
 
 
 def action_mask(feasible: tuple[tuple[int, ...], ...], n_actions: int) -> np.ndarray:
@@ -102,13 +105,19 @@ def log_ratio_table(kernel1: np.ndarray, kernel0: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(k1, EPS_PROB)) - np.log(np.maximum(k0, EPS_PROB))
 
 
-def validate_policy(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
-    policy = np.asarray(policy, dtype=int)
-    if policy.shape != (mdp.n_states,):
-        raise ValueError(f"policy must have shape ({mdp.n_states},), got {policy.shape}")
-    for s in range(mdp.n_states):
-        if policy[s] not in mdp.feasible[s]:
-            raise ValueError(f"policy action {policy[s]} infeasible at state {s}")
+def validate_policy(mdp: TabularMdp, policy, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """`policy` as an array, checked to be an integer array of `shape`, (S,)
+    or (S, G), whose every action is feasible at its row's state."""
+    policy = np.asarray(policy)
+    if policy.shape != shape or policy.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an integer array of shape {shape}, "
+                         f"got {policy.dtype} of shape {policy.shape}")
+    rows = policy.reshape(mdp.n_states, -1)
+    if not (0 <= rows.min() and rows.max() < mdp.n_actions
+            and mdp.feasible_mask()[np.arange(mdp.n_states)[:, None], rows].all()):
+        s, a = next((s, a) for s, row in enumerate(rows.tolist()) for a in row
+                    if a not in mdp.feasible[s])
+        raise ValueError(f"{name}: action {a} infeasible at state {s}")
     return policy
 
 
@@ -156,7 +165,7 @@ def policy_evaluation(mdp: TabularMdp, policy: np.ndarray, beta: float) -> np.nd
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
-    policy = validate_policy(mdp, policy)
+    policy = validate_policy(mdp, policy, (mdp.n_states,), "policy")
     idx = np.arange(mdp.n_states)
     p_pi = mdp.kernel[idx, policy]          # (S, S)
     c_pi = mdp.cost[idx, policy]

@@ -30,6 +30,17 @@ NON_DEFAULT = {
     "sweep.alphas": ("1,2.5", (1.0, 2.5)),
 }
 
+# a value breaking the rule of every config key that has one: (raw, parsed)
+VIOLATING = {
+    "change.kind": ("sometimes", "sometimes"), "detector.kind": ("glr", "glr"),
+    "run.beta": ("1", 1.0), "run.horizon": ("0", 0), "run.n_runs": ("0", 0),
+    "run.seed": ("-1", -1), "policies.momdp_grid": ("1", 1),
+    "policies.momdp_tol": ("0", 0.0), "thresholds.a_grid": ("0", 0),
+    "thresholds.a_min": ("-2", -2.0), "thresholds.a_max": ("inf", math.inf),
+    "thresholds.b_grid": ("-1", -1), "thresholds.opt_runs": ("-3", -3),
+}
+KEY_FLAGS = {key: flag for flag, key in FLAGS.items()}
+
 
 def write_config(path, *, capacity=4, penalty=60.0, horizon=60, n_runs=12,
                  kinds="oracle,loc,tt,random", extra=""):
@@ -202,6 +213,31 @@ class TestEvaluate:
                      "--policies", "oracle,loc", "--assert-ordering"])
         assert code == 1
 
+    @pytest.mark.parametrize("damage, field", [
+        (lambda sol: sol.pop("pi_probe"), "pi_probe"),
+        (lambda sol: sol["pi_pre"].__setitem__(0, 9), "pi_pre"),
+        (lambda sol: sol.__setitem__("pi_post", sol["pi_post"][:3]), "pi_post"),
+        (None, None),
+    ], ids=["missing", "infeasible", "short", "truncated"])
+    def test_damaged_solution_file_rejected(self, config, capsys, damage, field):
+        cfg, out = config
+        assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        path = out / "solution.json"
+        if damage is None:
+            path.write_text(path.read_text()[:40])
+        else:
+            sol = json.loads(path.read_text())
+            damage(sol)
+            path.write_text(json.dumps(sol))
+        capsys.readouterr()
+        code = main(["evaluate", "--config", str(cfg), "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "solution.json" in captured.err and "nsmdp solve" in captured.err
+        assert field is None or field in captured.err
+        assert not (out / "runs.csv").exists()
+
     def test_momdp_policy_round_trips_through_solution_file(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", kinds="momdp", n_runs=6)
         cfg.write_text(cfg.read_text().replace(
@@ -372,8 +408,9 @@ class TestConfigValidation:
         text = " ".join(capsys.readouterr().out.split())
         text = text[text.index("[inventory]"):]
         blocks = dict(zip(re.findall(r"\[(\w+)\]", text), re.split(r"\[\w+\]", text)[1:]))
-        for section, key, _, default, help_text in CONFIG_KEYS:
-            assert f" {key} {help_text} ({default or 'unset'})" in blocks[section]
+        for section, key, _, default, help_text, rule in CONFIG_KEYS:
+            rule_text = f", must be {rule[1]}" if rule else ""
+            assert f" {key} {help_text}{rule_text} ({default or 'unset'})" in blocks[section]
 
     @pytest.mark.parametrize("text, name", [("[run]\nbta = 0.5\n", "run.bta"),
                                             ("[thresholds]\nmomdp_grid = 41\n",
@@ -407,11 +444,33 @@ class TestConfigValidation:
             assert name in capsys.readouterr().err
 
 
+class TestConfigRules:
+    @pytest.mark.parametrize("name, source", [
+        (name, source) for name in VIOLATING
+        for source in ("file", "flag") if source == "file" or name in KEY_FLAGS])
+    def test_violating_value_rejected(self, tmp_path, capsys, name, source):
+        section, key = name.split(".")
+        raw, value = VIOLATING[name]
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n" if source == "file" else "")
+        flags = [KEY_FLAGS[name], raw] if source == "flag" else []
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out-dir", str(out), *flags]) == 1
+        phrase = next(row[5][1] for row in CONFIG_KEYS if row[:2] == (section, key))
+        assert f"{name} must be {phrase}, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigTable:
     def test_every_key_has_a_test_value(self):
         assert list(NON_DEFAULT) == [f"{s}.{k}" for s, k, *_ in CONFIG_KEYS]
-        for section, key, cast, default, _ in CONFIG_KEYS:
+        assert list(VIOLATING) == [f"{s}.{k}" for s, k, *_, rule in CONFIG_KEYS if rule]
+        for section, key, cast, default, _, rule in CONFIG_KEYS:
             assert default is None or cast(default) != NON_DEFAULT[f"{section}.{key}"][1]
+            if rule is not None:
+                test, _ = rule
+                assert test(cast(default)) and test(NON_DEFAULT[f"{section}.{key}"][1])
+                assert not test(VIOLATING[f"{section}.{key}"][1])
 
     @pytest.mark.parametrize("name", list(NON_DEFAULT))
     def test_file_value_reaches_config(self, tmp_path, name):

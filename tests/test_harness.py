@@ -2,6 +2,7 @@
 threshold optimization, calibration, and the CSV surfaces."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from nsmdp.harness import (CHUNK_SIZE, CUSUM_ROWS, ROW_BUDGET, _switch_outcomes,
                            monte_carlo, optimize_thresholds, solve_policies,
                            threshold_cells, write_frontier_csv, write_runs_csv,
                            write_summary_csv)
-from nsmdp.inventory import ChangeSpec, demand_from_uniform
+from nsmdp.inventory import ChangeSpec, InventoryParams, build_env, demand_from_uniform
 from nsmdp.mdp import info_number, log_ratio_table
 
 from util import finite_horizon_policy_value
@@ -155,6 +156,25 @@ class TestEpisodeAccounting:
         with pytest.raises(ValueError, match="window"):
             make_setup(small_env, small_policies, "loc", CHANGE, 10, 0.95,
                        detector_kind="cusum", window=0)
+
+    @pytest.mark.parametrize("kind, field, damage", [
+        ("oracle", "pi_pre", lambda p: {"pi_pre": np.r_[-1, p.pi_pre[1:]]}),
+        ("tt", "pi_probe", lambda p: {"pi_probe": np.r_[p.pi_probe[0], 4, p.pi_probe[2:]]}),
+        ("loc", "pi_post", lambda p: {"pi_post": p.pi_post[:3]}),
+        ("loc", "pi_pre", lambda p: {"pi_pre": p.pi_pre.astype(float)}),
+        ("momdp", "momdp.policy",
+         lambda p: {"momdp": replace(p.momdp, policy=p.momdp.policy[:, :-1])}),
+        ("momdp", "momdp.policy",
+         lambda p: {"momdp": replace(p.momdp, policy=p.momdp.policy + 5)}),
+    ], ids=["negative", "infeasible", "short", "float", "momdp-shape", "momdp-infeasible"])
+    def test_setup_rejects_bad_policy_tables(self, kind, field, damage):
+        # capacity 4: state 0 may order 0..4 units, state 1 only 0..3
+        env = build_env(InventoryParams(capacity=4, order_cost=1.0, holding_cost=5.0,
+                                        penalty=60.0, demand_rate=2.0))
+        good = solve_policies(env, beta=0.95, momdp_grid=5, momdp_rho=0.05)
+        make_setup(env, good, kind, CHANGE, 20, 0.95)
+        with pytest.raises(ValueError, match=f"^{re.escape(field)}"):
+            make_setup(env, replace(good, **damage(good)), kind, CHANGE, 20, 0.95)
 
     def test_oracle_lower_bound(self, small_env, small_policies):
         reports = {}
