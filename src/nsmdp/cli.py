@@ -106,12 +106,14 @@ CONFIG_KEYS = (
     ("thresholds", "a_max", float, "1e6", "upper end of the A and B grids", POSITIVE_FINITE),
     ("thresholds", "b_grid", int, "15", "log-spaced B grid size (B = 0 is added)", _at_least(0)),
     ("thresholds", "opt_runs", int, "0", "episodes per grid cell (0 means n_runs)", _at_least(0)),
-    ("sweep", "alphas", _floats, "", "comma list of caps on the change-never cost", None),
+    ("sweep", "alphas", _floats, "", "comma list of caps on the change-never cost",
+     ((lambda v: all(0.0 <= x < math.inf for x in v)), "finite and >= 0")),
 )
 KEY_HELP = {f"{section}.{key}": text + (f", must be {rule[1]}" if rule else "")
             for section, key, _, _, text, rule in CONFIG_KEYS}
 
-# flag -> the key it overrides; --alphas belongs to sweep alone
+# flag -> the key it overrides; --alphas belongs to sweep alone, and calibrate's
+# --alpha sets sweep.alphas to its one cap
 FLAGS = {"--seed": "run.seed", "--out-dir": "run.out_dir", "--n-runs": "run.n_runs",
          "--horizon": "run.horizon", "--workers": "run.workers",
          "--policies": "policies.kinds", "--detector": "detector.kind",
@@ -288,7 +290,7 @@ def _load_policies(cfg: ExperimentConfig, env) -> harness.PolicySet:
         for name in POLICY_ARRAYS:
             arrays[name] = np.array(sol[name])
             if name.startswith("pi_"):
-                validate_policy(env.mdp_pre, arrays[name], (n,), name)
+                validate_policy(env.mdp_pre.feasible, arrays[name], (n,), name)
             elif arrays[name].shape != (n,) or arrays[name].dtype.kind != "f":
                 raise ValueError(f"{name} must be a float array of shape ({n},)")
         if with_momdp:
@@ -296,7 +298,7 @@ def _load_policies(cfg: ExperimentConfig, env) -> harness.PolicySet:
             momdp = MomdpSolution(
                 pomdp=build_pomdp(env.mdp_pre, env.mdp_post, m["rho"]),
                 grid=np.linspace(0.0, 1.0, m["grid_size"]), value=np.array(m["value"]),
-                policy=validate_policy(env.mdp_pre, np.array(m["policy"]),
+                policy=validate_policy(env.mdp_pre.feasible, np.array(m["policy"]),
                                        (n, m["grid_size"]), "momdp.policy"))
     except KeyError as exc:
         raise ConfigError(f"{path}: field {exc} is missing; rerun `nsmdp solve`") from exc
@@ -407,12 +409,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_calibrate(cfg: ExperimentConfig, alpha: float | None) -> int:
-    if alpha is None:
-        if len(cfg.sweep.alphas) != 1:
-            raise ConfigError("calibrate needs --alpha or exactly one sweep.alphas entry")
-        alpha = cfg.sweep.alphas[0]
-    for r in _frontier(cfg, [alpha]):
+def cmd_calibrate(cfg: ExperimentConfig) -> int:
+    if len(cfg.sweep.alphas) != 1:
+        raise ConfigError("calibrate needs --alpha or exactly one sweep.alphas entry")
+    for r in _frontier(cfg, cfg.sweep.alphas):
         tag = "" if r.feasible else "  [infeasible: best violating cell]"
         print(f"{r.policy:4s} A={r.threshold_a:.6g} B={r.threshold_b:.6g} "
               f"e1={r.e1_cost:.6g} einf={r.einf_cost:.6g}{tag}")
@@ -504,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fail unless oracle < tt < loc < random with "
                                 "non-overlapping 95%% intervals")
         if name == "calibrate":
-            p.add_argument("--alpha", type=float, help="cap on the change-never cost")
+            p.add_argument("--alpha", dest="sweep.alphas",
+                           help="one cap on the change-never cost; overrides sweep.alphas")
         if name == "info":
             p.add_argument("--trajectory", help="CSV file of s,a,s_next rows to trace")
     return parser
@@ -518,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
         commands = {"solve": lambda: cmd_solve(cfg),
                     "evaluate": lambda: cmd_evaluate(cfg, assert_ordering=args.assert_ordering),
                     "sweep": lambda: cmd_sweep(cfg),
-                    "calibrate": lambda: cmd_calibrate(cfg, args.alpha),
+                    "calibrate": lambda: cmd_calibrate(cfg),
                     "info": lambda: cmd_info(cfg, args.trajectory)}
         return commands[args.command]()
     except (ConfigError, ModelError) as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .detectors import Detector, DetectorConfig, DetectorState, threshold_domain
 from .errors import StateError
-from .mdp import TabularMdp, action_mask, kl_per_action, value_iteration
+from .mdp import TabularMdp, action_mask, kl_per_action, validate_policy, value_iteration
 
 PHASES = ("pre", "probe", "post")
 
@@ -98,13 +98,26 @@ def _masked_argmax(score: np.ndarray, feasible) -> np.ndarray:
     return np.argmax(score, axis=1).astype(int)
 
 
+def _policy_table(table, feasible, name: str) -> np.ndarray:
+    """A controller's policy table, checked by `validate_policy` against the
+    feasible action sets, or without them, for non-negative integers."""
+    if feasible is not None:
+        return validate_policy(feasible, table, (len(feasible),), name).astype(int)
+    table = np.asarray(table)
+    if table.ndim != 1 or table.dtype.kind not in "iu" or (table < 0).any():
+        raise ValueError(f"{name} must be a 1-D array of non-negative integers, got {table!r}")
+    return table.astype(int)
+
+
 class SwitchController:
     """Per-episode state machine for the oracle, random, single-threshold,
     probe-always and two-threshold policies.
 
     kind='tt' takes both thresholds; 'loc' forces B = A and 'kl' forces B to
     the statistic floor (0 for shiryaev/sr, -inf for cusum), so the
-    reductions hold action-for-action by construction.
+    reductions hold action-for-action by construction. A policy table must
+    be an integer array of non-negative actions, and with `feasible` given,
+    of one feasible action per state (ValueError naming the table).
     """
 
     def __init__(self, kind: str, pi_pre: np.ndarray | None = None,
@@ -118,12 +131,13 @@ class SwitchController:
         if kind not in ("oracle", "loc", "kl", "tt", "random"):
             raise ValueError(f"unknown controller kind {kind!r}")
         self.kind = kind
-        self.pi_pre = None if pi_pre is None else np.asarray(pi_pre, dtype=int)
-        self.pi_probe = None if pi_probe is None else np.asarray(pi_probe, dtype=int)
-        self.pi_post = None if pi_post is None else np.asarray(pi_post, dtype=int)
+        self.feasible = feasible
+        self.pi_pre, self.pi_probe, self.pi_post = (
+            None if table is None else _policy_table(table, feasible, name)
+            for table, name in ((pi_pre, "pi_pre"), (pi_probe, "pi_probe"),
+                                (pi_post, "pi_post")))
         self.detector = detector
         self.oracle_switch_time = oracle_switch_time
-        self.feasible = feasible
         self.phase = "pre"
         self.tau_switch: int | None = None
 

@@ -48,25 +48,47 @@ def shiryaev_log_update(log_stat, log_lr, log_one_minus_rho):
 
 def windowed_cusum(buffer: np.ndarray, rows: np.ndarray, log_lr, n_seen: int) -> np.ndarray:
     """Push one log-likelihood ratio into each selected row of the
-    (..., 2 * (window + 1)) ring buffer, in place, and return those rows'
+    (..., 2 * (window + 1) + 2) buffer, in place, and return those rows'
     windowed CUSUM statistic: the max over the sums of the last j ratios,
     j = 1..min(n_seen, window + 1), where `n_seen` counts the ratios pushed
     so far, this one included.
 
-    Each ratio is stored twice, window + 1 apart, so the newest window + 1
-    ratios are one contiguous run, newest first, and nothing is shifted.
-    `rows` is a boolean mask over the leading axes or an index array, never
-    a slice: the sums are accumulated in place in the copy such indexing
-    makes. Shared by the scalar CUSUM/GLR detectors (one row per candidate)
-    and the batch engine (one row per pre-switch path and run).
+    With P the prefix sums of the ratios (P_0 = 0), the statistic is
+    P_n - min(P_i, n - window - 1 <= i < n), and that minimum is streamed
+    by the van Herk/Gil-Werman block filter: the indices i fall in blocks of
+    w = window + 1, and a window is a suffix of the previous block joined to
+    a prefix of the current one. Per row the buffer holds the current
+    block's P values, the previous block's suffix minima (+inf before the
+    first block ends), the current block's running minimum, and P_{n-1}, all
+    relative to P at the current block's start, so no rounding outlives two
+    blocks. A step costs a few column gathers, plus one rebasing pass every
+    w steps. All selected rows must have seen the same `n_seen` ratios, so
+    they share block boundaries; rows left out are not touched.
+
+    `rows` is a boolean mask over the leading axes or an index array. Shared
+    by the scalar CUSUM/GLR detectors (one row per candidate) and the batch
+    engine (one row per pre-switch path and run).
     """
-    width = buffer.shape[-1] // 2
-    p = -n_seen % width
-    buffer[rows, p] = log_lr
-    buffer[rows, p + width] = log_lr
-    recent = buffer[rows, p:p + min(n_seen, width)]
-    np.cumsum(recent, axis=1, out=recent)
-    return recent.max(axis=1)
+    w = (buffer.shape[-1] - 2) // 2
+    q = (n_seen - 1) % w                   # P_{n-1}'s position in its block
+    if q == 0:                             # P_{n-1} starts a block and is its base
+        if n_seen == 1:
+            buffer[rows, w:2 * w] = math.inf
+        else:
+            block = buffer[rows, :w]
+            suffix_min = np.minimum.accumulate(block[:, ::-1], axis=1)[:, ::-1]
+            buffer[rows, w:2 * w] = suffix_min - buffer[rows, 2 * w + 1][:, None]
+        prev = block_min = np.zeros(buffer[rows, 0].shape)
+    else:
+        prev = buffer[rows, 2 * w + 1]
+        block_min = np.minimum(buffer[rows, 2 * w], prev)
+    buffer[rows, q] = prev
+    buffer[rows, 2 * w] = block_min
+    p_n = prev + log_lr
+    buffer[rows, 2 * w + 1] = p_n
+    if q + 1 < w:
+        block_min = np.minimum(block_min, buffer[rows, w + q + 1])
+    return p_n - block_min
 
 
 def threshold_domain(kind: str, threshold: float) -> float:
@@ -110,8 +132,8 @@ class DetectorState:
 
     `log_stat` is log S_n for shiryaev/sr (so -inf encodes S_n = 0) and the
     statistic itself for cusum/glr. `buffers` holds the `windowed_cusum`
-    ring of recent per-step log-likelihood ratios, one row per candidate
-    (cusum keeps a single row); it is never written once the state exists.
+    block-minimum rows, one per candidate (cusum keeps a single row); it is
+    never written once the state exists.
     """
 
     kind: str
@@ -151,10 +173,10 @@ def _advance(state: DetectorState, log_lrs, log_one_minus_rho: float = 0.0,
         return replace(state, n=state.n + 1, log_stat=float(new_log))
     if window < 1:
         raise ValueError("window must be >= 1")
-    shape = (len(log_lrs), 2 * (window + 1))
+    shape = (len(log_lrs), 2 * (window + 1) + 2)
     if state.n > 0 and state.buffers.shape != shape:
         raise ValueError(f"the state holds {state.buffers.shape[0]} row(s) of window "
-                         f"{state.buffers.shape[1] // 2 - 1}, got {shape[0]} of window {window}")
+                         f"{state.buffers.shape[1] // 2 - 2}, got {shape[0]} of window {window}")
     buf = np.zeros(shape) if state.n == 0 else state.buffers.copy()
     stats = windowed_cusum(buf, np.arange(len(log_lrs)), log_lrs, state.n + 1)
     best = int(np.argmax(stats))

@@ -86,12 +86,12 @@ class EpisodeSetup:
         if self.policy_kind == "momdp" and self.momdp is None:
             raise ValueError("momdp needs a solved belief-grid policy")
         # every given table, so that no bad action index wraps in the step loop
+        feasible, n = self.env.mdp_pre.feasible, self.env.n_states
         for name in ("pi_pre", "pi_probe", "pi_post"):
             if getattr(self, name) is not None:
-                validate_policy(self.env.mdp_pre, getattr(self, name), (self.env.n_states,), name)
+                validate_policy(feasible, getattr(self, name), (n,), name)
         if self.momdp is not None:
-            validate_policy(self.env.mdp_pre, self.momdp.policy,
-                            (self.env.n_states, self.momdp.grid_size), "momdp.policy")
+            validate_policy(feasible, self.momdp.policy, (n, self.momdp.grid_size), "momdp.policy")
         a, b = np.shape(self.threshold_a), np.shape(self.threshold_b)
         if a != b or len(a) > 1 or a == (0,):
             raise ValueError("thresholds must be two scalars or two nonempty 1-D arrays "
@@ -160,8 +160,9 @@ def cell_paths(setup: EpisodeSetup) -> tuple[np.ndarray, np.ndarray, np.ndarray]
                     for thr in setup.effective_thresholds())
     never_probes = log_b >= log_a
     if setup.detector_kind == "cusum":
-        # the statistic sums at most window + 1 log ratios; the margin is far
-        # above the rounding of those additions
+        # the statistic sums at most window + 1 log ratios, and is computed as a
+        # difference of two sums of at most that many; the margin is far above
+        # the rounding of those additions
         lr = log_ratio_table(setup.env.mdp_post.kernel, setup.env.mdp_pre.kernel)
         reach = (setup.window + 1) * (max(float(lr.max()), 0.0)
                                       + CUSUM_REACH_MARGIN * float(np.abs(lr).max()))
@@ -207,7 +208,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         log_b = path_b[:, None]
         log1m_rho = float(np.log1p(-setup.detector_rho))
         if setup.detector_kind == "cusum":
-            buf = np.zeros(shape + (2 * (setup.window + 1),))
+            buf = np.zeros((math.prod(shape), 2 * (setup.window + 1) + 2))
         stat = np.full(shape, -math.inf)     # log S_n (S_0 = 0), or the CUSUM
         pi_probe = setup.pi_pre if setup.pi_probe is None else setup.pi_probe
         policies = np.stack((setup.pi_pre, pi_probe, setup.pi_post))
@@ -249,7 +250,8 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                 if active.any():
                     step_lr = log_lr[transition[active]]
                     if setup.detector_kind == "cusum":
-                        stat[active] = windowed_cusum(buf, active, step_lr, k)
+                        # an index array, which gathers faster than the mask
+                        stat[active] = windowed_cusum(buf, np.flatnonzero(active), step_lr, k)
                     else:
                         stat[active] = shiryaev_log_update(stat[active], step_lr, log1m_rho)
                     newly = active & (stat > path_a[:, None])

@@ -26,8 +26,8 @@ from .mdp import value_iteration
 
 CHUNK_SIZE = 256      # runs per randomness key
 ROW_BUDGET = 16384    # path rows (paths x runs) per engine call
-CUSUM_ROWS = 256      # path rows per call under windowed CUSUM, whose (rows, window + 1)
-                      # temporaries make wider calls slower and raise peak memory
+CUSUM_ROWS = 256      # path rows per call under windowed CUSUM: each row carries a
+                      # 2 * (window + 1) + 2 float buffer, and wider calls raise peak memory
 
 
 @dataclass(frozen=True)

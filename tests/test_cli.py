@@ -38,6 +38,7 @@ VIOLATING = {
     "policies.momdp_tol": ("0", 0.0), "thresholds.a_grid": ("0", 0),
     "thresholds.a_min": ("-2", -2.0), "thresholds.a_max": ("inf", math.inf),
     "thresholds.b_grid": ("-1", -1), "thresholds.opt_runs": ("-3", -3),
+    "sweep.alphas": ("2,nan", (2.0, math.nan)),
 }
 KEY_FLAGS = {key: flag for flag, key in FLAGS.items()}
 
@@ -274,6 +275,22 @@ class TestSweepAndCalibrate:
         fields = row.split(",")
         assert fields[1] == "loc" and float(fields[2]) == 17.0
 
+    @pytest.mark.parametrize("command, flags", [
+        ("sweep", ["--alphas", "5,-1"]), ("sweep", ["--alphas", "nan"]),
+        ("calibrate", ["--alpha", "-1"]), ("calibrate", ["--alpha", "nan"]),
+        ("calibrate", ["--alpha", "inf"])])
+    def test_cap_breaking_its_rule_is_config_error(self, config, capsys, command, flags):
+        cfg, out = config
+        assert main([command, "--config", str(cfg), "--out-dir", str(out), *flags]) == 1
+        assert "sweep.alphas must be finite and >= 0, got (" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_file_cap_breaking_its_rule_is_config_error(self, config, capsys):
+        cfg, out = config
+        cfg.write_text(cfg.read_text() + "\n[sweep]\nalphas = 3, -0.5\n")
+        assert main(["calibrate", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert "sweep.alphas must be finite and >= 0, got (3.0, -0.5)" in capsys.readouterr().err
+
     def test_calibrate_single_alpha(self, config):
         cfg, out = config
         main(["solve", "--config", str(cfg), "--out-dir", str(out)])
@@ -455,7 +472,8 @@ class TestConfigRules:
         path.write_text(f"[{section}]\n{key} = {raw}\n" if source == "file" else "")
         flags = [KEY_FLAGS[name], raw] if source == "flag" else []
         out = tmp_path / "out"
-        assert main(["solve", "--config", str(path), "--out-dir", str(out), *flags]) == 1
+        # sweep, the one command that takes every flag
+        assert main(["sweep", "--config", str(path), "--out-dir", str(out), *flags]) == 1
         phrase = next(row[5][1] for row in CONFIG_KEYS if row[:2] == (section, key))
         assert f"{name} must be {phrase}, got {value!r}" in capsys.readouterr().err
         assert not out.exists()

@@ -140,6 +140,29 @@ class TestPhaseMachine:
             with pytest.raises(ValueError):
                 make_controller(small_env, small_policies, "tt", a=a, b=b)
 
+    @pytest.mark.parametrize("table", ["pi_pre", "pi_probe", "pi_post"])
+    def test_bad_policy_table_rejected(self, small_env, small_policies, table):
+        """A negative, non-integer, infeasible or wrongly sized table raises
+        ValueError naming it, instead of wrapping or truncating."""
+        ps, feasible = small_policies, small_env.mdp_pre.feasible
+        tables = {"pi_pre": ps.pi_pre, "pi_probe": ps.pi_probe, "pi_post": ps.pi_post}
+        n = len(feasible)
+        infeasible = tables[table].copy()
+        infeasible[n - 1] = n    # at most n - 1 - s units fit at stock s
+        bad_values = [np.where(np.arange(n) == 2, -1, tables[table]),
+                      tables[table] + 0.5, tables[table].astype(float)]
+        for bad, given in ([(b, None) for b in bad_values]
+                           + [(b, feasible) for b in bad_values]
+                           + [(infeasible, feasible), (tables[table][:-1], feasible)]):
+            det = make_detector(small_env, threshold=5.0)
+            with pytest.raises(ValueError, match=table):
+                SwitchController("tt", **{**tables, table: bad}, detector=det,
+                                 threshold_a=5.0, threshold_b=1.0, feasible=given)
+        SwitchController("tt", **tables, detector=make_detector(small_env, threshold=5.0),
+                         threshold_a=5.0, threshold_b=1.0, feasible=feasible)
+        with pytest.raises(ValueError, match="pi_pre"):
+            SwitchController("oracle", pi_pre=np.full(n, -1), pi_post=ps.pi_post)
+
     def test_feedback_required_after_first_step(self, small_env, small_policies):
         ctrl = make_controller(small_env, small_policies, "tt", a=10.0, b=1.0)
         ctrl.step(2, None, 0)

@@ -9,7 +9,7 @@ from nsmdp.detectors import (Detector, DetectorConfig, check_stop, cusum_step,
                              geometric_prior, glr_step, log_likelihood_ratio,
                              new_detector_state, posterior_from_log_shiryaev,
                              posterior_from_shiryaev, shiryaev_batch,
-                             shiryaev_step, sr_step)
+                             shiryaev_step, sr_step, windowed_cusum)
 from nsmdp.errors import StateError
 
 from util import bayes_posterior_oracle, random_kernel, suffix_max_oracle
@@ -152,6 +152,58 @@ class TestCusum:
         state = cusum_step(new_detector_state("cusum"), 1.0, window=2)
         with pytest.raises(ValueError, match="window"):
             cusum_step(state, 1.0, window=10)
+
+
+def kernel_oracle(lrs, n, window):
+    """`suffix_max_oracle` on the first n ratios of a list, passed only the
+    window + 1 newest, the ones it reads."""
+    return suffix_max_oracle(lrs[max(0, n - window - 1):n], window)
+
+
+class TestWindowedCusumKernel:
+    """The streaming block-minimum kernel against the suffix brute force,
+    across block boundaries (every window + 1 ratios) and the first block."""
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 200])
+    def test_boolean_mask_over_2d_rows(self, rng, window):
+        width, n_steps = 2 * (window + 1) + 2, 4 * (window + 1) + 3
+        lrs = rng.normal(0.0, 2.0, (2, 3, n_steps))
+        buffer = rng.normal(size=(2, 3, width))   # the kernel writes before it reads
+        mask = np.array([[True, False, True], [True, True, False]])
+        drop = (1, 0)     # leaves the mask midway, like a row that has switched
+        for n in range(1, n_steps + 1):
+            if n == n_steps // 2:
+                mask[drop] = False
+            untouched = buffer[~mask].copy()
+            stats = windowed_cusum(buffer, mask, lrs[mask, n - 1], n)
+            assert buffer[~mask].tobytes() == untouched.tobytes()
+            for stat, row in zip(stats, lrs[mask].tolist()):
+                assert stat == pytest.approx(kernel_oracle(row, n, window), abs=1e-12)
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 200])
+    def test_index_array_rows(self, rng, window):
+        n_steps = 4 * (window + 1) + 3
+        lrs = rng.normal(0.5, 1.0, (4, n_steps))
+        buffer = np.zeros((4, 2 * (window + 1) + 2))
+        rows = np.array([3, 0, 2])
+        for n in range(1, n_steps + 1):
+            untouched = buffer[1].copy()
+            stats = windowed_cusum(buffer, rows, lrs[rows, n - 1], n)
+            assert buffer[1].tobytes() == untouched.tobytes()
+            for stat, row in zip(stats, lrs[rows].tolist()):
+                assert stat == pytest.approx(kernel_oracle(row, n, window), abs=1e-12)
+
+    def test_long_drifting_run_keeps_its_accuracy(self, rng):
+        """Prefix sums climb to about 2e4, but every value is kept relative to
+        its block's start, so the error stays that of one window's sums."""
+        window, n_steps = 200, 20_000
+        lrs = rng.normal(1.0, 1.0, n_steps)
+        buffer = np.zeros((1, 2 * (window + 1) + 2))
+        rows, as_list = np.array([0]), lrs.tolist()
+        for n in range(1, n_steps + 1):
+            stat = windowed_cusum(buffer, rows, lrs[n - 1:n], n)[0]
+            if n % 50 == 0 or n > n_steps - window:
+                assert stat == pytest.approx(kernel_oracle(as_list, n, window), abs=1e-12)
 
 
 class TestGlr:

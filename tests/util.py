@@ -5,7 +5,9 @@ force (hypothesis enumeration, suffix scans, policy enumeration) so they can
 arbitrate the vectorized implementations. The exceptions are frozen
 copies that pin a faster implementation's output bit for bit:
 `belief_grid_oracle`, the full-table belief-grid solver, and
-`engine_oracle`, the one-row-per-cell episode loop.
+`engine_oracle`, the one-row-per-cell episode loop. `engine_oracle` calls
+the library's `windowed_cusum`, so it does not judge that kernel; the
+suffix brute force `suffix_max_oracle` does.
 """
 
 import itertools
@@ -208,7 +210,7 @@ def engine_oracle(setup: EpisodeSetup, master_seed: int, run_ids,
                         for thr in setup.effective_thresholds())
         log1m_rho = float(np.log1p(-setup.detector_rho))
         if setup.detector_kind == "cusum":
-            buf = np.zeros(shape + (2 * (setup.window + 1),))
+            buf = np.zeros(shape + (2 * (setup.window + 1) + 2,))
         stat = np.full(shape, -math.inf)     # log S_n (S_0 = 0), or the CUSUM
         pi_probe = setup.pi_pre if setup.pi_probe is None else setup.pi_probe
         policies = np.stack((setup.pi_pre, pi_probe, setup.pi_post))
