@@ -46,55 +46,61 @@ def shiryaev_log_update(log_stat, log_lr, log_one_minus_rho):
     return np.logaddexp(0.0, log_stat) - log_one_minus_rho + log_lr
 
 
+def cusum_buffer(rows, window: int) -> np.ndarray:
+    """A `windowed_cusum` buffer of the window for `rows`, a count or a shape."""
+    return np.zeros((*np.atleast_1d(rows), window + 3))
+
+
 def windowed_cusum(buffer: np.ndarray, rows: np.ndarray, log_lr, n_seen: int) -> np.ndarray:
-    """Push one log-likelihood ratio into each selected row of the
-    (..., 2 * (window + 1) + 2) buffer, in place, and return those rows'
-    windowed CUSUM statistic: the max over the sums of the last j ratios,
-    j = 1..min(n_seen, window + 1), where `n_seen` counts the ratios pushed
-    so far, this one included.
+    """Push one log-likelihood ratio into each selected row of a `cusum_buffer`,
+    in place, and return those rows' windowed CUSUM statistic: the max over
+    the sums of the last j ratios, j = 1..min(n_seen, window + 1), where
+    `n_seen` counts the ratios pushed so far, this one included.
 
     With P the prefix sums of the ratios (P_0 = 0), the statistic is
     P_n - min(P_i, n - window - 1 <= i < n), and that minimum is streamed
     by the van Herk/Gil-Werman block filter: the indices i fall in blocks of
     w = window + 1, and a window is a suffix of the previous block joined to
-    a prefix of the current one. Per row the buffer holds the current
-    block's P values, the previous block's suffix minima (+inf before the
-    first block ends), the current block's running minimum, and P_{n-1}, all
-    relative to P at the current block's start, so no rounding outlives two
-    blocks. A step costs a few column gathers, plus one rebasing pass every
-    w steps. All selected rows must have seen the same `n_seen` ratios, so
-    they share block boundaries; rows left out are not touched.
+    a prefix of the current one. Per row, block slot i holds the previous
+    block's suffix minimum from i on (+inf before the first block ends)
+    until, after its last read, this block's P at position i overwrites it;
+    two more slots hold the block's running minimum and P_{n-1}. All are
+    relative to P at the block's start, rebased in one pass every w steps,
+    so no rounding outlives two blocks. Selected rows must all have seen
+    `n_seen` ratios, so they share block boundaries; others are not touched.
 
-    `rows` is a boolean mask over the leading axes or an index array. Shared
-    by the scalar CUSUM/GLR detectors (one row per candidate) and the batch
-    engine (one row per pre-switch path and run).
+    `rows` is a boolean mask over the leading axes or an index array: one row
+    per candidate in the scalar CUSUM/GLR detectors, per path and run in the engine.
     """
-    w = (buffer.shape[-1] - 2) // 2
+    w = buffer.shape[-1] - 2
     q = (n_seen - 1) % w                   # P_{n-1}'s position in its block
     if q == 0:                             # P_{n-1} starts a block and is its base
         if n_seen == 1:
-            buffer[rows, w:2 * w] = math.inf
-        else:
+            buffer[rows, :w] = math.inf
+        else:                              # the finished block's P values become suffix minima
             block = buffer[rows, :w]
-            suffix_min = np.minimum.accumulate(block[:, ::-1], axis=1)[:, ::-1]
-            buffer[rows, w:2 * w] = suffix_min - buffer[rows, 2 * w + 1][:, None]
+            np.minimum.accumulate(block[:, ::-1], axis=1, out=block[:, ::-1])
+            block -= buffer[rows, w + 1][:, None]
+            buffer[rows, :w] = block
         prev = block_min = np.zeros(buffer[rows, 0].shape)
     else:
-        prev = buffer[rows, 2 * w + 1]
-        block_min = np.minimum(buffer[rows, 2 * w], prev)
+        prev = buffer[rows, w + 1]
+        block_min = np.minimum(buffer[rows, w], prev)
     buffer[rows, q] = prev
-    buffer[rows, 2 * w] = block_min
+    buffer[rows, w] = block_min
     p_n = prev + log_lr
-    buffer[rows, 2 * w + 1] = p_n
+    buffer[rows, w + 1] = p_n
     if q + 1 < w:
-        block_min = np.minimum(block_min, buffer[rows, w + q + 1])
+        block_min = np.minimum(block_min, buffer[rows, q + 1])
     return p_n - block_min
 
 
 def threshold_domain(kind: str, threshold: float) -> float:
     """A threshold in the domain of `DetectorState.log_stat`: its log for
     shiryaev/sr, whose thresholds are linear and must be non-negative, and
-    the threshold itself for cusum/glr."""
+    the threshold itself for cusum/glr. ValueError for a NaN threshold."""
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     if kind in ("shiryaev", "sr"):
         if threshold < 0:
             raise ValueError("threshold must be non-negative for shiryaev/sr")
@@ -124,6 +130,7 @@ class DetectorConfig:
             raise ValueError("window must be >= 1")
         if self.kind == "glr" and len(self.theta_grid) == 0:
             raise ValueError("glr requires a nonempty theta_grid")
+        threshold_domain(self.kind, self.threshold)
 
 
 @dataclass(frozen=True)
@@ -131,9 +138,9 @@ class DetectorState:
     """Value object holding a running statistic.
 
     `log_stat` is log S_n for shiryaev/sr (so -inf encodes S_n = 0) and the
-    statistic itself for cusum/glr. `buffers` holds the `windowed_cusum`
-    block-minimum rows, one per candidate (cusum keeps a single row); it is
-    never written once the state exists.
+    statistic itself for cusum/glr. `buffers` is the `cusum_buffer` with one
+    row per candidate (cusum keeps a single row); it is never written once
+    the state exists.
     """
 
     kind: str
@@ -173,11 +180,11 @@ def _advance(state: DetectorState, log_lrs, log_one_minus_rho: float = 0.0,
         return replace(state, n=state.n + 1, log_stat=float(new_log))
     if window < 1:
         raise ValueError("window must be >= 1")
-    shape = (len(log_lrs), 2 * (window + 1) + 2)
-    if state.n > 0 and state.buffers.shape != shape:
-        raise ValueError(f"the state holds {state.buffers.shape[0]} row(s) of window "
-                         f"{state.buffers.shape[1] // 2 - 2}, got {shape[0]} of window {window}")
-    buf = np.zeros(shape) if state.n == 0 else state.buffers.copy()
+    buf = cusum_buffer(len(log_lrs), window)
+    if state.n > 0 and state.buffers.shape != buf.shape:
+        raise ValueError(f"the state's buffers {state.buffers.shape} do not fit "
+                         f"{len(log_lrs)} row(s) of window {window}")
+    buf = state.buffers.copy() if state.n > 0 else buf
     stats = windowed_cusum(buf, np.arange(len(log_lrs)), log_lrs, state.n + 1)
     best = int(np.argmax(stats))
     return replace(state, n=state.n + 1, log_stat=float(stats[best]), buffers=buf,
@@ -186,9 +193,9 @@ def _advance(state: DetectorState, log_lrs, log_one_minus_rho: float = 0.0,
 
 def shiryaev_step(state: DetectorState, lr: float, rho: float) -> DetectorState:
     """Advance the Shiryaev recursion by one likelihood ratio."""
-    if rho >= 1.0 or rho < 0.0:
+    if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must be in [0, 1), got {rho}")
-    if lr < 0.0:
+    if not lr >= 0.0:
         raise ValueError(f"likelihood ratio must be non-negative, got {lr}")
     log_lr = float(np.log(lr)) if lr > 0.0 else NEG_INF
     return _advance(state, (log_lr,), float(np.log1p(-rho)))
@@ -201,6 +208,8 @@ def sr_step(state: DetectorState, lr: float) -> DetectorState:
 
 def cusum_step(state: DetectorState, log_lr: float, window: int) -> DetectorState:
     """Windowed CUSUM update: max over suffix sums of the last window+1 ratios."""
+    if math.isnan(log_lr):
+        raise ValueError("log-likelihood ratio must not be NaN")
     return _advance(state, np.array([float(log_lr)]), window=window)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controllers import check_thresholds, kind_thresholds, switch_action
-from .detectors import shiryaev_log_update, threshold_domain, windowed_cusum
+from .detectors import cusum_buffer, shiryaev_log_update, threshold_domain, windowed_cusum
 from .inventory import ChangeSpec, InventoryEnv, demand_from_uniform, sample_change_point
 from .mdp import log_ratio_table, validate_policy
 from .momdp import MomdpSolution, belief_step
@@ -208,7 +208,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         log_b = path_b[:, None]
         log1m_rho = float(np.log1p(-setup.detector_rho))
         if setup.detector_kind == "cusum":
-            buf = np.zeros((math.prod(shape), 2 * (setup.window + 1) + 2))
+            buf = cusum_buffer(math.prod(shape), setup.window)
         stat = np.full(shape, -math.inf)     # log S_n (S_0 = 0), or the CUSUM
         pi_probe = setup.pi_pre if setup.pi_probe is None else setup.pi_probe
         policies = np.stack((setup.pi_pre, pi_probe, setup.pi_post))

@@ -19,15 +19,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .controllers import kl_policy
-from .engine import EpisodeSetup, cell_paths, simulate_batch
+from .engine import EpisodeSetup, simulate_batch
 from .inventory import ChangeSpec, InventoryEnv
 from .momdp import MomdpSolution, belief_grid_solve, build_pomdp
 from .mdp import value_iteration
 
 CHUNK_SIZE = 256      # runs per randomness key
-ROW_BUDGET = 16384    # path rows (paths x runs) per engine call
-CUSUM_ROWS = 256      # path rows per call under windowed CUSUM: each row carries a
-                      # 2 * (window + 1) + 2 float buffer, and wider calls raise peak memory
 
 
 @dataclass(frozen=True)
@@ -102,25 +99,18 @@ def _batched_costs(setup: EpisodeSetup, n_runs: int,
     """Simulate n_runs episodes per threshold cell: the per-run change points,
     and the (cells, runs) switch times and discounted costs.
 
-    Runs go in fixed CHUNK_SIZE chunks (the randomness keys), and each
-    chunk's pre-switch paths, each with all of its cells, are packed into
-    engine calls of at most a fixed budget of path rows, so results are
-    deterministic in the seed alone.
+    Runs go in fixed CHUNK_SIZE chunks (the randomness keys), one engine
+    call each with every cell, so results are deterministic in the seed alone.
     """
-    a, b = np.atleast_1d(setup.threshold_a, setup.threshold_b)
-    path = cell_paths(setup)[1]
-    budget = CUSUM_ROWS if setup.detector_kind == "cusum" else ROW_BUDGET
-    gamma, cost = np.empty(n_runs), np.empty((len(a), n_runs))
-    tau = np.empty((len(a), n_runs), dtype=int)
+    n_cells = np.size(setup.threshold_a)
+    gamma, cost = np.empty(n_runs), np.empty((n_cells, n_runs))
+    tau = np.empty((n_cells, n_runs), dtype=int)
     for lo in range(0, n_runs, CHUNK_SIZE):
         ids = np.arange(lo, min(lo + CHUNK_SIZE, n_runs))
-        call = path // max(1, budget // len(ids))
-        for c in range(call.max() + 1):
-            part = simulate_batch(replace(setup, threshold_a=a[call == c],
-                                          threshold_b=b[call == c]), master_seed, ids)
-            gamma[lo:lo + len(ids)] = part.gamma[:len(ids)]
-            tau[call == c, lo:lo + len(ids)] = part.tau.reshape(-1, len(ids))
-            cost[call == c, lo:lo + len(ids)] = part.discounted_cost.reshape(-1, len(ids))
+        part = simulate_batch(setup, master_seed, ids)
+        gamma[ids] = part.gamma[:len(ids)]
+        tau[:, ids] = part.tau.reshape(n_cells, -1)
+        cost[:, ids] = part.discounted_cost.reshape(n_cells, -1)
     return gamma, tau, cost
 
 

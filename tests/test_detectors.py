@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from nsmdp.detectors import (Detector, DetectorConfig, check_stop, cusum_step,
-                             geometric_prior, glr_step, log_likelihood_ratio,
-                             new_detector_state, posterior_from_log_shiryaev,
-                             posterior_from_shiryaev, shiryaev_batch,
-                             shiryaev_step, sr_step, windowed_cusum)
+from nsmdp.detectors import (Detector, DetectorConfig, check_stop, cusum_buffer,
+                             cusum_step, geometric_prior, glr_step,
+                             log_likelihood_ratio, new_detector_state,
+                             posterior_from_log_shiryaev, posterior_from_shiryaev,
+                             shiryaev_batch, shiryaev_step, sr_step,
+                             threshold_domain, windowed_cusum)
 from nsmdp.errors import StateError
 
 from util import bayes_posterior_oracle, random_kernel, suffix_max_oracle
@@ -64,6 +65,12 @@ class TestShiryaevStep:
             shiryaev_step(new_detector_state("shiryaev"), lr=1.0, rho=1.0)
         with pytest.raises(ValueError):
             shiryaev_step(new_detector_state("shiryaev"), lr=-0.5, rho=0.1)
+
+    @pytest.mark.parametrize("lr, rho", [(math.nan, 0.1), (1.0, math.nan), (math.nan, 0.0)])
+    def test_nan_input_rejected(self, lr, rho):
+        # a NaN ratio used to read as lr = 0 and a NaN rho gave a NaN statistic
+        with pytest.raises(ValueError):
+            shiryaev_step(new_detector_state("shiryaev"), lr=lr, rho=rho)
 
     def test_stepping_stopped_state_raises(self):
         state = shiryaev_step(new_detector_state("shiryaev"), lr=100.0, rho=0.1)
@@ -153,6 +160,13 @@ class TestCusum:
         with pytest.raises(ValueError, match="window"):
             cusum_step(state, 1.0, window=10)
 
+    def test_nan_ratio_rejected(self):
+        state = cusum_step(new_detector_state("cusum"), 1.0, window=2)
+        with pytest.raises(ValueError, match="NaN"):
+            cusum_step(state, math.nan, window=2)
+        with pytest.raises(ValueError, match="NaN"):
+            cusum_step(new_detector_state("cusum"), math.nan, window=2)
+
 
 def kernel_oracle(lrs, n, window):
     """`suffix_max_oracle` on the first n ratios of a list, passed only the
@@ -166,9 +180,10 @@ class TestWindowedCusumKernel:
 
     @pytest.mark.parametrize("window", [1, 2, 3, 200])
     def test_boolean_mask_over_2d_rows(self, rng, window):
-        width, n_steps = 2 * (window + 1) + 2, 4 * (window + 1) + 3
+        n_steps = 4 * (window + 1) + 3
         lrs = rng.normal(0.0, 2.0, (2, 3, n_steps))
-        buffer = rng.normal(size=(2, 3, width))   # the kernel writes before it reads
+        buffer = cusum_buffer((2, 3), window)
+        buffer[:] = rng.normal(size=buffer.shape)   # the kernel writes before it reads
         mask = np.array([[True, False, True], [True, True, False]])
         drop = (1, 0)     # leaves the mask midway, like a row that has switched
         for n in range(1, n_steps + 1):
@@ -184,7 +199,7 @@ class TestWindowedCusumKernel:
     def test_index_array_rows(self, rng, window):
         n_steps = 4 * (window + 1) + 3
         lrs = rng.normal(0.5, 1.0, (4, n_steps))
-        buffer = np.zeros((4, 2 * (window + 1) + 2))
+        buffer = cusum_buffer(4, window)
         rows = np.array([3, 0, 2])
         for n in range(1, n_steps + 1):
             untouched = buffer[1].copy()
@@ -198,7 +213,7 @@ class TestWindowedCusumKernel:
         its block's start, so the error stays that of one window's sums."""
         window, n_steps = 200, 20_000
         lrs = rng.normal(1.0, 1.0, n_steps)
-        buffer = np.zeros((1, 2 * (window + 1) + 2))
+        buffer = cusum_buffer(1, window)
         rows, as_list = np.array([0]), lrs.tolist()
         for n in range(1, n_steps + 1):
             stat = windowed_cusum(buffer, rows, lrs[n - 1:n], n)[0]
@@ -353,6 +368,18 @@ class TestDetectorDriver:
             DetectorConfig(kind="glr", threshold=1.0)
         with pytest.raises(ValueError):
             DetectorConfig(kind="bogus", threshold=1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            DetectorConfig(kind="sr", threshold=-1.0)
+
+    @pytest.mark.parametrize("kind", ["shiryaev", "sr", "cusum", "glr"])
+    def test_nan_threshold_rejected(self, rng, kind):
+        # under sr a NaN threshold used to stop at n = 1, under cusum never
+        with pytest.raises(ValueError, match="NaN"):
+            threshold_domain(kind, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            DetectorConfig(kind=kind, threshold=math.nan,
+                           rho=0.1 if kind == "shiryaev" else 0.0,
+                           theta_grid=(random_kernel(2, 1, rng),) if kind == "glr" else ())
 
     def test_glr_separation_enforced(self, rng):
         k0 = random_kernel(2, 1, rng)

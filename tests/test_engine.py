@@ -4,7 +4,6 @@ replaced, bit for bit on random small inventory instances, policies,
 threshold grids, detectors, change points, horizons and run counts."""
 
 import math
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -80,12 +79,9 @@ def test_batch_and_trace_equal_oracle(setup, first_id, n_runs, seed):
 
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(setup=setups(kinds=("loc", "kl", "tt")),
-       n_runs=st.integers(CHUNK_SIZE + 1, CHUNK_SIZE + 40),
-       budget=st.sampled_from((CHUNK_SIZE, 3 * CHUNK_SIZE)), seed=st.integers(0, 2**16))
-def test_packed_chunks_equal_oracle(setup, n_runs, budget, seed):
-    # a small path-row budget splits a chunk's paths over several calls
-    with mock.patch.object(harness, "ROW_BUDGET", budget):
-        gamma, tau, cost = harness._batched_costs(setup, n_runs, seed)
+       n_runs=st.integers(CHUNK_SIZE + 1, CHUNK_SIZE + 40), seed=st.integers(0, 2**16))
+def test_packed_chunks_equal_oracle(setup, n_runs, seed):
+    gamma, tau, cost = harness._batched_costs(setup, n_runs, seed)
     n_cells = np.size(setup.threshold_a)
     for lo in range(0, n_runs, CHUNK_SIZE):
         ids = np.arange(lo, min(lo + CHUNK_SIZE, n_runs))

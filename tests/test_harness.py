@@ -4,14 +4,16 @@ threshold optimization, calibration, and the CSV surfaces."""
 import math
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from nsmdp import harness
 from nsmdp.controllers import SwitchController
 from nsmdp.detectors import Detector, DetectorConfig
 from nsmdp.engine import cell_paths, draw_episode_randomness, simulate_batch
-from nsmdp.harness import (CHUNK_SIZE, CUSUM_ROWS, ROW_BUDGET, _switch_outcomes,
+from nsmdp.harness import (CHUNK_SIZE, _switch_outcomes,
                            calibrate_nonbayes, default_a_grid, default_b_grid,
                            delay_profile, estimate_nonbayes_grid,
                            calibrate_from_grid, frontier_sweep, make_setup,
@@ -329,12 +331,10 @@ class TestGridPass:
 
     @staticmethod
     def grids(detector):
-        """A and B grids whose tt grid has enough distinct pre-switch paths
-        that the first chunk's path rows exceed one engine call's budget."""
+        """A and B grids whose tt grid has several distinct pre-switch paths."""
         if detector == "cusum":
             return np.linspace(-1.0, 12.0, 8), [-math.inf, 0.5, 3.0]
-        return (np.geomspace(0.5, 1e5, ROW_BUDGET // CHUNK_SIZE + 4),
-                np.concatenate([[0.0], np.geomspace(0.6, 9e4, ROW_BUDGET // CHUNK_SIZE)]))
+        return np.geomspace(0.5, 1e5, 20), np.concatenate([[0.0], np.geomspace(0.6, 9e4, 12)])
 
     @pytest.mark.parametrize("detector", ["shiryaev", "sr", "cusum"])
     @pytest.mark.parametrize("kind", ["loc", "kl", "tt"])
@@ -343,12 +343,12 @@ class TestGridPass:
                                     detector=detector), window=5)
         a_grid, b_grid = self.grids(detector)
         if kind == "tt":
-            a_grid = a_grid[::3] if detector == "cusum" else a_grid[::22]
+            a_grid = a_grid[::3] if detector == "cusum" else a_grid[::6]
         cells = threshold_cells(kind, a_grid, b_grid)
         a, b = np.array(cells).T
         paths = cell_paths(replace(setup, threshold_a=a, threshold_b=b))[2]
-        if kind == "tt":    # loc's and kl's cells share one path, so one call holds them
-            assert len(paths) * CHUNK_SIZE > (CUSUM_ROWS if detector == "cusum" else ROW_BUDGET)
+        if kind == "tt":    # loc's and kl's cells share one path
+            assert len(paths) > 1
         choice = optimize_thresholds(setup, a_grid, b_grid, n_runs=self.N_RUNS,
                                      master_seed=4)
         grid = estimate_nonbayes_grid(setup, a_grid, b_grid, n_runs=self.N_RUNS,
@@ -374,6 +374,17 @@ class TestGridPass:
         assert choice.report.mean_cost == best.mean_cost
         if kind != "kl":   # the toy instance's probe policy is its post policy
             assert len({c.mean_cost for c in choice.cells}) > 1
+
+    def test_one_engine_call_per_chunk(self, small_env, small_policies):
+        setup = replace(small_setup(small_env, small_policies, "tt", horizon=40,
+                                    detector="cusum"), window=5)
+        a, b = np.array(threshold_cells("tt", *self.grids("cusum"))).T
+        grid = replace(setup, threshold_a=a, threshold_b=b)
+        assert len(cell_paths(grid)[2]) > 1
+        with mock.patch.object(harness, "simulate_batch", wraps=simulate_batch) as engine:
+            monte_carlo(grid, self.N_RUNS, master_seed=4)
+        assert engine.call_count == math.ceil(self.N_RUNS / CHUNK_SIZE)
+        assert all(call.args[0] is grid for call in engine.call_args_list)
 
     def test_cusum_b_beyond_reach_joins_the_never_probe_path(self, small_env,
                                                               small_policies):

@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from nsmdp.controllers import switch_action
-from nsmdp.detectors import log_ratio_table, shiryaev_log_update, threshold_domain, windowed_cusum
+from nsmdp.detectors import (cusum_buffer, log_ratio_table, shiryaev_log_update,
+                             threshold_domain, windowed_cusum)
 from nsmdp.engine import BatchResult, EpisodeSetup, draw_episode_randomness
 from nsmdp.errors import NumericalError
 from nsmdp.inventory import demand_from_uniform
@@ -210,7 +211,7 @@ def engine_oracle(setup: EpisodeSetup, master_seed: int, run_ids,
                         for thr in setup.effective_thresholds())
         log1m_rho = float(np.log1p(-setup.detector_rho))
         if setup.detector_kind == "cusum":
-            buf = np.zeros(shape + (2 * (setup.window + 1) + 2,))
+            buf = cusum_buffer(shape, setup.window)
         stat = np.full(shape, -math.inf)     # log S_n (S_0 = 0), or the CUSUM
         pi_probe = setup.pi_pre if setup.pi_probe is None else setup.pi_probe
         policies = np.stack((setup.pi_pre, pi_probe, setup.pi_post))
