@@ -3,7 +3,7 @@ Solving both demand regimes of the inventory problem
 ====================================================
 
 Builds the pre-change (Poisson demand) and post-change (Uniform demand)
-inventory MDPs, solves each by value iteration, and compares the policies
+inventory MDPs, solves each by policy iteration, and compares the policies
 that matter for switching control: the exploit policy, the post-change
 policy, and the information-maximizing probe policy.
 """

@@ -36,21 +36,19 @@ def kind_thresholds(kind: str, detector_kind: str, threshold_a: float,
 
 def check_thresholds(detector_kind: str, detector_rho: float, threshold_a,
                      threshold_b) -> None:
-    """Raise ValueError unless the detector can use these thresholds: no A
-    or B is NaN, B <= A in every cell, both are non-negative for shiryaev/sr
-    (whose thresholds are linear), and `detector_rho` is in [0, 1), and 0
-    for sr. A and B may be per-cell arrays."""
+    """Raise ValueError unless the detector can use these thresholds: every
+    A and B passes `threshold_domain` (not NaN, non-negative for shiryaev/sr),
+    B <= A in every cell, and `detector_rho` is in [0, 1), and 0 for sr. A
+    and B may be per-cell arrays."""
     if not 0.0 <= detector_rho < 1.0 or (detector_kind == "sr" and detector_rho != 0.0):
         raise ValueError(f"detector_rho must be in [0, 1), and 0 for sr, got {detector_rho}")
     a, b = (t.reshape(-1) for t in np.broadcast_arrays(np.asarray(threshold_a, dtype=float),
                                                       np.asarray(threshold_b, dtype=float)))
-    if np.isnan(a).any() or np.isnan(b).any():
-        raise ValueError("thresholds must not be NaN")
+    for threshold in np.unique(np.concatenate([a, b])).tolist():
+        threshold_domain(detector_kind, threshold)
     over = np.flatnonzero(b > a)
     if over.size:
         raise ValueError(f"need B <= A, got B={b[over[0]]:g}, A={a[over[0]]:g}")
-    if detector_kind in ("shiryaev", "sr") and (b < 0).any():
-        raise ValueError("thresholds must be non-negative for shiryaev/sr")
 
 
 def switch_action(policies: np.ndarray, switched, log_stat, log_b, s):

@@ -60,8 +60,8 @@ class PolicySet:
 
 def solve_policies(env: InventoryEnv, beta: float, momdp_grid: int | None = None,
                    momdp_rho: float = 0.01, momdp_tol: float = 1e-6) -> PolicySet:
-    """Value-iterate both regimes, build the probing policy, and optionally
-    solve the belief-grid baseline."""
+    """Solve both regimes by `value_iteration`, build the probing policy,
+    and optionally solve the belief-grid baseline."""
     sol_pre = value_iteration(env.mdp_pre, beta)
     sol_post = value_iteration(env.mdp_post, beta)
     probe = kl_policy(env.mdp_pre.kernel, env.mdp_post.kernel, env.mdp_pre.feasible)

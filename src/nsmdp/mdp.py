@@ -4,6 +4,12 @@ States and actions are integer indices. A policy is a plain integer array
 mapping state -> action; a value function is a float array indexed by state.
 Costs are minimized throughout (reward formulations are negated costs at the
 caller level).
+
+`value_iteration` (the name predates the method) solves a discounted problem
+exactly by Howard's policy iteration: each step is one dense S x S solve,
+`policy_evaluation`, and the inventory instances need one or two steps. The
+information rate, an average-reward problem, is found by relative value
+iteration.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from .errors import ModelError, NumericalError
 
 ROW_SUM_TOL = 1e-9
 EPS_PROB = 1e-12          # floor for probabilities inside log ratios
-VI_MAX_ITER = 10_000_000  # value-iteration sweeps before giving up
+PI_MAX_ITER = 100         # policy-iteration steps before giving up
 EVAL_TOL = 1e-8           # policy-evaluation residual tolerance
 STATIONARY_TOL = 1e-9     # stationary-distribution residual tolerance
 RVI_TOL = 1e-8            # relative-VI span tolerance for the information rate
@@ -131,33 +137,39 @@ class VISolution(NamedTuple):
 
 
 def value_iteration(mdp: TabularMdp, beta: float, tol: float = 1e-8) -> VISolution:
-    """Solve the discounted cost-minimization problem by value iteration.
+    """Solve the discounted cost-minimization problem by policy iteration.
 
-    Returns a value function whose Bellman residual is at most `tol`, the
-    greedy (cost-minimizing) policy with ties broken toward the lowest action
-    index, and the per-sweep sup-norm change log.
+    Starts from the cheapest feasible actions, evaluates each policy exactly
+    and moves a state only where another action is strictly better, so
+    exact ties cannot cycle. Returns the stable policy's value, the greedy
+    policy with ties broken toward the lowest action index, and the sup-norm
+    change of each evaluation (the first from zero). NumericalError after
+    PI_MAX_ITER steps, or if the Bellman residual exceeds `tol`.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     mask = mdp.feasible_mask()
+    states = np.arange(mdp.n_states)
+    policy = np.argmin(np.where(mask, mdp.cost, np.inf), axis=1)
     v = np.zeros(mdp.n_states)
     deltas: list[float] = []
-    for _ in range(VI_MAX_ITER):
-        q = np.where(mask, mdp.cost + beta * mdp.kernel @ v, np.inf)
-        v_new = q.min(axis=1)
-        delta = float(np.max(np.abs(v_new - v)))
-        deltas.append(delta)
+    for _ in range(PI_MAX_ITER):
+        v_new = policy_evaluation(mdp, policy, beta)
+        deltas.append(float(np.max(np.abs(v_new - v))))
         v = v_new
-        # residual of the *returned* iterate is bounded by beta * delta
-        if beta * delta <= tol:
+        q = np.where(mask, mdp.cost + beta * mdp.kernel @ v, np.inf)
+        better = q.min(axis=1) < q[states, policy]
+        if not better.any():
             break
+        policy = np.where(better, q.argmin(axis=1), policy)
     else:
-        raise NumericalError(f"value iteration did not converge in {VI_MAX_ITER} sweeps")
-    q = np.where(mask, mdp.cost + beta * mdp.kernel @ v, np.inf)
-    policy = np.argmin(q, axis=1)
-    return VISolution(v, policy.astype(int), deltas)
+        raise NumericalError(f"policy iteration did not settle in {PI_MAX_ITER} steps")
+    residual = float(np.max(np.abs(v - q.min(axis=1))))
+    if residual > tol:
+        raise NumericalError(f"policy iteration residual {residual:.3e} exceeds tol {tol:.3e}")
+    return VISolution(v, np.argmin(q, axis=1).astype(int), deltas)
 
 
 def policy_evaluation(mdp: TabularMdp, policy: np.ndarray, beta: float) -> np.ndarray:

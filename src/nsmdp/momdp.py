@@ -180,8 +180,15 @@ def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
         p_k, lo_k, wl_k, wh_k = (np.take(t.reshape(-1, n_s), keys, axis=0)
                                  for t in (p_next, flat_lo, w_lo, w_hi))   # (K, S')
         c_pi = step_cost[s_rows, pi, g_cols]
+        at_lo, at_hi, cont_k = np.empty_like(wl_k), np.empty_like(wh_k), np.empty(len(keys))
         for _ in range(INNER_SWEEPS):
+            # every index is in range by construction (lo_k <= S * G - 2,
+            # where < K); mode="clip" lets np.take write straight into `out`,
+            # which it buffers under the default mode="raise"
             vf = v.ravel()
-            interp_k = wl_k * np.take(vf, lo_k) + wh_k * np.take(vf[1:], lo_k)
-            v = c_pi + beta * np.einsum("kn,kn->k", p_k, interp_k)[where]
+            np.multiply(wl_k, np.take(vf, lo_k, out=at_lo, mode="clip"), out=at_lo)
+            np.multiply(wh_k, np.take(vf[1:], lo_k, out=at_hi, mode="clip"), out=at_hi)
+            np.einsum("kn,kn->k", p_k, np.add(at_lo, at_hi, out=at_lo), out=cont_k)
+            np.take(np.multiply(beta, cont_k, out=cont_k), where, out=v, mode="clip")
+            np.add(c_pi, v, out=v)
     raise NumericalError(f"belief-grid value iteration did not converge in {GRID_MAX_ITER} sweeps")

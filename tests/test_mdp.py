@@ -5,14 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nsmdp import mdp as mdp_module
 from nsmdp.errors import ModelError, NumericalError
-from nsmdp.mdp import (TabularMdp, info_number, kl_per_action, kl_step,
+from nsmdp.mdp import (TabularMdp, action_mask, info_number, kl_per_action, kl_step,
                        max_info_number, policy_evaluation,
                        stationary_distribution, value_iteration)
-from nsmdp.inventory import InventoryParams, build_inventory_mdp
+from nsmdp.inventory import InventoryParams, build_env, build_inventory_mdp
 
-from util import enumerate_policies, info_number_oracle, is_order_up_to, random_mdp
+from util import (enumerate_policies, info_number_oracle, is_order_up_to, random_mdp,
+                  value_iteration_oracle)
 
 
 def chain_mdp():
@@ -98,6 +101,60 @@ class TestValueIteration:
             for policy in enumerate_policies(mdp.feasible):
                 v_pi = policy_evaluation(mdp, policy, beta=0.9)
                 assert np.all(value <= v_pi + 1e-7)
+
+
+def assert_matches_oracle(mdp, beta, tol=1e-8):
+    """value_iteration against the sweep loop it replaced: the same policy,
+    values within the loop's tolerance band tol / (1 - beta), and a Bellman
+    residual of at most tol."""
+    value, policy, _ = value_iteration(mdp, beta, tol=tol)
+    v_oracle, pi_oracle = value_iteration_oracle(mdp, beta, tol=tol)
+    np.testing.assert_array_equal(policy, pi_oracle)
+    assert np.max(np.abs(value - v_oracle)) <= tol / (1 - beta)
+    q = np.where(mdp.feasible_mask(), mdp.cost + beta * mdp.kernel @ value, np.inf)
+    assert np.max(np.abs(value - q.min(axis=1))) <= tol
+
+
+@st.composite
+def partial_mdps(draw):
+    """Random MDPs where each state allows a random non-empty subset of the
+    actions; infeasible kernel rows are left all-zero."""
+    n_states, n_actions = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feasible = tuple(tuple(sorted(draw(st.sets(st.integers(0, n_actions - 1), min_size=1))))
+                     for _ in range(n_states))
+    kernel = rng.random((n_states, n_actions, n_states)) ** 3   # some rows near-sparse
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    kernel[~action_mask(feasible, n_actions)] = 0.0
+    cost = rng.normal(size=(n_states, n_actions)) * draw(st.sampled_from((1.0, 100.0)))
+    return TabularMdp(kernel=kernel, cost=cost, feasible=feasible)
+
+
+class TestPolicyIterationAgainstOracle:
+    @pytest.mark.parametrize("beta", [0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("capacity, penalty", [
+        (10, 100.0), (10, 200.0), (10, 300.0), (20, 100.0), (20, 200.0), (20, 300.0),
+        (6, 100.0)])   # the criterion-5 table rows and the golden-digest instance
+    def test_inventory_instances(self, capacity, penalty, beta):
+        env = build_env(InventoryParams(capacity=capacity, order_cost=1.0, holding_cost=5.0,
+                                        penalty=penalty, demand_rate=2.0))
+        for mdp in (env.mdp_pre, env.mdp_post):
+            assert_matches_oracle(mdp, beta)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(mdp=partial_mdps(), beta=st.sampled_from((0.0, 0.5, 0.9, 0.99)))
+    def test_random_partial_mdps(self, mdp, beta):
+        assert_matches_oracle(mdp, beta)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(mdp_module, "PI_MAX_ITER", 0)
+        with pytest.raises(NumericalError, match="did not settle"):
+            value_iteration(chain_mdp(), beta=0.9)
+
+    def test_residual_above_tol_raises(self, paper_env):
+        # the exact solve leaves a residual of about 1e-12 at these values
+        with pytest.raises(NumericalError, match="residual"):
+            value_iteration(paper_env.mdp_pre, beta=0.99, tol=1e-300)
 
 
 class TestPolicyEvaluation:

@@ -2,9 +2,11 @@
 
 Oracles here deliberately avoid the package's numerics: plain-Python brute
 force (hypothesis enumeration, suffix scans, policy enumeration) so they can
-arbitrate the vectorized implementations. The exceptions are frozen
-copies that pin a faster implementation's output bit for bit:
-`belief_grid_oracle`, the full-table belief-grid solver, and
+arbitrate the vectorized implementations. `value_iteration_oracle` is the
+sweep loop that policy iteration replaced; it judges `value_iteration`'s
+policy, and its value within the sweep loop's tolerance band. The
+exceptions are frozen copies that pin a faster implementation's output bit
+for bit: `belief_grid_oracle`, the full-table belief-grid solver, and
 `engine_oracle`, the one-row-per-cell episode loop. `engine_oracle` calls
 the library's `windowed_cusum`, so it does not judge that kernel; the
 suffix brute force `suffix_max_oracle` does.
@@ -104,6 +106,26 @@ def finite_horizon_policy_value(mdp, policy, beta, horizon, s0):
     for _ in range(horizon):
         v = c + beta * p @ v
     return float(v[s0])
+
+
+def value_iteration_oracle(mdp, beta, tol=1e-8, max_iter=10_000_000):
+    """Discounted value iteration as `mdp.value_iteration` ran it before it
+    became policy iteration: sweeps from v = 0 until beta times the sup-norm
+    change is at most `tol`, then the greedy policy with the lowest-index
+    tie-break. Returns (value, policy)."""
+    mask = mdp.feasible_mask()
+    v = np.zeros(mdp.n_states)
+    for _ in range(max_iter):
+        q = np.where(mask, mdp.cost + beta * mdp.kernel @ v, np.inf)
+        v_new = q.min(axis=1)
+        delta = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if beta * delta <= tol:
+            break
+    else:
+        raise NumericalError(f"value iteration did not converge in {max_iter} sweeps")
+    q = np.where(mask, mdp.cost + beta * mdp.kernel @ v, np.inf)
+    return v, np.argmin(q, axis=1).astype(int)
 
 
 def is_order_up_to(policy):
