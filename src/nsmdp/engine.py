@@ -3,7 +3,10 @@
 Episodes are simulated in batches: one numpy-level loop over time steps,
 with every per-run quantity held in arrays across runs. Demands are
 exogenous inverse-CDF draws, so runs with the same seed share demand paths
-across policies and threshold settings (common random numbers).
+across policies and threshold settings (common random numbers). A draw's
+(horizon, runs) regime and demand paths are built once and cached
+(`episode_paths`), so the policies and threshold grids of one instance
+share them.
 
 A setup whose thresholds are arrays holds one threshold cell per entry.
 Cells share a pre-switch path per B (`cell_paths`): the detector and the
@@ -119,16 +122,9 @@ class BatchResult:
 
 def draw_episode_randomness(change: ChangeSpec, horizon: int, master_seed: int,
                             run_ids: np.ndarray):
-    """Per-run change points and uniform blocks under the fixed protocol.
-
-    Draws are cached on (change, horizon, seed, ids) so threshold-grid
-    searches reuse the same paths instead of regenerating them per cell;
-    the returned arrays are the cached ones and are read-only.
-    """
-    key = (change, horizon, int(master_seed), np.asarray(run_ids, dtype=int).tobytes())
-    cached = _RANDOMNESS_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Per-run change points and (runs, horizon) uniform blocks under the
+    fixed protocol, drawn afresh on every call; `episode_paths` caches what
+    the engine builds from them."""
     n = len(run_ids)
     gamma = np.empty(n)
     demand_u = np.empty((n, horizon))
@@ -139,15 +135,58 @@ def draw_episode_randomness(change: ChangeSpec, horizon: int, master_seed: int,
         gamma[i] = sample_change_point(change, rng)
         demand_u[i] = rng.random(horizon)
         action_u[i] = rng.random(horizon)
-    for block in (gamma, demand_u, action_u):
-        block.flags.writeable = False
-    if len(_RANDOMNESS_CACHE) >= 8:
-        _RANDOMNESS_CACHE.pop(next(iter(_RANDOMNESS_CACHE)))
-    _RANDOMNESS_CACHE[key] = (gamma, demand_u, action_u)
     return gamma, demand_u, action_u
 
 
-_RANDOMNESS_CACHE: dict = {}
+PATH_BLOCK = 256          # runs drawn at a time, which bounds the build's temporaries
+PATH_CACHE_RUNS = 2048    # runs the path cache holds at most
+
+
+def episode_paths(env: InventoryEnv, change: ChangeSpec, horizon: int, master_seed: int,
+                  run_ids: np.ndarray):
+    """Per-run change points and the (horizon, runs) regime, demand and
+    action-uniform paths of one draw, read-only.
+
+    Paths are cached on (change, horizon, seed, ids, demand pmfs), so the
+    policies and threshold cells of one instance share one build. The
+    demand path has the narrowest unsigned dtype that holds the pmf
+    length. The cache evicts its oldest entries to hold at most
+    PATH_CACHE_RUNS runs; a larger draw is built but not kept.
+    """
+    run_ids = np.asarray(run_ids, dtype=int)
+    key = (change, horizon, int(master_seed), run_ids.tobytes(),
+           env.pmf_pre.tobytes(), env.pmf_post.tobytes())
+    cached = _PATH_CACHE.get(key)
+    if cached is not None:
+        return cached
+    n = len(run_ids)
+    cum_pre, cum_post = np.cumsum(env.pmf_pre), np.cumsum(env.pmf_post)
+    cum_pre[-1] = cum_post[-1] = 1.0
+    gamma = np.empty(n)
+    post_path = np.empty((horizon, n), dtype=bool)
+    demand_path = np.empty((horizon, n),
+                           dtype=np.min_scalar_type(max(len(cum_pre), len(cum_post))))
+    action_path = np.empty((horizon, n))
+    for lo in range(0, n, PATH_BLOCK):
+        block = slice(lo, lo + PATH_BLOCK)
+        gamma[block], demand_u, action_u = draw_episode_randomness(
+            change, horizon, master_seed, run_ids[block])
+        post_path[:, block] = np.arange(horizon)[:, None] >= gamma[block] - 1.0
+        demand_path[:, block] = np.where(post_path[:, block],
+                                         demand_from_uniform(cum_post, demand_u.T),
+                                         demand_from_uniform(cum_pre, demand_u.T))
+        action_path[:, block] = action_u.T
+    paths = (gamma, post_path, demand_path, action_path)
+    for block in paths:
+        block.flags.writeable = False
+    if n <= PATH_CACHE_RUNS:
+        while sum(len(entry[0]) for entry in _PATH_CACHE.values()) + n > PATH_CACHE_RUNS:
+            _PATH_CACHE.pop(next(iter(_PATH_CACHE)))
+        _PATH_CACHE[key] = paths
+    return paths
+
+
+_PATH_CACHE: dict = {}
 
 
 def cell_paths(setup: EpisodeSetup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,15 +217,8 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
     deterministic in (setup, seed, ids)."""
     run_ids = np.asarray(run_ids, dtype=int)
     env, horizon, kind = setup.env, setup.horizon, setup.policy_kind
-    gamma, demand_u, action_u = draw_episode_randomness(
-        setup.change, horizon, master_seed, run_ids)
-
-    # (horizon, runs) regime and demand paths, worked out once for the block
-    post_path = np.arange(horizon)[:, None] >= gamma - 1.0
-    cum_pre, cum_post = np.cumsum(env.pmf_pre), np.cumsum(env.pmf_post)
-    cum_pre[-1] = cum_post[-1] = 1.0
-    demand_path = np.where(post_path, demand_from_uniform(cum_post, demand_u.T),
-                           demand_from_uniform(cum_pre, demand_u.T))
+    gamma, post_path, demand_path, action_path = episode_paths(
+        env, setup.change, horizon, master_seed, run_ids)
     # flat tables: costs at post * n_pairs + sa, log ratios at sa_prev * n_states + s,
     # where sa = s * n_actions + a indexes a state-action pair
     n_states, n_actions = env.mdp_pre.cost.shape
@@ -231,7 +263,6 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         if any(acts != tuple(range(len(acts))) for acts in env.mdp_pre.feasible):
             raise ValueError("random policy requires contiguous feasible actions")
         n_feas = np.array([len(acts) for acts in env.mdp_pre.feasible])
-        action_path = action_u.T
 
     s = np.full(shape, setup.initial_state, dtype=int)
     sa_prev = np.zeros(shape, dtype=int)

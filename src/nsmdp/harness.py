@@ -24,7 +24,7 @@ from .inventory import ChangeSpec, InventoryEnv
 from .momdp import MomdpSolution, belief_grid_solve, build_pomdp
 from .mdp import value_iteration
 
-CHUNK_SIZE = 256      # runs per randomness key
+CHUNK_SIZE = 256      # runs per grid call
 
 
 @dataclass(frozen=True)
@@ -99,14 +99,17 @@ def _batched_costs(setup: EpisodeSetup, n_runs: int,
     """Simulate n_runs episodes per threshold cell: the per-run change points,
     and the (cells, runs) switch times and discounted costs.
 
-    Runs go in fixed CHUNK_SIZE chunks (the randomness keys), one engine
-    call each with every cell, so results are deterministic in the seed alone.
+    A one-cell setup is one engine call over all its runs. A grid goes in
+    CHUNK_SIZE chunks of runs, one engine call each with every cell, so its
+    per-call arrays stay bounded. Every run is seeded from its own id, so
+    the results do not depend on the chunking.
     """
     n_cells = np.size(setup.threshold_a)
+    chunk = CHUNK_SIZE if np.ndim(setup.threshold_a) else n_runs
     gamma, cost = np.empty(n_runs), np.empty((n_cells, n_runs))
     tau = np.empty((n_cells, n_runs), dtype=int)
-    for lo in range(0, n_runs, CHUNK_SIZE):
-        ids = np.arange(lo, min(lo + CHUNK_SIZE, n_runs))
+    for lo in range(0, n_runs, chunk):
+        ids = np.arange(lo, min(lo + chunk, n_runs))
         part = simulate_batch(setup, master_seed, ids)
         gamma[ids] = part.gamma[:len(ids)]
         tau[:, ids] = part.tau.reshape(n_cells, -1)
@@ -121,8 +124,8 @@ def monte_carlo(setup: EpisodeSetup, n_runs: int,
     A setup with threshold arrays gets a list of reports, one per cell in
     cell order; otherwise one report. Every report holds its runs' arrays.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+    if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
+        raise ValueError(f"n_runs must be an integer >= 1, got {n_runs!r}")
     gamma, tau, cost = _batched_costs(setup, n_runs, master_seed)
     for block in (gamma, tau, cost):
         block.flags.writeable = False

@@ -1,17 +1,19 @@
 """Property tests: `simulate_batch`, which runs the detector once per distinct
 pre-switch path, against `util.engine_oracle`, the one-row-per-cell loop it
 replaced, bit for bit on random small inventory instances, policies,
-threshold grids, detectors, change points, horizons and run counts."""
+threshold grids, detectors, change points, horizons and run counts; and the
+cache of per-draw paths that `simulate_batch` reads."""
 
 import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from nsmdp import harness
-from nsmdp.engine import BATCHABLE_KINDS, EpisodeSetup, simulate_batch
+from nsmdp import engine, harness
+from nsmdp.engine import (BATCHABLE_KINDS, PATH_CACHE_RUNS, EpisodeSetup,
+                          draw_episode_randomness, episode_paths, simulate_batch)
 from nsmdp.harness import CHUNK_SIZE, threshold_cells
-from nsmdp.inventory import ChangeSpec, InventoryParams, build_env
+from nsmdp.inventory import ChangeSpec, InventoryParams, build_env, demand_from_uniform
 from nsmdp.momdp import belief_grid_solve, build_pomdp
 
 from util import engine_oracle
@@ -78,7 +80,7 @@ def test_batch_and_trace_equal_oracle(setup, first_id, n_runs, seed):
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)
-@given(setup=setups(kinds=("loc", "kl", "tt")),
+@given(setup=setups(),
        n_runs=st.integers(CHUNK_SIZE + 1, CHUNK_SIZE + 40), seed=st.integers(0, 2**16))
 def test_packed_chunks_equal_oracle(setup, n_runs, seed):
     gamma, tau, cost = harness._batched_costs(setup, n_runs, seed)
@@ -91,3 +93,43 @@ def test_packed_chunks_equal_oracle(setup, n_runs, seed):
             np.testing.assert_array_equal(new[:, lo:lo + len(ids)],
                                           getattr(old, name).reshape(n_cells, -1))
             assert new.dtype == getattr(old, name).dtype
+
+
+def inverse_cdf_demand(env, gamma, demand_u):
+    """The (horizon, runs) demand path drawn by each run's regime pmf."""
+    post = np.arange(demand_u.shape[1])[:, None] >= gamma - 1.0
+    cum_pre, cum_post = np.cumsum(env.pmf_pre), np.cumsum(env.pmf_post)
+    cum_pre[-1] = cum_post[-1] = 1.0
+    return np.where(post, demand_from_uniform(cum_post, demand_u.T),
+                    demand_from_uniform(cum_pre, demand_u.T))
+
+
+def test_path_cache_keys_on_the_demand_pmfs():
+    change, ids = ChangeSpec("geometric", rho=0.1), np.arange(7)
+    envs = [build_env(InventoryParams(capacity=4, order_cost=1.0, holding_cost=5.0,
+                                      penalty=60.0, demand_rate=rate))
+            for rate in (0.5, 3.0)]
+    gamma, demand_u, _ = draw_episode_randomness(change, 40, 3, ids)
+    paths = [episode_paths(env, change, 40, 3, ids)[2] for env in envs]
+    assert not np.array_equal(paths[0], paths[1])
+    for env, path in zip(envs, paths):
+        np.testing.assert_array_equal(path, inverse_cdf_demand(env, gamma, demand_u))
+        assert path.dtype == np.uint8
+
+
+def test_path_cache_hit_returns_the_same_read_only_arrays():
+    env = build_env(InventoryParams(capacity=3, order_cost=1.0, holding_cost=1.0,
+                                    penalty=10.0, demand_rate=1.5))
+    first = episode_paths(env, CHANGES[0], 12, 5, np.arange(9))
+    again = episode_paths(env, CHANGES[0], 12, 5, np.arange(9))
+    assert all(a is b and not a.flags.writeable for a, b in zip(first, again))
+
+
+def test_path_cache_is_bounded_by_runs_held():
+    env = build_env(InventoryParams(capacity=2, order_cost=1.0, holding_cost=1.0,
+                                    penalty=10.0, demand_rate=1.0))
+    for lo, hi in ((0, 1000), (0, 256), (256, 512), (512, 768), (768, 1024), (1000, 2000)):
+        paths = episode_paths(env, CHANGES[2], 2, 0, np.arange(lo, hi))
+        assert sum(len(entry[0]) for entry in engine._PATH_CACHE.values()) <= PATH_CACHE_RUNS
+    # the oldest entries went, the newest draw stays
+    assert episode_paths(env, CHANGES[2], 2, 0, np.arange(1000, 2000))[0] is paths[0]

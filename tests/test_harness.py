@@ -12,7 +12,7 @@ import pytest
 from nsmdp import harness
 from nsmdp.controllers import SwitchController
 from nsmdp.detectors import Detector, DetectorConfig
-from nsmdp.engine import cell_paths, draw_episode_randomness, simulate_batch
+from nsmdp.engine import cell_paths, draw_episode_randomness, episode_paths, simulate_batch
 from nsmdp.harness import (CHUNK_SIZE, _switch_outcomes,
                            calibrate_nonbayes, default_a_grid, default_b_grid,
                            delay_profile, estimate_nonbayes_grid,
@@ -187,6 +187,16 @@ class TestEpisodeAccounting:
         for kind in ("loc", "tt", "random"):
             other = reports[kind]
             assert oracle.mean_cost <= other.mean_cost + 2 * (oracle.stderr + other.stderr)
+
+    @pytest.mark.parametrize("n_runs", [2.5, 300.0, True, 0])
+    def test_n_runs_must_be_a_positive_integer(self, small_env, small_policies, n_runs):
+        setup = small_setup(small_env, small_policies, "oracle", horizon=5)
+        with pytest.raises(ValueError, match="n_runs"):
+            monte_carlo(setup, n_runs, master_seed=0)
+
+    def test_numpy_integer_n_runs_accepted(self, small_env, small_policies):
+        setup = small_setup(small_env, small_policies, "oracle", horizon=5)
+        assert monte_carlo(setup, np.int64(3), master_seed=0) == monte_carlo(setup, 3, 0)
 
 
 class TestThresholdOptimization:
@@ -386,6 +396,15 @@ class TestGridPass:
         assert engine.call_count == math.ceil(self.N_RUNS / CHUNK_SIZE)
         assert all(call.args[0] is grid for call in engine.call_args_list)
 
+    def test_one_engine_call_per_scalar_estimate(self, small_env, small_policies):
+        setup = small_setup(small_env, small_policies, "tt", horizon=20)
+        assert self.N_RUNS > CHUNK_SIZE
+        with mock.patch.object(harness, "simulate_batch", wraps=simulate_batch) as engine:
+            report = monte_carlo(setup, self.N_RUNS, master_seed=4)
+        assert engine.call_count == 1
+        assert engine.call_args.args[2].tolist() == list(range(self.N_RUNS))
+        assert len(report.discounted_cost) == self.N_RUNS
+
     def test_cusum_b_beyond_reach_joins_the_never_probe_path(self, small_env,
                                                               small_policies):
         # the windowed statistic sums at most window + 1 = 6 log ratios, so a
@@ -443,14 +462,14 @@ class TestGridPass:
             assert row["mean_delay"] == float(delays.mean())
             assert row["false_switch_rate"] == never.premature_rate
 
-    def test_cached_randomness_is_read_only(self):
+    def test_cached_randomness_is_read_only(self, small_env):
         ids = np.arange(5)
-        first = draw_episode_randomness(CHANGE, 30, 11, ids)
+        first = episode_paths(small_env, CHANGE, 30, 11, ids)
         copies = [block.copy() for block in first]
         for block in first:
             with pytest.raises(ValueError, match="read-only"):
-                block[0] = 0.999
-        again = draw_episode_randomness(CHANGE, 30, 11, ids)
+                block[0] = 1
+        again = episode_paths(small_env, CHANGE, 30, 11, ids)
         assert all(np.array_equal(a, b) for a, b in zip(again, copies))
 
     @pytest.mark.parametrize("n_cells", [1, 3])
