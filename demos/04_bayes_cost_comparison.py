@@ -19,7 +19,7 @@ from nsmdp.harness import (default_a_grid, default_b_grid, make_setup,
 params = InventoryParams(capacity=20, order_cost=1.0, holding_cost=5.0,
                          penalty=100.0, demand_rate=2.0)
 env = build_env(params)
-print("solving regimes and the belief-grid baseline (a few seconds)...")
+print("solving regimes and the belief-grid baseline...")
 policies = solve_policies(env, beta=0.99, momdp_grid=201, momdp_rho=0.01)
 
 change = ChangeSpec(kind="geometric", rho=0.01)

@@ -4,7 +4,9 @@ The observable MDP state is augmented with a hidden model index in {0, 1}
 (pre/post change); the change arrives with per-step probability rho and is
 absorbing. Because the observation reveals the MDP state exactly, the belief
 is one-dimensional and a uniform grid over [0, 1] with linear value
-interpolation solves the problem accurately.
+interpolation solves the problem accurately. The grid problem is solved by
+policy iteration, each policy evaluated by restarted GMRES (Saad and
+Schultz, 1986) whose matrix-vector product is one fixed-policy sweep.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ import numpy as np
 
 from .errors import ModelError, NumericalError
 from .detectors import log_likelihood_ratio
-from .mdp import TabularMdp, log_ratio_table
+from .mdp import PI_MAX_ITER, TabularMdp, log_ratio_table
 
-GRID_MAX_ITER = 100_000   # belief-grid Bellman sweeps before giving up
-INNER_SWEEPS = 30         # fixed-policy sweeps between Bellman sweeps
+KRYLOV_DIM = 40           # GMRES products between restarts
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,7 @@ class MomdpSolution:
     grid: np.ndarray       # (G,) belief grid points
     value: np.ndarray      # (S, G)
     policy: np.ndarray     # (S, G) action indices
+    deltas: tuple[float, ...] = ()   # sup-norm change of each policy evaluation
 
     @property
     def grid_size(self) -> int:
@@ -103,19 +105,23 @@ class MomdpSolution:
 
 def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
                       beta: float = 0.99, tol: float = 1e-6) -> MomdpSolution:
-    """Value iteration over (state, belief-grid) cells.
+    """Policy iteration over (state, belief-grid) cells.
 
     Next-step values are read off the grid by linear interpolation in the
-    belief coordinate. Sweeps start from a constant upper bound on the cost
-    to go, so Bellman updates decrease monotonically; between full sweeps a
-    block of fixed-policy sweeps accelerates convergence without affecting
-    the fixed point. Returns once the Bellman residual is at most `tol`.
+    belief coordinate. From the cheapest feasible actions, each step solves
+    (I - beta * P_pi) v = c_pi by `_gmres` to a fixed-policy residual of at
+    most min(tol / 10, 1e-13 * (1 + max|c_pi| / (1 - beta))), then moves a
+    cell only where another action is better by more than that, so near-ties
+    cannot cycle. Returns the last value, the greedy policy (ties to the
+    lowest action index) and the sup-norm change of each evaluation (the
+    first from zero). `tol` is a check: NumericalError if the final Bellman
+    residual exceeds it, after PI_MAX_ITER steps, or if an evaluation
+    stalls (as it does below the values' rounding error).
 
     The continuation term depends on (s, a) only through the pair of
     transition rows (kernel0[s, a], kernel1[s, a]), so the interpolation
     tables are built once per distinct pair (rows equal bit for bit) and
-    have shape (U, G, S'), with U <= S * A. Likewise the fixed-policy sweeps
-    work once per distinct (row pair, grid point) of the greedy policy.
+    have shape (U, G, S'), with U <= S * A.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -151,44 +157,81 @@ def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
     w_lo = 1.0 - w_hi
     flat_lo = np.arange(n_s) * g + lo                # high corner: flat_lo + 1
 
-    step_cost = ((1.0 - pred[None, None, :]) * mdp0.cost[:, :, None]
-                 + pred[None, None, :] * mdp1.cost[:, :, None])   # (S, A, G)
-    inf_cost = np.where(mask, 0.0, np.inf)[:, :, None]
+    step_cost = np.where(mask[:, :, None], (1.0 - pred[None, None, :]) * mdp0.cost[:, :, None]
+                         + pred[None, None, :] * mdp1.cost[:, :, None], np.inf)   # (S, A, G)
 
-    c_max = max(float(mdp0.cost[mask].max()), float(mdp1.cost[mask].max()))
-    v = np.full((n_s, g), c_max / (1.0 - beta) if beta > 0 else c_max)
-
-    s_rows = np.arange(n_s)[:, None]
-    g_cols = np.arange(g)[None, :]
-    for _ in range(GRID_MAX_ITER):
-        vf = v.ravel()
-        interp = w_lo * np.take(vf, flat_lo) + w_hi * np.take(vf[1:], flat_lo)
-        cont = np.einsum("ugn,ugn->ug", p_next, interp)
-        q = step_cost + inf_cost + beta * cont[row]
-        v_new = q.min(axis=1)
-        delta = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if beta * delta <= tol:
-            policy = q.argmin(axis=1).astype(int)
-            return MomdpSolution(pomdp=pomdp, grid=grid, value=v, policy=policy)
-        # fixed-policy sweeps toward the greedy policy's value; a cell's
-        # continuation depends only on (row[s, pi[s, g]], g), so each sweep
-        # works on the K distinct such pairs and scatters back through `where`
-        pi = q.argmin(axis=1)
-        keys, where = np.unique((row[s_rows, pi] * g + g_cols).ravel(), return_inverse=True)
-        where = where.reshape(n_s, g)
+    s_rows, g_cols = np.arange(n_s)[:, None], np.arange(g)[None, :]
+    policy, v, deltas = np.argmin(step_cost, axis=1), np.zeros((n_s, g)), []
+    for _ in range(PI_MAX_ITER):
+        # cells sharing (row[s, pi[s, g]], g) share a continuation: products work per key
+        keys, where = np.unique((row[s_rows, policy] * g + g_cols).ravel(), return_inverse=True)
         p_k, lo_k, wl_k, wh_k = (np.take(t.reshape(-1, n_s), keys, axis=0)
                                  for t in (p_next, flat_lo, w_lo, w_hi))   # (K, S')
-        c_pi = step_cost[s_rows, pi, g_cols]
-        at_lo, at_hi, cont_k = np.empty_like(wl_k), np.empty_like(wh_k), np.empty(len(keys))
-        for _ in range(INNER_SWEEPS):
-            # every index is in range by construction (lo_k <= S * G - 2,
-            # where < K); mode="clip" lets np.take write straight into `out`,
-            # which it buffers under the default mode="raise"
-            vf = v.ravel()
-            np.multiply(wl_k, np.take(vf, lo_k, out=at_lo, mode="clip"), out=at_lo)
-            np.multiply(wh_k, np.take(vf[1:], lo_k, out=at_hi, mode="clip"), out=at_hi)
-            np.einsum("kn,kn->k", p_k, np.add(at_lo, at_hi, out=at_lo), out=cont_k)
-            np.take(np.multiply(beta, cont_k, out=cont_k), where, out=v, mode="clip")
-            np.add(c_pi, v, out=v)
-    raise NumericalError(f"belief-grid value iteration did not converge in {GRID_MAX_ITER} sweeps")
+        def minus_beta_p(x):   # (I - beta * P_pi) x
+            interp = wl_k * np.take(x, lo_k) + wh_k * np.take(x[1:], lo_k)
+            return x - beta * np.take(np.einsum("kn,kn->k", p_k, interp), where)
+        c_pi = step_cost[s_rows, policy, g_cols]
+        eval_tol = min(tol / 10, 1e-13 * (1 + float(np.max(np.abs(c_pi))) / (1 - beta)))
+        v, v_old = _gmres(minus_beta_p, c_pi.ravel(), v.ravel(), eval_tol, beta).reshape(n_s, g), v
+        deltas.append(float(np.max(np.abs(v - v_old))))
+        interp = w_lo * np.take(v, flat_lo) + w_hi * np.take(v.ravel()[1:], flat_lo)
+        q = step_cost + beta * np.einsum("ugn,ugn->ug", p_next, interp)[row]
+        better = q.min(axis=1) < q[s_rows, policy, g_cols] - eval_tol
+        if not better.any():
+            break
+        policy = np.where(better, q.argmin(axis=1), policy)
+    else:
+        raise NumericalError(f"belief-grid policy iteration did not settle in {PI_MAX_ITER} steps")
+    residual = float(np.max(np.abs(v - q.min(axis=1))))
+    if residual > tol:
+        raise NumericalError(f"belief-grid residual {residual:.3e} exceeds tol {tol:.3e}")
+    return MomdpSolution(pomdp=pomdp, grid=grid, value=v, policy=q.argmin(axis=1).astype(int),
+                         deltas=tuple(deltas))
+
+
+def _gmres(matvec, b: np.ndarray, x: np.ndarray, tol: float, beta: float) -> np.ndarray:
+    """Solve matvec(x) = b from `x`, where matvec(x) = x - beta * P x and
+    P's rows are nonnegative and sum to one, so a sweep x <- x + r (r the
+    residual b - matvec(x)) shrinks the sup-norm residual by a factor beta.
+    GMRES restarted every KRYLOV_DIM products, with Givens rotations; a
+    cycle that shrinks the residual less than as many sweeps would is
+    replaced by those sweeps, so the residual after n products is at most
+    beta ** (n / 2) times the first one, give or take a cycle. Returns once
+    the sup-norm residual is at most `tol`; NumericalError once that bound
+    says it should have been reached."""
+    m, used, r = KRYLOV_DIM, 1, b - matvec(x)
+    first = np.max(np.abs(r))
+    while (sup := np.max(np.abs(r))) > tol:
+        if first * beta ** max(0.0, (used - 2 * m - 2) / 2) < tol:
+            raise NumericalError(f"policy evaluation residual {sup:.3e} above {tol:.3e} "
+                                 f"after {used} products")
+        basis, tri, cs, sn, res = (np.zeros(shape) for shape in
+                                   ((m + 1, len(b)), (m, m), m, m, m + 1))
+        res[0] = np.linalg.norm(r)
+        basis[0] = r / res[0]
+        for j in range(m):
+            w, h = matvec(basis[j]), np.zeros(j + 1)
+            for _ in range(2):                       # classical Gram-Schmidt, run twice
+                dh = basis[:j + 1] @ w
+                w -= dh @ basis[:j + 1]
+                h += dh
+            norm = np.linalg.norm(w)
+            for i in range(j):                       # the earlier rotations
+                h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
+            rad = np.hypot(h[j], norm)
+            cs[j], sn[j], h[j] = h[j] / rad, norm / rad, rad
+            tri[:j + 1, j], res[j], res[j + 1] = h, cs[j] * res[j], -sn[j] * res[j]
+            if abs(res[j + 1]) <= tol:
+                break
+            basis[j + 1] = w / norm
+        y = np.linalg.solve(tri[:j + 1, :j + 1], res[:j + 1])   # triangular: back-substitution
+        x_new = x + y @ basis[:j + 1]
+        r_new, used = b - matvec(x_new), used + j + 2
+        if np.max(np.abs(r_new)) <= beta ** (j + 2) * sup:
+            x, r = x_new, r_new
+        else:
+            for _ in range(j + 2):
+                x = x + r
+                r = b - matvec(x)
+            used += j + 2
+    return x

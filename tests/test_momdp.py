@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nsmdp import momdp as momdp_module
 from nsmdp.detectors import (log_likelihood_ratio, new_detector_state,
                              posterior_from_log_shiryaev, shiryaev_step)
-from nsmdp.errors import ModelError
+from nsmdp.errors import ModelError, NumericalError
 from nsmdp.inventory import InventoryParams, build_env
-from nsmdp.mdp import TabularMdp, value_iteration
-from nsmdp.momdp import (MomdpSolution, belief_grid_solve, belief_step,
-                         belief_update, build_pomdp)
+from nsmdp.mdp import TabularMdp, action_mask, value_iteration
+from nsmdp.momdp import (MomdpSolution, belief_grid_solve, belief_step, belief_update,
+                         build_pomdp)
 
 from util import belief_grid_oracle, random_kernel, random_mdp
 
@@ -29,6 +31,26 @@ def inventory_pomdp(capacity=5, penalty=100.0):
     env = build_env(InventoryParams(capacity=capacity, order_cost=1.0, holding_cost=5.0,
                                     penalty=penalty, demand_rate=2.0))
     return build_pomdp(env.mdp_pre, env.mdp_post, rho=0.01)
+
+
+@st.composite
+def random_pomdps(draw):
+    """Random two-regime models: each state allows a random non-empty subset
+    of the actions (infeasible kernel rows all-zero), kernel rows are often
+    near-sparse, costs come on two scales, and rho is 0, 0.05 or 0.3."""
+    n_states, n_actions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feasible = tuple(tuple(sorted(draw(st.sets(st.integers(0, n_actions - 1), min_size=1))))
+                     for _ in range(n_states))
+    scale = draw(st.sampled_from((1.0, 100.0)))
+    mdps = []
+    for _ in range(2):
+        kernel = rng.random((n_states, n_actions, n_states)) ** 3
+        kernel /= kernel.sum(axis=2, keepdims=True)
+        kernel[~action_mask(feasible, n_actions)] = 0.0
+        mdps.append(TabularMdp(kernel=kernel, cost=rng.random((n_states, n_actions)) * scale,
+                               feasible=feasible))
+    return build_pomdp(*mdps, rho=draw(st.sampled_from((0.0, 0.05, 0.3))))
 
 
 class TestBuildPomdp:
@@ -167,7 +189,7 @@ class TestBeliefGridSolve:
 
     @pytest.mark.parametrize("model", ["toy_distinct_rows", "toy_rho_zero",
                                        "inventory_shared_rows", "inventory_benchmark_scale"])
-    def test_bit_identical_to_full_table_solver(self, rng, model):
+    def test_matches_full_table_oracle(self, rng, model):
         if model == "inventory_shared_rows":
             pomdp, kwargs = inventory_pomdp(), dict(grid_size=41, beta=0.95, tol=1e-8)
         elif model == "inventory_benchmark_scale":    # one of the table instances
@@ -183,21 +205,63 @@ class TestBeliefGridSolve:
                            axis=0, return_inverse=True)
         row = row.reshape(n_states, n_actions)
         assert (row.max() + 1 < row.size) == model.startswith("inventory")
-        sol = belief_grid_solve(pomdp, **kwargs)
-        ref = belief_grid_oracle(pomdp, **kwargs)
-        assert sol.value.tobytes() == ref.value.tobytes()
-        np.testing.assert_array_equal(sol.policy, ref.policy)
-        np.testing.assert_array_equal(sol.grid, ref.grid)
+        sol = assert_matches_oracle(pomdp, **kwargs)
         if model == "inventory_benchmark_scale":
             # the greedy policy's cells share (row pair, grid point) continuations
             grid_size = kwargs["grid_size"]
             cells = row[np.arange(n_states)[:, None], sol.policy] * grid_size + np.arange(grid_size)
             assert len(np.unique(cells)) < cells.size
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(pomdp=random_pomdps(), grid_size=st.integers(11, 101),
+           beta=st.sampled_from((0.0, 0.5, 0.9, 0.99, 0.999)))
+    def test_random_pomdps_match_oracle(self, pomdp, grid_size, beta):
+        assert_matches_oracle(pomdp, grid_size, beta, tol=1e-8)
+
+    def test_stalling_krylov_cycles_fall_back_to_sweeps(self):
+        # near-deterministic transitions and rho = 0: GMRES restarted every
+        # KRYLOV_DIM products stalls on some evaluations here, and only the
+        # fixed-point sweeps that replace a stalled cycle let it finish
+        feasible = ((0,), (0, 1))
+        m0 = TabularMdp(kernel=np.array([[[0.1, 0.9], [0, 0]], [[0.07, 0.93], [0.13, 0.87]]]),
+                        cost=np.array([[0.4, 0.0], [0.06, 0.87]]), feasible=feasible)
+        m1 = TabularMdp(kernel=np.array([[[0.4, 0.6], [0, 0]], [[0.003, 0.997], [0.6, 0.4]]]),
+                        cost=np.array([[0.39, 0.0], [0.8, 0.38]]), feasible=feasible)
+        assert_matches_oracle(build_pomdp(m0, m1, 0.0), grid_size=101, beta=0.999, tol=1e-6)
+
+    def test_iteration_cap_raises(self, monkeypatch, rng):
+        monkeypatch.setattr(momdp_module, "PI_MAX_ITER", 0)
+        with pytest.raises(NumericalError, match="did not settle"):
+            belief_grid_solve(build_pomdp(*toy_pair(rng), 0.05), grid_size=11, beta=0.9)
+
+    def test_unreachable_tol_raises_within_the_product_budget(self, rng):
+        # no evaluation reaches a residual of tol / 10 = 1e-301; the products
+        # run out at about twice the 1000 sweeps that would reach it at beta = 0.5
+        with pytest.raises(NumericalError, match=r"evaluation residual .* after \d+ products"):
+            belief_grid_solve(build_pomdp(*toy_pair(rng), 0.05), grid_size=11, beta=0.5,
+                              tol=1e-300)
+
     def test_inventory_bellman_residual_within_tolerance(self):
         tol = 1e-7
         sol = belief_grid_solve(inventory_pomdp(), grid_size=41, beta=0.95, tol=tol)
         assert _bellman_residual(sol, beta=0.95) <= tol
+
+
+def assert_matches_oracle(pomdp, grid_size, beta, tol):
+    """belief_grid_solve against the sweep loop it replaced: the same policy,
+    a brute-force Bellman residual of at most tol, values within the loop's
+    tolerance band tol / (1 - beta) widened by the band residual / (1 - beta)
+    that this residual puts around the solver's own value, and one finite
+    sup-norm change per policy evaluation."""
+    sol = belief_grid_solve(pomdp, grid_size=grid_size, beta=beta, tol=tol)
+    ref = belief_grid_oracle(pomdp, grid_size=grid_size, beta=beta, tol=tol)
+    np.testing.assert_array_equal(sol.grid, ref.grid)
+    np.testing.assert_array_equal(sol.policy, ref.policy)
+    residual = _bellman_residual(sol, beta)
+    assert residual <= tol
+    assert np.max(np.abs(sol.value - ref.value)) <= (tol + residual) / (1 - beta)
+    assert len(sol.deltas) >= 1 and np.all(np.isfinite(sol.deltas))
+    return sol
 
 
 def _expected_step(pomdp, s, b, a):

@@ -2,14 +2,14 @@
 
 Oracles here deliberately avoid the package's numerics: plain-Python brute
 force (hypothesis enumeration, suffix scans, policy enumeration) so they can
-arbitrate the vectorized implementations. `value_iteration_oracle` is the
-sweep loop that policy iteration replaced; it judges `value_iteration`'s
-policy, and its value within the sweep loop's tolerance band. The
-exceptions are frozen copies that pin a faster implementation's output bit
-for bit: `belief_grid_oracle`, the full-table belief-grid solver, and
-`engine_oracle`, the one-row-per-cell episode loop. `engine_oracle` calls
-the library's `windowed_cusum`, so it does not judge that kernel; the
-suffix brute force `suffix_max_oracle` does.
+arbitrate the vectorized implementations. `value_iteration_oracle` and
+`belief_grid_oracle` are the sweep loops that policy iteration replaced;
+they judge `value_iteration`'s and `belief_grid_solve`'s policies, and
+their values within the sweep loops' tolerance band. The exception is
+`engine_oracle`, the one-row-per-cell episode loop, a frozen copy that pins
+the engine's output bit for bit. It calls the library's `windowed_cusum`,
+so it does not judge that kernel; the suffix brute force
+`suffix_max_oracle` does.
 """
 
 import itertools
@@ -145,8 +145,11 @@ def is_order_up_to(policy):
 def belief_grid_oracle(pomdp, grid_size=201, beta=0.99, tol=1e-6,
                        max_iter=100_000, inner_sweeps=30):
     """The belief-grid solver as it was before it grouped (s, a) pairs by
-    transition rows: every table is (S, A, G, S'). Kept verbatim so that
-    `belief_grid_solve` can be checked against it bit for bit."""
+    transition rows and became policy iteration: every table is
+    (S, A, G, S'), and value-iteration sweeps run from an upper bound until
+    beta times the sup-norm change is at most `tol`. Returns the greedy
+    policy (lowest-index tie-break) with a value within tol / (1 - beta) of
+    the grid problem's fixed point."""
     mdp0, mdp1, rho = pomdp.mdp0, pomdp.mdp1, pomdp.rho
     n_s, n_a = mdp0.n_states, mdp0.n_actions
     g = grid_size

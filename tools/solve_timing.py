@@ -6,7 +6,10 @@ prints the wall time of one `mdp.value_iteration` call per regime, of
 with the 201-point belief grid, each the minimum over --repeat calls, and
 a SHA-256 of every policy array that solve returns (pi_pre, pi_post,
 pi_probe and the belief-grid policy), so two versions of the package can
-be compared for speed and for identical policies.
+be compared for speed and for identical policies. For the belief-grid
+solve it also prints how many policy evaluations it made and the Bellman
+residual of its value, recomputed here on full (S, A, G, S') tables rather
+than the solver's own.
 
     PYTHONPATH=src python tools/solve_timing.py --repeat 3
 """
@@ -20,7 +23,8 @@ import time
 import numpy as np
 
 from nsmdp import harness, inventory
-from nsmdp.mdp import value_iteration
+from nsmdp.mdp import log_ratio_table, value_iteration
+from nsmdp.momdp import MomdpSolution, belief_step
 
 INSTANCES = tuple((n, p) for n in (10, 20) for p in (100.0, 200.0, 300.0))
 BETA, GRID = 0.99, 201
@@ -34,6 +38,28 @@ def best_of(repeat: int, fn):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def grid_residual(sol: MomdpSolution, beta: float) -> float:
+    """Sup-norm Bellman residual of a belief-grid value function, one action
+    at a time: next values are interpolated linearly in the belief."""
+    pomdp, grid, v = sol.pomdp, sol.grid, sol.value
+    pred = grid + (1.0 - grid) * pomdp.rho
+    lr = np.exp(log_ratio_table(pomdp.mdp1.kernel, pomdp.mdp0.kernel))
+    s_next = np.arange(v.shape[0])
+    q = np.full((v.shape[0], pomdp.mdp0.n_actions, len(grid)), np.inf)
+    for s, acts in enumerate(pomdp.mdp0.feasible):
+        for a in acts:
+            k0, k1 = pomdp.mdp0.kernel[s, a], pomdp.mdp1.kernel[s, a]
+            b_next = belief_step(grid[:, None], lr[s, a], pomdp.rho)        # (G, S')
+            pos = np.clip(b_next, 0.0, 1.0) * (len(grid) - 1)
+            lo = np.minimum(pos.astype(int), len(grid) - 2)
+            w = pos - lo
+            probs = (1.0 - pred[:, None]) * k0 + pred[:, None] * k1
+            cont = np.sum(probs * ((1.0 - w) * v[s_next, lo] + w * v[s_next, lo + 1]), axis=1)
+            cost = (1.0 - pred) * pomdp.mdp0.cost[s, a] + pred * pomdp.mdp1.cost[s, a]
+            q[s, a] = cost + beta * cont
+    return float(np.max(np.abs(v - q.min(axis=1))))
 
 
 def main() -> None:
@@ -55,7 +81,9 @@ def main() -> None:
             digest.update(np.ascontiguousarray(table, dtype=np.int64).tobytes())
         print(f"N={capacity} p={penalty:g} vi_pre_ms={vi_pre * 1e3:.2f} "
               f"vi_post_ms={vi_post * 1e3:.2f} solve_s={plain:.4f} "
-              f"solve_grid_s={grid:.3f} policies_sha256={digest.hexdigest()}")
+              f"solve_grid_s={grid:.3f} grid_evaluations={len(pol.momdp.deltas)} "
+              f"grid_residual={grid_residual(pol.momdp, BETA):.2e} "
+              f"policies_sha256={digest.hexdigest()}")
 
 
 if __name__ == "__main__":
