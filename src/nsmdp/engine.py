@@ -11,9 +11,14 @@ share them.
 A setup whose thresholds are arrays holds one threshold cell per entry.
 Cells share a pre-switch path per B (`cell_paths`): the detector and the
 phase rule run once per path, for its largest A, and every other cell joins
-the post phase at its own first passage and follows pi_post through
-per-step (runs, S) tables, with the float operations, and so the bits, of
-simulating it alone. With trace=True every cell is a path of its own.
+the post phase at its own first passage over A. A path row passes its
+cells in order of A, so the join check compares each path row with the
+next A it has yet to pass. The cells a path row joins on one step share one
+join event: an accumulator that follows pi_post from the row's state and
+discounted cost through per-step (runs, S) tables, with the float
+operations, and so the bits, of simulating each of them alone. A cell keeps
+only the index of its event. With trace=True every cell is a path of its
+own.
 
 Randomness protocol, fixed per run: seed the generator from
 SeedSequence(master_seed, spawn_key=(run_id,)), draw the change point (one
@@ -228,11 +233,12 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
     log_a, cell_path, path_b = cell_paths(setup)
     if trace:
         path_b, cell_path = path_b[cell_path], np.arange(len(log_a))
-    path_a = np.array([log_a[cell_path == p].max() for p in range(len(path_b))])
-    extra = np.flatnonzero(log_a < path_a[cell_path])
-    shape = (len(path_b), len(run_ids))
+    n_paths, n_runs = len(path_b), len(run_ids)
+    path_a = np.array([log_a[cell_path == p].max() for p in range(n_paths)])
+    extra = log_a < path_a[cell_path]
+    shape = (n_paths, n_runs)
     uses_detector = kind in ("loc", "kl", "tt")
-    joins = uses_detector and len(extra) > 0
+    joins = uses_detector and extra.any()
     uses_belief = kind == "momdp"
     if uses_detector or uses_belief:
         log_lr = log_ratio_table(env.mdp_post.kernel, env.mdp_pre.kernel).reshape(-1)
@@ -244,17 +250,34 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         stat = np.full(shape, -math.inf)     # log S_n (S_0 = 0), or the CUSUM
         pi_probe = setup.pi_pre if setup.pi_probe is None else setup.pi_probe
         policies = np.stack((setup.pi_pre, pi_probe, setup.pi_post))
+    # per (cell, run), the row it reports: its path row, or the join event
+    # that it joined at, numbered after the path rows. A join event is one
+    # path row joining cells on one step; it is an accumulator that follows
+    # pi_post from the row's state and discounted cost, with the float
+    # operations, and so the bits, of each of those cells simulated alone.
+    max_events = np.count_nonzero(extra) * n_runs if joins else 0
+    ref = (cell_path[:, None] * n_runs + np.arange(n_runs)).astype(
+        np.min_scalar_type(n_paths * n_runs + max_events))
+    ev_s, ev_tau = np.empty(max_events, dtype=int), np.empty(max_events, dtype=int)
+    ev_disc, n_events = np.empty(max_events), 0
     if joins:
-        # a cell row's A turns +inf once it has joined; joined rows are kept in
-        # joining order, with their state as a flat index into the (runs, S) tables
-        extra_path, n_runs = cell_path[extra], len(run_ids)
-        row_path = (extra_path[:, None] * n_runs + np.arange(n_runs)).reshape(-1)
+        # per path, its other cells in order of A (rank_cell) and their A,
+        # +inf-padded (rank_a). A path row passes them in that order, so per row
+        # next_a, the A of the first it has not passed, is all the join check needs.
+        members = [np.flatnonzero(extra & (cell_path == p)) for p in range(n_paths)]
+        members = [m[np.argsort(log_a[m], kind="stable")] for m in members]
+        width = max(len(m) for m in members)
+        rank_cell = np.zeros((n_paths, width), dtype=int)
+        rank_a = np.full((n_paths, width + 1), math.inf)
+        for p, m in enumerate(members):
+            rank_cell[p, :len(m)], rank_a[p, :len(m)] = m, log_a[m]
+        next_a = np.repeat(rank_a[:, :1], n_runs, axis=1)
+        # pi_post's (regime, S) costs and (demand, S) successor states; an event's
+        # state is a flat index into the per-step (runs, S) tables built from them
         states, row_base = np.arange(n_states), np.arange(n_runs) * n_states
         post_costs = costs.reshape(2, n_pairs)[:, states * n_actions + setup.pi_post]
-        cell_a = np.repeat(log_a[extra, None], n_runs, axis=1)
-        cell_tau = np.full(cell_a.shape, -1)
-        joined, cell_s = np.empty((2, cell_a.size), dtype=int)
-        cell_disc, n_joined = np.empty(cell_a.size), 0
+        post_succ = np.maximum(0, states + setup.pi_post
+                               - np.arange(max(len(env.pmf_pre), len(env.pmf_post)))[:, None])
     if uses_belief:
         lr_lin = np.exp(log_lr)
         belief = np.zeros(shape)
@@ -289,12 +312,17 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                     tau[newly] = k
                     switched |= newly
             if joins:
-                j = np.flatnonzero(stat[extra_path] > cell_a)     # cell rows joining now
-                cell_a.flat[j], cell_tau.flat[j] = math.inf, k
-                p, new = row_path[j], slice(n_joined, n_joined + len(j))
-                joined[new], cell_disc[new] = j, disc.flat[p]
-                cell_s[new] = row_base[p % n_runs] + s.flat[p]
-                n_joined += len(j)
+                h = np.flatnonzero(stat > next_a)     # path rows joining cells now
+                if len(h):
+                    p, r = np.divmod(h, n_runs)
+                    row_a = rank_a[p]
+                    passed = row_a < stat.reshape(-1)[h, None]
+                    ev, q = np.nonzero(passed & (row_a >= next_a.reshape(-1)[h, None]))
+                    ref[rank_cell[p[ev], q], r[ev]] = n_paths * n_runs + n_events + ev
+                    next_a.flat[h] = row_a[np.arange(len(h)), passed.sum(axis=1)]
+                    new = slice(n_events, n_events + len(h))
+                    ev_s[new], ev_disc[new], ev_tau[new] = row_base[r] + s.flat[h], disc.flat[h], k
+                    n_events += len(h)
             if uses_belief:
                 step_lr = lr_lin[transition]
                 belief = belief_step(belief, step_lr, setup.momdp.pomdp.rho)
@@ -313,11 +341,11 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         cost = costs[post * n_pairs + sa]
         disc += beta_pow * cost
         w = demand_path[k]
-        if joins:
-            step_cost = beta_pow * post_costs[post.astype(int)]
-            succ = row_base[:, None] + np.maximum(0, states + setup.pi_post - w[:, None])
-            cell_disc[:n_joined] += np.take(step_cost, cell_s[:n_joined])
-            cell_s[:n_joined] = np.take(succ, cell_s[:n_joined])
+        if n_events:
+            step_cost = beta_pow * np.take(post_costs, post, axis=0)
+            succ = np.take(post_succ, w, axis=0) + row_base[:, None]
+            ev_disc[:n_events] += np.take(step_cost, ev_s[:n_events])
+            ev_s[:n_events] = np.take(succ, ev_s[:n_events])
         beta_pow *= setup.beta
 
         if trace:
@@ -333,12 +361,8 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         sa_prev = sa
         s = np.maximum(0, s + a - w)
 
-    tau, disc = tau[cell_path], disc[cell_path]
-    if joins:     # a cell row that never joined reports its path's cost
-        tau[extra] = cell_tau
-        cell_cost = disc[extra]
-        cell_cost.flat[joined[:n_joined]] = cell_disc[:n_joined]
-        disc[extra] = cell_cost
+    tau = np.concatenate((tau.reshape(-1), ev_tau[:n_events])).take(ref)
+    disc = np.concatenate((disc.reshape(-1), ev_disc[:n_events])).take(ref)
     return BatchResult(run_ids=np.tile(run_ids, len(log_a)), gamma=np.tile(gamma, len(log_a)),
                        tau=tau.reshape(-1), discounted_cost=disc.reshape(-1),
                        trace={name: t.reshape(-1, horizon) for name, t in traces.items()})

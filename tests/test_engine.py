@@ -1,19 +1,23 @@
 """Property tests: `simulate_batch`, which runs the detector once per distinct
 pre-switch path, against `util.engine_oracle`, the one-row-per-cell loop it
 replaced, bit for bit on random small inventory instances, policies,
-threshold grids, detectors, change points, horizons and run counts; and the
-cache of per-draw paths that `simulate_batch` reads."""
+threshold grids, detectors, change points, horizons and run counts, and on
+grids built for the edge cases of joining cells to a path (several cells
+passed on one step, equal A on one path, a statistic equal to A, no joins);
+and the cache of per-draw paths that `simulate_batch` reads."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from nsmdp import engine, harness
-from nsmdp.engine import (BATCHABLE_KINDS, PATH_CACHE_RUNS, EpisodeSetup,
+from nsmdp.engine import (BATCHABLE_KINDS, PATH_CACHE_RUNS, EpisodeSetup, cell_paths,
                           draw_episode_randomness, episode_paths, simulate_batch)
-from nsmdp.harness import CHUNK_SIZE, threshold_cells
+from nsmdp.harness import CHUNK_SIZE, make_setup, threshold_cells
 from nsmdp.inventory import ChangeSpec, InventoryParams, build_env, demand_from_uniform
+from nsmdp.mdp import log_ratio_table
 from nsmdp.momdp import belief_grid_solve, build_pomdp
 
 from util import engine_oracle
@@ -28,7 +32,7 @@ CHANGES = (ChangeSpec("geometric", rho=0.05), ChangeSpec("geometric", rho=0.3),
 
 
 @st.composite
-def setups(draw, kinds=BATCHABLE_KINDS):
+def setups(draw, kinds=BATCHABLE_KINDS, detectors=("shiryaev", "sr", "cusum")):
     """A setup with random feasible policies and, unless scalar, a two-
     threshold grid: every B = A cell, the floor B, and several A per B."""
     capacity = draw(st.integers(2, 6))
@@ -41,7 +45,7 @@ def setups(draw, kinds=BATCHABLE_KINDS):
         np.array([draw(st.sampled_from(acts)) for acts in env.mdp_pre.feasible])
         for _ in range(3))
     kind = draw(st.sampled_from(kinds))
-    detector = draw(st.sampled_from(("shiryaev", "sr", "cusum")))
+    detector = draw(st.sampled_from(detectors))
     values = LOG if detector == "cusum" else LINEAR
     a_grid = draw(st.lists(st.sampled_from(values), min_size=1, max_size=4, unique=True))
     b_grid = draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True))
@@ -62,12 +66,10 @@ def setups(draw, kinds=BATCHABLE_KINDS):
         initial_state=draw(st.integers(0, capacity)))
 
 
-@settings(max_examples=120, derandomize=True, deadline=None)
-@given(setup=setups(), first_id=st.integers(0, 1000), n_runs=st.integers(1, 40),
-       seed=st.integers(0, 2**32 - 1))
-def test_batch_and_trace_equal_oracle(setup, first_id, n_runs, seed):
-    ids = np.arange(first_id, first_id + n_runs)
-    for trace in (False, True):
+def assert_equal_oracle(setup, seed, ids):
+    """`simulate_batch` equals `engine_oracle` bit for bit, with and without
+    trace; returns the oracle's untraced result."""
+    for trace in (True, False):
         new = simulate_batch(setup, seed, ids, trace=trace)
         old = engine_oracle(setup, seed, ids, trace=trace)
         for name in ("run_ids", "gamma", "tau", "discounted_cost"):
@@ -77,13 +79,87 @@ def test_batch_and_trace_equal_oracle(setup, first_id, n_runs, seed):
         for name, values in old.trace.items():
             np.testing.assert_array_equal(new.trace[name], values, err_msg=name)
             assert new.trace[name].dtype == values.dtype
+    return old
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(setup=setups(), first_id=st.integers(0, 1000), n_runs=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_batch_and_trace_equal_oracle(setup, first_id, n_runs, seed):
+    assert_equal_oracle(setup, seed, np.arange(first_id, first_id + n_runs))
+
+
+def grid(small_env, small_policies, kind, a, b, detector="shiryaev", horizon=60):
+    return make_setup(small_env, small_policies, kind, ChangeSpec("fixed", gamma=1), horizon,
+                      0.95, detector_kind=detector,
+                      detector_rho=0.05 if detector == "shiryaev" else 0.0,
+                      threshold_a=np.asarray(a, dtype=float),
+                      threshold_b=np.asarray(b, dtype=float), window=2)
+
+
+def joined_cells(setup, tau):
+    """Per run, how many cells joined a path row, and at how many distinct
+    steps: every cell but those at their path's largest A."""
+    log_a, cell_path, _ = cell_paths(setup)
+    extra = log_a < np.array([log_a[cell_path == p].max() for p in cell_path])
+    tau = tau.reshape(len(log_a), -1)[extra]
+    return ((tau >= 0).sum(axis=0),
+            np.array([len(set(col[col >= 0])) for col in tau.T]))
+
+
+def test_cells_passing_a_on_one_step_equal_oracle(small_env, small_policies):
+    # A spaced far finer than one step's log ratio, on two paths
+    a, b = np.array(threshold_cells("tt", np.geomspace(2.0, 2.6, 8), [0.0, 1.5])).T
+    setup = grid(small_env, small_policies, "tt", a, b)
+    joins, steps = joined_cells(setup, assert_equal_oracle(setup, 3, np.arange(40)).tau)
+    assert (joins > steps).any()
+
+
+def test_duplicate_a_on_one_path_equal_oracle(small_env, small_policies):
+    # repeated cells on one path, all passed on one step
+    setup = grid(small_env, small_policies, "tt", [2.0, 2.0, 2.0, 8.0], [0.5] * 4)
+    joins, steps = joined_cells(setup, assert_equal_oracle(setup, 3, np.arange(40)).tau)
+    assert (joins == 3).any() and (steps <= 1).all()
+    # under CUSUM, B = 25 is beyond the window-2 statistic's reach, so (30, 25)
+    # shares the +inf path and its A with (30, 30), below that path's A = 40
+    setup = grid(small_env, small_policies, "tt", [0.5, 1.0, 30.0, 30.0, 40.0],
+                 [0.5, 1.0, 25.0, 30.0, 40.0], detector="cusum")
+    _, cell_path, path_b = cell_paths(setup)
+    assert (path_b[cell_path] == math.inf).all()
+    joins, _ = joined_cells(setup, assert_equal_oracle(setup, 3, np.arange(40)).tau)
+    assert joins.any()
+
+
+def test_statistic_equal_to_a_does_not_pass_it(small_env, small_policies):
+    # every log ratio is an A, and the CUSUM after one step is one log ratio,
+    # exactly; a cell switches only once its statistic exceeds A
+    lr = np.unique(log_ratio_table(small_env.mdp_post.kernel, small_env.mdp_pre.kernel))
+    a = np.append(lr[np.isfinite(lr)], 1e3)
+    setup = grid(small_env, small_policies, "loc", a, a, detector="cusum")
+    old = assert_equal_oracle(setup, 3, np.arange(40))
+    first = engine_oracle(setup, 3, np.arange(40), trace=True).trace["statistic"][-40:, 1]
+    equal = a[:, None] == first     # (cell, run): the statistic at step 1 is A
+    assert equal[1:-1].any()        # with a smaller A passed on that step
+    assert (old.tau.reshape(len(a), -1)[equal] != 1).all()
+
+
+def test_grid_without_join_events_equals_oracle(small_env, small_policies):
+    # cells below their path's A, but no statistic reaches any A in 30 steps
+    setup = grid(small_env, small_policies, "loc", [1e200, 1e250, 1e300],
+                 [1e200, 1e250, 1e300], horizon=30)
+    assert len(cell_paths(setup)[2]) == 1
+    assert (assert_equal_oracle(setup, 3, np.arange(40)).tau == -1).all()
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)
-@given(setup=setups(),
+@given(setup=st.one_of(setups(), setups(kinds=("loc", "kl", "tt"), detectors=("cusum",))),
        n_runs=st.integers(CHUNK_SIZE + 1, CHUNK_SIZE + 40), seed=st.integers(0, 2**16))
 def test_packed_chunks_equal_oracle(setup, n_runs, seed):
-    gamma, tau, cost = harness._batched_costs(setup, n_runs, seed)
+    # only a CUSUM grid goes in chunks of runs; anything else is one call
+    with mock.patch.object(harness, "simulate_batch", wraps=simulate_batch) as calls:
+        gamma, tau, cost = harness._batched_costs(setup, n_runs, seed)
+    chunked = np.ndim(setup.threshold_a) and setup.detector_kind == "cusum"
+    assert calls.call_count == (math.ceil(n_runs / CHUNK_SIZE) if chunked else 1)
     n_cells = np.size(setup.threshold_a)
     for lo in range(0, n_runs, CHUNK_SIZE):
         ids = np.arange(lo, min(lo + CHUNK_SIZE, n_runs))

@@ -337,7 +337,7 @@ class TestGridPass:
     """A threshold grid simulated in one engine pass per change spec gives,
     cell for cell, the estimates of simulating that cell alone."""
 
-    N_RUNS = 300    # crosses a 256-run chunk
+    N_RUNS = 300    # a CUSUM grid crosses a 256-run chunk
 
     @staticmethod
     def grids(detector):
@@ -386,15 +386,20 @@ class TestGridPass:
             assert len({c.mean_cost for c in choice.cells}) > 1
 
     def test_one_engine_call_per_chunk(self, small_env, small_policies):
-        setup = replace(small_setup(small_env, small_policies, "tt", horizon=40,
-                                    detector="cusum"), window=5)
-        a, b = np.array(threshold_cells("tt", *self.grids("cusum"))).T
-        grid = replace(setup, threshold_a=a, threshold_b=b)
-        assert len(cell_paths(grid)[2]) > 1
-        with mock.patch.object(harness, "simulate_batch", wraps=simulate_batch) as engine:
-            monte_carlo(grid, self.N_RUNS, master_seed=4)
-        assert engine.call_count == math.ceil(self.N_RUNS / CHUNK_SIZE)
-        assert all(call.args[0] is grid for call in engine.call_args_list)
+        # only a CUSUM grid, whose rows carry a window buffer, goes in chunks
+        for detector in ("shiryaev", "sr", "cusum"):
+            setup = replace(small_setup(small_env, small_policies, "tt", horizon=40,
+                                        detector=detector), window=5)
+            a, b = np.array(threshold_cells("tt", *self.grids(detector))).T
+            grid = replace(setup, threshold_a=a, threshold_b=b)
+            assert len(cell_paths(grid)[2]) > 1
+            with mock.patch.object(harness, "simulate_batch", wraps=simulate_batch) as engine:
+                monte_carlo(grid, self.N_RUNS, master_seed=4)
+            chunks = math.ceil(self.N_RUNS / CHUNK_SIZE) if detector == "cusum" else 1
+            assert engine.call_count == chunks, detector
+            assert all(call.args[0] is grid for call in engine.call_args_list)
+            ids = np.concatenate([call.args[2] for call in engine.call_args_list])
+            assert ids.tolist() == list(range(self.N_RUNS))
 
     def test_one_engine_call_per_scalar_estimate(self, small_env, small_policies):
         setup = small_setup(small_env, small_policies, "tt", horizon=20)
