@@ -25,7 +25,13 @@ SeedSequence(master_seed, spawn_key=(run_id,)), draw the change point (one
 geometric variate, if the change spec is random), then a horizon-length
 block of demand uniforms, then a horizon-length block of action uniforms
 (consumed only by the random policy but always drawn, so every policy sees
-identical demand paths).
+identical demand paths). Each demand is the inverse CDF of its step's
+regime at its uniform. The engine reproduces this bit for bit in bulk: it
+derives every run's PCG64 state with numpy arithmetic over the runs,
+instead of building a SeedSequence and a PCG64 per run, loads the states
+one after another into one generator that fills preallocated rows, and
+inverts each uniform once, under its own regime, through a guide table
+(`demand_from_uniform`).
 
 A step at 0-indexed time k consumes the transition realized at k-1 (for
 k >= 1) before choosing the action, runs under the post-change regime iff
@@ -37,12 +43,14 @@ transition realized between times k-1 and k has index k.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .controllers import check_thresholds, kind_thresholds, switch_action
 from .detectors import cusum_buffer, shiryaev_log_update, threshold_domain, windowed_cusum
+from .errors import NumericalError
 from .inventory import ChangeSpec, InventoryEnv, demand_from_uniform, sample_change_point
 from .mdp import log_ratio_table, validate_policy
 from .momdp import MomdpSolution, belief_step
@@ -125,21 +133,111 @@ class BatchResult:
     trace: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (pcg64.h), from which a run's generator
+# state is derived without building its SeedSequence and PCG64 in Python
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence coerces it: little-endian 32-bit words."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int):
+    """SeedSequence's running hash constant: per hash, the value it is
+    xored with and the one it is then multiplied by."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield init, nxt
+        init = nxt
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    xor, mult = next(consts)
+    value = (value ^ np.uint32(xor)) * np.uint32(mult)
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> 16)
+
+
+def _pcg64_states(master_seed: int, run_ids: np.ndarray) -> list[tuple[int, int]]:
+    """Per run, the (state, inc) of PCG64(SeedSequence(master_seed,
+    spawn_key=(run_id,))): SeedSequence's pool mixing and
+    generate_state(4, uint64) in uint32 arithmetic, vectorized over the
+    runs that share an entropy length, then PCG64's two seeding steps."""
+    seed_words = _uint32_words(master_seed)
+    # a spawned sequence pads its own entropy to the pool size
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    low, high = (run_ids & _MASK32).astype(np.uint32), (run_ids >> 32).astype(np.uint32)
+    pool_state = np.empty((len(run_ids), 8), dtype=np.uint32)
+    for rows, id_words in ((high == 0, (low,)), (high != 0, (low, high))):
+        rows = np.flatnonzero(rows)
+        entropy = ([np.full(len(rows), w, dtype=np.uint32) for w in seed_words]
+                   + [w[rows] for w in id_words])
+        consts = _hash_constants(_INIT_A, _MULT_A)
+        mixer = [_hashmix(word, consts) for word in entropy[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    mixer[dst] = _mix(mixer[dst], _hashmix(mixer[src], consts))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                mixer[dst] = _mix(mixer[dst], _hashmix(word, consts))
+        consts = _hash_constants(_INIT_B, _MULT_B)
+        for i in range(8):
+            pool_state[rows, i] = _hashmix(mixer[i % _POOL_SIZE], consts)
+    states = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in pool_state.astype("<u4").view("<u8").tolist():
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
 def draw_episode_randomness(change: ChangeSpec, horizon: int, master_seed: int,
                             run_ids: np.ndarray):
     """Per-run change points and (runs, horizon) uniform blocks under the
     fixed protocol, drawn afresh on every call; `episode_paths` caches what
-    the engine builds from them."""
+    the engine builds from them.
+
+    Every run's PCG64 state is derived in bulk (`_pcg64_states`) and loaded
+    into one generator, which then draws exactly what a generator seeded
+    from the run's own SeedSequence would. The first run's state is checked
+    against numpy's own seeding."""
+    master_seed = operator.index(master_seed)
+    run_ids = np.asarray(run_ids, dtype=np.int64)
+    if master_seed < 0 or (run_ids < 0).any():
+        raise ValueError("the master seed and run ids must be non-negative")
     n = len(run_ids)
     gamma = np.empty(n)
     demand_u = np.empty((n, horizon))
     action_u = np.empty((n, horizon))
-    for i, run_id in enumerate(run_ids):
-        ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(int(run_id),))
-        rng = np.random.default_rng(ss)
+    if n == 0:
+        return gamma, demand_u, action_u
+    states = _pcg64_states(master_seed, run_ids)
+    bit_gen = np.random.PCG64(np.random.SeedSequence(master_seed,
+                                                     spawn_key=(int(run_ids[0]),)))
+    if bit_gen.state["state"] != dict(zip(("state", "inc"), states[0])):
+        raise NumericalError("bulk PCG64 seeding disagrees with numpy's SeedSequence")
+    rng = np.random.Generator(bit_gen)
+    loaded = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for i, (state, inc) in enumerate(states):
+        loaded["state"] = {"state": state, "inc": inc}
+        bit_gen.state = loaded
         gamma[i] = sample_change_point(change, rng)
-        demand_u[i] = rng.random(horizon)
-        action_u[i] = rng.random(horizon)
+        rng.random(out=demand_u[i])
+        rng.random(out=action_u[i])
     return gamma, demand_u, action_u
 
 
@@ -172,14 +270,17 @@ def episode_paths(env: InventoryEnv, change: ChangeSpec, horizon: int, master_se
     demand_path = np.empty((horizon, n),
                            dtype=np.min_scalar_type(max(len(cum_pre), len(cum_post))))
     action_path = np.empty((horizon, n))
+    steps = np.arange(horizon)
     for lo in range(0, n, PATH_BLOCK):
         block = slice(lo, lo + PATH_BLOCK)
         gamma[block], demand_u, action_u = draw_episode_randomness(
             change, horizon, master_seed, run_ids[block])
-        post_path[:, block] = np.arange(horizon)[:, None] >= gamma[block] - 1.0
-        demand_path[:, block] = np.where(post_path[:, block],
-                                         demand_from_uniform(cum_post, demand_u.T),
-                                         demand_from_uniform(cum_pre, demand_u.T))
+        # run-major views; each uniform is inverted once, by its own regime's CDF
+        post, demand = steps >= gamma[block, None] - 1.0, demand_path[:, block].T
+        demand[post] = demand_from_uniform(cum_post, demand_u[post])
+        pre = ~post
+        demand[pre] = demand_from_uniform(cum_pre, demand_u[pre])
+        post_path[:, block] = post.T
         action_path[:, block] = action_u.T
     paths = (gamma, post_path, demand_path, action_path)
     for block in paths:

@@ -14,6 +14,7 @@ bit-identical to simulating it alone.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -316,6 +317,9 @@ def delay_profile(setup: EpisodeSetup, thresholds, n_runs: int = 1000,
 # ---------------------------------------------------------------------------
 # CSV surfaces
 
+_FLOAT_FORMAT = "{:.9g}".format    # 9 significant digits; inf as "inf", -inf as "-inf"
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -323,26 +327,30 @@ def _fmt(value) -> str:
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.9g}"
+    return _FLOAT_FORMAT(float(value))
 
 
 def write_runs_csv(path, reports: list[EvaluationReport], horizon: int) -> None:
     """One row per run of each report, by policy and then run id; each
-    policy appears in at most one report."""
+    policy appears in at most one report.
+
+    Each column is formatted as `_fmt` would format its fields, and the
+    rows are written as the csv module writes them: a policy kind never
+    needs quoting, and lines end in CRLF."""
+    lines = ["run_id,policy,gamma,tau_switch,horizon,"
+             "discounted_cost,detection_delay,premature_switch"]
+    for r in sorted(reports, key=lambda r: r.policy):
+        premature, delay = _switch_outcomes(r.gamma, r.tau)
+        lines.extend(map(",".join, zip(
+            map(str, range(len(r.tau))), itertools.repeat(r.policy),
+            map(_FLOAT_FORMAT, r.gamma.tolist()),
+            ["" if t < 0 else str(t) for t in r.tau.tolist()],
+            itertools.repeat(str(horizon)),
+            map(_FLOAT_FORMAT, r.discounted_cost.tolist()),
+            ["" if math.isnan(d) else _FLOAT_FORMAT(d) for d in delay.tolist()],
+            ["1" if p else "0" for p in premature.tolist()])))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run_id", "policy", "gamma", "tau_switch", "horizon",
-                         "discounted_cost", "detection_delay", "premature_switch"])
-        for r in sorted(reports, key=lambda r: r.policy):
-            premature, delay = _switch_outcomes(r.gamma, r.tau)
-            for i, (g, t, c, d, p) in enumerate(zip(
-                    r.gamma.tolist(), r.tau.tolist(), r.discounted_cost.tolist(),
-                    delay.tolist(), premature.tolist())):
-                writer.writerow([i, r.policy, _fmt(g), _fmt(t if t >= 0 else None), horizon,
-                                 _fmt(c), _fmt(None if math.isnan(d) else d), _fmt(p)])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def write_summary_csv(path, reports: list[EvaluationReport]) -> None:

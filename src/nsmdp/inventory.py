@@ -10,6 +10,11 @@ is the 1-based index of the first post-change transition, so the step taken
 at 0-indexed time k runs under the post-change regime iff k >= gamma - 1.
 `fixed(1)` therefore puts the entire episode under the post-change law and
 `never` keeps it under the pre-change law.
+
+Simulated demands are inverse-CDF draws from per-run uniforms: the demand
+at u is the number of CDF entries at or below u (np.searchsorted's
+side="right"). `demand_from_uniform` gives exactly that through a guide
+table, so the protocol's demand paths are unchanged.
 """
 
 from __future__ import annotations
@@ -145,9 +150,32 @@ def build_env(params: InventoryParams) -> InventoryEnv:
     )
 
 
+GUIDE_BUCKETS = 4096     # equal-width buckets of [0, 1) in the inverse CDF's guide table
+# bucket edges; the outer buckets reach to -inf and +inf, so every u has one
+_BUCKET_EDGES = np.concatenate(([-math.inf], np.arange(1, GUIDE_BUCKETS) / GUIDE_BUCKETS,
+                                [math.inf]))
+
+
 def demand_from_uniform(cum_pmf: np.ndarray, u) -> np.ndarray:
-    """Inverse-CDF demand draw used by the batch simulator."""
-    return np.searchsorted(cum_pmf, u, side="right")
+    """Inverse-CDF demand draw used by the batch simulator: per uniform, the
+    number of CDF entries at or below it, np.searchsorted(cum_pmf, u,
+    side="right"), with its dtype and shape.
+
+    It searches through a guide table (indexed search, Chen & Asau 1974).
+    A uniform's bucket floor(u * GUIDE_BUCKETS) is exact in floating point,
+    and every uniform in a bucket whose interior holds no CDF entry has
+    the same answer, which the table gives. Only the uniforms in a bucket
+    that holds an entry (at most len(cum_pmf) of the buckets) are searched.
+    """
+    u = np.asarray(u)
+    flat = u.reshape(-1)
+    first = np.searchsorted(cum_pmf, _BUCKET_EDGES[:-1], side="right")
+    ambiguous = first < np.searchsorted(cum_pmf, _BUCKET_EDGES[1:], side="left")
+    bucket = np.clip(flat * GUIDE_BUCKETS, 0, GUIDE_BUCKETS - 1).astype(np.intp)
+    demand = first.take(bucket)
+    search = np.flatnonzero(ambiguous.take(bucket))
+    demand[search] = np.searchsorted(cum_pmf, flat[search], side="right")
+    return demand.reshape(u.shape) if u.ndim else demand[0]
 
 
 @dataclass(frozen=True)

@@ -4,23 +4,27 @@ replaced, bit for bit on random small inventory instances, policies,
 threshold grids, detectors, change points, horizons and run counts, and on
 grids built for the edge cases of joining cells to a path (several cells
 passed on one step, equal A on one path, a statistic equal to A, no joins);
-and the cache of per-draw paths that `simulate_batch` reads."""
+the cache of per-draw paths that `simulate_batch` reads; and the bulk draw
+of those paths against `util.protocol_randomness`, numpy's own per-run
+seeding, over one- and multi-word seeds and run ids."""
 
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsmdp import engine, harness
-from nsmdp.engine import (BATCHABLE_KINDS, PATH_CACHE_RUNS, EpisodeSetup, cell_paths,
-                          draw_episode_randomness, episode_paths, simulate_batch)
+from nsmdp.engine import (BATCHABLE_KINDS, PATH_BLOCK, PATH_CACHE_RUNS, EpisodeSetup,
+                          cell_paths, draw_episode_randomness, episode_paths, simulate_batch)
+from nsmdp.errors import NumericalError
 from nsmdp.harness import CHUNK_SIZE, make_setup, threshold_cells
-from nsmdp.inventory import ChangeSpec, InventoryParams, build_env, demand_from_uniform
+from nsmdp.inventory import ChangeSpec, InventoryParams, build_env
 from nsmdp.mdp import log_ratio_table
 from nsmdp.momdp import belief_grid_solve, build_pomdp
 
-from util import engine_oracle
+from util import engine_oracle, protocol_paths, protocol_randomness
 
 # candidate thresholds: linear for shiryaev/sr, whose floor is 0, and
 # log-domain for cusum, whose floor is -inf
@@ -171,25 +175,15 @@ def test_packed_chunks_equal_oracle(setup, n_runs, seed):
             assert new.dtype == getattr(old, name).dtype
 
 
-def inverse_cdf_demand(env, gamma, demand_u):
-    """The (horizon, runs) demand path drawn by each run's regime pmf."""
-    post = np.arange(demand_u.shape[1])[:, None] >= gamma - 1.0
-    cum_pre, cum_post = np.cumsum(env.pmf_pre), np.cumsum(env.pmf_post)
-    cum_pre[-1] = cum_post[-1] = 1.0
-    return np.where(post, demand_from_uniform(cum_post, demand_u.T),
-                    demand_from_uniform(cum_pre, demand_u.T))
-
-
 def test_path_cache_keys_on_the_demand_pmfs():
     change, ids = ChangeSpec("geometric", rho=0.1), np.arange(7)
     envs = [build_env(InventoryParams(capacity=4, order_cost=1.0, holding_cost=5.0,
                                       penalty=60.0, demand_rate=rate))
             for rate in (0.5, 3.0)]
-    gamma, demand_u, _ = draw_episode_randomness(change, 40, 3, ids)
     paths = [episode_paths(env, change, 40, 3, ids)[2] for env in envs]
     assert not np.array_equal(paths[0], paths[1])
     for env, path in zip(envs, paths):
-        np.testing.assert_array_equal(path, inverse_cdf_demand(env, gamma, demand_u))
+        np.testing.assert_array_equal(path, protocol_paths(env, change, 40, 3, ids)[2])
         assert path.dtype == np.uint8
 
 
@@ -209,3 +203,53 @@ def test_path_cache_is_bounded_by_runs_held():
         assert sum(len(entry[0]) for entry in engine._PATH_CACHE.values()) <= PATH_CACHE_RUNS
     # the oldest entries went, the newest draw stays
     assert episode_paths(env, CHANGES[2], 2, 0, np.arange(1000, 2000))[0] is paths[0]
+
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5)
+RUN_IDS = np.array([0, 1, 255, 2**32 - 1, 2**32, 2**40])
+DRAW_CHANGES = (ChangeSpec("geometric", rho=0.05), ChangeSpec("fixed", gamma=3),
+                ChangeSpec("never"))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("change", DRAW_CHANGES, ids=lambda c: c.kind)
+def test_draw_equals_numpy_seeding(seed, change):
+    # one- and two-word ids in one draw, and each id first in a draw of its own
+    for ids in (RUN_IDS, RUN_IDS[::-1], *RUN_IDS[:, None]):
+        for new, old in zip(draw_episode_randomness(change, 9, seed, ids),
+                            protocol_randomness(change, 9, seed, ids)):
+            np.testing.assert_array_equal(new, old)
+
+
+@pytest.mark.parametrize("uniform_max", (None, 3))
+@pytest.mark.parametrize("change", DRAW_CHANGES, ids=lambda c: c.kind)
+def test_paths_equal_protocol(uniform_max, change):
+    # Poisson before the change; Uniform{0..3} after it puts every post-change
+    # CDF entry exactly on a guide-table bucket edge
+    env = build_env(InventoryParams(capacity=6, order_cost=1.0, holding_cost=2.0,
+                                    penalty=30.0, demand_rate=2.0, uniform_max=uniform_max))
+    ids = np.arange(PATH_BLOCK + 9)
+    for new, old in zip(episode_paths(env, change, 60, 4, ids),
+                        protocol_paths(env, change, 60, 4, ids)):
+        np.testing.assert_array_equal(new, old)
+
+
+def test_negative_seed_or_run_id_raises():
+    change = ChangeSpec("never")
+    with pytest.raises(ValueError, match="non-negative"):
+        draw_episode_randomness(change, 3, -1, np.arange(2))
+    with pytest.raises(ValueError, match="non-negative"):
+        draw_episode_randomness(change, 3, 0, np.array([0, -1]))
+    with pytest.raises(ValueError, match="non-negative"):
+        draw_episode_randomness(change, 3, 0, np.array([-2**32]))
+
+
+def test_bulk_seeding_is_checked_against_numpy():
+    with mock.patch.object(engine, "_pcg64_states", return_value=[(1, 1), (1, 1)]):
+        with pytest.raises(NumericalError, match="SeedSequence"):
+            draw_episode_randomness(ChangeSpec("never"), 3, 0, np.arange(2))
+
+
+def test_empty_draw():
+    gamma, demand_u, action_u = draw_episode_randomness(ChangeSpec("never"), 4, 0, np.arange(0))
+    assert gamma.shape == (0,) and demand_u.shape == action_u.shape == (0, 4)

@@ -12,7 +12,7 @@ import pytest
 from nsmdp import harness
 from nsmdp.controllers import SwitchController
 from nsmdp.detectors import Detector, DetectorConfig
-from nsmdp.engine import cell_paths, draw_episode_randomness, episode_paths, simulate_batch
+from nsmdp.engine import cell_paths, episode_paths, simulate_batch
 from nsmdp.harness import (CHUNK_SIZE, _switch_outcomes,
                            calibrate_nonbayes, default_a_grid, default_b_grid,
                            delay_profile, estimate_nonbayes_grid,
@@ -20,10 +20,10 @@ from nsmdp.harness import (CHUNK_SIZE, _switch_outcomes,
                            monte_carlo, optimize_thresholds, solve_policies,
                            threshold_cells, write_frontier_csv, write_runs_csv,
                            write_summary_csv)
-from nsmdp.inventory import ChangeSpec, InventoryParams, build_env, demand_from_uniform
+from nsmdp.inventory import ChangeSpec, InventoryParams, build_env
 from nsmdp.mdp import info_number, log_ratio_table
 
-from util import finite_horizon_policy_value
+from util import finite_horizon_policy_value, protocol_paths, protocol_randomness, runs_csv_oracle
 
 CHANGE = ChangeSpec(kind="geometric", rho=0.05)
 
@@ -140,8 +140,7 @@ class TestEpisodeAccounting:
                                             pi_probe=ps.pi_probe,
                                             pi_post=ps.pi_post, detector=det,
                                             threshold_a=a, threshold_b=b)
-                _, _, action_u = draw_episode_randomness(CHANGE, horizon, seed,
-                                                         np.array([0]))
+                _, _, action_u = protocol_randomness(CHANGE, horizon, seed, [0])
                 uniforms = _Uniforms(action_u[0])
                 for k in range(horizon):
                     feedback = ((states[k - 1], actions[k - 1], states[k])
@@ -486,16 +485,9 @@ class TestGridPass:
             setup = replace(setup, threshold_a=thresholds, threshold_b=thresholds)
         ids = np.arange(40)
         batch = simulate_batch(setup, 6, ids, trace=True)
-        gamma, demand_u, _ = draw_episode_randomness(setup.change, 80, 6, ids)
-        post = np.arange(80)[None, :] >= gamma[:, None] - 1.0
+        gamma, post, demand, _ = protocol_paths(small_env, setup.change, 80, 6, ids)
         assert post.any() and (~post).any()
-        cum_pre = np.cumsum(small_env.pmf_pre)
-        cum_pre[-1] = 1.0
-        cum_post = np.cumsum(small_env.pmf_post)
-        cum_post[-1] = 1.0
-        expected = np.tile(np.where(post, demand_from_uniform(cum_post, demand_u),
-                                    demand_from_uniform(cum_pre, demand_u)),
-                           (n_cells, 1))
+        expected = np.tile(demand.T, (n_cells, 1))
         assert batch.trace["demand"].shape == (n_cells * len(ids), 80)
         assert np.array_equal(batch.trace["demand"], expected)
         assert np.array_equal(batch.run_ids, np.tile(ids, n_cells))
@@ -564,6 +556,23 @@ class TestCsvSurfaces:
         fheader = fpath.read_text().splitlines()[0]
         assert fheader == ("alpha,policy,A,B,e1_cost,e1_stderr,"
                            "einf_cost,einf_stderr,feasible")
+
+    def test_runs_csv_equals_csv_writer(self, tmp_path, small_env, small_policies):
+        # inf gammas, runs that never switch (so NaN delays), premature and
+        # late switches, and costs across magnitudes
+        reports = [monte_carlo(small_setup(small_env, small_policies, kind, a=a,
+                                           change=change), 40, master_seed=3)
+                   for kind, a, change in (("tt", 50.0, CHANGE),
+                                           ("loc", 200.0, ChangeSpec(kind="never")),
+                                           ("oracle", 50.0, ChangeSpec(kind="fixed", gamma=5)))]
+        reports.append(replace(reports[0], policy="random",
+                               discounted_cost=reports[0].discounted_cost * 1e-7 - 3e5))
+        assert (reports[1].gamma == math.inf).all() and (reports[1].tau == -1).any()
+        assert (reports[0].tau >= 0).any() and (reports[0].tau < reports[0].gamma).any()
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_runs_csv(new, reports, 200)
+        runs_csv_oracle(old, reports, 200)
+        assert new.read_bytes() == old.read_bytes()
 
     def test_infinite_gamma_serialized_as_inf(self, tmp_path, small_env,
                                               small_policies):

@@ -5,11 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsmdp.engine import EpisodeSetup, simulate_batch
-from nsmdp.inventory import (ChangeSpec, InventoryParams, build_env,
-                             build_inventory_mdp, demand_pmf, poisson_cap,
-                             sample_change_point)
+from nsmdp.inventory import (GUIDE_BUCKETS, ChangeSpec, InventoryParams, build_env,
+                             build_inventory_mdp, demand_from_uniform, demand_pmf,
+                             poisson_cap, sample_change_point)
 
 
 class TestDemandPmf:
@@ -147,6 +148,48 @@ class TestSimulateStep:
                     p = env.mdp_pre.kernel[s0, a0, j]
                     sigma = math.sqrt(p * (1 - p) / n)
                     assert abs(counts[s0, a0, j] / n - p) <= 4 * sigma + 1e-6
+
+
+@st.composite
+def cdfs_and_uniforms(draw):
+    """A CDF of a random pmf with zero-mass atoms and atoms far below one
+    bucket's width, and uniforms on its entries, just beside them, on bucket
+    edges and at random."""
+    weights = draw(st.lists(st.sampled_from((0.0, 1e-12, 1e-4, 0.3, 1.0, 7.0)),
+                            min_size=1, max_size=80).filter(any))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pmf = np.array(weights) * rng.random(len(weights))
+    cdf = np.cumsum(pmf / pmf.sum())
+    if draw(st.booleans()):
+        # as the engine does, keeping the CDF sorted
+        cdf = np.minimum(cdf, 1.0)
+        cdf[-1] = 1.0
+    u = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+                        rng.integers(0, GUIDE_BUCKETS, 20) / GUIDE_BUCKETS, [0.0, 1.0],
+                        rng.random(200)))
+    return cdf, rng.permutation(u)
+
+
+class TestDemandFromUniform:
+    """The guide-table inverse CDF against np.searchsorted."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=cdfs_and_uniforms())
+    def test_equals_searchsorted(self, case):
+        cdf, u = case
+        expected = np.searchsorted(cdf, u, side="right")
+        got = demand_from_uniform(cdf, u)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(demand_from_uniform(cdf, u[:12].reshape(3, 4)),
+                                      expected[:12].reshape(3, 4))
+
+    def test_scalar_and_empty_uniforms(self):
+        cdf = np.cumsum(demand_pmf("uniform", u_max=3))
+        for u in (0.0, 0.25, 0.2499, 0.75, 0.999):
+            got = demand_from_uniform(cdf, u)
+            assert np.ndim(got) == 0 and got == np.searchsorted(cdf, u, side="right")
+        assert demand_from_uniform(cdf, np.empty((0, 3))).shape == (0, 3)
 
 
 class TestChangeSpec:

@@ -7,11 +7,14 @@ arbitrate the vectorized implementations. `value_iteration_oracle` and
 they judge `value_iteration`'s and `belief_grid_solve`'s policies, and
 their values within the sweep loops' tolerance band. The exception is
 `engine_oracle`, the one-row-per-cell episode loop, a frozen copy that pins
-the engine's output bit for bit. It calls the library's `windowed_cusum`,
-so it does not judge that kernel; the suffix brute force
-`suffix_max_oracle` does.
+the engine's output bit for bit. It draws its randomness by the plain
+protocol (`protocol_paths`: numpy's own seeding per run, then
+`np.searchsorted`), so it judges the engine's bulk draw. It calls the
+library's `windowed_cusum`, so it does not judge that kernel; the suffix
+brute force `suffix_max_oracle` does.
 """
 
+import csv
 import itertools
 import math
 
@@ -20,9 +23,9 @@ import numpy as np
 from nsmdp.controllers import switch_action
 from nsmdp.detectors import (cusum_buffer, log_ratio_table, shiryaev_log_update,
                              threshold_domain, windowed_cusum)
-from nsmdp.engine import BatchResult, EpisodeSetup, draw_episode_randomness
+from nsmdp.engine import BatchResult, EpisodeSetup
 from nsmdp.errors import NumericalError
-from nsmdp.inventory import demand_from_uniform
+from nsmdp.inventory import sample_change_point
 from nsmdp.mdp import TabularMdp
 from nsmdp.momdp import MomdpSolution, belief_step
 
@@ -202,24 +205,47 @@ def belief_grid_oracle(pomdp, grid_size=201, beta=0.99, tol=1e-6,
     raise NumericalError(f"belief-grid value iteration did not converge in {max_iter} sweeps")
 
 
+def protocol_randomness(change, horizon, master_seed, run_ids):
+    """The randomness protocol as written: per run, a generator seeded from
+    SeedSequence(master_seed, spawn_key=(run_id,)) draws the change point,
+    then a horizon of demand uniforms, then a horizon of action uniforms."""
+    gamma, demand_u, action_u = [], [], []
+    for run_id in run_ids:
+        rng = np.random.default_rng(np.random.SeedSequence(master_seed,
+                                                           spawn_key=(int(run_id),)))
+        gamma.append(sample_change_point(change, rng))
+        demand_u.append(rng.random(horizon))
+        action_u.append(rng.random(horizon))
+    return (np.array(gamma, dtype=float), np.array(demand_u).reshape(-1, horizon),
+            np.array(action_u).reshape(-1, horizon))
+
+
+def protocol_paths(env, change, horizon, master_seed, run_ids):
+    """Per run, the change point, and the (horizon, runs) regime, demand and
+    action-uniform paths of `protocol_randomness`: a step is post-change iff
+    k >= gamma - 1, and its demand is the searchsorted inverse of that
+    regime's CDF."""
+    gamma, demand_u, action_u = protocol_randomness(change, horizon, master_seed, run_ids)
+    post_path = np.arange(horizon)[:, None] >= gamma - 1.0
+    cum_pre, cum_post = np.cumsum(env.pmf_pre), np.cumsum(env.pmf_post)
+    cum_pre[-1] = cum_post[-1] = 1.0
+    demand_path = np.where(post_path, np.searchsorted(cum_post, demand_u.T, side="right"),
+                           np.searchsorted(cum_pre, demand_u.T, side="right"))
+    return gamma, post_path, demand_path, action_u.T
+
+
 def engine_oracle(setup: EpisodeSetup, master_seed: int, run_ids,
                    trace: bool = False) -> BatchResult:
     """`simulate_batch` as it was before it ran the detector once per
     distinct pre-switch path: every threshold cell is a row of its own,
-    with an active mask for the detector. Kept verbatim so that
-    `simulate_batch` can be checked against it bit for bit."""
+    with an active mask for the detector, and the randomness drawn by
+    `protocol_paths`. Kept so that `simulate_batch` can be checked against
+    it bit for bit."""
     run_ids = np.asarray(run_ids, dtype=int)
     shape = (np.size(setup.threshold_a), len(run_ids))
     env, horizon, kind = setup.env, setup.horizon, setup.policy_kind
-    gamma, demand_u, action_u = draw_episode_randomness(
-        setup.change, horizon, master_seed, run_ids)
-
-    # (horizon, runs) regime and demand paths, worked out once for the block
-    post_path = np.arange(horizon)[:, None] >= gamma - 1.0
-    cum_pre, cum_post = np.cumsum(env.pmf_pre), np.cumsum(env.pmf_post)
-    cum_pre[-1] = cum_post[-1] = 1.0
-    demand_path = np.where(post_path, demand_from_uniform(cum_post, demand_u.T),
-                           demand_from_uniform(cum_pre, demand_u.T))
+    gamma, post_path, demand_path, action_path = protocol_paths(
+        env, setup.change, horizon, master_seed, run_ids)
     # flat tables: costs at post * n_pairs + sa, log ratios at sa_prev * n_states + s,
     # where sa = s * n_actions + a indexes a state-action pair
     n_states, n_actions = env.mdp_pre.cost.shape
@@ -247,7 +273,6 @@ def engine_oracle(setup: EpisodeSetup, master_seed: int, run_ids,
         if any(acts != tuple(range(len(acts))) for acts in env.mdp_pre.feasible):
             raise ValueError("random policy requires contiguous feasible actions")
         n_feas = np.array([len(acts) for acts in env.mdp_pre.feasible])
-        action_path = action_u.T
 
     s = np.full(shape, setup.initial_state, dtype=int)
     sa_prev = np.zeros(shape, dtype=int)
@@ -308,3 +333,34 @@ def engine_oracle(setup: EpisodeSetup, master_seed: int, run_ids,
     return BatchResult(run_ids=np.tile(run_ids, shape[0]), gamma=np.tile(gamma, shape[0]),
                        tau=tau.reshape(-1), discounted_cost=disc.reshape(-1),
                        trace={name: t.reshape(-1, horizon) for name, t in traces.items()})
+
+
+def runs_csv_oracle(path, reports, horizon) -> None:
+    """`harness.write_runs_csv` as it was: every field through a `_fmt`
+    and `csv.writer`."""
+    def fmt(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        v = float(value)
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return f"{v:.9g}"
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["run_id", "policy", "gamma", "tau_switch", "horizon",
+                         "discounted_cost", "detection_delay", "premature_switch"])
+        for r in sorted(reports, key=lambda r: r.policy):
+            switched = r.tau >= 0
+            delay = np.where(switched & np.isfinite(r.gamma),
+                             np.maximum(0.0, r.tau - r.gamma), np.nan)
+            premature = switched & (r.tau < r.gamma)
+            for i, (g, t, c, d, p) in enumerate(zip(
+                    r.gamma.tolist(), r.tau.tolist(), r.discounted_cost.tolist(),
+                    delay.tolist(), premature.tolist())):
+                writer.writerow([i, r.policy, fmt(g), fmt(t if t >= 0 else None), horizon,
+                                 fmt(c), fmt(None if math.isnan(d) else d), fmt(p)])

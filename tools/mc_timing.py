@@ -9,7 +9,10 @@ minimum wall time of `monte_carlo` over --repeat calls. The last line gives
 the untimed call's wall time, the process's peak resident memory
 (`ru_maxrss`) and a SHA-256 of every kind's per-run `discounted_cost` and
 `tau`, so two versions of the package can be compared for speed and for
-identical results.
+identical results. The line before it times the randomness draw alone: the
+minimum wall time over --repeat cold `engine.episode_paths` builds (path
+cache emptied first) of the same 1000 x 1000 draw, with a SHA-256 of the
+change points and the regime, demand and action paths.
 
     PYTHONPATH=src python tools/mc_timing.py --repeat 3
 """
@@ -21,7 +24,9 @@ import hashlib
 import resource
 import time
 
-from nsmdp import harness, inventory
+import numpy as np
+
+from nsmdp import engine, harness, inventory
 
 KINDS = ("oracle", "random", "loc", "tt", "momdp")
 CAPACITY, PENALTY, BETA, RHO = 20, 100.0, 0.99, 0.01
@@ -59,6 +64,14 @@ def main() -> None:
         digest.update(report.discounted_cost.tobytes())
         digest.update(report.tau.tobytes())
         print(f"kind={kind} monte_carlo_s={best:.3f}")
+    best = float("inf")
+    for _ in range(args.repeat):
+        engine._PATH_CACHE.clear()
+        start = time.perf_counter()
+        paths = engine.episode_paths(env, change, HORIZON, SEED, np.arange(RUNS))
+        best = min(best, time.perf_counter() - start)
+    paths_digest = hashlib.sha256(b"".join(path.tobytes() for path in paths)).hexdigest()
+    print(f"episode_paths_s={best:.3f} sha256={paths_digest}")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"first_call_s={first:.3f} ru_maxrss_mb={peak_mb:.1f} sha256={digest.hexdigest()}")
 
