@@ -9,16 +9,19 @@ across policies and threshold settings (common random numbers). A draw's
 share them.
 
 A setup whose thresholds are arrays holds one threshold cell per entry.
-Cells share a pre-switch path per B (`cell_paths`): the detector and the
-phase rule run once per path, for its largest A, and every other cell joins
-the post phase at its own first passage over A. A path row passes its
-cells in order of A, so the join check compares each path row with the
-next A it has yet to pass. The cells a path row joins on one step share one
-join event: an accumulator that follows pi_post from the row's state and
-discounted cost through per-step (runs, S) tables, with the float
-operations, and so the bits, of simulating each of them alone. A cell keeps
-only the index of its event. With trace=True every cell is a path of its
-own.
+Its cells fall into blocks, one per distinct B (`cell_paths`), and cells
+share a row for as long as their pre-switch paths agree. A row is a run, a
+contiguous range of blocks and the index of the first distinct A it has not
+passed. Every run starts with all its blocks in one row; a row splits only
+when its statistic lies between two of its blocks' B, the pre and probe
+actions differ at its state, and both sides still hold cells it has not
+passed, so a run never holds more rows than blocks.
+The cells whose A a row's statistic passes on one step leave it for one
+post-switch accumulator, which follows pi_post from the row's state and
+discounted cost through per-step (runs, S) tables; a row whose last cells
+pass is gone from the step loop. Rows and accumulators do the float
+operations, and so give the bits, of each of their cells simulated alone.
+A one-cell or traced setup keeps one row per cell, which switches in place.
 
 Randomness protocol, fixed per run: seed the generator from
 SeedSequence(master_seed, spawn_key=(run_id,)), draw the change point (one
@@ -123,11 +126,12 @@ class EpisodeSetup:
 
 @dataclass
 class BatchResult:
-    """Per-run outcomes of a simulated batch, aligned with run_ids: one entry
-    per row, run_ids repeating once per threshold cell (cell-major)."""
+    """Outcomes of a simulated batch: tau, discounted_cost and the traces
+    have one entry per (cell, run), cell-major, aligned with run_ids, which
+    repeats the run ids once per threshold cell; gamma has one per run."""
 
     run_ids: np.ndarray
-    gamma: np.ndarray              # float, inf = never
+    gamma: np.ndarray              # float, inf = never; one per run
     tau: np.ndarray                # int, -1 = no switch
     discounted_cost: np.ndarray
     trace: dict[str, np.ndarray] = field(default_factory=dict)
@@ -296,10 +300,11 @@ _PATH_CACHE: dict = {}
 
 
 def cell_paths(setup: EpisodeSetup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per cell, A in the statistic's domain and the index of its pre-switch
-    path; per path, B in that domain, or +inf for the cells that never probe:
-    those with B >= A, which switch wherever their statistic exceeds B, and
-    under CUSUM those whose B is beyond the windowed statistic's reach."""
+    """Per cell, A in the statistic's domain and the index of its block; per
+    block, in ascending order, B in that domain, or +inf for the cells that
+    never probe: those with B >= A, which switch wherever their statistic
+    exceeds B, and under CUSUM those whose B is beyond the windowed
+    statistic's reach. The cells of a block share one pre-switch path."""
     log_a, log_b = (np.array([threshold_domain(setup.detector_kind, float(t))
                               for t in np.broadcast_to(thr, np.size(setup.threshold_a))])
                     for thr in setup.effective_thresholds())
@@ -312,9 +317,68 @@ def cell_paths(setup: EpisodeSetup) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         reach = (setup.window + 1) * (max(float(lr.max()), 0.0)
                                       + CUSUM_REACH_MARGIN * float(np.abs(lr).max()))
         never_probes |= log_b > reach
-    path_b, cell_path = np.unique(np.where(never_probes, math.inf, log_b),
-                                  return_inverse=True)
-    return log_a, cell_path, path_b
+    block_b, cell_block = np.unique(np.where(never_probes, math.inf, log_b),
+                                    return_inverse=True)
+    return log_a, cell_block, block_b
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [start, start + count), concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts + counts - ends, counts)
+
+
+class _CellIndex:
+    """A grid's cells by distinct A (index j, ascending) and block (index b),
+    for the merged rows of `simulate_batch`."""
+
+    def __init__(self, log_a: np.ndarray, cell_block: np.ndarray, n_blocks: int):
+        self.a, cell_j = np.unique(log_a, return_inverse=True)
+        m = self.m = len(self.a)
+        self.a_next = np.append(self.a, math.inf)     # indexed by next_index
+        # span[l, b, j]: the least A index >= j among the cells of blocks
+        # b .. b + 2**l - 1, m if none; a range of blocks is the union of two
+        # such spans, of the widest level that fits in it
+        first = np.full((n_blocks, m + 1), m, dtype=np.min_scalar_type(m))
+        first[cell_block, cell_j] = cell_j
+        levels = [np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1]]
+        while 2 ** len(levels) <= n_blocks:
+            half = 2 ** (len(levels) - 1)
+            levels.append(np.minimum(levels[-1][:-half], levels[-1][half:]))
+        self.span = np.full((len(levels), n_blocks, m + 1), m, dtype=first.dtype)
+        for level, least in enumerate(levels):
+            self.span[level, :len(least)] = least
+        self.level = np.array([max(w.bit_length() - 1, 0) for w in range(n_blocks + 1)])
+        # the cells in order of (A index, block), and per (j, b) the position of
+        # the first with A index j and a block >= b
+        key = cell_j * (n_blocks + 1) + cell_block
+        self.order = np.argsort(key, kind="stable")
+        self.start = np.searchsorted(key[self.order], np.arange(m)[:, None] * (n_blocks + 1)
+                                     + np.arange(n_blocks + 1))
+
+    def next_index(self, lo, hi, j):
+        """Per row, the least A index >= j among the cells of blocks
+        [lo, hi), or m if there is none."""
+        level = self.level[hi - lo]
+        return np.minimum(self.span[level, lo, j], self.span[level, hi - (1 << level), j])
+
+    def cells(self, lo, hi, j0, j1) -> tuple[np.ndarray, np.ndarray]:
+        """(row, cell) pairs: per row, the cells of blocks [lo, hi) whose A
+        index is in [j0, j1)."""
+        row = np.repeat(np.arange(len(lo)), j1 - j0)
+        j = _ranges(j0, j1 - j0)
+        first = self.start[j, lo[row]]
+        count = self.start[j, hi[row]] - first
+        return np.repeat(row, count), self.order[_ranges(first, count)]
+
+
+# a row's integer fields: its run, its blocks [LO, HI), the index of the
+# first distinct A it has not passed, its state, its previous state-action
+# pair, its CUSUM buffer row, and its switch step if it switches in place;
+# and its float fields: its statistic, its discounted cost, the A of its next
+# unpassed cell, and the B of its blocks LO and HI - 1
+RUN, LO, HI, NEXT_J, STATE, SA_PREV, SLOT, TAU = range(8)
+STAT, DISC, NEXT_A, LO_B, HI_B = range(5)
 
 
 def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
@@ -331,139 +395,188 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
     n_pairs = n_states * n_actions
     costs = np.stack((env.mdp_pre.cost, env.mdp_post.cost)).reshape(-1)
 
-    log_a, cell_path, path_b = cell_paths(setup)
-    if trace:
-        path_b, cell_path = path_b[cell_path], np.arange(len(log_a))
-    n_paths, n_runs = len(path_b), len(run_ids)
-    path_a = np.array([log_a[cell_path == p].max() for p in range(n_paths)])
-    extra = log_a < path_a[cell_path]
-    shape = (n_paths, n_runs)
+    log_a, cell_block, block_b = cell_paths(setup)
+    n_cells, n_runs, n_blocks = len(log_a), len(run_ids), len(block_b)
     uses_detector = kind in ("loc", "kl", "tt")
-    joins = uses_detector and extra.any()
     uses_belief = kind == "momdp"
+    merged = n_cells > 1 and not trace
+    # the rows are the first n_rows columns of ints and floats, whose rows
+    # are the fields; a merged run holds at most n_blocks rows
+    n_rows = n_runs if merged else n_cells * n_runs
+    capacity = n_blocks * n_runs if merged else n_rows
+    ints, floats = np.zeros((8, capacity), dtype=int), np.zeros((5, capacity))
+    if merged:
+        # one row per run, holding every block
+        cells = _CellIndex(log_a, cell_block, n_blocks)
+        ints[RUN, :n_rows], ints[HI] = np.arange(n_runs), n_blocks
+        floats[NEXT_A] = cells.a_next[cells.next_index(0, n_blocks, 0)]
+        floats[LO_B], floats[HI_B] = block_b[0], block_b[-1]
+    else:
+        # one row per (cell, run), cell-major, with the cell's A and B
+        ints[RUN] = np.tile(np.arange(n_runs), n_cells)
+        floats[NEXT_A] = np.repeat(log_a, n_runs)
+        floats[LO_B] = np.repeat(block_b[cell_block], n_runs)
+    ints[SLOT, :n_rows] = np.arange(n_rows)
+    ints[STATE], ints[TAU], floats[STAT] = setup.initial_state, -1, -math.inf
+    n_slots = n_rows
+    # a one-cell setup's rows are its runs, in order
+    by_run = ints[RUN, :n_rows] if merged or n_cells > 1 else slice(None)
+
     if uses_detector or uses_belief:
         log_lr = log_ratio_table(env.mdp_post.kernel, env.mdp_pre.kernel).reshape(-1)
     if uses_detector:
-        log_b = path_b[:, None]
         log1m_rho = float(np.log1p(-setup.detector_rho))
         if setup.detector_kind == "cusum":
-            buf = cusum_buffer(math.prod(shape), setup.window)
-        stat = np.full(shape, -math.inf)     # log S_n (S_0 = 0), or the CUSUM
+            # a merged run takes a new buffer row at each split
+            buf = cusum_buffer(capacity, setup.window)
         pi_probe = setup.pi_pre if setup.pi_probe is None else setup.pi_probe
         policies = np.stack((setup.pi_pre, pi_probe, setup.pi_post))
-    # per (cell, run), the row it reports: its path row, or the join event
-    # that it joined at, numbered after the path rows. A join event is one
-    # path row joining cells on one step; it is an accumulator that follows
-    # pi_post from the row's state and discounted cost, with the float
-    # operations, and so the bits, of each of those cells simulated alone.
-    max_events = np.count_nonzero(extra) * n_runs if joins else 0
-    ref = (cell_path[:, None] * n_runs + np.arange(n_runs)).astype(
-        np.min_scalar_type(n_paths * n_runs + max_events))
-    ev_s, ev_tau = np.empty(max_events, dtype=int), np.empty(max_events, dtype=int)
-    ev_disc, n_events = np.empty(max_events), 0
-    if joins:
-        # per path, its other cells in order of A (rank_cell) and their A,
-        # +inf-padded (rank_a). A path row passes them in that order, so per row
-        # next_a, the A of the first it has not passed, is all the join check needs.
-        members = [np.flatnonzero(extra & (cell_path == p)) for p in range(n_paths)]
-        members = [m[np.argsort(log_a[m], kind="stable")] for m in members]
-        width = max(len(m) for m in members)
-        rank_cell = np.zeros((n_paths, width), dtype=int)
-        rank_a = np.full((n_paths, width + 1), math.inf)
-        for p, m in enumerate(members):
-            rank_cell[p, :len(m)], rank_a[p, :len(m)] = m, log_a[m]
-        next_a = np.repeat(rank_a[:, :1], n_runs, axis=1)
-        # pi_post's (regime, S) costs and (demand, S) successor states; an event's
-        # state is a flat index into the per-step (runs, S) tables built from them
+        # a merged row whose blocks disagree on the phase splits only where
+        # the phases' actions differ
+        probe_differs = setup.pi_pre != pi_probe
+    n_events = 0
+    if merged:
+        # per (cell, run), the event or final row it reports, numbered in that
+        # order. An event is the cells one row passes on one step: an
+        # accumulator that follows pi_post from the row's state (a flat index
+        # into the per-step (runs, S) tables) and discounted cost
+        max_events = n_cells * n_runs if uses_detector else 0
+        ref = np.empty((n_cells, n_runs), dtype=np.min_scalar_type(max_events + capacity))
+        ev_s, ev_tau = np.empty(max_events, dtype=int), np.empty(max_events, dtype=int)
+        ev_disc = np.empty(max_events)
+    if merged and uses_detector:
+        # pi_post's (regime, S) costs and (demand, S) successor states
         states, row_base = np.arange(n_states), np.arange(n_runs) * n_states
         post_costs = costs.reshape(2, n_pairs)[:, states * n_actions + setup.pi_post]
         post_succ = np.maximum(0, states + setup.pi_post
                                - np.arange(max(len(env.pmf_pre), len(env.pmf_post)))[:, None])
     if uses_belief:
         lr_lin = np.exp(log_lr)
-        belief = np.zeros(shape)
+        belief = np.zeros(n_rows)
         grid = setup.momdp.grid_size
     if kind == "random":
         if any(acts != tuple(range(len(acts))) for acts in env.mdp_pre.feasible):
             raise ValueError("random policy requires contiguous feasible actions")
         n_feas = np.array([len(acts) for acts in env.mdp_pre.feasible])
 
-    s = np.full(shape, setup.initial_state, dtype=int)
-    sa_prev = np.zeros(shape, dtype=int)
-    switched = np.zeros(shape, dtype=bool)
-    tau = np.full(shape, -1, dtype=int)
-    disc = np.zeros(shape)
     beta_pow = 1.0
-    traces = {name: np.zeros(shape + (horizon,)) for name in
+    traces = {name: np.zeros((n_rows, horizon)) for name in
               ("state", "action", "demand", "statistic", "phase", "cost")} if trace else {}
 
     for k in range(horizon):
+        rows_i, rows_f = ints[:, :n_rows], floats[:, :n_rows]
         if k >= 1:
-            transition = sa_prev * n_states + s
+            transition = rows_i[SA_PREV] * n_states + rows_i[STATE]
             if uses_detector:
-                active = ~switched
-                if active.any():
-                    step_lr = log_lr[transition[active]]
-                    if setup.detector_kind == "cusum":
-                        # an index array, which gathers faster than the mask
-                        stat[active] = windowed_cusum(buf, np.flatnonzero(active), step_lr, k)
-                    else:
-                        stat[active] = shiryaev_log_update(stat[active], step_lr, log1m_rho)
-                    newly = active & (stat > path_a[:, None])
-                    tau[newly] = k
-                    switched |= newly
-            if joins:
-                h = np.flatnonzero(stat > next_a)     # path rows joining cells now
-                if len(h):
-                    p, r = np.divmod(h, n_runs)
-                    row_a = rank_a[p]
-                    passed = row_a < stat.reshape(-1)[h, None]
-                    ev, q = np.nonzero(passed & (row_a >= next_a.reshape(-1)[h, None]))
-                    ref[rank_cell[p[ev], q], r[ev]] = n_paths * n_runs + n_events + ev
-                    next_a.flat[h] = row_a[np.arange(len(h)), passed.sum(axis=1)]
+                stat = rows_f[STAT]
+                live = slice(None) if merged else np.flatnonzero(rows_i[TAU] < 0)
+                step_lr = log_lr[transition[live]]
+                if setup.detector_kind == "cusum":
+                    stat[live] = windowed_cusum(buf, rows_i[SLOT, live], step_lr, k)
+                else:
+                    stat[live] = shiryaev_log_update(stat[live], step_lr, log1m_rho)
+                h = np.flatnonzero(stat > rows_f[NEXT_A])     # rows passing cells now
+                if len(h) and not merged:
+                    rows_i[TAU, h], rows_f[NEXT_A, h] = k, math.inf
+                elif len(h):
+                    lo, hi, j0 = rows_i[LO, h], rows_i[HI, h], rows_i[NEXT_J, h]
+                    j1 = np.searchsorted(cells.a, stat[h])     # the cells whose A < stat
                     new = slice(n_events, n_events + len(h))
-                    ev_s[new], ev_disc[new], ev_tau[new] = row_base[r] + s.flat[h], disc.flat[h], k
+                    ev_s[new] = row_base[rows_i[RUN, h]] + rows_i[STATE, h]
+                    ev_disc[new], ev_tau[new] = rows_f[DISC, h], k
+                    row, cell = cells.cells(lo, hi, j0, j1)
+                    ref[cell, rows_i[RUN, h[row]]] = n_events + row
                     n_events += len(h)
+                    nxt = cells.next_index(lo, hi, j1)
+                    rows_i[NEXT_J, h], rows_f[NEXT_A, h] = j1, cells.a_next[nxt]
+                    gone = h[nxt == cells.m]            # rows whose last cells passed
+                    if len(gone):
+                        # rows from the end move into their places
+                        n_rows -= len(gone)
+                        moves = np.ones(len(gone), dtype=bool)
+                        moves[gone[gone >= n_rows] - n_rows] = False
+                        holes, movers = gone[gone < n_rows], n_rows + np.flatnonzero(moves)
+                        ints[:, holes], floats[:, holes] = ints[:, movers], floats[:, movers]
+                        rows_i, rows_f = ints[:, :n_rows], floats[:, :n_rows]
+                if merged and n_blocks > 1:
+                    stat = rows_f[STAT]
+                    h = np.flatnonzero((stat > rows_f[LO_B]) & (stat <= rows_f[HI_B]))
+                    h = h[probe_differs[rows_i[STATE, h]]]
+                    if len(h):
+                        # blocks below c probe, and blocks from c on stay pre
+                        lo, hi, j = rows_i[LO, h], rows_i[HI, h], rows_i[NEXT_J, h]
+                        c = np.searchsorted(block_b, stat[h])
+                        below, above = cells.next_index(lo, c, j), cells.next_index(c, hi, j)
+                        # a row keeps its probing blocks if they hold cells, else
+                        # the others; where both sides do, the others split off
+                        split = (below < cells.m) & (above < cells.m)
+                        to = slice(n_rows, n_rows + np.count_nonzero(split))
+                        ints[:, to], floats[:, to] = rows_i[:, h[split]], rows_f[:, h[split]]
+                        ints[LO, to], floats[LO_B, to] = c[split], block_b[c[split]]
+                        floats[NEXT_A, to] = cells.a_next[above[split]]
+                        ints[SLOT, to] = np.arange(n_slots, n_slots + to.stop - to.start)
+                        if setup.detector_kind == "cusum":
+                            buf[ints[SLOT, to]] = buf[rows_i[SLOT, h[split]]]
+                        n_slots += to.stop - to.start
+                        keeps = below < cells.m
+                        rows_i[LO, h] = np.where(keeps, lo, c)
+                        rows_i[HI, h] = np.where(keeps, c, hi)
+                        rows_f[LO_B, h] = block_b[rows_i[LO, h]]
+                        rows_f[HI_B, h] = block_b[rows_i[HI, h] - 1]
+                        rows_f[NEXT_A, h] = cells.a_next[np.where(keeps, below, above)]
+                        n_rows = to.stop
+                        rows_i, rows_f = ints[:, :n_rows], floats[:, :n_rows]
             if uses_belief:
                 step_lr = lr_lin[transition]
                 belief = belief_step(belief, step_lr, setup.momdp.pomdp.rho)
 
-        post = post_path[k]
+        s, stat = rows_i[STATE], rows_f[STAT]
+        if merged:
+            by_run = rows_i[RUN]
+        post = post_path[k][by_run]
         if kind == "oracle":
             a = np.where(post, setup.pi_post[s], setup.pi_pre[s])
         elif kind == "random":
-            a = (action_path[k] * n_feas[s]).astype(int)
+            a = (action_path[k][by_run] * n_feas[s]).astype(int)
         elif kind == "momdp":
             a = np.take(setup.momdp.policy, s * grid + np.rint(belief * (grid - 1)).astype(int))
         else:
-            phase, a = switch_action(policies, switched, stat, log_b, s)
+            # a merged row never switches: its cells leave it instead
+            phase, a = switch_action(policies, not merged and rows_i[TAU] >= 0, stat,
+                                     rows_f[LO_B], s)
 
-        sa = s * n_actions + a
+        sa = np.multiply(s, n_actions, out=rows_i[SA_PREV])
+        sa += a
         cost = costs[post * n_pairs + sa]
-        disc += beta_pow * cost
-        w = demand_path[k]
+        rows_f[DISC] += beta_pow * cost
+        w = demand_path[k][by_run]
         if n_events:
-            step_cost = beta_pow * np.take(post_costs, post, axis=0)
-            succ = np.take(post_succ, w, axis=0) + row_base[:, None]
+            step_cost = beta_pow * np.take(post_costs, post_path[k], axis=0)
+            succ = np.take(post_succ, demand_path[k], axis=0) + row_base[:, None]
             ev_disc[:n_events] += np.take(step_cost, ev_s[:n_events])
             ev_s[:n_events] = np.take(succ, ev_s[:n_events])
         beta_pow *= setup.beta
 
         if trace:
-            traces["state"][..., k] = s
-            traces["action"][..., k] = a
-            traces["demand"][..., k] = w
-            traces["cost"][..., k] = cost
+            traces["state"][:, k] = s
+            traces["action"][:, k] = a
+            traces["demand"][:, k] = w
+            traces["cost"][:, k] = cost
             if uses_detector:
-                traces["statistic"][..., k] = stat
-                traces["phase"][..., k] = phase
+                traces["statistic"][:, k] = stat
+                traces["phase"][:, k] = phase
             elif uses_belief:
-                traces["statistic"][..., k] = belief
-        sa_prev = sa
-        s = np.maximum(0, s + a - w)
+                traces["statistic"][:, k] = belief
+        np.maximum(np.subtract(s + a, w, out=s), 0, out=s)
 
-    tau = np.concatenate((tau.reshape(-1), ev_tau[:n_events])).take(ref)
-    disc = np.concatenate((disc.reshape(-1), ev_disc[:n_events])).take(ref)
-    return BatchResult(run_ids=np.tile(run_ids, len(log_a)), gamma=np.tile(gamma, len(log_a)),
+    tau, disc = ints[TAU, :n_rows].copy(), floats[DISC, :n_rows].copy()
+    if merged:
+        # the cells no row passed report the row that holds them
+        row, cell = cells.cells(ints[LO, :n_rows], ints[HI, :n_rows], ints[NEXT_J, :n_rows],
+                                np.full(n_rows, cells.m))
+        ref[cell, ints[RUN, row]] = n_events + row
+        tau = np.concatenate((ev_tau[:n_events], tau)).take(ref)
+        disc = np.concatenate((ev_disc[:n_events], disc)).take(ref)
+    return BatchResult(run_ids=np.tile(run_ids, n_cells), gamma=gamma.copy(),
                        tau=tau.reshape(-1), discounted_cost=disc.reshape(-1),
-                       trace={name: t.reshape(-1, horizon) for name, t in traces.items()})
+                       trace=traces)

@@ -110,16 +110,16 @@ def _batched_costs(setup: EpisodeSetup, n_runs: int,
     n_cells = np.size(setup.threshold_a)
     if not (np.ndim(setup.threshold_a) and setup.detector_kind == "cusum"):
         # the result's own arrays: copies raised a 1000-run, 284-cell grid's
-        # peak RSS by 3 MB. gamma is copied out of its (cells x runs) tiling.
+        # peak RSS by 3 MB
         part = simulate_batch(setup, master_seed, np.arange(n_runs))
-        return (part.gamma[:n_runs].copy(), part.tau.reshape(n_cells, -1),
+        return (part.gamma, part.tau.reshape(n_cells, -1),
                 part.discounted_cost.reshape(n_cells, -1))
     gamma, cost = np.empty(n_runs), np.empty((n_cells, n_runs))
     tau = np.empty((n_cells, n_runs), dtype=int)
     for lo in range(0, n_runs, CHUNK_SIZE):
         ids = np.arange(lo, min(lo + CHUNK_SIZE, n_runs))
         part = simulate_batch(setup, master_seed, ids)
-        gamma[ids] = part.gamma[:len(ids)]
+        gamma[ids] = part.gamma
         tau[:, ids] = part.tau.reshape(n_cells, -1)
         cost[:, ids] = part.discounted_cost.reshape(n_cells, -1)
     return gamma, tau, cost
@@ -139,14 +139,19 @@ def monte_carlo(setup: EpisodeSetup, n_runs: int,
         block.flags.writeable = False
     premature, delay = _switch_outcomes(gamma, tau)
     a, b = (np.broadcast_to(t, len(tau)) for t in setup.effective_thresholds())
+    # every cell in one reduction per aggregate, which sums each row as the
+    # one-row call would; a cell's mean delay drops its NaNs first
+    mean_cost = cost.mean(axis=1).tolist()
+    stderr = (np.std(cost, axis=1, ddof=1) / math.sqrt(n_runs) if n_runs > 1
+              else np.zeros(len(tau))).tolist()
+    premature_rate = premature.mean(axis=1).tolist()
     reports = []
     for c in range(len(tau)):
         delays = delay[c][~np.isnan(delay[c])]
         reports.append(EvaluationReport(
-            policy=setup.policy_kind, n_runs=n_runs, mean_cost=float(cost[c].mean()),
-            stderr=float(np.std(cost[c], ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0,
-            mean_delay=float(delays.mean()) if len(delays) else None,
-            premature_rate=float(premature[c].mean()), threshold_a=float(a[c]),
+            policy=setup.policy_kind, n_runs=n_runs, mean_cost=mean_cost[c],
+            stderr=stderr[c], mean_delay=float(delays.mean()) if len(delays) else None,
+            premature_rate=premature_rate[c], threshold_a=float(a[c]),
             threshold_b=float(b[c]), seed=master_seed, gamma=gamma, tau=tau[c],
             discounted_cost=cost[c]))
     return reports if np.ndim(setup.threshold_a) else reports[0]

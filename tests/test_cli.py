@@ -4,10 +4,12 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from nsmdp.cli import CONFIG_KEYS, FLAGS, build_parser, load_config, main
+from nsmdp import cli
+from nsmdp.cli import CONFIG_KEYS, FLAGS, ConfigError, build_parser, load_config, main
 
 # a valid value other than the default for every config key: (raw, parsed)
 NON_DEFAULT = {
@@ -511,3 +513,36 @@ class TestConfigTable:
         args = build_parser().parse_args(["sweep", "--config", str(path), flag, raw])
         cfg = load_config(args.config, {k: getattr(args, k) for k in FLAGS.values()})
         assert getattr(getattr(cfg, section), key) == value
+
+
+class TestParser:
+    def test_main_builds_the_parser_once_and_parses_each_call_afresh(self):
+        # every call's flag overrides, read where main hands them to load_config
+        seen = []
+
+        def stop(path, overrides):
+            seen.append((path, overrides))
+            raise ConfigError("stop")
+
+        cli._parser.cache_clear()
+        with mock.patch.object(cli, "build_parser", wraps=build_parser) as built, \
+                mock.patch.object(cli, "load_config", side_effect=stop):
+            assert main(["evaluate", "--config", "a.ini", "--horizon", "30",
+                         "--policies", "tt", "--assert-ordering"]) == 1
+            assert main(["sweep", "--seed", "4", "--alphas", "1,2"]) == 1
+        assert built.call_count == 1
+        assert seen[0][0] == "a.ini" and seen[1][0] is None
+        assert seen[0][1] == dict.fromkeys(FLAGS.values()) | {
+            "run.horizon": "30", "policies.kinds": "tt"}
+        assert seen[1][1] == dict.fromkeys(FLAGS.values()) | {
+            "run.seed": "4", "sweep.alphas": "1,2"}
+
+    @pytest.mark.parametrize("argv", [["--help"], ["evaluate", "--help"], ["calibrate", "--help"]])
+    def test_help_is_that_of_a_fresh_parser(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        fresh = capsys.readouterr().out
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert capsys.readouterr().out == fresh

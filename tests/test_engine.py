@@ -1,14 +1,18 @@
-"""Property tests: `simulate_batch`, which runs the detector once per distinct
-pre-switch path, against `util.engine_oracle`, the one-row-per-cell loop it
-replaced, bit for bit on random small inventory instances, policies,
-threshold grids, detectors, change points, horizons and run counts, and on
-grids built for the edge cases of joining cells to a path (several cells
-passed on one step, equal A on one path, a statistic equal to A, no joins);
-the cache of per-draw paths that `simulate_batch` reads; and the bulk draw
-of those paths against `util.protocol_randomness`, numpy's own per-run
-seeding, over one- and multi-word seeds and run ids."""
+"""Property tests: `simulate_batch`, which merges a grid's cells into one
+row per distinct trajectory, against `util.engine_oracle`, the
+one-row-per-cell loop it replaced, bit for bit on random small inventory
+instances, policies, threshold grids, detectors, change points, horizons
+and run counts; on grids built for the edge cases of cells leaving a row
+(several cells passed on one step, equal A on one block, a statistic equal
+to A, no passes) and of rows splitting (A repeated across blocks, the floor
+B, B = A, B beyond the CUSUM reach, a statistic equal to a block's B, a side
+holding only passed cells); the cache of per-draw paths that
+`simulate_batch` reads; and the bulk draw of those paths against
+`util.protocol_randomness`, numpy's own per-run seeding, over one- and
+multi-word seeds and run ids."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsmdp import engine, harness
+from nsmdp.controllers import switch_action
 from nsmdp.engine import (BATCHABLE_KINDS, PATH_BLOCK, PATH_CACHE_RUNS, EpisodeSetup,
                           cell_paths, draw_episode_randomness, episode_paths, simulate_batch)
 from nsmdp.errors import NumericalError
@@ -35,19 +40,23 @@ CHANGES = (ChangeSpec("geometric", rho=0.05), ChangeSpec("geometric", rho=0.3),
            ChangeSpec("never"))
 
 
-@st.composite
-def setups(draw, kinds=BATCHABLE_KINDS, detectors=("shiryaev", "sr", "cusum")):
-    """A setup with random feasible policies and, unless scalar, a two-
-    threshold grid: every B = A cell, the floor B, and several A per B."""
+def random_env_and_policies(draw):
+    """A random small inventory instance and three random feasible policies."""
     capacity = draw(st.integers(2, 6))
     env = build_env(InventoryParams(
         capacity=capacity, order_cost=draw(st.sampled_from((0.0, 1.0, 2.5))),
         holding_cost=draw(st.sampled_from((1.0, 5.0))),
         penalty=draw(st.sampled_from((10.0, 100.0))),
         demand_rate=draw(st.sampled_from((0.5, 1.5, 3.0)))))
-    pi_pre, pi_probe, pi_post = (
-        np.array([draw(st.sampled_from(acts)) for acts in env.mdp_pre.feasible])
-        for _ in range(3))
+    return env, *(np.array([draw(st.sampled_from(acts)) for acts in env.mdp_pre.feasible])
+                  for _ in range(3))
+
+
+@st.composite
+def setups(draw, kinds=BATCHABLE_KINDS, detectors=("shiryaev", "sr", "cusum")):
+    """A setup with random feasible policies and, unless scalar, a two-
+    threshold grid: every B = A cell, the floor B, and several A per B."""
+    env, pi_pre, pi_probe, pi_post = random_env_and_policies(draw)
     kind = draw(st.sampled_from(kinds))
     detector = draw(st.sampled_from(detectors))
     values = LOG if detector == "cusum" else LINEAR
@@ -67,7 +76,7 @@ def setups(draw, kinds=BATCHABLE_KINDS, detectors=("shiryaev", "sr", "cusum")):
         pi_probe=pi_probe, pi_post=pi_post, detector_kind=detector,
         detector_rho=draw(st.sampled_from((0.01, 0.3))) if detector == "shiryaev" else 0.0,
         window=draw(st.integers(1, 8)), threshold_a=a, threshold_b=b, momdp=momdp,
-        initial_state=draw(st.integers(0, capacity)))
+        initial_state=draw(st.integers(0, env.params.capacity)))
 
 
 def assert_equal_oracle(setup, seed, ids):
@@ -91,6 +100,67 @@ def assert_equal_oracle(setup, seed, ids):
        seed=st.integers(0, 2**32 - 1))
 def test_batch_and_trace_equal_oracle(setup, first_id, n_runs, seed):
     assert_equal_oracle(setup, seed, np.arange(first_id, first_id + n_runs))
+
+
+@st.composite
+def split_grids(draw):
+    """A two-threshold grid whose merged rows split: B drawn from the floor,
+    interior values and, under CUSUM, a value beyond the statistic's reach
+    and the exact one-step statistics (the log ratios); A drawn from few
+    values, so that A repeats across blocks and B = A occurs; small A, so
+    that one side of a split may hold only passed cells."""
+    env, pi_pre, pi_probe, pi_post = random_env_and_policies(draw)
+    detector = draw(st.sampled_from(("shiryaev", "sr", "cusum")))
+    if detector == "cusum":
+        lr = np.unique(log_ratio_table(env.mdp_post.kernel, env.mdp_pre.kernel))
+        lr = [float(x) for x in lr[np.isfinite(lr)]]
+        b_values = [-math.inf, 0.0, 1e3, *draw(st.lists(st.sampled_from(lr), max_size=3))]
+        a_values = [*b_values[1:], 0.5, 2.0, 5.0]
+    else:
+        b_values = [0.0, 0.3, 1.0, 2.0, 8.0]
+        a_values = [0.3, 1.0, 2.0, 8.0, 50.0, 1e3]
+    cells = draw(st.lists(st.tuples(st.sampled_from(a_values), st.sampled_from(b_values)),
+                          min_size=2, max_size=10))
+    a, b = np.array([(max(a, b), min(a, b)) for a, b in cells]).T
+    return EpisodeSetup(
+        env=env, policy_kind="tt", change=draw(st.sampled_from(CHANGES)),
+        horizon=draw(st.integers(1, 60)), beta=draw(st.sampled_from((0.0, 0.6, 0.95))),
+        pi_pre=pi_pre, pi_probe=pi_probe, pi_post=pi_post, detector_kind=detector,
+        detector_rho=draw(st.sampled_from((0.01, 0.3))) if detector == "shiryaev" else 0.0,
+        window=draw(st.integers(1, 8)), threshold_a=a, threshold_b=b,
+        initial_state=draw(st.integers(0, env.params.capacity)))
+
+
+def rows_per_step(setup, seed, run_id):
+    """The number of rows that one run, simulated alone, holds at each step:
+    the rows whose action the phase rule picks."""
+    rows = []
+
+    def count(policies, switched, stat, log_b, s):
+        rows.append(len(s))
+        return switch_action(policies, switched, stat, log_b, s)
+
+    with mock.patch.object(engine, "switch_action", side_effect=count):
+        simulate_batch(setup, seed, [run_id])
+    return rows
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(setup=split_grids(), first_id=st.integers(0, 1000), seed=st.integers(0, 2**32 - 1))
+def test_row_splits_equal_oracle(setup, first_id, seed):
+    ids = np.arange(first_id, first_id + 12)
+    old = assert_equal_oracle(setup, seed, ids)
+    # one cell alone keeps its row and switches in place, with the same bits
+    n_blocks = len(cell_paths(setup)[2])
+    for c in (0, len(setup.threshold_a) - 1):
+        one = simulate_batch(replace(setup, threshold_a=setup.threshold_a[c],
+                                     threshold_b=setup.threshold_b[c]), seed, ids)
+        np.testing.assert_array_equal(one.tau, old.tau.reshape(-1, len(ids))[c])
+        np.testing.assert_array_equal(one.discounted_cost,
+                                      old.discounted_cost.reshape(-1, len(ids))[c])
+    # a run never holds more rows than blocks
+    for run_id in ids[:3]:
+        assert max(rows_per_step(setup, seed, run_id)) <= n_blocks
 
 
 def grid(small_env, small_policies, kind, a, b, detector="shiryaev", horizon=60):
@@ -155,6 +225,52 @@ def test_grid_without_join_events_equals_oracle(small_env, small_policies):
     assert (assert_equal_oracle(setup, 3, np.arange(40)).tau == -1).all()
 
 
+@pytest.mark.parametrize("n_blocks", [1, 2, 5, 19, 40])
+def test_cell_index_equals_brute_force(n_blocks):
+    # every block range and A-index range of a random grid with repeated A,
+    # empty blocks and blocks of many cells
+    rng = np.random.default_rng(n_blocks)
+    log_a = rng.choice([-math.inf, -1.0, 0.0, 0.5, 2.0, 7.5, math.inf], 3 * n_blocks)
+    cell_block = rng.integers(0, n_blocks, len(log_a))
+    index = engine._CellIndex(log_a, cell_block, n_blocks)
+    cell_j = np.searchsorted(index.a, log_a)
+    los, his = np.triu_indices(n_blocks + 1, 1)
+    for j0 in range(index.m + 1):
+        j = np.full(len(los), j0)
+        inside = [np.flatnonzero((cell_block >= lo) & (cell_block < hi) & (cell_j >= j0))
+                  for lo, hi in zip(los, his)]
+        np.testing.assert_array_equal(index.next_index(los, his, j),
+                                      [cell_j[c].min(initial=index.m) for c in inside])
+        for j1 in range(j0, index.m + 1):
+            row, cell = index.cells(los, his, j, np.full(len(los), j1))
+            assert sorted(zip(row.tolist(), cell.tolist())) == sorted(
+                (r, c) for r, cells in enumerate(inside) for c in cells if cell_j[c] < j1)
+
+
+def test_a_side_holding_only_passed_cells_leaves_no_row(small_env, small_policies):
+    # with a large A on both blocks, every run's row splits once the statistic
+    # lies between the two B; with A = 0.5 on the B = 0 block, that block's
+    # cell has passed by then, and the row keeps only the other block
+    most_rows = {}
+    for a0 in (1e3, 0.5):
+        setup = grid(small_env, small_policies, "tt", [a0, 1e3], [0.0, 2.0])
+        assert len(cell_paths(setup)[2]) == 2
+        assert_equal_oracle(setup, 3, np.arange(20))
+        most_rows[a0] = max(max(rows_per_step(setup, 3, r)) for r in range(20))
+    assert most_rows == {1e3: 2, 0.5: 1}
+
+
+def test_statistic_equal_to_b_stays_pre(small_env, small_policies):
+    # every log ratio is a B, and the CUSUM after one step is one log ratio,
+    # exactly; a block whose B equals the statistic stays pre
+    lr = np.unique(log_ratio_table(small_env.mdp_post.kernel, small_env.mdp_pre.kernel))
+    b = lr[np.isfinite(lr)]
+    setup = grid(small_env, small_policies, "tt", np.full(len(b), 1e3), b, detector="cusum")
+    assert_equal_oracle(setup, 3, np.arange(40))
+    first = engine_oracle(setup, 3, np.arange(40), trace=True).trace["statistic"][:, 1]
+    assert (first.reshape(len(b), -1) == b[:, None]).any()
+
+
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(setup=st.one_of(setups(), setups(kinds=("loc", "kl", "tt"), detectors=("cusum",))),
        n_runs=st.integers(CHUNK_SIZE + 1, CHUNK_SIZE + 40), seed=st.integers(0, 2**16))
@@ -168,8 +284,8 @@ def test_packed_chunks_equal_oracle(setup, n_runs, seed):
     for lo in range(0, n_runs, CHUNK_SIZE):
         ids = np.arange(lo, min(lo + CHUNK_SIZE, n_runs))
         old = engine_oracle(setup, seed, ids)
-        for new, name in ((np.tile(gamma, (n_cells, 1)), "gamma"), (tau, "tau"),
-                          (cost, "discounted_cost")):
+        np.testing.assert_array_equal(gamma[lo:lo + len(ids)], old.gamma)
+        for new, name in ((tau, "tau"), (cost, "discounted_cost")):
             np.testing.assert_array_equal(new[:, lo:lo + len(ids)],
                                           getattr(old, name).reshape(n_cells, -1))
             assert new.dtype == getattr(old, name).dtype

@@ -491,7 +491,7 @@ class TestGridPass:
         assert batch.trace["demand"].shape == (n_cells * len(ids), 80)
         assert np.array_equal(batch.trace["demand"], expected)
         assert np.array_equal(batch.run_ids, np.tile(ids, n_cells))
-        assert np.array_equal(batch.gamma, np.tile(gamma, n_cells))
+        assert np.array_equal(batch.gamma, gamma)
 
     def test_setup_rejects_unusable_thresholds_and_rho(self, small_env, small_policies):
         # B > A, NaN, a negative Shiryaev/SR threshold, or rho outside [0, 1)

@@ -240,7 +240,7 @@ def engine_oracle(setup: EpisodeSetup, master_seed: int, run_ids,
     distinct pre-switch path: every threshold cell is a row of its own,
     with an active mask for the detector, and the randomness drawn by
     `protocol_paths`. Kept so that `simulate_batch` can be checked against
-    it bit for bit."""
+    it bit for bit; like it, it returns gamma once per run."""
     run_ids = np.asarray(run_ids, dtype=int)
     shape = (np.size(setup.threshold_a), len(run_ids))
     env, horizon, kind = setup.env, setup.horizon, setup.policy_kind
@@ -330,7 +330,7 @@ def engine_oracle(setup: EpisodeSetup, master_seed: int, run_ids,
         sa_prev = sa
         s = np.maximum(0, s + a - w)
 
-    return BatchResult(run_ids=np.tile(run_ids, shape[0]), gamma=np.tile(gamma, shape[0]),
+    return BatchResult(run_ids=np.tile(run_ids, shape[0]), gamma=gamma,
                        tau=tau.reshape(-1), discounted_cost=disc.reshape(-1),
                        trace={name: t.reshape(-1, horizon) for name, t in traces.items()})
 
