@@ -17,11 +17,15 @@ when its statistic lies between two of its blocks' B, the pre and probe
 actions differ at its state, and both sides still hold cells it has not
 passed, so a run never holds more rows than blocks.
 The cells whose A a row's statistic passes on one step leave it for one
-post-switch accumulator, which follows pi_post from the row's state and
-discounted cost through per-step (runs, S) tables; a row whose last cells
-pass is gone from the step loop. Rows and accumulators do the float
-operations, and so give the bits, of each of their cells simulated alone.
-A one-cell or traced setup keeps one row per cell, which switches in place.
+post-switch accumulator, which keeps the row's run, state and discounted
+cost and follows pi_post: each step it looks up its own cost and successor
+in one (regime, demand, state) table of pi_post. A row whose last cells
+pass is gone from the step loop. An accumulator records only its row's
+block range and passed A indices; after the step loop, the cells of every
+accumulator and remaining row are listed once, EVENT_BLOCK at a time. Rows and
+accumulators do the float operations, and so give the bits, of each of
+their cells simulated alone. A one-cell or traced setup keeps one row per
+cell, which switches in place.
 
 Randomness protocol, fixed per run: seed the generator from
 SeedSequence(master_seed, spawn_key=(run_id,)), draw the change point (one
@@ -372,6 +376,9 @@ class _CellIndex:
         return np.repeat(row, count), self.order[_ranges(first, count)]
 
 
+EVENT_BLOCK = 1024        # events and final rows whose cells are listed at a time
+
+
 # a row's integer fields: its run, its blocks [LO, HI), the index of the
 # first distinct A it has not passed, its state, its previous state-action
 # pair, its CUSUM buffer row, and its switch step if it switches in place;
@@ -438,18 +445,25 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
     if merged:
         # per (cell, run), the event or final row it reports, numbered in that
         # order. An event is the cells one row passes on one step: an
-        # accumulator that follows pi_post from the row's state (a flat index
-        # into the per-step (runs, S) tables) and discounted cost
-        max_events = n_cells * n_runs if uses_detector else 0
-        ref = np.empty((n_cells, n_runs), dtype=np.min_scalar_type(max_events + capacity))
-        ev_s, ev_tau = np.empty(max_events, dtype=int), np.empty(max_events, dtype=int)
-        ev_disc = np.empty(max_events)
+        # accumulator that follows pi_post from the row's run, state and
+        # discounted cost, and the row's blocks [LO, HI) and A indices
+        # [NEXT_J, j1) passed, from which its cells are listed after the loop.
+        # Each event and final row reports at least one (cell, run), so
+        # n_cells * n_runs entries hold them all
+        max_events = n_cells * n_runs
+        ref = np.empty((n_cells, n_runs), dtype=np.min_scalar_type(max_events))
+        ev_run, ev_state = np.empty(max_events, dtype=np.int32), np.empty(max_events, dtype=int)
+        ev_tau, ev_disc = np.empty(max_events, dtype=int), np.empty(max_events)
+        ev_span = np.empty((4, max_events), dtype=np.min_scalar_type(max(n_blocks, cells.m)))
     if merged and uses_detector:
-        # pi_post's (regime, S) costs and (demand, S) successor states
-        states, row_base = np.arange(n_states), np.arange(n_runs) * n_states
-        post_costs = costs.reshape(2, n_pairs)[:, states * n_actions + setup.pi_post]
-        post_succ = np.maximum(0, states + setup.pi_post
-                               - np.arange(max(len(env.pmf_pre), len(env.pmf_post)))[:, None])
+        # pi_post's cost and successor state at (regime, demand, state), flat
+        # at (post * n_demands + demand) * n_states + s
+        n_demands = max(len(env.pmf_pre), len(env.pmf_post))
+        states = np.arange(n_states)
+        post_cost = costs.reshape(2, n_pairs)[:, states * n_actions + setup.pi_post]
+        post_succ = np.maximum(0, states + setup.pi_post - np.arange(n_demands)[:, None])
+        joint_cost = np.broadcast_to(post_cost[:, None], (2, n_demands, n_states)).reshape(-1)
+        joint_succ = np.broadcast_to(post_succ, (2, n_demands, n_states)).reshape(-1)
     if uses_belief:
         lr_lin = np.exp(log_lr)
         belief = np.zeros(n_rows)
@@ -479,15 +493,14 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                 if len(h) and not merged:
                     rows_i[TAU, h], rows_f[NEXT_A, h] = k, math.inf
                 elif len(h):
-                    lo, hi, j0 = rows_i[LO, h], rows_i[HI, h], rows_i[NEXT_J, h]
+                    span = rows_i[LO:NEXT_J + 1, h]
                     j1 = np.searchsorted(cells.a, stat[h])     # the cells whose A < stat
                     new = slice(n_events, n_events + len(h))
-                    ev_s[new] = row_base[rows_i[RUN, h]] + rows_i[STATE, h]
+                    ev_run[new], ev_state[new] = rows_i[RUN, h], rows_i[STATE, h]
                     ev_disc[new], ev_tau[new] = rows_f[DISC, h], k
-                    row, cell = cells.cells(lo, hi, j0, j1)
-                    ref[cell, rows_i[RUN, h[row]]] = n_events + row
+                    ev_span[:3, new], ev_span[3, new] = span, j1
                     n_events += len(h)
-                    nxt = cells.next_index(lo, hi, j1)
+                    nxt = cells.next_index(span[0], span[1], j1)
                     rows_i[NEXT_J, h], rows_f[NEXT_A, h] = j1, cells.a_next[nxt]
                     gone = h[nxt == cells.m]            # rows whose last cells passed
                     if len(gone):
@@ -551,10 +564,11 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         rows_f[DISC] += beta_pow * cost
         w = demand_path[k][by_run]
         if n_events:
-            step_cost = beta_pow * np.take(post_costs, post_path[k], axis=0)
-            succ = np.take(post_succ, demand_path[k], axis=0) + row_base[:, None]
-            ev_disc[:n_events] += np.take(step_cost, ev_s[:n_events])
-            ev_s[:n_events] = np.take(succ, ev_s[:n_events])
+            # the demand path is uint8: widen it before it meets n_states
+            code = (post_path[k] * n_demands + demand_path[k].astype(int)) * n_states
+            idx = code.take(ev_run[:n_events]) + ev_state[:n_events]
+            ev_disc[:n_events] += (beta_pow * joint_cost).take(idx)
+            joint_succ.take(idx, out=ev_state[:n_events])
         beta_pow *= setup.beta
 
         if trace:
@@ -569,14 +583,21 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                 traces["statistic"][:, k] = belief
         np.maximum(np.subtract(s + a, w, out=s), 0, out=s)
 
-    tau, disc = ints[TAU, :n_rows].copy(), floats[DISC, :n_rows].copy()
     if merged:
-        # the cells no row passed report the row that holds them
-        row, cell = cells.cells(ints[LO, :n_rows], ints[HI, :n_rows], ints[NEXT_J, :n_rows],
-                                np.full(n_rows, cells.m))
-        ref[cell, ints[RUN, row]] = n_events + row
-        tau = np.concatenate((ev_tau[:n_events], tau)).take(ref)
-        disc = np.concatenate((ev_disc[:n_events], disc)).take(ref)
+        # the rows follow the events, each reporting the cells it still holds;
+        # the cells are listed a block at a time, to bound the temporaries, from
+        # spans widened to int, since `_ranges` subtracts
+        last = slice(n_events, n_events + n_rows)
+        ev_run[last], ev_span[:3, last], ev_span[3, last] = (
+            ints[RUN, :n_rows], ints[LO:NEXT_J + 1, :n_rows], cells.m)
+        ev_tau[last], ev_disc[last] = ints[TAU, :n_rows], floats[DISC, :n_rows]
+        for first in range(0, last.stop, EVENT_BLOCK):
+            block = slice(first, min(first + EVENT_BLOCK, last.stop))
+            row, cell = cells.cells(*ev_span[:, block].astype(int))
+            ref[cell, ev_run[block][row]] = first + row
+        tau, disc = ev_tau.take(ref), ev_disc.take(ref)
+    else:
+        tau, disc = ints[TAU, :n_rows].copy(), floats[DISC, :n_rows].copy()
     return BatchResult(run_ids=np.tile(run_ids, n_cells), gamma=gamma.copy(),
                        tau=tau.reshape(-1), discounted_cost=disc.reshape(-1),
                        trace=traces)

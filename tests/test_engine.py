@@ -6,8 +6,10 @@ and run counts; on grids built for the edge cases of cells leaving a row
 (several cells passed on one step, equal A on one block, a statistic equal
 to A, no passes) and of rows splitting (A repeated across blocks, the floor
 B, B = A, B beyond the CUSUM reach, a statistic equal to a block's B, a side
-holding only passed cells); the cache of per-draw paths that
-`simulate_batch` reads; and the bulk draw of those paths against
+holding only passed cells); a grid on the capacity-20 instance, whose
+post-switch table indices exceed uint8; the listing of cells in blocks of
+any size; the cache of per-draw paths that `simulate_batch` reads; and the
+bulk draw of those paths against
 `util.protocol_randomness`, numpy's own per-run seeding, over one- and
 multi-word seeds and run ids."""
 
@@ -269,6 +271,41 @@ def test_statistic_equal_to_b_stays_pre(small_env, small_policies):
     assert_equal_oracle(setup, 3, np.arange(40))
     first = engine_oracle(setup, 3, np.arange(40), trace=True).trace["statistic"][:, 1]
     assert (first.reshape(len(b), -1) == b[:, None]).any()
+
+
+@pytest.mark.parametrize("detector, a_grid, b_grid", [
+    ("shiryaev", (10.0, 1e3, 1e5), (1.0, 100.0)),
+    ("cusum", (2.0, 6.0, 15.0), (0.5, 4.0))])
+def test_protocol_instance_grid_equals_oracle(paper_env, paper_policies, detector, a_grid,
+                                              b_grid):
+    # the post-switch table of the capacity-20 instance has 2 regimes x 61
+    # demands x 21 states entries, so its flat indices exceed uint8, unlike
+    # those of the small random instances above
+    a, b = np.array(threshold_cells("tt", a_grid, b_grid)).T
+    setup = make_setup(paper_env, paper_policies, "tt", ChangeSpec("fixed", gamma=1), 60,
+                       0.99, detector_kind=detector,
+                       detector_rho=0.01 if detector == "shiryaev" else 0.0,
+                       threshold_a=a, threshold_b=b, window=20)
+    tau = assert_equal_oracle(setup, 3, np.arange(16)).tau.reshape(len(a), -1)
+    # some run's cells switch on different steps, so accumulators run for a while
+    switched = np.where(tau >= 0, tau, setup.horizon)
+    assert (switched.min(axis=0) < switched.max(axis=0)).any()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(setup=split_grids(), seed=st.integers(0, 2**32 - 1))
+def test_cells_listed_in_blocks_equal_one_listing(setup, seed):
+    # and an A = inf cell, which no row ever passes
+    setup = replace(setup, threshold_a=np.append(setup.threshold_a, math.inf),
+                    threshold_b=np.append(setup.threshold_b, setup.threshold_b[0]))
+    ids = np.arange(12)
+    whole = simulate_batch(setup, seed, ids)
+    assert (whole.tau.reshape(-1, len(ids))[-1] == -1).all()
+    for block in (1, 3):
+        with mock.patch.object(engine, "EVENT_BLOCK", block):
+            parts = simulate_batch(setup, seed, ids)
+        np.testing.assert_array_equal(parts.tau, whole.tau)
+        np.testing.assert_array_equal(parts.discounted_cost, whole.discounted_cost)
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)
