@@ -6,8 +6,7 @@ switching policies that trade pre-change reward against detection speed,
 together with the Monte Carlo machinery to compare them.
 """
 
-from .controllers import (PHASES, GlrController, SwitchController, glr_reset,
-                          kl_policy, worst_case_kl_policy)
+from .controllers import PHASES, SwitchController, kl_policy
 from .detectors import (Detector, DetectorConfig, DetectorState, check_stop,
                         cusum_step, geometric_prior, glr_step,
                         log_likelihood_ratio, posterior_from_shiryaev,

@@ -422,8 +422,9 @@ def cmd_calibrate(cfg: ExperimentConfig) -> int:
 
 def _read_trajectory(path: str, capacity: int) -> list[tuple[int, int, int]]:
     """Rows s,a,s_next of a trajectory file; each must be a feasible
-    transition of the capacity-N inventory (0 <= s, s_next <= N and
-    0 <= a <= N - s), else the error names its line."""
+    transition of the capacity-N inventory (0 <= s <= N, 0 <= a <= N - s and
+    0 <= s_next <= s + a, as next stock is max(0, s + a - demand)), else the
+    error names its line."""
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -431,14 +432,13 @@ def _read_trajectory(path: str, capacity: int) -> list[tuple[int, int, int]]:
             continue
         try:
             s, a, s_next = (int(x) for x in line.split(","))
-            feasible = (0 <= s <= capacity and 0 <= s_next <= capacity
-                        and 0 <= a <= capacity - s)
+            feasible = 0 <= s <= capacity and 0 <= a <= capacity - s and 0 <= s_next <= s + a
         except ValueError:
             feasible = False
         if not feasible:
             raise ValueError(f"{path}:{lineno}: expected integers s,a,s_next with "
-                             f"0 <= s, s_next <= {capacity} and 0 <= a <= {capacity} - s, "
-                             f"got {line!r}")
+                             f"0 <= s <= {capacity}, 0 <= a <= {capacity} - s and "
+                             f"0 <= s_next <= s + a, got {line!r}")
         rows.append((s, a, s_next))
     return rows
 

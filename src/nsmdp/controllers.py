@@ -1,6 +1,6 @@
 """Runtime switching controllers mapping (state, detector state) to actions.
 
-All controllers share the same phase machine: play the pre-change-optimal
+Every thresholded kind shares one phase machine: play the pre-change-optimal
 policy while the statistic is at or below B, probe with the information-
 maximizing policy while it sits in (B, A], and switch absorbingly to the
 post-change-optimal policy once it exceeds A. Degenerate thresholds recover
@@ -15,9 +15,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .detectors import Detector, DetectorConfig, DetectorState, threshold_domain
+from .detectors import Detector, threshold_domain
 from .errors import StateError
-from .mdp import TabularMdp, action_mask, kl_per_action, validate_policy, value_iteration
+from .mdp import action_mask, kl_per_action, validate_policy
 
 PHASES = ("pre", "probe", "post")
 
@@ -72,28 +72,9 @@ def kl_policy(kernel0: np.ndarray, kernel1: np.ndarray,
     all-zeros policy.
     """
     kl = kl_per_action(kernel1, kernel0)
-    return _masked_argmax(kl, feasible)
-
-
-def worst_case_kl_policy(kernel0: np.ndarray,
-                         theta_grid: tuple[np.ndarray, ...],
-                         feasible: tuple[tuple[int, ...], ...] | None = None
-                         ) -> np.ndarray:
-    """Probing policy for an unknown post-change model: maximize the worst-case
-    KL divergence over the candidate grid."""
-    if len(theta_grid) == 0:
-        raise ValueError("theta_grid must be nonempty")
-    worst = None
-    for kernel_theta in theta_grid:
-        kl = kl_per_action(np.asarray(kernel_theta, dtype=float), kernel0)
-        worst = kl if worst is None else np.minimum(worst, kl)
-    return _masked_argmax(worst, feasible)
-
-
-def _masked_argmax(score: np.ndarray, feasible) -> np.ndarray:
     if feasible is not None:
-        score = np.where(action_mask(feasible, score.shape[1]), score, -np.inf)
-    return np.argmax(score, axis=1).astype(int)
+        kl = np.where(action_mask(feasible, kl.shape[1]), kl, -np.inf)
+    return np.argmax(kl, axis=1).astype(int)
 
 
 def _policy_table(table, feasible, name: str) -> np.ndarray:
@@ -157,19 +138,13 @@ class SwitchController:
             raise ValueError(f"{kind} controller needs pi_probe")
         if self.pi_probe is None:
             self.pi_probe = self.pi_pre  # loc never probes
-        self._arm(threshold_a, threshold_b, (self.pi_pre, self.pi_probe, self.pi_post))
-        # the detector's stopping threshold is the controller's A
-        detector.config = replace(detector.config, threshold=self.threshold_a)
-
-    def _arm(self, threshold_a: float, threshold_b: float, policies) -> None:
-        """Set the thresholds (see `check_thresholds`) and the policy rows of
-        the phase rule."""
-        config = self.detector.config
-        check_thresholds(config.kind, config.rho, threshold_a, threshold_b)
+        check_thresholds(detector.config.kind, detector.config.rho, threshold_a, threshold_b)
         self.threshold_a = float(threshold_a)
         self.threshold_b = float(threshold_b)
-        self._log_b = threshold_domain(config.kind, self.threshold_b)
-        self._policies = np.stack(policies)
+        self._log_b = threshold_domain(detector.config.kind, self.threshold_b)
+        self._policies = np.stack((self.pi_pre, self.pi_probe, self.pi_post))
+        # the detector's stopping threshold is the controller's A
+        detector.config = replace(detector.config, threshold=self.threshold_a)
 
     def step(self, s: int, transition_feedback: tuple[int, int, int] | None,
              now: int, rng: np.random.Generator | None = None) -> int:
@@ -195,76 +170,9 @@ class SwitchController:
                 if state.stopped:
                     switched = True
                     self.tau_switch = state.stopped_at
-                    self._on_stop(state)
             elif now >= 1:
                 raise ValueError("transition_feedback required for now >= 1")
         phase, action = switch_action(self._policies, switched,
                                       self.detector.state.log_stat, self._log_b, s)
         self.phase = PHASES[phase]
         return int(action)
-
-    def _on_stop(self, state: DetectorState) -> None:
-        """Hook run once, when the detector first stops."""
-
-
-class GlrController(SwitchController):
-    """Two-threshold controller for an unknown post-change model.
-
-    Monitors with a windowed GLR over every candidate model other than the
-    current pre-change one, probes with the worst-case-KL policy, and on
-    stopping adopts the optimal policy of the maximum-likelihood candidate.
-    `glr_reset` re-bases the controller on that candidate so multiple change
-    points can be tracked.
-    """
-
-    kind = "glr"
-
-    def __init__(self, models: tuple[TabularMdp, ...], pre_index: int,
-                 threshold_a: float, threshold_b: float, window: int,
-                 beta: float, min_separation: float = 1e-6,
-                 _policy_cache: dict | None = None):
-        self.models = tuple(models)
-        self.pre_index = pre_index
-        self.window = window
-        self.beta = beta
-        self.min_separation = min_separation
-        self._policy_cache = {} if _policy_cache is None else _policy_cache
-        pre = self.models[pre_index]
-        self.candidates = tuple(i for i in range(len(self.models)) if i != pre_index)
-        grid = tuple(self.models[i].kernel for i in self.candidates)
-        self.detector = Detector(
-            DetectorConfig(kind="glr", threshold=float(threshold_a), window=window,
-                           theta_grid=grid, min_separation=min_separation),
-            pre.kernel)
-        self.pi_pre = self._optimal_policy(pre_index)
-        self.pi_probe = worst_case_kl_policy(pre.kernel, grid, pre.feasible)
-        self.pi_post: np.ndarray | None = None
-        # the post row is added by _on_stop, once the candidate is known
-        self._arm(threshold_a, threshold_b, (self.pi_pre, self.pi_probe))
-        self.estimated_index: int | None = None
-        self.phase = "pre"
-        self.tau_switch: int | None = None
-
-    def _optimal_policy(self, index: int) -> np.ndarray:
-        if index not in self._policy_cache:
-            self._policy_cache[index] = value_iteration(self.models[index], self.beta).policy
-        return self._policy_cache[index]
-
-    def _on_stop(self, state: DetectorState) -> None:
-        self.estimated_index = self.candidates[state.theta_hat]
-        self.pi_post = self._optimal_policy(self.estimated_index)
-        self._policies = np.vstack((self._policies, self.pi_post))
-
-
-def glr_reset(ctrl: GlrController, theta_hat: int | None = None) -> GlrController:
-    """Re-base a stopped GLR controller on its estimated post-change model.
-
-    Returns a fresh controller whose pre-change model is the estimate, with
-    a zeroed detector, enabling detection of the next change point.
-    """
-    if ctrl.phase != "post" or ctrl.estimated_index is None:
-        raise StateError("glr_reset requires a stopped controller")
-    new_pre = ctrl.estimated_index if theta_hat is None else theta_hat
-    return GlrController(ctrl.models, new_pre, ctrl.threshold_a, ctrl.threshold_b,
-                         ctrl.window, ctrl.beta, ctrl.min_separation,
-                         _policy_cache=ctrl._policy_cache)

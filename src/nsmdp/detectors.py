@@ -70,7 +70,7 @@ def windowed_cusum(buffer: np.ndarray, rows: np.ndarray, log_lr, n_seen: int) ->
     `n_seen` ratios, so they share block boundaries; others are not touched.
 
     `rows` is a boolean mask over the leading axes or an index array: one row
-    per candidate in the scalar CUSUM/GLR detectors, per path and run in the engine.
+    per candidate in the scalar CUSUM/GLR detectors, per row in the engine.
     """
     w = buffer.shape[-1] - 2
     q = (n_seen - 1) % w                   # P_{n-1}'s position in its block

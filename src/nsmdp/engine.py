@@ -89,6 +89,10 @@ class EpisodeSetup:
     def __post_init__(self):
         if self.policy_kind not in BATCHABLE_KINDS:
             raise ValueError(f"unsupported policy kind {self.policy_kind!r}")
+        for name in ("horizon", "window", "initial_state"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not 0 <= self.initial_state < self.env.n_states:

@@ -5,9 +5,8 @@ under the change-at-1 / change-never criterion, and the CSV surfaces.
 Every quantity here is a pure function of (configuration, master seed):
 per-run randomness comes from per-run seed sequences, grid cells share those
 seeds (common random numbers), and aggregation happens on run-id-sorted
-arrays. A threshold grid is one engine pass per change spec, the cells a
-batch dimension, in one engine call over all runs (in CHUNK_SIZE chunks of
-runs under CUSUM); each cell's report, per-run arrays included, is
+arrays. A threshold grid is one engine call over all runs per change spec,
+the cells a batch dimension; each cell's report, per-run arrays included, is
 bit-identical to simulating it alone.
 """
 
@@ -25,8 +24,6 @@ from .engine import EpisodeSetup, simulate_batch
 from .inventory import ChangeSpec, InventoryEnv
 from .momdp import MomdpSolution, belief_grid_solve, build_pomdp
 from .mdp import value_iteration
-
-CHUNK_SIZE = 256      # runs per engine call of a CUSUM grid
 
 
 @dataclass(frozen=True)
@@ -96,35 +93,6 @@ def _switch_outcomes(gamma: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np
     return switched & (tau < gamma), delay
 
 
-def _batched_costs(setup: EpisodeSetup, n_runs: int,
-                   master_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate n_runs episodes per threshold cell: the per-run change points,
-    and the (cells, runs) switch times and discounted costs.
-
-    A setup is one engine call over all its runs, which shares the path-cache
-    entry of the instance's other estimates, unless it is a CUSUM grid: each
-    of its rows carries a window + 3 float buffer, so it goes in CHUNK_SIZE
-    chunks of runs, one engine call each with every cell. Every run is
-    seeded from its own id, so the results do not depend on the chunking.
-    """
-    n_cells = np.size(setup.threshold_a)
-    if not (np.ndim(setup.threshold_a) and setup.detector_kind == "cusum"):
-        # the result's own arrays: copies raised a 1000-run, 284-cell grid's
-        # peak RSS by 3 MB
-        part = simulate_batch(setup, master_seed, np.arange(n_runs))
-        return (part.gamma, part.tau.reshape(n_cells, -1),
-                part.discounted_cost.reshape(n_cells, -1))
-    gamma, cost = np.empty(n_runs), np.empty((n_cells, n_runs))
-    tau = np.empty((n_cells, n_runs), dtype=int)
-    for lo in range(0, n_runs, CHUNK_SIZE):
-        ids = np.arange(lo, min(lo + CHUNK_SIZE, n_runs))
-        part = simulate_batch(setup, master_seed, ids)
-        gamma[ids] = part.gamma
-        tau[:, ids] = part.tau.reshape(n_cells, -1)
-        cost[:, ids] = part.discounted_cost.reshape(n_cells, -1)
-    return gamma, tau, cost
-
-
 def monte_carlo(setup: EpisodeSetup, n_runs: int,
                 master_seed: int) -> EvaluationReport | list[EvaluationReport]:
     """Independent episodes with per-run seeds derived from the master seed.
@@ -134,7 +102,11 @@ def monte_carlo(setup: EpisodeSetup, n_runs: int,
     """
     if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
         raise ValueError(f"n_runs must be an integer >= 1, got {n_runs!r}")
-    gamma, tau, cost = _batched_costs(setup, n_runs, master_seed)
+    # one engine call over all runs, whose own arrays the reports share:
+    # copies raised a 1000-run, 284-cell grid's peak RSS by 3 MB
+    result = simulate_batch(setup, master_seed, np.arange(n_runs))
+    gamma = result.gamma
+    tau, cost = (x.reshape(-1, n_runs) for x in (result.tau, result.discounted_cost))
     for block in (gamma, tau, cost):
         block.flags.writeable = False
     premature, delay = _switch_outcomes(gamma, tau)

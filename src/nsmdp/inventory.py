@@ -192,6 +192,8 @@ class ChangeSpec:
             raise ValueError(f"unknown change kind {self.kind!r}")
         if self.kind == "geometric" and not 0.0 < self.rho < 1.0:
             raise ValueError(f"geometric change needs rho in (0, 1), got {self.rho}")
+        if isinstance(self.gamma, bool) or not isinstance(self.gamma, (int, np.integer)):
+            raise ValueError(f"change gamma must be an integer, got {self.gamma!r}")
         if self.kind == "fixed" and self.gamma < 1:
             raise ValueError(f"fixed change point must be >= 1, got {self.gamma}")
 

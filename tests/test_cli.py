@@ -325,7 +325,7 @@ class TestInfo:
         assert len(out_text.strip().splitlines()) == 4
 
     @pytest.mark.parametrize("row", ["0,9,1", "5,3,1", "0,1,6", "-1,0,0",
-                                     "1,2", "1,x,0"])
+                                     "1,2", "1,x,0", "0,0,3", "2,1,4"])
     def test_bad_trajectory_row_names_its_line(self, tmp_path, capsys, row):
         cfg = write_config(tmp_path / "exp.ini", capacity=5)
         traj = tmp_path / "traj.csv"

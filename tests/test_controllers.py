@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from nsmdp.controllers import (GlrController, SwitchController, glr_reset,
-                               kl_policy, worst_case_kl_policy)
+from nsmdp.controllers import SwitchController, kl_policy
 from nsmdp.detectors import Detector, DetectorConfig
 from nsmdp.errors import StateError
 from nsmdp.harness import make_setup, monte_carlo
 from nsmdp.inventory import ChangeSpec
-from nsmdp.mdp import TabularMdp, kl_step, value_iteration
+from nsmdp.mdp import kl_step
 
 from util import random_kernel
 
@@ -58,39 +57,6 @@ class TestKlPolicy:
         feasible = ((0, 1), (2,))
         policy = kl_policy(k0, k1, feasible)
         assert policy[0] in (0, 1) and policy[1] == 2
-
-
-class TestWorstCaseKlPolicy:
-    def test_singleton_grid_equals_kl_policy(self, rng):
-        k0 = random_kernel(3, 2, rng)
-        k1 = random_kernel(3, 2, rng)
-        np.testing.assert_array_equal(worst_case_kl_policy(k0, (k1,)),
-                                      kl_policy(k0, k1))
-
-    def test_matching_candidate_zeroes_an_action(self):
-        # candidate equal to the pre-change kernel at action 0 makes that
-        # action worthless; the policy must pick the informative action
-        k0 = np.zeros((1, 2, 2))
-        k0[0, 0] = [0.5, 0.5]
-        k0[0, 1] = [0.5, 0.5]
-        cand_a = np.array([[[0.5, 0.5], [0.9, 0.1]]])   # informative on action 1
-        cand_b = np.array([[[0.5, 0.5], [0.8, 0.2]]])
-        policy = worst_case_kl_policy(k0, (cand_a, cand_b))
-        assert policy.tolist() == [1]
-        zero_grid = (np.array([[[0.5, 0.5], [0.5, 0.5]]]),)
-        assert worst_case_kl_policy(k0, zero_grid).tolist() == [0]
-
-    def test_matches_full_tabulation(self, rng):
-        k0 = random_kernel(2, 3, rng)
-        grid = (random_kernel(2, 3, rng), random_kernel(2, 3, rng))
-        policy = worst_case_kl_policy(k0, grid)
-        for s in range(2):
-            table = [min(kl_step(g[s, a], k0[s, a]) for g in grid) for a in range(3)]
-            assert table[policy[s]] == max(table)
-
-    def test_empty_grid_rejected(self, rng):
-        with pytest.raises(ValueError):
-            worst_case_kl_policy(random_kernel(2, 2, rng), ())
 
 
 class TestPhaseMachine:
@@ -252,81 +218,3 @@ class TestControllerEpisodes:
         assert counts[n_feas:].sum() == 0
         expected = 4000 / n_feas
         assert np.all(np.abs(counts[:n_feas] - expected) < 4 * math.sqrt(expected))
-
-
-def three_models(rng):
-    """Well-separated 2-state models for multi-model tests."""
-    base = [np.array([[[0.85, 0.15], [0.5, 0.5]], [[0.7, 0.3], [0.3, 0.7]]]),
-            np.array([[[0.15, 0.85], [0.5, 0.5]], [[0.2, 0.8], [0.6, 0.4]]]),
-            np.array([[[0.5, 0.5], [0.05, 0.95]], [[0.9, 0.1], [0.45, 0.55]]])]
-    costs = [rng.random((2, 2)) for _ in range(3)]
-    return tuple(TabularMdp(kernel=k, cost=c) for k, c in zip(base, costs))
-
-
-class _GlrEpisode:
-    """Persistent episode driver stepping one controller on transitions
-    sampled from whichever model kernel is currently active."""
-
-    def __init__(self, ctrl, seed):
-        self.ctrl = ctrl
-        self.rng = np.random.default_rng(seed)
-        self.s = 0
-        self.s_prev = 0
-        self.a_prev = 0
-        self.k = 0
-
-    def step(self, kernel):
-        feedback = (self.s_prev, self.a_prev, self.s) if self.k >= 1 else None
-        action = self.ctrl.step(self.s, feedback, self.k)
-        self.s_prev, self.a_prev = self.s, action
-        self.s = int(self.rng.random() < kernel[self.s, action, 1])
-        self.k += 1
-        return action
-
-    def run_until_stop(self, kernel, max_steps):
-        for _ in range(max_steps):
-            if self.ctrl.phase == "post":
-                return True
-            self.step(kernel)
-        return self.ctrl.phase == "post"
-
-
-class TestGlrController:
-    def test_reset_before_stop_raises(self, rng):
-        models = three_models(rng)
-        ctrl = GlrController(models, 0, threshold_a=8.0, threshold_b=1.0,
-                             window=30, beta=0.9)
-        with pytest.raises(StateError):
-            glr_reset(ctrl)
-
-    def test_two_change_points_resolved(self, rng):
-        models = three_models(rng)
-        ctrl = GlrController(models, 0, threshold_a=6.0, threshold_b=1.0,
-                             window=40, beta=0.9)
-        episode = _GlrEpisode(ctrl, seed=3)
-        # segment under model 1: must stop and identify it
-        assert episode.run_until_stop(models[1].kernel, 400)
-        assert ctrl.estimated_index == 1
-        first_tau = ctrl.tau_switch
-
-        ctrl = glr_reset(ctrl)
-        assert ctrl.pre_index == 1
-        assert ctrl.detector.state.n == 0 and not ctrl.detector.stopped
-        np.testing.assert_array_equal(
-            ctrl.pi_pre, value_iteration(models[1], 0.9).policy)
-
-        # second segment back under model 0: stops again on the new baseline
-        episode2 = _GlrEpisode(ctrl, seed=4)
-        assert episode2.run_until_stop(models[0].kernel, 400)
-        assert ctrl.estimated_index == 0
-        assert first_tau is not None and ctrl.tau_switch is not None
-
-    def test_one_change_equivalent_to_non_reset(self, rng):
-        models = three_models(rng)
-        plain = GlrController(models, 0, 6.0, 1.0, 40, beta=0.9)
-        episode = _GlrEpisode(plain, seed=9)
-        assert episode.run_until_stop(models[1].kernel, 500)
-        resetting = glr_reset(plain)
-        # identical actions afterward as long as no second stop fires
-        for s in (0, 1, 0, 1):
-            assert plain.pi_post[s] == resetting.pi_pre[s]

@@ -26,7 +26,7 @@ from nsmdp.controllers import switch_action
 from nsmdp.engine import (BATCHABLE_KINDS, PATH_BLOCK, PATH_CACHE_RUNS, EpisodeSetup,
                           cell_paths, draw_episode_randomness, episode_paths, simulate_batch)
 from nsmdp.errors import NumericalError
-from nsmdp.harness import CHUNK_SIZE, make_setup, threshold_cells
+from nsmdp.harness import make_setup, threshold_cells
 from nsmdp.inventory import ChangeSpec, InventoryParams, build_env
 from nsmdp.mdp import log_ratio_table
 from nsmdp.momdp import belief_grid_solve, build_pomdp
@@ -310,22 +310,21 @@ def test_cells_listed_in_blocks_equal_one_listing(setup, seed):
 
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(setup=st.one_of(setups(), setups(kinds=("loc", "kl", "tt"), detectors=("cusum",))),
-       n_runs=st.integers(CHUNK_SIZE + 1, CHUNK_SIZE + 40), seed=st.integers(0, 2**16))
+       n_runs=st.integers(PATH_BLOCK + 1, PATH_BLOCK + 40), seed=st.integers(0, 2**16))
 def test_packed_chunks_equal_oracle(setup, n_runs, seed):
-    # only a CUSUM grid goes in chunks of runs; anything else is one call
+    # every estimate, a CUSUM grid included, is one engine call over all runs,
+    # whose paths are drawn in more than one PATH_BLOCK
     with mock.patch.object(harness, "simulate_batch", wraps=simulate_batch) as calls:
-        gamma, tau, cost = harness._batched_costs(setup, n_runs, seed)
-    chunked = np.ndim(setup.threshold_a) and setup.detector_kind == "cusum"
-    assert calls.call_count == (math.ceil(n_runs / CHUNK_SIZE) if chunked else 1)
+        reports = harness.monte_carlo(setup, n_runs, seed)
+    assert calls.call_count == 1
+    reports = reports if np.ndim(setup.threshold_a) else [reports]
     n_cells = np.size(setup.threshold_a)
-    for lo in range(0, n_runs, CHUNK_SIZE):
-        ids = np.arange(lo, min(lo + CHUNK_SIZE, n_runs))
-        old = engine_oracle(setup, seed, ids)
-        np.testing.assert_array_equal(gamma[lo:lo + len(ids)], old.gamma)
-        for new, name in ((tau, "tau"), (cost, "discounted_cost")):
-            np.testing.assert_array_equal(new[:, lo:lo + len(ids)],
-                                          getattr(old, name).reshape(n_cells, -1))
-            assert new.dtype == getattr(old, name).dtype
+    old = engine_oracle(setup, seed, np.arange(n_runs))
+    np.testing.assert_array_equal(reports[0].gamma, old.gamma)
+    for name in ("tau", "discounted_cost"):
+        new = np.stack([getattr(r, name) for r in reports])
+        np.testing.assert_array_equal(new, getattr(old, name).reshape(n_cells, -1))
+        assert new.dtype == getattr(old, name).dtype
 
 
 def test_path_cache_keys_on_the_demand_pmfs():

@@ -1,9 +1,8 @@
 """Golden SHA-256 digests of every CLI command's outputs.
 
-Runs `nsmdp.cli.main` in process on one small fixed instance (N=6, 300 runs
-so that a CUSUM grid crosses a 256-run chunk, horizon 120, belief grid G=41,
-CUSUM window 25, all six policies) under each of the shiryaev, sr and cusum
-detectors. The commands are `solve`, `evaluate` (grid-searched and with fixed
+Runs `nsmdp.cli.main` in process on one small fixed instance (N=6, 300 runs,
+horizon 120, belief grid G=41, CUSUM window 25, all six policies) under each
+of the shiryaev, sr and cusum detectors. The commands are `solve`, `evaluate` (grid-searched and with fixed
 --a/--b), `sweep`, `calibrate`, simulated `info` and `info --trajectory`.
 The SHA-256 of every file a command writes, and of its stdout with the
 output directory replaced by "<out>", must equal the entry recorded in

@@ -13,7 +13,7 @@ from nsmdp import harness
 from nsmdp.controllers import SwitchController
 from nsmdp.detectors import Detector, DetectorConfig
 from nsmdp.engine import cell_paths, episode_paths, simulate_batch
-from nsmdp.harness import (CHUNK_SIZE, _switch_outcomes,
+from nsmdp.harness import (_switch_outcomes,
                            calibrate_nonbayes, default_a_grid, default_b_grid,
                            delay_profile, estimate_nonbayes_grid,
                            calibrate_from_grid, frontier_sweep, make_setup,
@@ -157,6 +157,15 @@ class TestEpisodeAccounting:
         with pytest.raises(ValueError, match="window"):
             make_setup(small_env, small_policies, "loc", CHANGE, 10, 0.95,
                        detector_kind="cusum", window=0)
+
+    @pytest.mark.parametrize("field, value", [("initial_state", 2.7), ("initial_state", True),
+                                              ("horizon", 10.0), ("window", 5.5)])
+    def test_setup_rejects_non_integer_fields(self, small_env, small_policies, field, value):
+        # an initial_state of 2.7 would start every run at state 2
+        setup = make_setup(small_env, small_policies, "loc", CHANGE, 10, 0.95)
+        with pytest.raises(ValueError, match=field):
+            replace(setup, **{field: value})
+        assert getattr(replace(setup, **{field: np.int64(2)}), field) == 2
 
     @pytest.mark.parametrize("kind, field, damage", [
         ("oracle", "pi_pre", lambda p: {"pi_pre": np.r_[-1, p.pi_pre[1:]]}),
@@ -336,7 +345,7 @@ class TestGridPass:
     """A threshold grid simulated in one engine pass per change spec gives,
     cell for cell, the estimates of simulating that cell alone."""
 
-    N_RUNS = 300    # a CUSUM grid crosses a 256-run chunk
+    N_RUNS = 300    # more runs than one 256-run PATH_BLOCK of the draw
 
     @staticmethod
     def grids(detector):
@@ -385,7 +394,7 @@ class TestGridPass:
             assert len({c.mean_cost for c in choice.cells}) > 1
 
     def test_one_engine_call_per_chunk(self, small_env, small_policies):
-        # only a CUSUM grid, whose rows carry a window buffer, goes in chunks
+        # every grid, a CUSUM one included, is one engine call over all runs
         for detector in ("shiryaev", "sr", "cusum"):
             setup = replace(small_setup(small_env, small_policies, "tt", horizon=40,
                                         detector=detector), window=5)
@@ -394,15 +403,12 @@ class TestGridPass:
             assert len(cell_paths(grid)[2]) > 1
             with mock.patch.object(harness, "simulate_batch", wraps=simulate_batch) as engine:
                 monte_carlo(grid, self.N_RUNS, master_seed=4)
-            chunks = math.ceil(self.N_RUNS / CHUNK_SIZE) if detector == "cusum" else 1
-            assert engine.call_count == chunks, detector
-            assert all(call.args[0] is grid for call in engine.call_args_list)
-            ids = np.concatenate([call.args[2] for call in engine.call_args_list])
-            assert ids.tolist() == list(range(self.N_RUNS))
+            assert engine.call_count == 1, detector
+            assert engine.call_args.args[0] is grid
+            assert engine.call_args.args[2].tolist() == list(range(self.N_RUNS))
 
     def test_one_engine_call_per_scalar_estimate(self, small_env, small_policies):
         setup = small_setup(small_env, small_policies, "tt", horizon=20)
-        assert self.N_RUNS > CHUNK_SIZE
         with mock.patch.object(harness, "simulate_batch", wraps=simulate_batch) as engine:
             report = monte_carlo(setup, self.N_RUNS, master_seed=4)
         assert engine.call_count == 1

@@ -217,6 +217,15 @@ class TestChangeSpec:
         with pytest.raises(ValueError):
             ChangeSpec(kind="sometimes")
 
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, True, "3"])
+    def test_non_integer_gamma_rejected(self, gamma):
+        # a float gamma would simulate as its ceiling while runs.csv reports
+        # it as given
+        with pytest.raises(ValueError, match="gamma"):
+            ChangeSpec(kind="fixed", gamma=gamma)
+        spec = ChangeSpec(kind="fixed", gamma=np.int64(3))
+        assert sample_change_point(spec, np.random.default_rng(0)) == 3.0
+
 
 class TestParamsValidation:
     def test_invalid_values_rejected(self):
