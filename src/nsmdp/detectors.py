@@ -47,11 +47,13 @@ def shiryaev_log_update(log_stat, log_lr, log_one_minus_rho):
 
 
 def cusum_buffer(rows, window: int) -> np.ndarray:
-    """A `windowed_cusum` buffer of the window for `rows`, a count or a shape."""
-    return np.zeros((*np.atleast_1d(rows), window + 3))
+    """A `windowed_cusum` buffer of the window for `rows`, a count or a
+    shape: step-major, (window + 3, *rows), so that column i holds row i's
+    slots and a slice of rows selects a view."""
+    return np.zeros((window + 3, *np.atleast_1d(rows)))
 
 
-def windowed_cusum(buffer: np.ndarray, rows: np.ndarray, log_lr, n_seen: int) -> np.ndarray:
+def windowed_cusum(buffer: np.ndarray, rows, log_lr, n_seen: int) -> np.ndarray:
     """Push one log-likelihood ratio into each selected row of a `cusum_buffer`,
     in place, and return those rows' windowed CUSUM statistic: the max over
     the sums of the last j ratios, j = 1..min(n_seen, window + 1), where
@@ -61,37 +63,39 @@ def windowed_cusum(buffer: np.ndarray, rows: np.ndarray, log_lr, n_seen: int) ->
     P_n - min(P_i, n - window - 1 <= i < n), and that minimum is streamed
     by the van Herk/Gil-Werman block filter: the indices i fall in blocks of
     w = window + 1, and a window is a suffix of the previous block joined to
-    a prefix of the current one. Per row, block slot i holds the previous
-    block's suffix minimum from i on (+inf before the first block ends)
-    until, after its last read, this block's P at position i overwrites it;
-    two more slots hold the block's running minimum and P_{n-1}. All are
-    relative to P at the block's start, rebased in one pass every w steps,
-    so no rounding outlives two blocks. Selected rows must all have seen
-    `n_seen` ratios, so they share block boundaries; others are not touched.
+    a prefix of the current one. Per row, block slot i (buffer[i]) holds the
+    previous block's suffix minimum from i on (+inf before the first block
+    ends) until, after its last read, this block's P at position i
+    overwrites it; buffer[w] holds the block's running minimum and
+    buffer[w + 1] P_{n-1}. All are relative to P at the block's start,
+    rebased in one pass every w steps, so no rounding outlives two blocks.
+    Selected rows must all have seen `n_seen` ratios, so they share block
+    boundaries; others are not touched.
 
-    `rows` is a boolean mask over the leading axes or an index array: one row
-    per candidate in the scalar CUSUM/GLR detectors, per row in the engine.
+    `rows` selects over the trailing axes: a boolean mask, an index array or
+    a slice, which makes every read and write a view. The scalar CUSUM/GLR
+    detectors keep one row per candidate, the engine one per row.
     """
-    w = buffer.shape[-1] - 2
+    w = buffer.shape[0] - 2
     q = (n_seen - 1) % w                   # P_{n-1}'s position in its block
     if q == 0:                             # P_{n-1} starts a block and is its base
         if n_seen == 1:
-            buffer[rows, :w] = math.inf
+            buffer[:w, rows] = math.inf
         else:                              # the finished block's P values become suffix minima
-            block = buffer[rows, :w]
-            np.minimum.accumulate(block[:, ::-1], axis=1, out=block[:, ::-1])
-            block -= buffer[rows, w + 1][:, None]
-            buffer[rows, :w] = block
-        prev = block_min = np.zeros(buffer[rows, 0].shape)
+            block = buffer[:w, rows]
+            np.minimum.accumulate(block[::-1], axis=0, out=block[::-1])
+            block -= buffer[w + 1, rows]
+            buffer[:w, rows] = block
+        prev = block_min = np.zeros(buffer[0, rows].shape)
     else:
-        prev = buffer[rows, w + 1]
-        block_min = np.minimum(buffer[rows, w], prev)
-    buffer[rows, q] = prev
-    buffer[rows, w] = block_min
+        prev = buffer[w + 1, rows]
+        block_min = np.minimum(buffer[w, rows], prev)
+    buffer[q, rows] = prev
+    buffer[w, rows] = block_min
     p_n = prev + log_lr
-    buffer[rows, w + 1] = p_n
+    buffer[w + 1, rows] = p_n
     if q + 1 < w:
-        block_min = np.minimum(block_min, buffer[rows, q + 1])
+        block_min = np.minimum(block_min, buffer[q + 1, rows])
     return p_n - block_min
 
 

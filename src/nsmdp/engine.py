@@ -385,11 +385,22 @@ EVENT_BLOCK = 1024        # events and final rows whose cells are listed at a ti
 
 # a row's integer fields: its run, its blocks [LO, HI), the index of the
 # first distinct A it has not passed, its state, its previous state-action
-# pair, its CUSUM buffer row, and its switch step if it switches in place;
-# and its float fields: its statistic, its discounted cost, the A of its next
-# unpassed cell, and the B of its blocks LO and HI - 1
-RUN, LO, HI, NEXT_J, STATE, SA_PREV, SLOT, TAU = range(8)
+# pair, and its switch step if it switches in place; and its float fields:
+# its statistic, its discounted cost, the A of its next unpassed cell, and
+# the B of its blocks LO and HI - 1. Row i is column i of the field arrays
+# and of the CUSUM buffer, so rows move with all their columns.
+RUN, LO, HI, NEXT_J, STATE, SA_PREV, TAU = range(7)
 STAT, DISC, NEXT_A, LO_B, HI_B = range(5)
+
+
+def _room(array: np.ndarray, size: int) -> np.ndarray:
+    """`array` if its last axis holds `size` entries, else a copy of it
+    grown along that axis to twice `size`, the new entries unset."""
+    if array.shape[-1] >= size:
+        return array
+    grown = np.empty((*array.shape[:-1], 2 * size), dtype=array.dtype)
+    grown[..., :array.shape[-1]] = array
+    return grown
 
 
 def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
@@ -415,7 +426,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
     # are the fields; a merged run holds at most n_blocks rows
     n_rows = n_runs if merged else n_cells * n_runs
     capacity = n_blocks * n_runs if merged else n_rows
-    ints, floats = np.zeros((8, capacity), dtype=int), np.zeros((5, capacity))
+    ints, floats = np.zeros((7, capacity), dtype=int), np.zeros((5, capacity))
     if merged:
         # one row per run, holding every block
         cells = _CellIndex(log_a, cell_block, n_blocks)
@@ -427,9 +438,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         ints[RUN] = np.tile(np.arange(n_runs), n_cells)
         floats[NEXT_A] = np.repeat(log_a, n_runs)
         floats[LO_B] = np.repeat(block_b[cell_block], n_runs)
-    ints[SLOT, :n_rows] = np.arange(n_rows)
     ints[STATE], ints[TAU], floats[STAT] = setup.initial_state, -1, -math.inf
-    n_slots = n_rows
     # a one-cell setup's rows are its runs, in order
     by_run = ints[RUN, :n_rows] if merged or n_cells > 1 else slice(None)
 
@@ -438,8 +447,9 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
     if uses_detector:
         log1m_rho = float(np.log1p(-setup.detector_rho))
         if setup.detector_kind == "cusum":
-            # a merged run takes a new buffer row at each split
-            buf = cusum_buffer(capacity, setup.window)
+            # its columns grow as splits need them: sized at capacity, the
+            # step-major buffer would keep every page of its rows resident
+            buf = cusum_buffer(n_rows, setup.window)
         pi_probe = setup.pi_pre if setup.pi_probe is None else setup.pi_probe
         policies = np.stack((setup.pi_pre, pi_probe, setup.pi_post))
         # a merged row whose blocks disagree on the phase splits only where
@@ -452,13 +462,12 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         # accumulator that follows pi_post from the row's run, state and
         # discounted cost, and the row's blocks [LO, HI) and A indices
         # [NEXT_J, j1) passed, from which its cells are listed after the loop.
-        # Each event and final row reports at least one (cell, run), so
-        # n_cells * n_runs entries hold them all
-        max_events = n_cells * n_runs
-        ref = np.empty((n_cells, n_runs), dtype=np.min_scalar_type(max_events))
-        ev_run, ev_state = np.empty(max_events, dtype=np.int32), np.empty(max_events, dtype=int)
-        ev_tau, ev_disc = np.empty(max_events, dtype=int), np.empty(max_events)
-        ev_span = np.empty((4, max_events), dtype=np.min_scalar_type(max(n_blocks, cells.m)))
+        # Each event and final row reports at least one (cell, run), so there
+        # are at most n_cells * n_runs; the event arrays grow as events come
+        ref = np.empty((n_cells, n_runs), dtype=np.min_scalar_type(n_cells * n_runs))
+        ev_run, ev_state = np.empty(n_runs, dtype=np.int32), np.empty(n_runs, dtype=int)
+        ev_tau, ev_disc = np.empty(n_runs, dtype=int), np.empty(n_runs)
+        ev_span = np.empty((4, n_runs), dtype=np.min_scalar_type(max(n_blocks, cells.m)))
     if merged and uses_detector:
         # pi_post's cost and successor state at (regime, demand, state), flat
         # at (post * n_demands + demand) * n_states + s
@@ -487,10 +496,10 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
             transition = rows_i[SA_PREV] * n_states + rows_i[STATE]
             if uses_detector:
                 stat = rows_f[STAT]
-                live = slice(None) if merged else np.flatnonzero(rows_i[TAU] < 0)
+                live = slice(0, n_rows) if merged else np.flatnonzero(rows_i[TAU] < 0)
                 step_lr = log_lr[transition[live]]
                 if setup.detector_kind == "cusum":
-                    stat[live] = windowed_cusum(buf, rows_i[SLOT, live], step_lr, k)
+                    stat[live] = windowed_cusum(buf, live, step_lr, k)
                 else:
                     stat[live] = shiryaev_log_update(stat[live], step_lr, log1m_rho)
                 h = np.flatnonzero(stat > rows_f[NEXT_A])     # rows passing cells now
@@ -500,6 +509,8 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                     span = rows_i[LO:NEXT_J + 1, h]
                     j1 = np.searchsorted(cells.a, stat[h])     # the cells whose A < stat
                     new = slice(n_events, n_events + len(h))
+                    ev_run, ev_state, ev_tau, ev_disc, ev_span = (
+                        _room(ev, new.stop) for ev in (ev_run, ev_state, ev_tau, ev_disc, ev_span))
                     ev_run[new], ev_state[new] = rows_i[RUN, h], rows_i[STATE, h]
                     ev_disc[new], ev_tau[new] = rows_f[DISC, h], k
                     ev_span[:3, new], ev_span[3, new] = span, j1
@@ -514,6 +525,8 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                         moves[gone[gone >= n_rows] - n_rows] = False
                         holes, movers = gone[gone < n_rows], n_rows + np.flatnonzero(moves)
                         ints[:, holes], floats[:, holes] = ints[:, movers], floats[:, movers]
+                        if setup.detector_kind == "cusum":
+                            buf[:, holes] = buf[:, movers]
                         rows_i, rows_f = ints[:, :n_rows], floats[:, :n_rows]
                 if merged and n_blocks > 1:
                     stat = rows_f[STAT]
@@ -531,10 +544,9 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                         ints[:, to], floats[:, to] = rows_i[:, h[split]], rows_f[:, h[split]]
                         ints[LO, to], floats[LO_B, to] = c[split], block_b[c[split]]
                         floats[NEXT_A, to] = cells.a_next[above[split]]
-                        ints[SLOT, to] = np.arange(n_slots, n_slots + to.stop - to.start)
                         if setup.detector_kind == "cusum":
-                            buf[ints[SLOT, to]] = buf[rows_i[SLOT, h[split]]]
-                        n_slots += to.stop - to.start
+                            buf = _room(buf, to.stop)
+                            buf[:, to] = buf[:, h[split]]
                         keeps = below < cells.m
                         rows_i[LO, h] = np.where(keeps, lo, c)
                         rows_i[HI, h] = np.where(keeps, c, hi)
@@ -592,6 +604,8 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         # the cells are listed a block at a time, to bound the temporaries, from
         # spans widened to int, since `_ranges` subtracts
         last = slice(n_events, n_events + n_rows)
+        ev_run, ev_tau, ev_disc, ev_span = (_room(ev, last.stop)
+                                            for ev in (ev_run, ev_tau, ev_disc, ev_span))
         ev_run[last], ev_span[:3, last], ev_span[3, last] = (
             ints[RUN, :n_rows], ints[LO:NEXT_J + 1, :n_rows], cells.m)
         ev_tau[last], ev_disc[last] = ints[TAU, :n_rows], floats[DISC, :n_rows]

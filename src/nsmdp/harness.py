@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -170,16 +171,28 @@ def default_b_grid(n: int = 15, lo: float = 1.0, hi: float = 1e6) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(lo, hi, n)])
 
 
+def _least(items, cost, cell):
+    """The item of least `cost`. Costs within a relative 1e-12 of the least
+    tie, and the item with the smallest `cell` (A, B) among them wins: the
+    tolerance is far below the nine digits `_fmt` prints and far above the
+    drift of a reordered float sum (about 6e-15), so a change in the order
+    of float operations cannot flip a tie."""
+    least = min(cost(item) for item in items)
+    return min((item for item in items if cost(item) <= least + 1e-12 * abs(least)),
+               key=cell)
+
+
 def optimize_thresholds(setup: EpisodeSetup, a_grid, b_grid=None,
                         n_runs: int = 1000, master_seed: int = 0) -> ThresholdChoice:
     """Exhaustive threshold-grid search under the Bayesian cost.
 
     Every cell is evaluated on the same per-run seeds, so comparisons are
-    paired; ties resolve to the smallest A then the smallest B.
+    paired; costs within a relative 1e-12 of the least tie, and ties resolve
+    to the smallest A then the smallest B.
     """
     cells = threshold_cells(setup.policy_kind, a_grid, b_grid)
     reports = monte_carlo(_grid_setup(setup, cells), n_runs, master_seed)
-    best = min(range(len(cells)), key=lambda i: reports[i].mean_cost)
+    best = _least(range(len(cells)), lambda i: reports[i].mean_cost, lambda i: cells[i])
     return ThresholdChoice(threshold_a=cells[best][0], threshold_b=cells[best][1],
                            report=reports[best], cells=tuple(reports))
 
@@ -236,12 +249,16 @@ def estimate_nonbayes_grid(setup: EpisodeSetup, a_grid, b_grid=None,
 def calibrate_from_grid(policy: str, alpha: float,
                         grid: tuple[NonBayesCell, ...]) -> CalibrationResult:
     """Among cells whose change-never cost is within alpha, minimize the
-    change-at-1 cost; ties resolve to the smallest A then B."""
+    change-at-1 cost; with none, minimize the change-never cost. Costs
+    within a relative 1e-12 of the least tie, and ties resolve to the
+    smallest A then B. The cap is a user input and is applied exactly: a
+    cell is feasible iff its change-never cost is <= alpha."""
     feasible = [c for c in grid if c.einf_cost <= alpha]
+    cell = operator.attrgetter("threshold_a", "threshold_b")
     if feasible:
-        best = min(feasible, key=lambda c: (c.e1_cost, c.threshold_a, c.threshold_b))
+        best = _least(feasible, lambda c: c.e1_cost, cell)
     else:
-        best = min(grid, key=lambda c: (c.einf_cost, c.threshold_a, c.threshold_b))
+        best = _least(grid, lambda c: c.einf_cost, cell)
     return CalibrationResult(policy, alpha, bool(feasible), best.threshold_a,
                              best.threshold_b, best.e1_cost, best.e1_stderr,
                              best.einf_cost, best.einf_stderr)

@@ -183,30 +183,42 @@ class TestWindowedCusumKernel:
         n_steps = 4 * (window + 1) + 3
         lrs = rng.normal(0.0, 2.0, (2, 3, n_steps))
         buffer = cusum_buffer((2, 3), window)
+        assert buffer.shape == (window + 3, 2, 3)      # step-major
         buffer[:] = rng.normal(size=buffer.shape)   # the kernel writes before it reads
         mask = np.array([[True, False, True], [True, True, False]])
         drop = (1, 0)     # leaves the mask midway, like a row that has switched
         for n in range(1, n_steps + 1):
             if n == n_steps // 2:
                 mask[drop] = False
-            untouched = buffer[~mask].copy()
+            untouched = buffer[:, ~mask].copy()
             stats = windowed_cusum(buffer, mask, lrs[mask, n - 1], n)
-            assert buffer[~mask].tobytes() == untouched.tobytes()
+            assert buffer[:, ~mask].tobytes() == untouched.tobytes()
             for stat, row in zip(stats, lrs[mask].tolist()):
+                assert stat == pytest.approx(kernel_oracle(row, n, window), abs=1e-12)
+
+    @staticmethod
+    def check_rows(rng, window, rows):
+        """Four rows, of which `rows` select some: the selected follow the
+        oracle, and the others' columns are never written."""
+        n_steps = 4 * (window + 1) + 3
+        lrs = rng.normal(0.5, 1.0, (4, n_steps))
+        buffer = cusum_buffer(4, window)
+        others = np.setdiff1d(np.arange(4), np.arange(4)[rows])
+        for n in range(1, n_steps + 1):
+            untouched = buffer[:, others].copy()
+            stats = windowed_cusum(buffer, rows, lrs[rows, n - 1], n)
+            assert buffer[:, others].tobytes() == untouched.tobytes()
+            for stat, row in zip(stats, lrs[rows].tolist(), strict=True):
                 assert stat == pytest.approx(kernel_oracle(row, n, window), abs=1e-12)
 
     @pytest.mark.parametrize("window", [1, 2, 3, 200])
     def test_index_array_rows(self, rng, window):
-        n_steps = 4 * (window + 1) + 3
-        lrs = rng.normal(0.5, 1.0, (4, n_steps))
-        buffer = cusum_buffer(4, window)
-        rows = np.array([3, 0, 2])
-        for n in range(1, n_steps + 1):
-            untouched = buffer[1].copy()
-            stats = windowed_cusum(buffer, rows, lrs[rows, n - 1], n)
-            assert buffer[1].tobytes() == untouched.tobytes()
-            for stat, row in zip(stats, lrs[rows].tolist()):
-                assert stat == pytest.approx(kernel_oracle(row, n, window), abs=1e-12)
+        self.check_rows(rng, window, np.array([3, 0, 2]))
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 200])
+    def test_slice_rows(self, rng, window):
+        """The engine's merged call: its rows are the buffer's first columns."""
+        self.check_rows(rng, window, slice(0, 3))
 
     def test_long_drifting_run_keeps_its_accuracy(self, rng):
         """Prefix sums climb to about 2e4, but every value is kept relative to

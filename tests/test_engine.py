@@ -6,7 +6,9 @@ and run counts; on grids built for the edge cases of cells leaving a row
 (several cells passed on one step, equal A on one block, a statistic equal
 to A, no passes) and of rows splitting (A repeated across blocks, the floor
 B, B = A, B beyond the CUSUM reach, a statistic equal to a block's B, a side
-holding only passed cells); a grid on the capacity-20 instance, whose
+holding only passed cells); a CUSUM grid whose rows split past the
+buffer's first width and retire before a block boundary; a grid on the
+capacity-20 instance, whose
 post-switch table indices exceed uint8; the listing of cells in blocks of
 any size; the cache of per-draw paths that `simulate_batch` reads; and the
 bulk draw of those paths against
@@ -271,6 +273,34 @@ def test_statistic_equal_to_b_stays_pre(small_env, small_policies):
     assert_equal_oracle(setup, 3, np.arange(40))
     first = engine_oracle(setup, 3, np.arange(40), trace=True).trace["statistic"][:, 1]
     assert (first.reshape(len(b), -1) == b[:, None]).any()
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_cusum_columns_follow_split_and_retired_rows(small_env, small_policies, window):
+    # the CUSUM buffer starts one column per run; rows split past that width,
+    # so it grows, and retire early enough that the columns moved into their
+    # places cross a block boundary (every window + 1 steps) afterwards
+    a, b = np.array(threshold_cells("tt", [0.5, 1.0, 2.0, 3.0], [-math.inf, 0.0, 0.5, 1.0])).T
+    setup = replace(grid(small_env, small_policies, "tt", a, b, detector="cusum"),
+                    window=window)
+    ids = np.arange(8)
+    rows = []
+
+    def count(policies, switched, stat, log_b, s):
+        rows.append(len(s))
+        return switch_action(policies, switched, stat, log_b, s)
+
+    with mock.patch.object(engine, "switch_action", side_effect=count):
+        simulate_batch(setup, 3, ids)
+    assert max(rows) > len(ids)
+    retired = [k for k in range(1, len(rows)) if rows[k] < rows[k - 1]]
+    assert retired and retired[0] < setup.horizon - (window + 1) and rows[retired[0]] > 0
+    old = assert_equal_oracle(setup, 3, ids)
+    for c in range(len(a)):
+        one = simulate_batch(replace(setup, threshold_a=a[c], threshold_b=b[c]), 3, ids)
+        np.testing.assert_array_equal(one.tau, old.tau.reshape(len(a), -1)[c])
+        np.testing.assert_array_equal(one.discounted_cost,
+                                      old.discounted_cost.reshape(len(a), -1)[c])
 
 
 @pytest.mark.parametrize("detector, a_grid, b_grid", [

@@ -244,6 +244,20 @@ class TestThresholdOptimization:
                                      n_runs=8, master_seed=0)
         assert choice.threshold_a == math.inf
 
+    def test_costs_one_ulp_apart_tie(self, small_env, small_policies):
+        """A reordered float sum moves a cost by an ulp or so; that must not
+        move the choice away from the smallest A."""
+        cost = 4321.0
+        costs = {2.0: float(np.nextafter(cost, math.inf)), 20.0: cost}
+
+        def reports(setup, n_runs, master_seed):
+            return [mock.Mock(mean_cost=costs[a]) for a in setup.threshold_a]
+
+        with mock.patch.object(harness, "monte_carlo", reports):
+            choice = optimize_thresholds(small_setup(small_env, small_policies, "loc"),
+                                         a_grid=[20.0, 2.0], n_runs=8)
+        assert choice.threshold_a == 2.0
+
 
 class TestNonBayesCalibration:
     def test_infinite_threshold_matches_pure_pre_policy_cost(
@@ -282,6 +296,23 @@ class TestNonBayesCalibration:
         res2 = calibrate_from_grid("loc", impossible, grid)
         assert not res2.feasible
         assert res2.einf_cost == einf_sorted[0]
+
+    def test_costs_one_ulp_apart_tie(self):
+        cost, alpha = 4321.0, 10.0
+        above = float(np.nextafter(cost, math.inf))
+        grid = (harness.NonBayesCell(20.0, 5.0, cost, 1.0, alpha, 1.0),
+                harness.NonBayesCell(2.0, 5.0, above, 1.0, alpha, 1.0))
+        res = calibrate_from_grid("tt", alpha, grid)
+        assert res.feasible and (res.threshold_a, res.e1_cost) == (2.0, above)
+        # with no feasible cell, the change-never costs tie the same way
+        grid = (harness.NonBayesCell(20.0, 5.0, cost, 1.0, alpha, 1.0),
+                harness.NonBayesCell(2.0, 5.0, cost, 1.0, float(np.nextafter(alpha, math.inf)),
+                                     1.0))
+        res = calibrate_from_grid("tt", alpha / 2, grid)
+        assert not res.feasible and res.threshold_a == 2.0
+        # the cap itself is exact: one ulp above alpha is infeasible
+        res = calibrate_from_grid("tt", alpha, grid)
+        assert res.feasible and res.threshold_a == 20.0
 
     def test_frontier_monotone_as_constraint_loosens(
             self, small_env, small_policies):
