@@ -6,7 +6,9 @@ exogenous inverse-CDF draws, so runs with the same seed share demand paths
 across policies and threshold settings (common random numbers). A draw's
 (horizon, runs) regime and demand paths are built once and cached
 (`episode_paths`), so the policies and threshold grids of one instance
-share them.
+share them. A setup whose change is a tuple of specs runs them all in one
+step loop: the batch's columns are (spec, run) pairs, each reading its
+spec's paths, and each spec's outcomes are those of a batch over it alone.
 
 A setup whose thresholds are arrays holds one threshold cell per entry.
 Its cells fall into blocks, one per distinct B (`cell_paths`), and cells
@@ -72,7 +74,7 @@ class EpisodeSetup:
 
     env: InventoryEnv
     policy_kind: str
-    change: ChangeSpec
+    change: ChangeSpec | tuple[ChangeSpec, ...]   # a tuple: one batch column per (spec, run)
     horizon: int
     beta: float
     pi_pre: np.ndarray | None = None
@@ -87,6 +89,11 @@ class EpisodeSetup:
     initial_state: int = 0
 
     def __post_init__(self):
+        changes = self.changes
+        if (not changes or not all(isinstance(c, ChangeSpec) for c in changes)
+                or len(set(changes)) < len(changes)):
+            raise ValueError("change must be a ChangeSpec or a nonempty tuple of distinct "
+                             f"ChangeSpecs, got {self.change!r}")
         if self.policy_kind not in BATCHABLE_KINDS:
             raise ValueError(f"unsupported policy kind {self.policy_kind!r}")
         for name in ("horizon", "window", "initial_state"):
@@ -125,6 +132,11 @@ class EpisodeSetup:
                              f"of equal length, got shapes {a} and {b}")
         check_thresholds(self.detector_kind, self.detector_rho, *self.effective_thresholds())
 
+    @property
+    def changes(self) -> tuple[ChangeSpec, ...]:
+        """The change specs, one per block of the batch's columns."""
+        return self.change if isinstance(self.change, tuple) else (self.change,)
+
     def effective_thresholds(self) -> tuple[float, float]:
         """(A, B) after applying the kind's degeneracies (per cell for
         threshold arrays; kl's B stays a scalar)."""
@@ -134,12 +146,15 @@ class EpisodeSetup:
 
 @dataclass
 class BatchResult:
-    """Outcomes of a simulated batch: tau, discounted_cost and the traces
-    have one entry per (cell, run), cell-major, aligned with run_ids, which
-    repeats the run ids once per threshold cell; gamma has one per run."""
+    """Outcomes of a simulated batch. The batch's columns are (change spec,
+    run) pairs, spec-major, and gamma has one entry per column. tau,
+    discounted_cost and the traces have one per (spec, cell, run), in that
+    order, aligned with run_ids, which repeats the run ids once per (spec,
+    threshold cell); so each spec's entries are those of a batch over that
+    spec alone."""
 
     run_ids: np.ndarray
-    gamma: np.ndarray              # float, inf = never; one per run
+    gamma: np.ndarray              # float, inf = never; one per column
     tau: np.ndarray                # int, -1 = no switch
     discounted_cost: np.ndarray
     trace: dict[str, np.ndarray] = field(default_factory=dict)
@@ -393,24 +408,34 @@ RUN, LO, HI, NEXT_J, STATE, SA_PREV, TAU = range(7)
 STAT, DISC, NEXT_A, LO_B, HI_B = range(5)
 
 
-def _room(array: np.ndarray, size: int) -> np.ndarray:
+def _room(array: np.ndarray, size: int, limit: int, growth: float = 2.0) -> np.ndarray:
     """`array` if its last axis holds `size` entries, else a copy of it
-    grown along that axis to twice `size`, the new entries unset."""
+    grown along that axis to `growth` times `size`, but to no more than
+    `limit`, the most the call can need; the new entries are unset."""
     if array.shape[-1] >= size:
         return array
-    grown = np.empty((*array.shape[:-1], 2 * size), dtype=array.dtype)
+    grown = np.empty((*array.shape[:-1], min(int(growth * size), limit)), dtype=array.dtype)
     grown[..., :array.shape[-1]] = array
     return grown
 
 
 def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                    trace: bool = False) -> BatchResult:
-    """Simulate one batch of episodes for every threshold cell of the setup;
-    deterministic in (setup, seed, ids)."""
+    """Simulate one batch of episodes for every change spec and threshold
+    cell of the setup; deterministic in (setup, seed, ids).
+
+    The batch's columns are (spec, run) pairs, spec-major, which the step
+    loop treats as runs: each spec's paths come from `episode_paths`, and
+    only the paths the kind reads are joined across specs."""
     run_ids = np.asarray(run_ids, dtype=int)
     env, horizon, kind = setup.env, setup.horizon, setup.policy_kind
-    gamma, post_path, demand_path, action_path = episode_paths(
-        env, setup.change, horizon, master_seed, run_ids)
+    paths = [episode_paths(env, change, horizon, master_seed, run_ids)
+             for change in setup.changes]
+
+    def joined(i: int) -> np.ndarray:
+        return paths[0][i] if len(paths) == 1 else np.concatenate([p[i] for p in paths], -1)
+
+    gamma, post_path, demand_path = joined(0), joined(1), joined(2)
     # flat tables: costs at post * n_pairs + sa, log ratios at sa_prev * n_states + s,
     # where sa = s * n_actions + a indexes a state-action pair
     n_states, n_actions = env.mdp_pre.cost.shape
@@ -419,27 +444,31 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
 
     log_a, cell_block, block_b = cell_paths(setup)
     n_cells, n_runs, n_blocks = len(log_a), len(run_ids), len(block_b)
+    n_specs = len(paths)
+    n_cols = n_specs * n_runs
     uses_detector = kind in ("loc", "kl", "tt")
     uses_belief = kind == "momdp"
     merged = n_cells > 1 and not trace
     # the rows are the first n_rows columns of ints and floats, whose rows
-    # are the fields; a merged run holds at most n_blocks rows
-    n_rows = n_runs if merged else n_cells * n_runs
-    capacity = n_blocks * n_runs if merged else n_rows
+    # are the fields; a row's RUN is its batch column, and a merged column
+    # holds at most n_blocks rows
+    n_rows = n_cols if merged else n_cells * n_cols
+    capacity = n_blocks * n_cols if merged else n_rows
     ints, floats = np.zeros((7, capacity), dtype=int), np.zeros((5, capacity))
     if merged:
-        # one row per run, holding every block
+        # one row per column, holding every block
         cells = _CellIndex(log_a, cell_block, n_blocks)
-        ints[RUN, :n_rows], ints[HI] = np.arange(n_runs), n_blocks
+        ints[RUN, :n_rows], ints[HI] = np.arange(n_cols), n_blocks
         floats[NEXT_A] = cells.a_next[cells.next_index(0, n_blocks, 0)]
         floats[LO_B], floats[HI_B] = block_b[0], block_b[-1]
     else:
-        # one row per (cell, run), cell-major, with the cell's A and B
-        ints[RUN] = np.tile(np.arange(n_runs), n_cells)
-        floats[NEXT_A] = np.repeat(log_a, n_runs)
-        floats[LO_B] = np.repeat(block_b[cell_block], n_runs)
+        # one row per (spec, cell, run), in that order, with the cell's A and B
+        ints[RUN] = np.broadcast_to(np.arange(n_cols).reshape(n_specs, 1, n_runs),
+                                    (n_specs, n_cells, n_runs)).reshape(-1)
+        floats[NEXT_A] = np.tile(np.repeat(log_a, n_runs), n_specs)
+        floats[LO_B] = np.tile(np.repeat(block_b[cell_block], n_runs), n_specs)
     ints[STATE], ints[TAU], floats[STAT] = setup.initial_state, -1, -math.inf
-    # a one-cell setup's rows are its runs, in order
+    # a one-cell setup's rows are its columns, in order
     by_run = ints[RUN, :n_rows] if merged or n_cells > 1 else slice(None)
 
     if uses_detector or uses_belief:
@@ -463,11 +492,12 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         # discounted cost, and the row's blocks [LO, HI) and A indices
         # [NEXT_J, j1) passed, from which its cells are listed after the loop.
         # Each event and final row reports at least one (cell, run), so there
-        # are at most n_cells * n_runs; the event arrays grow as events come
-        ref = np.empty((n_cells, n_runs), dtype=np.min_scalar_type(n_cells * n_runs))
-        ev_run, ev_state = np.empty(n_runs, dtype=np.int32), np.empty(n_runs, dtype=int)
-        ev_tau, ev_disc = np.empty(n_runs, dtype=int), np.empty(n_runs)
-        ev_span = np.empty((4, n_runs), dtype=np.min_scalar_type(max(n_blocks, cells.m)))
+        # are at most n_events_max; the event arrays grow as events come
+        n_events_max = n_cells * n_cols
+        ref = np.empty((n_cells, n_cols), dtype=np.min_scalar_type(n_events_max))
+        ev_run, ev_state = np.empty(n_cols, dtype=np.int32), np.empty(n_cols, dtype=int)
+        ev_tau, ev_disc = np.empty(n_cols, dtype=int), np.empty(n_cols)
+        ev_span = np.empty((4, n_cols), dtype=np.min_scalar_type(max(n_blocks, cells.m)))
     if merged and uses_detector:
         # pi_post's cost and successor state at (regime, demand, state), flat
         # at (post * n_demands + demand) * n_states + s
@@ -482,6 +512,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         belief = np.zeros(n_rows)
         grid = setup.momdp.grid_size
     if kind == "random":
+        action_path = joined(3)
         if any(acts != tuple(range(len(acts))) for acts in env.mdp_pre.feasible):
             raise ValueError("random policy requires contiguous feasible actions")
         n_feas = np.array([len(acts) for acts in env.mdp_pre.feasible])
@@ -510,7 +541,8 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                     j1 = np.searchsorted(cells.a, stat[h])     # the cells whose A < stat
                     new = slice(n_events, n_events + len(h))
                     ev_run, ev_state, ev_tau, ev_disc, ev_span = (
-                        _room(ev, new.stop) for ev in (ev_run, ev_state, ev_tau, ev_disc, ev_span))
+                        _room(ev, new.stop, n_events_max)
+                        for ev in (ev_run, ev_state, ev_tau, ev_disc, ev_span))
                     ev_run[new], ev_state[new] = rows_i[RUN, h], rows_i[STATE, h]
                     ev_disc[new], ev_tau[new] = rows_f[DISC, h], k
                     ev_span[:3, new], ev_span[3, new] = span, j1
@@ -545,7 +577,10 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                         ints[LO, to], floats[LO_B, to] = c[split], block_b[c[split]]
                         floats[NEXT_A, to] = cells.a_next[above[split]]
                         if setup.detector_kind == "cusum":
-                            buf = _room(buf, to.stop)
+                            # a column is window + 3 floats, so it grows by
+                            # less: at twice, the protocol CUSUM tt grid
+                            # peaked 10 MB higher
+                            buf = _room(buf, to.stop, capacity, growth=1.5)
                             buf[:, to] = buf[:, h[split]]
                         keeps = below < cells.m
                         rows_i[LO, h] = np.where(keeps, lo, c)
@@ -604,7 +639,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         # the cells are listed a block at a time, to bound the temporaries, from
         # spans widened to int, since `_ranges` subtracts
         last = slice(n_events, n_events + n_rows)
-        ev_run, ev_tau, ev_disc, ev_span = (_room(ev, last.stop)
+        ev_run, ev_tau, ev_disc, ev_span = (_room(ev, last.stop, n_events_max)
                                             for ev in (ev_run, ev_tau, ev_disc, ev_span))
         ev_run[last], ev_span[:3, last], ev_span[3, last] = (
             ints[RUN, :n_rows], ints[LO:NEXT_J + 1, :n_rows], cells.m)
@@ -613,9 +648,11 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
             block = slice(first, min(first + EVENT_BLOCK, last.stop))
             row, cell = cells.cells(*ev_span[:, block].astype(int))
             ref[cell, ev_run[block][row]] = first + row
-        tau, disc = ev_tau.take(ref), ev_disc.take(ref)
+        # in (spec, cell, run) order
+        by_spec = ref.reshape(n_cells, n_specs, n_runs).transpose(1, 0, 2)
+        tau, disc = ev_tau.take(by_spec), ev_disc.take(by_spec)
     else:
         tau, disc = ints[TAU, :n_rows].copy(), floats[DISC, :n_rows].copy()
-    return BatchResult(run_ids=np.tile(run_ids, n_cells), gamma=gamma.copy(),
+    return BatchResult(run_ids=np.tile(run_ids, n_specs * n_cells), gamma=gamma.copy(),
                        tau=tau.reshape(-1), discounted_cost=disc.reshape(-1),
                        trace=traces)

@@ -5,9 +5,10 @@ under the change-at-1 / change-never criterion, and the CSV surfaces.
 Every quantity here is a pure function of (configuration, master seed):
 per-run randomness comes from per-run seed sequences, grid cells share those
 seeds (common random numbers), and aggregation happens on run-id-sorted
-arrays. A threshold grid is one engine call over all runs per change spec,
+arrays. A threshold grid is one engine call over all runs and change specs,
 the cells a batch dimension; each cell's report, per-run arrays included, is
-bit-identical to simulating it alone.
+bit-identical to simulating it alone under its spec. So a non-Bayesian grid
+runs change-at-1 and change-never in one step loop.
 """
 
 from __future__ import annotations
@@ -94,40 +95,48 @@ def _switch_outcomes(gamma: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np
     return switched & (tau < gamma), delay
 
 
-def monte_carlo(setup: EpisodeSetup, n_runs: int,
-                master_seed: int) -> EvaluationReport | list[EvaluationReport]:
+def _mean_delay(delay: np.ndarray) -> float | None:
+    """The mean of a cell's finite delays, None if it has none."""
+    delay = delay[~np.isnan(delay)]
+    return float(delay.mean()) if len(delay) else None
+
+
+def monte_carlo(setup: EpisodeSetup, n_runs: int, master_seed: int) -> EvaluationReport | list:
     """Independent episodes with per-run seeds derived from the master seed.
 
     A setup with threshold arrays gets a list of reports, one per cell in
-    cell order; otherwise one report. Every report holds its runs' arrays.
+    cell order; otherwise one report. A setup whose change is a tuple of
+    specs gets a list with one such entry per spec, each equal to the call
+    with that spec alone. Every report holds its runs' arrays.
     """
     if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
         raise ValueError(f"n_runs must be an integer >= 1, got {n_runs!r}")
-    # one engine call over all runs, whose own arrays the reports share:
-    # copies raised a 1000-run, 284-cell grid's peak RSS by 3 MB
+    # one engine call over all specs and runs, whose own arrays the reports
+    # share: copies raised a 1000-run, 284-cell grid's peak RSS by 3 MB
     result = simulate_batch(setup, master_seed, np.arange(n_runs))
-    gamma = result.gamma
-    tau, cost = (x.reshape(-1, n_runs) for x in (result.tau, result.discounted_cost))
+    n_specs = len(setup.changes)
+    gamma = result.gamma.reshape(n_specs, 1, n_runs)
+    tau, cost = (x.reshape(n_specs, -1, n_runs) for x in (result.tau, result.discounted_cost))
     for block in (gamma, tau, cost):
         block.flags.writeable = False
     premature, delay = _switch_outcomes(gamma, tau)
-    a, b = (np.broadcast_to(t, len(tau)) for t in setup.effective_thresholds())
-    # every cell in one reduction per aggregate, which sums each row as the
-    # one-row call would; a cell's mean delay drops its NaNs first
-    mean_cost = cost.mean(axis=1).tolist()
-    stderr = (np.std(cost, axis=1, ddof=1) / math.sqrt(n_runs) if n_runs > 1
-              else np.zeros(len(tau))).tolist()
-    premature_rate = premature.mean(axis=1).tolist()
-    reports = []
-    for c in range(len(tau)):
-        delays = delay[c][~np.isnan(delay[c])]
-        reports.append(EvaluationReport(
-            policy=setup.policy_kind, n_runs=n_runs, mean_cost=mean_cost[c],
-            stderr=stderr[c], mean_delay=float(delays.mean()) if len(delays) else None,
-            premature_rate=premature_rate[c], threshold_a=float(a[c]),
-            threshold_b=float(b[c]), seed=master_seed, gamma=gamma, tau=tau[c],
-            discounted_cost=cost[c]))
-    return reports if np.ndim(setup.threshold_a) else reports[0]
+    n_cells = tau.shape[1]
+    a, b = (np.broadcast_to(t, n_cells) for t in setup.effective_thresholds())
+    # every (spec, cell) in one reduction per aggregate, which sums each row
+    # as the one-row call would; a cell's mean delay drops its NaNs first
+    mean_cost = cost.mean(axis=-1).tolist()
+    stderr = (np.std(cost, axis=-1, ddof=1) / math.sqrt(n_runs) if n_runs > 1
+              else np.zeros((n_specs, n_cells))).tolist()
+    premature_rate = premature.mean(axis=-1).tolist()
+    entries = [[EvaluationReport(
+        policy=setup.policy_kind, n_runs=n_runs, mean_cost=mean_cost[s][c],
+        stderr=stderr[s][c], mean_delay=_mean_delay(delay[s, c]),
+        premature_rate=premature_rate[s][c], threshold_a=float(a[c]),
+        threshold_b=float(b[c]), seed=master_seed, gamma=gamma[s, 0], tau=tau[s, c],
+        discounted_cost=cost[s, c]) for c in range(n_cells)] for s in range(n_specs)]
+    if not np.ndim(setup.threshold_a):
+        entries = [reports[0] for reports in entries]
+    return entries if isinstance(setup.change, tuple) else entries[0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +241,18 @@ class NonBayesCell:
     einf_stderr: float
 
 
+# the non-Bayesian measures, change-at-1 and change-never, run in one engine call
+_E1_EINF = (ChangeSpec(kind="fixed", gamma=1), ChangeSpec(kind="never"))
+
+
 def estimate_nonbayes_grid(setup: EpisodeSetup, a_grid, b_grid=None,
                            n_runs: int = 1000,
                            master_seed: int = 0) -> tuple[NonBayesCell, ...]:
     """Per-cell cost estimates under change-at-1 and change-never measures,
     shared across calibration levels."""
     cells = threshold_cells(setup.policy_kind, a_grid, b_grid)
-    grid = _grid_setup(setup, cells)
-    e1 = monte_carlo(replace(grid, change=ChangeSpec(kind="fixed", gamma=1)),
-                     n_runs, master_seed)
-    einf = monte_carlo(replace(grid, change=ChangeSpec(kind="never")), n_runs, master_seed)
+    e1, einf = monte_carlo(replace(_grid_setup(setup, cells), change=_E1_EINF),
+                           n_runs, master_seed)
     return tuple(NonBayesCell(a, b, r1.mean_cost, r1.stderr, rinf.mean_cost, rinf.stderr)
                  for (a, b), r1, rinf in zip(cells, e1, einf))
 
@@ -299,8 +310,7 @@ def delay_profile(setup: EpisodeSetup, thresholds, n_runs: int = 1000,
     if not thresholds:
         return []
     grid = _grid_setup(setup, [(a, setup.threshold_b) for a in thresholds])
-    e1, einf = (monte_carlo(replace(grid, change=change), n_runs, master_seed)
-                for change in (ChangeSpec(kind="fixed", gamma=1), ChangeSpec(kind="never")))
+    e1, einf = monte_carlo(replace(grid, change=_E1_EINF), n_runs, master_seed)
     return [{"threshold": a,
              "mean_delay": float(np.nan_to_num(_switch_outcomes(r1.gamma, r1.tau)[1],
                                                nan=setup.horizon - 1).mean()),

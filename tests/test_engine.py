@@ -9,9 +9,11 @@ B, B = A, B beyond the CUSUM reach, a statistic equal to a block's B, a side
 holding only passed cells); a CUSUM grid whose rows split past the
 buffer's first width and retire before a block boundary; a grid on the
 capacity-20 instance, whose
-post-switch table indices exceed uint8; the listing of cells in blocks of
-any size; the cache of per-draw paths that `simulate_batch` reads; and the
-bulk draw of those paths against
+post-switch table indices exceed uint8; the growth of the CUSUM buffer and
+the event arrays, which stays within what the call can need; a batch over
+several change specs against each spec's own batch; the listing of cells
+in blocks of any size; the cache of per-draw paths that `simulate_batch`
+reads; and the bulk draw of those paths against
 `util.protocol_randomness`, numpy's own per-run seeding, over one- and
 multi-word seeds and run ids."""
 
@@ -301,6 +303,63 @@ def test_cusum_columns_follow_split_and_retired_rows(small_env, small_policies, 
         np.testing.assert_array_equal(one.tau, old.tau.reshape(len(a), -1)[c])
         np.testing.assert_array_equal(one.discounted_cost,
                                       old.discounted_cost.reshape(len(a), -1)[c])
+
+
+E1_EINF = (ChangeSpec("fixed", gamma=1), ChangeSpec("never"))
+
+
+@pytest.mark.parametrize("change", [ChangeSpec("never"), E1_EINF], ids=["never", "e1-einf"])
+def test_grown_arrays_stay_within_their_bounds(small_env, small_policies, change):
+    # a column (spec, run) holds at most n_blocks rows, and every event and
+    # final row reports a distinct (cell, column); the CUSUM buffer and the
+    # event arrays grow past their first width here, but never past that
+    a, b = np.array(threshold_cells("tt", [1.0, 3.0], [-math.inf, 0.0, 0.5])).T
+    setup = replace(grid(small_env, small_policies, "tt", a, b, detector="cusum"),
+                    change=change)
+    n_cols, n_blocks = 8 * np.size(change), len(cell_paths(setup)[2])
+    grown = []
+
+    def room(array, *args, **kwargs):
+        out = real_room(array, *args, **kwargs)
+        if out is not array:
+            grown.append(out)
+        return out
+
+    real_room = engine._room
+    with mock.patch.object(engine, "_room", side_effect=room):
+        simulate_batch(setup, 3, np.arange(8))
+    buffers = [g for g in grown if g.ndim == 2 and g.dtype == float]
+    assert buffers and len(buffers) < len(grown)
+    for g in grown:
+        bound = n_blocks if g.ndim == 2 and g.dtype == float else len(a)
+        assert g.shape[-1] <= bound * n_cols
+
+
+def assert_bits_equal(got, want, name):
+    assert got.dtype == want.dtype and got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(setup=setups(), changes=st.lists(st.sampled_from(CHANGES), min_size=2, max_size=3,
+                                        unique=True),
+       first_id=st.integers(0, 1000), n_runs=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_specs_in_one_batch_equal_each_spec_alone(setup, changes, first_id, n_runs, seed):
+    # the batch's columns are (spec, run) pairs, and its outcomes are each
+    # spec's own batch, in spec order, bit for bit
+    ids = np.arange(first_id, first_id + n_runs)
+    for trace in (False, True):
+        joint = simulate_batch(replace(setup, change=tuple(changes)), seed, ids, trace=trace)
+        alone = [simulate_batch(replace(setup, change=c), seed, ids, trace=trace)
+                 for c in changes]
+        for name in ("run_ids", "gamma", "tau", "discounted_cost"):
+            assert_bits_equal(getattr(joint, name),
+                              np.concatenate([getattr(r, name) for r in alone]), name)
+        assert joint.trace.keys() == alone[0].trace.keys()
+        for name in joint.trace:
+            assert_bits_equal(joint.trace[name],
+                              np.concatenate([r.trace[name] for r in alone]), name)
 
 
 @pytest.mark.parametrize("detector, a_grid, b_grid", [

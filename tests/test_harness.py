@@ -167,6 +167,18 @@ class TestEpisodeAccounting:
             replace(setup, **{field: value})
         assert getattr(replace(setup, **{field: np.int64(2)}), field) == 2
 
+    @pytest.mark.parametrize("change", ["never", None, (), [CHANGE], (CHANGE, "never"),
+                                        (CHANGE, ChangeSpec(kind="geometric", rho=0.05))],
+                             ids=["str", "none", "empty", "list", "mixed", "repeated"])
+    def test_setup_rejects_bad_change(self, small_env, small_policies, change):
+        # "never" used to pass here and fail in monte_carlo with an AttributeError
+        setup = small_setup(small_env, small_policies, "loc")
+        with pytest.raises(ValueError, match="^change"):
+            replace(setup, change=change)
+        changes = (CHANGE, ChangeSpec(kind="never"))
+        assert replace(setup, change=changes).changes == changes
+        assert setup.changes == (CHANGE,)
+
     @pytest.mark.parametrize("kind, field, damage", [
         ("oracle", "pi_pre", lambda p: {"pi_pre": np.r_[-1, p.pi_pre[1:]]}),
         ("tt", "pi_probe", lambda p: {"pi_probe": np.r_[p.pi_probe[0], 4, p.pi_probe[2:]]}),
@@ -373,8 +385,9 @@ class TestDelayProfile:
 
 
 class TestGridPass:
-    """A threshold grid simulated in one engine pass per change spec gives,
-    cell for cell, the estimates of simulating that cell alone."""
+    """A threshold grid simulated in one engine pass over its change specs
+    gives, cell for cell, the estimates of simulating that cell alone under
+    each spec."""
 
     N_RUNS = 300    # more runs than one 256-run PATH_BLOCK of the draw
 
@@ -445,6 +458,44 @@ class TestGridPass:
         assert engine.call_count == 1
         assert engine.call_args.args[2].tolist() == list(range(self.N_RUNS))
         assert len(report.discounted_cost) == self.N_RUNS
+
+    def test_nonbayes_grid_and_delay_profile_make_one_engine_call(self, small_env,
+                                                                   small_policies):
+        # change-at-1 and change-never share one monte_carlo and one engine call
+        e1_einf = (ChangeSpec(kind="fixed", gamma=1), ChangeSpec(kind="never"))
+        grid_setup = replace(small_setup(small_env, small_policies, "tt", horizon=40,
+                                         detector="cusum"), window=5)
+        profile_setup = small_setup(small_env, small_policies, "loc", detector="sr",
+                                    horizon=50)
+        for run in (lambda: estimate_nonbayes_grid(grid_setup, *self.grids("cusum"),
+                                                   n_runs=self.N_RUNS, master_seed=4),
+                    lambda: delay_profile(profile_setup, [0.5, 3.0, 40.0],
+                                          n_runs=self.N_RUNS, master_seed=8)):
+            with mock.patch.object(harness, "monte_carlo", wraps=monte_carlo) as mc, \
+                    mock.patch.object(harness, "simulate_batch", wraps=simulate_batch) as engine:
+                run()
+            assert mc.call_count == 1 and engine.call_count == 1
+            assert engine.call_args.args[0].change == e1_einf
+            assert engine.call_args.args[2].tolist() == list(range(self.N_RUNS))
+
+    def test_spec_tuple_entries_equal_each_spec_alone(self, small_env, small_policies):
+        # one entry per spec, equal to the call with that spec alone, with
+        # bit-identical, read-only per-run arrays
+        setup = small_setup(small_env, small_policies, "tt", horizon=60)
+        changes = (ChangeSpec(kind="fixed", gamma=1), CHANGE, ChangeSpec(kind="never"))
+        for a, b in ((50.0, 3.0), (np.array([5.0, 50.0, 50.0]), np.array([0.0, 3.0, 50.0]))):
+            one = replace(setup, threshold_a=a, threshold_b=b)
+            entries = monte_carlo(replace(one, change=changes), self.N_RUNS, master_seed=2)
+            assert len(entries) == len(changes)
+            for change, entry in zip(changes, entries):
+                alone = monte_carlo(replace(one, change=change), self.N_RUNS, master_seed=2)
+                assert entry == alone
+                for report, single in zip(*(x if isinstance(x, list) else [x]
+                                            for x in (entry, alone))):
+                    for name in ("gamma", "tau", "discounted_cost"):
+                        got, want = getattr(report, name), getattr(single, name)
+                        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                        assert not got.flags.writeable
 
     def test_cusum_b_beyond_reach_joins_the_never_probe_path(self, small_env,
                                                               small_policies):

@@ -7,6 +7,8 @@ runs one policy kind's grid under one detector:
 - cusum: criterion 7's non-Bayesian grid at p=200,
   `harness.estimate_nonbayes_grid` (change-at-1 and change-never cost per
   cell) with the windowed CUSUM, m=200;
+- sr: that grid with the Shiryaev-Roberts statistic, as criterion 7 and
+  the `sweep` and `calibrate` commands run it;
 - shiryaev: criterion 5's Bayesian grid at p=100,
   `harness.optimize_thresholds` with the Shiryaev statistic at the prior's
   rho.
@@ -28,13 +30,13 @@ import time
 from nsmdp import harness, inventory
 
 CAPACITY, BETA, RHO = 20, 0.99, 0.01
-PENALTY = {"cusum": 200.0, "shiryaev": 100.0}
+PENALTY = {"cusum": 200.0, "sr": 200.0, "shiryaev": 100.0}
 RUNS, HORIZON, WINDOW = 1000, 1000, 200
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--detector", choices=("cusum", "shiryaev"), default="cusum")
+    parser.add_argument("--detector", choices=("cusum", "sr", "shiryaev"), default="cusum")
     parser.add_argument("--kind", choices=("loc", "tt"), default="tt")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
@@ -46,9 +48,9 @@ def main() -> None:
     change = inventory.ChangeSpec(kind="geometric", rho=RHO)
     b_grid = harness.default_b_grid() if args.kind == "tt" else None
     start = time.perf_counter()
-    if args.detector == "cusum":
+    if args.detector in ("cusum", "sr"):
         setup = harness.make_setup(env, policies, args.kind, change, HORIZON, BETA,
-                                   detector_kind="cusum", window=WINDOW)
+                                   detector_kind=args.detector, window=WINDOW)
         cells = harness.estimate_nonbayes_grid(setup, harness.default_a_grid(), b_grid,
                                                n_runs=RUNS, master_seed=args.seed)
         rows = [(c.threshold_a, c.threshold_b, c.e1_cost, c.e1_stderr, c.einf_cost,
