@@ -212,8 +212,46 @@ def load_config(path: str | None, overrides: dict[str, str | None]) -> Experimen
     return cfg
 
 
+def _json_text(obj, level: int = 0) -> str:
+    """json.dumps(obj, sort_keys=True, indent=1) for a value nested `level`
+    deep, where numpy arrays stand for their lists.
+
+    A nonempty array is encoded once by the C encoder (json.dumps without an
+    indent) and then indented: in the compact text, m closing brackets, ", "
+    and m opening brackets separate the items at depth ndim - m, and no
+    number token holds a bracket or ", ". Dicts recurse in sorted key order;
+    scalars and empty arrays go through json.dumps itself.
+    """
+    newline = "\n" + " " * level
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{json.dumps(key)}: {_json_text(value, level + 1)}"
+                 for key, value in sorted(obj.items())]
+        return "{" + newline + " " + ("," + newline + " ").join(items) + newline + "}"
+    if isinstance(obj, np.ndarray) and (obj.size == 0 or obj.ndim == 0):
+        obj = obj.tolist()
+    if not isinstance(obj, np.ndarray):
+        return json.dumps(obj, sort_keys=True, indent=1).replace("\n", newline)
+    ndim = obj.ndim
+    text = json.dumps(obj.tolist())
+
+    def closing(m):   # m closing brackets after the items at depth ndim
+        return "".join(f"{newline}{' ' * (ndim - 1 - i)}]" for i in range(m))
+
+    def opening(m):   # m opening brackets before the items at depth ndim
+        return "".join(f"{newline}{' ' * (ndim - m + i)}[" for i in range(m))
+
+    item = newline + " " * ndim
+    for m in range(ndim - 1, -1, -1):
+        text = text.replace("]" * m + ", " + "[" * m, closing(m) + "," + opening(m) + item)
+    return "[" + opening(ndim - 1) + item + text[ndim:-ndim] + closing(ndim)
+
+
 def _json_dump(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    """Write json.dumps(obj, sort_keys=True, indent=1) plus a newline, with
+    numpy arrays written as their lists (see `_json_text`)."""
+    path.write_text(_json_text(obj) + "\n")
 
 
 def _solution_path(cfg: ExperimentConfig) -> Path:
@@ -244,18 +282,18 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 
     models = {
         "params": _model_params(cfg),
-        "pre": {"kernel": env.mdp_pre.kernel.tolist(), "cost": env.mdp_pre.cost.tolist()},
-        "post": {"kernel": env.mdp_post.kernel.tolist(), "cost": env.mdp_post.cost.tolist()},
+        "pre": {"kernel": env.mdp_pre.kernel, "cost": env.mdp_pre.cost},
+        "post": {"kernel": env.mdp_post.kernel, "cost": env.mdp_post.cost},
     }
     _json_dump(models, cfg.run.out_dir / "models.json")
 
     solution = {"params": models["params"], "beta": cfg.run.beta, "info_pre": info_pre,
-                "info_probe": info_probe, "info_max": info_max, "pi_info_max": pi_info.tolist(),
-                **{name: getattr(policies, name).tolist() for name in POLICY_ARRAYS}}
+                "info_probe": info_probe, "info_max": info_max, "pi_info_max": pi_info,
+                **{name: getattr(policies, name) for name in POLICY_ARRAYS}}
     if with_momdp:
         solution["momdp"] = {"rho": cfg.change.rho, "grid_size": cfg.policies.momdp_grid,
-                             "policy": policies.momdp.policy.tolist(),
-                             "value": policies.momdp.value.tolist()}
+                             "policy": policies.momdp.policy,
+                             "value": policies.momdp.value}
     _json_dump(solution, _solution_path(cfg))
     print(f"solved both regimes: I_pi0={info_pre:.6g} I_probe={info_probe:.6g} "
           f"I_max={info_max:.6g}")

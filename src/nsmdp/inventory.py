@@ -41,17 +41,21 @@ class InventoryParams:
     uniform_max: int | None = None   # defaults to capacity
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        for name in ("order_cost", "holding_cost", "penalty"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.demand_rate <= 0:
-            raise ValueError(f"demand_rate must be positive, got {self.demand_rate}")
         if self.uniform_max is None:
             object.__setattr__(self, "uniform_max", self.capacity)
-        if self.uniform_max < 0:
-            raise ValueError(f"uniform_max must be >= 0, got {self.uniform_max}")
+        for name, least in (("capacity", 1), ("uniform_max", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, int(value))   # numpy integers wrap
+        for name in ("order_cost", "holding_cost", "penalty"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)!r}")
+        if not 0 < self.demand_rate < math.inf:
+            raise ValueError(f"demand_rate must be positive and finite, got {self.demand_rate!r}")
 
 
 def poisson_cap(rate: float) -> int:
@@ -100,29 +104,32 @@ def build_inventory_mdp(params: InventoryParams, demand_kind: str) -> TabularMdp
     else:
         raise ValueError(f"unknown demand kind {demand_kind!r}")
     w = np.arange(len(pmf))
+    y = np.arange(n + 1)
     # per stock level y: expected held units and lost demand
-    hold = np.array([np.sum(pmf * np.maximum(0, y - w)) for y in range(n + 1)])
-    short = np.array([np.sum(pmf * np.maximum(0, w - y)) for y in range(n + 1)])
+    hold = np.sum(pmf * np.maximum(0, y[:, None] - w), axis=1)
+    short = np.sum(pmf * np.maximum(0, w - y[:, None]), axis=1)
     tail = np.concatenate([[1.0], 1.0 - np.cumsum(pmf)])  # tail[y] = P(w >= y)
 
-    kernel = np.zeros((n + 1, n + 1, n + 1))
-    cost = np.zeros((n + 1, n + 1))
-    feasible = []
-    for s in range(n + 1):
-        feasible.append(tuple(range(n - s + 1)))
-        for a in range(n - s + 1):
-            y = s + a
-            for j in range(1, y + 1):
-                if y - j < len(pmf):
-                    kernel[s, a, j] = pmf[y - j]
-            kernel[s, a, 0] = tail[y] if y <= len(pmf) else 0.0
-            # guard the float tail against rounding below zero
-            if kernel[s, a, 0] < 0:
-                kernel[s, a, 0] = 0.0
-            kernel[s, a] /= kernel[s, a].sum()
-            cost[s, a] = (params.order_cost * a + params.holding_cost * hold[y]
-                          + params.penalty * short[y])
-    return TabularMdp(kernel=kernel, cost=cost, feasible=tuple(feasible))
+    # the next-state row of each stock level y, since (s, a) moves as y = s + a:
+    # pmf[y - j] at 1 <= j <= y and P(w >= y) at j = 0, each 0 past its array
+    lag = y[:, None] - y
+    rows = np.append(pmf, 0.0)[np.where(lag >= 0, np.minimum(lag, len(pmf)), len(pmf))]
+    first = np.append(tail, 0.0)[np.minimum(y, len(tail))]
+    # guard the float tail against rounding below zero
+    rows[:, 0] = np.where(first < 0, 0.0, first)
+    rows /= rows.sum(axis=1, keepdims=True)
+
+    stock = y[:, None] + y                          # y = s + a, feasible up to n
+    infeasible = stock > n
+    stock[infeasible] = n
+    kernel = rows[stock]
+    kernel[infeasible] = 0.0
+    # c*a + h*hold[y] + p*short[y], with the order a as the column index
+    cost = (params.order_cost * y + params.holding_cost * hold[stock]
+            + params.penalty * short[stock])
+    cost[infeasible] = 0.0
+    feasible = tuple(tuple(range(n - s + 1)) for s in range(n + 1))
+    return TabularMdp(kernel=kernel, cost=cost, feasible=feasible)
 
 
 @dataclass(frozen=True)

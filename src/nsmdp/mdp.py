@@ -55,21 +55,35 @@ class TabularMdp:
             feasible = tuple(tuple(range(n_actions)) for _ in range(n_states))
         if len(feasible) != n_states:
             raise ModelError("feasible must list actions for every state")
+        # the listed pairs in order, up to the first state without an action
+        # or action out of range; their rows are checked at once below
+        states, actions, listing_error = [], [], None
         for s, acts in enumerate(feasible):
             if len(acts) == 0:
-                raise ModelError(f"state {s} has no feasible action")
+                listing_error = ModelError(f"state {s} has no feasible action")
             for a in acts:
                 if not 0 <= a < n_actions:
-                    raise ModelError(f"action {a} out of range at state {s}")
-                row = kernel[s, a]
-                if not np.all(row >= 0):   # also catches NaN; an inf fails the sum
-                    raise ModelError(f"negative or NaN transition probability at (s={s}, a={a})")
-                if abs(row.sum() - 1.0) > ROW_SUM_TOL:
-                    raise ModelError(
-                        f"kernel row (s={s}, a={a}) sums to {row.sum():.12f}, not 1"
-                    )
-                if not np.isfinite(cost[s, a]):
-                    raise ModelError(f"non-finite cost at (s={s}, a={a})")
+                    listing_error = ModelError(f"action {a} out of range at state {s}")
+                    break
+                states.append(s)
+                actions.append(a)
+            if listing_error is not None:
+                break
+        rows = kernel[states, actions]          # a copy
+        signed = ~np.all(rows >= 0, axis=1)     # also catches NaN; an inf fails the sum
+        rows[signed] = 0.0                      # so that -inf never meets +inf in a sum
+        sums = rows.sum(axis=1)
+        failed = signed | (np.abs(sums - 1.0) > ROW_SUM_TOL) | ~np.isfinite(cost[states, actions])
+        if failed.any():
+            i = int(np.argmax(failed))
+            s, a = states[i], actions[i]
+            if signed[i]:
+                raise ModelError(f"negative or NaN transition probability at (s={s}, a={a})")
+            if abs(sums[i] - 1.0) > ROW_SUM_TOL:
+                raise ModelError(f"kernel row (s={s}, a={a}) sums to {sums[i]:.12f}, not 1")
+            raise ModelError(f"non-finite cost at (s={s}, a={a})")
+        if listing_error is not None:
+            raise listing_error
         feasible = tuple(tuple(int(a) for a in acts) for acts in feasible)
         mask = action_mask(feasible, n_actions)
         mask.flags.writeable = False
@@ -94,8 +108,8 @@ def action_mask(feasible: tuple[tuple[int, ...], ...], n_actions: int) -> np.nda
     """Boolean (S, A) mask of the pairs that `feasible` lists, one tuple of
     action indices per state."""
     mask = np.zeros((len(feasible), n_actions), dtype=bool)
-    for s, acts in enumerate(feasible):
-        mask[s, list(acts)] = True
+    states = np.repeat(np.arange(len(feasible)), [len(acts) for acts in feasible])
+    mask[states, [a for acts in feasible for a in acts]] = True
     return mask
 
 

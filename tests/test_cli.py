@@ -6,7 +6,10 @@ import re
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nsmdp import cli
 from nsmdp.cli import CONFIG_KEYS, FLAGS, ConfigError, build_parser, load_config, main
@@ -118,6 +121,55 @@ uniform_max = 1
         sol = json.loads((out / "solution.json").read_text())
         assert abs(sol["info_max"]) <= 1e-9
         assert abs(sol["info_pre"]) <= 1e-12
+
+
+def json_reference(obj) -> bytes:
+    """The bytes json.dumps writes for `obj` with every array as its list."""
+    def lists(value):
+        if isinstance(value, dict):
+            return {key: lists(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return (json.dumps(lists(obj), sort_keys=True, indent=1) + "\n").encode()
+
+
+FLOAT_EDGES = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1]
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("array", [
+        np.array(FLOAT_EDGES), np.array(FLOAT_EDGES).reshape(2, 4),
+        np.array(FLOAT_EDGES * 3).reshape(2, 3, 4), np.arange(-6, 6).reshape(3, 2, 2),
+        np.arange(5), np.array([[True, False], [False, True]]), np.ones((1, 1, 1), bool),
+        np.zeros(0), np.zeros((3, 0)), np.zeros((2, 0, 1), int), np.array(2.5)],
+        ids=lambda a: f"{a.dtype}{a.shape}")
+    def test_array_bytes_equal_json_of_its_list(self, tmp_path, array):
+        for obj in (array, {"b": array, "a": {"z": array, "y": [1, None]}, "c": {}}):
+            cli._json_dump(obj, tmp_path / "x.json")
+            assert (tmp_path / "x.json").read_bytes() == json_reference(obj)
+
+    @settings(max_examples=80, deadline=None)
+    @given(array=hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
+                            hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)),
+           depth=st.integers(0, 3))
+    def test_random_arrays_at_any_depth(self, tmp_path_factory, array, depth):
+        obj = array
+        for _ in range(depth):
+            obj = {"k": obj, "j": 1.5}
+        path = tmp_path_factory.mktemp("json") / "x.json"
+        cli._json_dump(obj, path)
+        assert path.read_bytes() == json_reference(obj)
+
+    def test_solve_files_equal_json_of_their_lists(self, tmp_path):
+        # the protocol instance, N=20 and p=100, with every policy kind and G=201
+        with mock.patch.object(cli, "_json_dump", wraps=cli._json_dump) as dump:
+            assert main(["solve", "--out-dir", str(tmp_path),
+                         "--policies", "oracle,loc,kl,tt,random,momdp"]) == 0
+        written = {call.args[1].name: call.args[0] for call in dump.call_args_list}
+        assert sorted(written) == ["models.json", "solution.json"]
+        assert written["models.json"]["pre"]["kernel"].shape == (21, 21, 21)
+        assert written["solution.json"]["momdp"]["policy"].shape == (21, 201)
+        for name, obj in written.items():
+            assert (tmp_path / name).read_bytes() == json_reference(obj)
 
 
 class TestEvaluate:
@@ -443,6 +495,31 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, field, value", [
+        ("demand_rate", "demand_rate", "inf"), ("demand_rate", "demand_rate", "nan"),
+        ("holding_cost", "holding_cost", "inf"), ("order_cost", "order_cost", "nan"),
+        ("shortage_penalty", "penalty", "-inf")])
+    def test_non_finite_inventory_value(self, tmp_path, capsys, key, field, value):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[inventory]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        rule = "positive and finite" if field == "demand_rate" else "finite and non-negative"
+        assert capsys.readouterr().err == (f"config error: inventory.*: {field} must be "
+                                           f"{rule}, got {float(value)!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("capacity", "True"), ("capacity", "2.0"),
+                                            ("uniform_max", "2.5")])
+    def test_non_integer_inventory_size(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[inventory]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert (capsys.readouterr().err
+                == f"config error: inventory.{key}: cannot parse {value!r}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, code, name", [

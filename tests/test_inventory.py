@@ -12,6 +12,8 @@ from nsmdp.inventory import (GUIDE_BUCKETS, ChangeSpec, InventoryParams, build_e
                              build_inventory_mdp, demand_from_uniform, demand_pmf,
                              poisson_cap, sample_change_point)
 
+from util import inventory_mdp_oracle
+
 
 class TestDemandPmf:
     def test_uniform_two_atoms(self):
@@ -103,6 +105,31 @@ class TestBuildInventoryMdp:
     def test_default_uniform_support_is_capacity(self):
         params = miniature_params()
         assert params.uniform_max == params.capacity
+
+
+@st.composite
+def inventory_params(draw):
+    """Capacity 1 to 40, u_max 0, below, at or above it, a range of demand
+    rates (the Poisson cap moves with the rate) and of costs."""
+    capacity = draw(st.integers(1, 40))
+    uniform_max = draw(st.one_of(st.just(0), st.integers(0, capacity - 1),
+                                 st.just(capacity), st.integers(capacity + 1, 120)))
+    cost = st.floats(0.0, 1e4, allow_subnormal=False)
+    return InventoryParams(capacity=capacity, order_cost=draw(cost), holding_cost=draw(cost),
+                           penalty=draw(cost), demand_rate=draw(st.floats(0.01, 150.0)),
+                           uniform_max=uniform_max)
+
+
+class TestBuildMatchesLoopOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(params=inventory_params())
+    def test_kernel_cost_and_feasible_bit_for_bit(self, params):
+        for kind in ("poisson", "uniform"):
+            mdp = build_inventory_mdp(params, kind)
+            kernel, cost, feasible = inventory_mdp_oracle(params, kind)
+            assert mdp.kernel.tobytes() == kernel.tobytes()
+            assert mdp.cost.tobytes() == cost.tobytes()
+            assert mdp.feasible == feasible
 
 
 def traced_runs(env, kind, n_runs, horizon, pi=None, seed=0):
@@ -238,6 +265,30 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             InventoryParams(capacity=2, order_cost=1, holding_cost=1,
                             penalty=1, demand_rate=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("capacity", True), ("capacity", 2.0), ("capacity", "3"), ("uniform_max", False),
+        ("uniform_max", 2.5)])
+    def test_non_integer_sizes_rejected(self, name, value):
+        fields = {"capacity": 3, "order_cost": 1.0, "holding_cost": 5.0, "penalty": 100.0,
+                  "demand_rate": 2.0, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            InventoryParams(**fields)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_sizes_accepted(self, value):
+        params = InventoryParams(capacity=value, order_cost=1.0, holding_cost=5.0,
+                                 penalty=100.0, demand_rate=2.0, uniform_max=value)
+        assert type(params.capacity) is int and type(params.uniform_max) is int
+        assert build_env(params).n_states == 4
+
+    @pytest.mark.parametrize("name", ["order_cost", "holding_cost", "penalty", "demand_rate"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_costs_and_rate_rejected(self, name, value):
+        fields = {"capacity": 3, "order_cost": 1.0, "holding_cost": 5.0, "penalty": 100.0,
+                  "demand_rate": 2.0, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be .*finite"):
+            InventoryParams(**fields)
 
     def test_env_bundles_consistent_pieces(self):
         env = build_env(miniature_params())

@@ -2,6 +2,7 @@
 information numbers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,63 @@ class TestTabularMdp:
         kernel[0, 0, 0] = 1.0
         mdp = TabularMdp(kernel=kernel, cost=np.zeros((1, 2)), feasible=((0,),))
         assert mdp.feasible_mask().tolist() == [[True, False]]
+
+    @pytest.mark.parametrize("damage, first", [
+        # (bad (s, a) pairs, the error of the first in (s, a) order)
+        ({(2, 0): "negative", (1, 1): "nan"},
+         r"negative or NaN transition probability at \(s=1, a=1\)"),
+        ({(2, 1): "sum", (1, 0): "sum", (0, 1): "cost"}, r"non-finite cost at \(s=0, a=1\)"),
+        ({(1, 0): "sum", (1, 1): "negative"},
+         r"kernel row \(s=1, a=0\) sums to 1\.500000000000, not 1"),
+        ({(2, 1): "cost", (1, 1): "inf"}, r"kernel row \(s=1, a=1\) sums to inf, not 1"),
+        ({(0, 0): "cost", (0, 1): "negative"}, r"non-finite cost at \(s=0, a=0\)"),
+    ])
+    def test_first_bad_pair_in_order_is_named(self, damage, first):
+        kernel, cost = np.full((3, 2, 3), 0.5), np.zeros((3, 2))
+        kernel[..., 2] = 0.0
+        for (s, a), how in damage.items():
+            if how == "negative":
+                kernel[s, a] = [1.5, -0.5, 0.0]
+            elif how == "nan":
+                kernel[s, a, 1] = np.nan
+            elif how == "inf":
+                kernel[s, a, 2] = np.inf
+            elif how == "sum":
+                kernel[s, a, 2] = 0.5
+            else:
+                cost[s, a] = np.inf
+        with pytest.raises(ModelError, match=f"^{first}$"):
+            TabularMdp(kernel=kernel, cost=cost)
+
+    def test_row_of_both_infinities_raises_without_warning(self):
+        kernel = np.full((2, 1, 2), 0.5)
+        kernel[1, 0] = [np.inf, -np.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match=r"negative or NaN .* \(s=1, a=0\)"):
+                TabularMdp(kernel=kernel, cost=np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("row", [[np.inf, -np.inf], [np.nan, np.nan], [np.inf, np.inf],
+                                     [-1.0, 3.0]])
+    def test_bad_infeasible_rows_and_costs_ignored(self, row):
+        kernel = np.full((2, 2, 2), 0.5)
+        kernel[0, 1] = kernel[1, 0] = row
+        cost = np.array([[0.0, np.nan], [np.inf, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mdp = TabularMdp(kernel=kernel, cost=cost, feasible=((0,), (1,)))
+        assert mdp.feasible_mask().tolist() == [[True, False], [False, True]]
+
+    def test_listing_error_after_a_bad_row_comes_second(self):
+        kernel = np.full((2, 2, 2), 0.5)
+        kernel[0, 0, 0] = np.nan
+        with pytest.raises(ModelError, match=r"NaN .* \(s=0, a=0\)"):
+            TabularMdp(kernel=kernel, cost=np.zeros((2, 2)), feasible=((0,), (5,)))
+        kernel[0, 0, 0] = 0.5
+        with pytest.raises(ModelError, match="^action 5 out of range at state 1$"):
+            TabularMdp(kernel=kernel, cost=np.zeros((2, 2)), feasible=((0,), (1, 5)))
+        with pytest.raises(ModelError, match="^state 1 has no feasible action$"):
+            TabularMdp(kernel=kernel, cost=np.zeros((2, 2)), feasible=((0,), ()))
 
 
 class TestValueIteration:

@@ -5,13 +5,14 @@ force (hypothesis enumeration, suffix scans, policy enumeration) so they can
 arbitrate the vectorized implementations. `value_iteration_oracle` and
 `belief_grid_oracle` are the sweep loops that policy iteration replaced;
 they judge `value_iteration`'s and `belief_grid_solve`'s policies, and
-their values within the sweep loops' tolerance band. The exception is
-`engine_oracle`, the one-row-per-cell episode loop, a frozen copy that pins
-the engine's output bit for bit. It draws its randomness by the plain
-protocol (`protocol_paths`: numpy's own seeding per run, then
-`np.searchsorted`), so it judges the engine's bulk draw. It calls the
-library's `windowed_cusum`, so it does not judge that kernel; the suffix
-brute force `suffix_max_oracle` does.
+their values within the sweep loops' tolerance band. The exceptions are
+two frozen copies that pin the package's output bit for bit.
+`engine_oracle` is the one-row-per-cell episode loop. It draws its
+randomness by the plain protocol (`protocol_paths`: numpy's own seeding
+per run, then `np.searchsorted`), so it judges the engine's bulk draw. It
+calls the library's `windowed_cusum`, so it does not judge that kernel;
+the suffix brute force `suffix_max_oracle` does. `inventory_mdp_oracle` is
+the per-(s, a, j) loop that built the inventory kernel and cost.
 """
 
 import csv
@@ -25,7 +26,7 @@ from nsmdp.detectors import (cusum_buffer, log_ratio_table, shiryaev_log_update,
                              threshold_domain, windowed_cusum)
 from nsmdp.engine import BatchResult, EpisodeSetup
 from nsmdp.errors import NumericalError
-from nsmdp.inventory import sample_change_point
+from nsmdp.inventory import demand_pmf, sample_change_point
 from nsmdp.mdp import TabularMdp
 from nsmdp.momdp import MomdpSolution, belief_step
 
@@ -129,6 +130,40 @@ def value_iteration_oracle(mdp, beta, tol=1e-8, max_iter=10_000_000):
         raise NumericalError(f"value iteration did not converge in {max_iter} sweeps")
     q = np.where(mask, mdp.cost + beta * mdp.kernel @ v, np.inf)
     return v, np.argmin(q, axis=1).astype(int)
+
+
+def inventory_mdp_oracle(params, demand_kind):
+    """`inventory.build_inventory_mdp` as the per-(s, a, j) loop it was
+    before it became array operations: (kernel, cost, feasible) from the
+    library's demand pmf. It does the same float operations in the same
+    order, so it pins the kernel and cost bit for bit."""
+    n = params.capacity
+    if demand_kind == "poisson":
+        pmf = demand_pmf("poisson", rate=params.demand_rate)
+    else:
+        pmf = demand_pmf("uniform", u_max=params.uniform_max)
+    w = np.arange(len(pmf))
+    hold = np.array([np.sum(pmf * np.maximum(0, y - w)) for y in range(n + 1)])
+    short = np.array([np.sum(pmf * np.maximum(0, w - y)) for y in range(n + 1)])
+    tail = np.concatenate([[1.0], 1.0 - np.cumsum(pmf)])  # tail[y] = P(w >= y)
+
+    kernel = np.zeros((n + 1, n + 1, n + 1))
+    cost = np.zeros((n + 1, n + 1))
+    feasible = []
+    for s in range(n + 1):
+        feasible.append(tuple(range(n - s + 1)))
+        for a in range(n - s + 1):
+            y = s + a
+            for j in range(1, y + 1):
+                if y - j < len(pmf):
+                    kernel[s, a, j] = pmf[y - j]
+            kernel[s, a, 0] = tail[y] if y <= len(pmf) else 0.0
+            if kernel[s, a, 0] < 0:
+                kernel[s, a, 0] = 0.0
+            kernel[s, a] /= kernel[s, a].sum()
+            cost[s, a] = (params.order_cost * a + params.holding_cost * hold[y]
+                          + params.penalty * short[y])
+    return kernel, cost, tuple(feasible)
 
 
 def is_order_up_to(policy):

@@ -1,12 +1,14 @@
 """Time the policy solvers on the six criterion-5 table instances.
 
 For each instance (N in {10, 20} x p in {100, 200, 300}, beta=0.99) it
-prints the wall time of one `mdp.value_iteration` call per regime, of
-`harness.solve_policies` without the belief grid, and of `solve_policies`
-with the 201-point belief grid, each the minimum over --repeat calls, and
-a SHA-256 of every policy array that solve returns (pi_pre, pi_post,
-pi_probe and the belief-grid policy), so two versions of the package can
-be compared for speed and for identical policies. For the belief-grid
+prints the wall time of `inventory.build_env`, of one
+`mdp.value_iteration` call per regime, of `harness.solve_policies` without
+the belief grid, and of `solve_policies` with the 201-point belief grid,
+each the minimum over --repeat calls. It also prints a SHA-256 of both
+regimes' kernel and cost bytes and one of every policy array that solve
+returns (pi_pre, pi_post, pi_probe and the belief-grid policy), so two
+versions of the package can be compared for speed, for identical models
+and for identical policies. For the belief-grid
 solve it also prints how many policy evaluations it made and the Bellman
 residual of its value, recomputed here on full (S, A, G, S') tables rather
 than the solver's own.
@@ -68,9 +70,13 @@ def main() -> None:
     args = parser.parse_args()
 
     for capacity, penalty in INSTANCES:
-        env = inventory.build_env(inventory.InventoryParams(
-            capacity=capacity, order_cost=1.0, holding_cost=5.0, penalty=penalty,
-            demand_rate=2.0))
+        params = inventory.InventoryParams(capacity=capacity, order_cost=1.0, holding_cost=5.0,
+                                           penalty=penalty, demand_rate=2.0)
+        build, env = best_of(args.repeat, lambda: inventory.build_env(params))
+        models = hashlib.sha256()
+        for table in (env.mdp_pre.kernel, env.mdp_pre.cost, env.mdp_post.kernel,
+                      env.mdp_post.cost):
+            models.update(table.tobytes())
         vi_pre, _ = best_of(args.repeat, lambda: value_iteration(env.mdp_pre, BETA))
         vi_post, _ = best_of(args.repeat, lambda: value_iteration(env.mdp_post, BETA))
         plain, _ = best_of(args.repeat, lambda: harness.solve_policies(env, BETA))
@@ -79,7 +85,8 @@ def main() -> None:
         digest = hashlib.sha256()
         for table in (pol.pi_pre, pol.pi_post, pol.pi_probe, pol.momdp.policy):
             digest.update(np.ascontiguousarray(table, dtype=np.int64).tobytes())
-        print(f"N={capacity} p={penalty:g} vi_pre_ms={vi_pre * 1e3:.2f} "
+        print(f"N={capacity} p={penalty:g} build_env_ms={build * 1e3:.2f} "
+              f"models_sha256={models.hexdigest()} vi_pre_ms={vi_pre * 1e3:.2f} "
               f"vi_post_ms={vi_post * 1e3:.2f} solve_s={plain:.4f} "
               f"solve_grid_s={grid:.3f} grid_evaluations={len(pol.momdp.deltas)} "
               f"grid_residual={grid_residual(pol.momdp, BETA):.2e} "
