@@ -329,7 +329,7 @@ def _load_policies(cfg: ExperimentConfig, env) -> harness.PolicySet:
         for name in POLICY_ARRAYS:
             arrays[name] = np.array(sol[name])
             if name.startswith("pi_"):
-                validate_policy(env.mdp_pre.feasible, arrays[name], (n,), name)
+                validate_policy(env.mdp_pre.feasible_mask(), arrays[name], (n,), name)
             elif arrays[name].shape != (n,) or arrays[name].dtype.kind != "f":
                 raise ValueError(f"{name} must be a float array of shape ({n},)")
         if with_momdp:
@@ -337,7 +337,7 @@ def _load_policies(cfg: ExperimentConfig, env) -> harness.PolicySet:
             momdp = MomdpSolution(
                 pomdp=build_pomdp(env.mdp_pre, env.mdp_post, m["rho"]),
                 grid=np.linspace(0.0, 1.0, m["grid_size"]), value=np.array(m["value"]),
-                policy=validate_policy(env.mdp_pre.feasible, np.array(m["policy"]),
+                policy=validate_policy(env.mdp_pre.feasible_mask(), np.array(m["policy"]),
                                        (n, m["grid_size"]), "momdp.policy"))
     except KeyError as exc:
         raise ConfigError(f"{path}: field {exc} is missing; rerun `nsmdp solve`") from exc
@@ -346,10 +346,11 @@ def _load_policies(cfg: ExperimentConfig, env) -> harness.PolicySet:
     return harness.PolicySet(**arrays, momdp=momdp)
 
 
-def _episode_setup(cfg: ExperimentConfig, env, policies, kind: str,
+def _episode_setup(cfg: ExperimentConfig, env, policies, kind: str | tuple[str, ...],
                    nonbayes: bool = False, **thresholds) -> EpisodeSetup:
-    """The config's setup for one policy kind. The non-Bayesian criteria
-    (sweep, calibrate) run the Shiryaev statistic as its rho = 0 limit, SR."""
+    """The config's setup for one policy kind, or a tuple of kinds. The
+    non-Bayesian criteria (sweep, calibrate) run the Shiryaev statistic as
+    its rho = 0 limit, SR."""
     detector_kind, detector_rho = cfg.detector.kind, cfg.detector.rho
     if nonbayes and detector_kind == "shiryaev":
         detector_kind, detector_rho = "sr", 0.0
@@ -384,21 +385,28 @@ def cmd_evaluate(cfg: ExperimentConfig, assert_ordering: bool = False) -> int:
     a_grid, b_grid = _grids(cfg)
     opt_runs = cfg.thresholds.opt_runs if cfg.thresholds.opt_runs > 0 else n_runs
 
-    reports = []
-    for kind in cfg.policies.kinds:
-        setup = _episode_setup(cfg, env, policies, kind)
+    # a grid search per thresholded kind unless A is fixed; on the same runs
+    # the chosen cell's grid report is its rerun, bit for bit, and keeps the
+    # grid's arrays alive
+    by_kind = {}
+    for kind in cfg.policies.kinds if cfg.thresholds.a is None else ():
         if kind in ("loc", "kl", "tt"):
-            if cfg.thresholds.a is not None:
-                setup = replace(setup, threshold_a=fixed_a, threshold_b=fixed_b)
-            else:
-                choice = harness.optimize_thresholds(setup, a_grid, b_grid,
-                                                     n_runs=opt_runs, master_seed=seed)
-                setup = replace(setup, threshold_a=choice.threshold_a,
-                                threshold_b=choice.threshold_b)
-        report = harness.monte_carlo(setup, n_runs, seed)
-        reports.append(report)
-        print(f"{kind:7s} mean_cost={report.mean_cost:.6g} stderr={report.stderr:.4g} "
-              f"A={report.threshold_a:.6g} B={report.threshold_b:.6g}")
+            setup = _episode_setup(cfg, env, policies, kind)
+            choice = harness.optimize_thresholds(setup, a_grid, b_grid,
+                                                 n_runs=opt_runs, master_seed=seed)
+            by_kind[kind] = choice.report if opt_runs == n_runs else harness.monte_carlo(
+                replace(setup, threshold_a=choice.threshold_a,
+                        threshold_b=choice.threshold_b), n_runs, seed)
+    # every other kind in one engine call, at the fixed thresholds
+    rest = tuple(kind for kind in cfg.policies.kinds if kind not in by_kind)
+    if rest:
+        setup = _episode_setup(cfg, env, policies, rest, threshold_a=fixed_a,
+                               threshold_b=fixed_b)
+        by_kind.update(zip(rest, harness.monte_carlo(setup, n_runs, seed)))
+    reports = [by_kind[kind] for kind in cfg.policies.kinds]
+    for r in reports:
+        print(f"{r.policy:7s} mean_cost={r.mean_cost:.6g} stderr={r.stderr:.4g} "
+              f"A={r.threshold_a:.6g} B={r.threshold_b:.6g}")
 
     harness.write_runs_csv(out_dir / "runs.csv", reports, cfg.run.horizon)
     harness.write_summary_csv(out_dir / "summary.csv", reports)

@@ -25,12 +25,16 @@ PHASES = ("pre", "probe", "post")
 def kind_thresholds(kind: str, detector_kind: str, threshold_a: float,
                     threshold_b: float | None) -> tuple[float, float | None]:
     """(A, B) after the kind's degeneracies: loc forces B = A, kl puts B at
-    the statistic floor (0 for shiryaev/sr, -inf for cusum/glr), and every
-    other kind keeps B as given."""
+    the statistic floor (0 for shiryaev/sr, -inf for cusum/glr), tt keeps
+    both as given, and the kinds that read no thresholds (oracle, random,
+    momdp) have A = inf and B = 0, so that kinds sharing thresholds each
+    report their own."""
     if kind == "loc":
         return threshold_a, threshold_a
     if kind == "kl":
         return threshold_a, 0.0 if detector_kind in ("shiryaev", "sr") else -math.inf
+    if kind in ("oracle", "random", "momdp"):
+        return math.inf, 0.0
     return threshold_a, threshold_b
 
 
@@ -81,7 +85,8 @@ def _policy_table(table, feasible, name: str) -> np.ndarray:
     """A controller's policy table, checked by `validate_policy` against the
     feasible action sets, or without them, for non-negative integers."""
     if feasible is not None:
-        return validate_policy(feasible, table, (len(feasible),), name).astype(int)
+        mask = action_mask(feasible, 1 + max(max(acts) for acts in feasible))
+        return validate_policy(mask, table, (len(feasible),), name).astype(int)
     table = np.asarray(table)
     if table.ndim != 1 or table.dtype.kind not in "iu" or (table < 0).any():
         raise ValueError(f"{name} must be a 1-D array of non-negative integers, got {table!r}")

@@ -9,6 +9,11 @@ across policies and threshold settings (common random numbers). A draw's
 share them. A setup whose change is a tuple of specs runs them all in one
 step loop: the batch's columns are (spec, run) pairs, each reading its
 spec's paths, and each spec's outcomes are those of a batch over it alone.
+A setup whose policy kind is a tuple of kinds, at scalar thresholds, runs
+them all in one step loop too: its rows are (kind, run) pairs, each kind's
+group takes only its own action step (one detector update and switch
+serves the loc, kl and tt rows), and the rest of the step runs once over
+all rows, so each kind's outcomes are those of a batch over it alone.
 
 A setup whose thresholds are arrays holds one threshold cell per entry.
 Its cells fall into blocks, one per distinct B (`cell_paths`), and cells
@@ -65,15 +70,23 @@ from .mdp import log_ratio_table, validate_policy
 from .momdp import MomdpSolution, belief_step
 
 BATCHABLE_KINDS = ("oracle", "random", "loc", "kl", "tt", "momdp")
+DETECTOR_KINDS = ("loc", "kl", "tt")
+# the order in which a kind tuple's groups take their rows: the rows that
+# update a detector lead, then the momdp rows, so that the rows which read
+# the transition are one leading range
+GROUP_ORDER = ("loc", "kl", "tt", "momdp", "oracle", "random")
 CUSUM_REACH_MARGIN = 1e-9   # relative slack on the windowed CUSUM's largest value
 
 
 @dataclass(frozen=True)
 class EpisodeSetup:
-    """Everything needed to simulate episodes of one policy on one instance."""
+    """Everything needed to simulate episodes of one policy on one instance,
+    or of several policies on shared draws: `policy_kind` may be a tuple of
+    distinct kinds, which share the scalar thresholds and each apply their
+    own degeneracies to them (`kind_thresholds`)."""
 
     env: InventoryEnv
-    policy_kind: str
+    policy_kind: str | tuple[str, ...]             # a tuple: one group of rows per kind
     change: ChangeSpec | tuple[ChangeSpec, ...]   # a tuple: one batch column per (spec, run)
     horizon: int
     beta: float
@@ -89,13 +102,18 @@ class EpisodeSetup:
     initial_state: int = 0
 
     def __post_init__(self):
-        changes = self.changes
+        changes, kinds = self.changes, self.kinds
         if (not changes or not all(isinstance(c, ChangeSpec) for c in changes)
                 or len(set(changes)) < len(changes)):
             raise ValueError("change must be a ChangeSpec or a nonempty tuple of distinct "
                              f"ChangeSpecs, got {self.change!r}")
-        if self.policy_kind not in BATCHABLE_KINDS:
-            raise ValueError(f"unsupported policy kind {self.policy_kind!r}")
+        if (not kinds or not all(isinstance(k, str) and k in BATCHABLE_KINDS for k in kinds)
+                or len(set(kinds)) < len(kinds)):
+            raise ValueError(f"policy_kind must be one of {', '.join(BATCHABLE_KINDS)} or a "
+                             f"nonempty tuple of distinct ones, got {self.policy_kind!r}")
+        grouped = isinstance(self.policy_kind, tuple)
+        if grouped and isinstance(self.change, tuple):
+            raise ValueError("policy_kind and change cannot both be tuples")
         for name in ("horizon", "window", "initial_state"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -109,49 +127,60 @@ class EpisodeSetup:
             raise ValueError(f"window must be >= 1 for cusum, got {self.window}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
-        if self.policy_kind in ("oracle", "loc", "kl", "tt") and (
-                self.pi_pre is None or self.pi_post is None):
-            raise ValueError(f"{self.policy_kind} needs pi_pre and pi_post")
-        if self.policy_kind in ("kl", "tt") and self.pi_probe is None:
-            raise ValueError(f"{self.policy_kind} needs pi_probe")
-        if (self.policy_kind in ("loc", "kl", "tt")
-                and self.detector_kind not in ("shiryaev", "sr", "cusum")):
-            raise ValueError(f"unsupported detector kind {self.detector_kind!r}")
-        if self.policy_kind == "momdp" and self.momdp is None:
-            raise ValueError("momdp needs a solved belief-grid policy")
+        for kind in kinds:
+            if kind in ("oracle", *DETECTOR_KINDS) and (
+                    self.pi_pre is None or self.pi_post is None):
+                raise ValueError(f"{kind} needs pi_pre and pi_post")
+            if kind in ("kl", "tt") and self.pi_probe is None:
+                raise ValueError(f"{kind} needs pi_probe")
+            if kind in DETECTOR_KINDS and self.detector_kind not in ("shiryaev", "sr", "cusum"):
+                raise ValueError(f"unsupported detector kind {self.detector_kind!r}")
+            if kind == "momdp" and self.momdp is None:
+                raise ValueError("momdp needs a solved belief-grid policy")
         # every given table, so that no bad action index wraps in the step loop
-        feasible, n = self.env.mdp_pre.feasible, self.env.n_states
+        mask, n = self.env.mdp_pre.feasible_mask(), self.env.n_states
         for name in ("pi_pre", "pi_probe", "pi_post"):
             if getattr(self, name) is not None:
-                validate_policy(feasible, getattr(self, name), (n,), name)
+                validate_policy(mask, getattr(self, name), (n,), name)
         if self.momdp is not None:
-            validate_policy(feasible, self.momdp.policy, (n, self.momdp.grid_size), "momdp.policy")
+            validate_policy(mask, self.momdp.policy, (n, self.momdp.grid_size), "momdp.policy")
         a, b = np.shape(self.threshold_a), np.shape(self.threshold_b)
         if a != b or len(a) > 1 or a == (0,):
             raise ValueError("thresholds must be two scalars or two nonempty 1-D arrays "
                              f"of equal length, got shapes {a} and {b}")
-        check_thresholds(self.detector_kind, self.detector_rho, *self.effective_thresholds())
+        if grouped and a:
+            raise ValueError(f"a policy_kind tuple needs scalar thresholds, got threshold_a "
+                             f"and threshold_b of shape {a}")
+        for kind in kinds:
+            check_thresholds(self.detector_kind, self.detector_rho,
+                             *self.effective_thresholds(kind))
 
     @property
     def changes(self) -> tuple[ChangeSpec, ...]:
         """The change specs, one per block of the batch's columns."""
         return self.change if isinstance(self.change, tuple) else (self.change,)
 
-    def effective_thresholds(self) -> tuple[float, float]:
-        """(A, B) after applying the kind's degeneracies (per cell for
-        threshold arrays; kl's B stays a scalar)."""
-        return kind_thresholds(self.policy_kind, self.detector_kind,
-                               self.threshold_a, self.threshold_b)
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        """The policy kinds, one per group of the batch's rows."""
+        return self.policy_kind if isinstance(self.policy_kind, tuple) else (self.policy_kind,)
+
+    def effective_thresholds(self, kind: str | None = None) -> tuple[float, float]:
+        """(A, B) of `kind`, by default the setup's one kind, after applying
+        the kind's degeneracies (per cell for threshold arrays; kl's B stays
+        a scalar)."""
+        return kind_thresholds(self.policy_kind if kind is None else kind,
+                               self.detector_kind, self.threshold_a, self.threshold_b)
 
 
 @dataclass
 class BatchResult:
     """Outcomes of a simulated batch. The batch's columns are (change spec,
     run) pairs, spec-major, and gamma has one entry per column. tau,
-    discounted_cost and the traces have one per (spec, cell, run), in that
-    order, aligned with run_ids, which repeats the run ids once per (spec,
-    threshold cell); so each spec's entries are those of a batch over that
-    spec alone."""
+    discounted_cost and the traces have one per (spec, kind, cell, run), in
+    that order, aligned with run_ids, which repeats the run ids once per
+    (spec, kind, threshold cell); so each spec's entries, and each kind's
+    in the order of a kind tuple, are those of a batch over it alone."""
 
     run_ids: np.ndarray
     gamma: np.ndarray              # float, inf = never; one per column
@@ -322,15 +351,17 @@ def episode_paths(env: InventoryEnv, change: ChangeSpec, horizon: int, master_se
 _PATH_CACHE: dict = {}
 
 
-def cell_paths(setup: EpisodeSetup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per cell, A in the statistic's domain and the index of its block; per
-    block, in ascending order, B in that domain, or +inf for the cells that
-    never probe: those with B >= A, which switch wherever their statistic
-    exceeds B, and under CUSUM those whose B is beyond the windowed
-    statistic's reach. The cells of a block share one pre-switch path."""
+def cell_paths(setup: EpisodeSetup,
+               kind: str | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell of `kind`, by default the setup's one kind, A in the
+    statistic's domain and the index of its block; per block, in ascending
+    order, B in that domain, or +inf for the cells that never probe: those
+    with B >= A, which switch wherever their statistic exceeds B, and under
+    CUSUM those whose B is beyond the windowed statistic's reach. The cells
+    of a block share one pre-switch path."""
     log_a, log_b = (np.array([threshold_domain(setup.detector_kind, float(t))
                               for t in np.broadcast_to(thr, np.size(setup.threshold_a))])
-                    for thr in setup.effective_thresholds())
+                    for thr in setup.effective_thresholds(kind))
     never_probes = log_b >= log_a
     if setup.detector_kind == "cusum":
         # the statistic sums at most window + 1 log ratios, and is computed as a
@@ -421,14 +452,16 @@ def _room(array: np.ndarray, size: int, limit: int, growth: float = 2.0) -> np.n
 
 def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                    trace: bool = False) -> BatchResult:
-    """Simulate one batch of episodes for every change spec and threshold
-    cell of the setup; deterministic in (setup, seed, ids).
+    """Simulate one batch of episodes for every change spec, policy kind
+    and threshold cell of the setup; deterministic in (setup, seed, ids).
 
     The batch's columns are (spec, run) pairs, spec-major, which the step
     loop treats as runs: each spec's paths come from `episode_paths`, and
-    only the paths the kind reads are joined across specs."""
+    only the paths the kinds read are joined across specs. A kind tuple's
+    rows are (kind, run) pairs, whose groups take their rows in GROUP_ORDER;
+    the outcomes come back in the tuple's order."""
     run_ids = np.asarray(run_ids, dtype=int)
-    env, horizon, kind = setup.env, setup.horizon, setup.policy_kind
+    env, horizon, kinds = setup.env, setup.horizon, setup.kinds
     paths = [episode_paths(env, change, horizon, master_seed, run_ids)
              for change in setup.changes]
 
@@ -442,13 +475,19 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
     n_pairs = n_states * n_actions
     costs = np.stack((env.mdp_pre.cost, env.mdp_post.cost)).reshape(-1)
 
-    log_a, cell_block, block_b = cell_paths(setup)
-    n_cells, n_runs, n_blocks = len(log_a), len(run_ids), len(block_b)
+    # the kinds in step order, each with its cells' A and B; a grid has one kind
+    order = sorted(range(len(kinds)), key=lambda g: GROUP_ORDER.index(kinds[g]))
+    by_kind = [cell_paths(setup, kinds[g]) for g in order]
+    log_a = np.concatenate([cells_a for cells_a, _, _ in by_kind])
+    cell_b = np.concatenate([blocks_b[block] for _, block, blocks_b in by_kind])
+    cell_block, block_b = by_kind[0][1:]
+    # n_cells counts the (kind, cell) pairs
+    n_kinds, n_cells, n_runs, n_blocks = len(kinds), len(log_a), len(run_ids), len(block_b)
     n_specs = len(paths)
     n_cols = n_specs * n_runs
-    uses_detector = kind in ("loc", "kl", "tt")
-    uses_belief = kind == "momdp"
-    merged = n_cells > 1 and not trace
+    uses_detector = any(kind in DETECTOR_KINDS for kind in kinds)
+    uses_belief = "momdp" in kinds
+    merged = n_kinds == 1 and n_cells > 1 and not trace
     # the rows are the first n_rows columns of ints and floats, whose rows
     # are the fields; a row's RUN is its batch column, and a merged column
     # holds at most n_blocks rows
@@ -462,14 +501,28 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         floats[NEXT_A] = cells.a_next[cells.next_index(0, n_blocks, 0)]
         floats[LO_B], floats[HI_B] = block_b[0], block_b[-1]
     else:
-        # one row per (spec, cell, run), in that order, with the cell's A and B
+        # one row per (spec, kind, cell, run), in that order, with the cell's A and B
         ints[RUN] = np.broadcast_to(np.arange(n_cols).reshape(n_specs, 1, n_runs),
                                     (n_specs, n_cells, n_runs)).reshape(-1)
         floats[NEXT_A] = np.tile(np.repeat(log_a, n_runs), n_specs)
-        floats[LO_B] = np.tile(np.repeat(block_b[cell_block], n_runs), n_specs)
+        floats[LO_B] = np.tile(np.repeat(cell_b, n_runs), n_specs)
     ints[STATE], ints[TAU], floats[STAT] = setup.initial_state, -1, -math.inf
     # a one-cell setup's rows are its columns, in order
     by_run = ints[RUN, :n_rows] if merged or n_cells > 1 else slice(None)
+    # the action steps, each over its rows: one switch step over the rows of
+    # the detector kinds, and one step per other kind. The rows the detector
+    # updates, and after them those of momdp, lead, so that the rows which
+    # read the transition are the first n_read; None stands for all rows
+    if n_kinds == 1:
+        steps = [("switch" if uses_detector else kinds[0], slice(None))]
+        n_det = None if uses_detector else 0
+        n_read = None if uses_detector or uses_belief else 0
+    else:
+        n_det = n_runs * sum(kind in DETECTOR_KINDS for kind in kinds)
+        n_read = n_det + n_runs * uses_belief
+        steps = [("switch", slice(0, n_det))] if n_det else []
+        steps += [(kinds[g], slice(i * n_runs, (i + 1) * n_runs))
+                  for i, g in enumerate(order) if kinds[g] not in DETECTOR_KINDS]
 
     if uses_detector or uses_belief:
         log_lr = log_ratio_table(env.mdp_post.kernel, env.mdp_pre.kernel).reshape(-1)
@@ -478,7 +531,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         if setup.detector_kind == "cusum":
             # its columns grow as splits need them: sized at capacity, the
             # step-major buffer would keep every page of its rows resident
-            buf = cusum_buffer(n_rows, setup.window)
+            buf = cusum_buffer(n_rows if n_det is None else n_det, setup.window)
         pi_probe = setup.pi_pre if setup.pi_probe is None else setup.pi_probe
         policies = np.stack((setup.pi_pre, pi_probe, setup.pi_post))
         # a merged row whose blocks disagree on the phase splits only where
@@ -509,9 +562,9 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         joint_succ = np.broadcast_to(post_succ, (2, n_demands, n_states)).reshape(-1)
     if uses_belief:
         lr_lin = np.exp(log_lr)
-        belief = np.zeros(n_rows)
+        belief = np.zeros(n_rows if n_kinds == 1 else n_runs)
         grid = setup.momdp.grid_size
-    if kind == "random":
+    if "random" in kinds:
         action_path = joined(3)
         if any(acts != tuple(range(len(acts))) for acts in env.mdp_pre.feasible):
             raise ValueError("random policy requires contiguous feasible actions")
@@ -523,17 +576,17 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
 
     for k in range(horizon):
         rows_i, rows_f = ints[:, :n_rows], floats[:, :n_rows]
-        if k >= 1:
-            transition = rows_i[SA_PREV] * n_states + rows_i[STATE]
+        if k >= 1 and n_read != 0:
+            transition = rows_i[SA_PREV, :n_read] * n_states + rows_i[STATE, :n_read]
             if uses_detector:
-                stat = rows_f[STAT]
-                live = slice(0, n_rows) if merged else np.flatnonzero(rows_i[TAU] < 0)
+                stat = rows_f[STAT, :n_det]
+                live = slice(0, n_rows) if merged else np.flatnonzero(rows_i[TAU, :n_det] < 0)
                 step_lr = log_lr[transition[live]]
                 if setup.detector_kind == "cusum":
                     stat[live] = windowed_cusum(buf, live, step_lr, k)
                 else:
                     stat[live] = shiryaev_log_update(stat[live], step_lr, log1m_rho)
-                h = np.flatnonzero(stat > rows_f[NEXT_A])     # rows passing cells now
+                h = np.flatnonzero(stat > rows_f[NEXT_A, :n_det])     # rows passing cells now
                 if len(h) and not merged:
                     rows_i[TAU, h], rows_f[NEXT_A, h] = k, math.inf
                 elif len(h):
@@ -591,23 +644,31 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                         n_rows = to.stop
                         rows_i, rows_f = ints[:, :n_rows], floats[:, :n_rows]
             if uses_belief:
-                step_lr = lr_lin[transition]
+                step_lr = lr_lin[transition[n_det:]]
                 belief = belief_step(belief, step_lr, setup.momdp.pomdp.rho)
 
         s, stat = rows_i[STATE], rows_f[STAT]
         if merged:
             by_run = rows_i[RUN]
         post = post_path[k][by_run]
-        if kind == "oracle":
-            a = np.where(post, setup.pi_post[s], setup.pi_pre[s])
-        elif kind == "random":
-            a = (action_path[k][by_run] * n_feas[s]).astype(int)
-        elif kind == "momdp":
-            a = np.take(setup.momdp.policy, s * grid + np.rint(belief * (grid - 1)).astype(int))
-        else:
-            # a merged row never switches: its cells leave it instead
-            phase, a = switch_action(policies, not merged and rows_i[TAU] >= 0, stat,
-                                     rows_f[LO_B], s)
+        actions = []
+        for kind, rows in steps:
+            s_k = s[rows]
+            if kind == "oracle":
+                a = np.where(post[rows], setup.pi_post[s_k], setup.pi_pre[s_k])
+            elif kind == "random":
+                # a kind's group of rows holds the runs in order
+                u = action_path[k] if n_kinds > 1 else action_path[k][by_run]
+                a = (u * n_feas[s_k]).astype(int)
+            elif kind == "momdp":
+                a = np.take(setup.momdp.policy,
+                            s_k * grid + np.rint(belief * (grid - 1)).astype(int))
+            else:
+                # a merged row never switches: its cells leave it instead
+                phase, a = switch_action(policies, not merged and rows_i[TAU, rows] >= 0,
+                                         stat[rows], rows_f[LO_B, rows], s_k)
+            actions.append(a)
+        a = actions[0] if len(actions) == 1 else np.concatenate(actions)
 
         sa = np.multiply(s, n_actions, out=rows_i[SA_PREV])
         sa += a
@@ -628,10 +689,10 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
             traces["demand"][:, k] = w
             traces["cost"][:, k] = cost
             if uses_detector:
-                traces["statistic"][:, k] = stat
-                traces["phase"][:, k] = phase
-            elif uses_belief:
-                traces["statistic"][:, k] = belief
+                traces["statistic"][:n_det, k] = stat[:n_det]
+                traces["phase"][:n_det, k] = phase
+            if uses_belief:
+                traces["statistic"][n_det:n_read, k] = belief
         np.maximum(np.subtract(s + a, w, out=s), 0, out=s)
 
     if merged:
@@ -652,7 +713,12 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         by_spec = ref.reshape(n_cells, n_specs, n_runs).transpose(1, 0, 2)
         tau, disc = ev_tau.take(by_spec), ev_disc.take(by_spec)
     else:
-        tau, disc = ints[TAU, :n_rows].copy(), floats[DISC, :n_rows].copy()
+        # the kinds' groups back in the tuple's order
+        inverse = np.argsort(order)
+        tau, disc = (x[:n_rows].reshape(n_kinds, -1)[inverse] for x in (ints[TAU], floats[DISC]))
+        if n_kinds > 1:
+            traces = {name: t.reshape(n_kinds, -1, horizon)[inverse].reshape(t.shape)
+                      for name, t in traces.items()}
     return BatchResult(run_ids=np.tile(run_ids, n_specs * n_cells), gamma=gamma.copy(),
                        tau=tau.reshape(-1), discounted_cost=disc.reshape(-1),
                        trace=traces)

@@ -8,7 +8,8 @@ seeds (common random numbers), and aggregation happens on run-id-sorted
 arrays. A threshold grid is one engine call over all runs and change specs,
 the cells a batch dimension; each cell's report, per-run arrays included, is
 bit-identical to simulating it alone under its spec. So a non-Bayesian grid
-runs change-at-1 and change-never in one step loop.
+runs change-at-1 and change-never in one step loop, and the policies of one
+instance at fixed thresholds run in one step loop as a tuple of kinds.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def solve_policies(env: InventoryEnv, beta: float, momdp_grid: int | None = None
                      v_pre=sol_pre.value, v_post=sol_post.value, momdp=momdp)
 
 
-def make_setup(env: InventoryEnv, policies: PolicySet, kind: str,
+def make_setup(env: InventoryEnv, policies: PolicySet, kind: str | tuple[str, ...],
                change: ChangeSpec, horizon: int, beta: float,
                detector_kind: str = "shiryaev", detector_rho: float = 0.0,
                threshold_a: float = math.inf, threshold_b: float = 0.0,
@@ -106,13 +107,15 @@ def monte_carlo(setup: EpisodeSetup, n_runs: int, master_seed: int) -> Evaluatio
 
     A setup with threshold arrays gets a list of reports, one per cell in
     cell order; otherwise one report. A setup whose change is a tuple of
-    specs gets a list with one such entry per spec, each equal to the call
-    with that spec alone. Every report holds its runs' arrays.
+    specs gets a list with one such entry per spec, and one whose policy
+    kind is a tuple of kinds a list with one report per kind; each entry
+    equals the call with that spec or kind alone. All of them come from one
+    engine call, and every report holds its runs' arrays.
     """
     if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
         raise ValueError(f"n_runs must be an integer >= 1, got {n_runs!r}")
-    # one engine call over all specs and runs, whose own arrays the reports
-    # share: copies raised a 1000-run, 284-cell grid's peak RSS by 3 MB
+    # one engine call over all specs, kinds and runs, whose own arrays the
+    # reports share: copies raised a 1000-run, 284-cell grid's peak RSS by 3 MB
     result = simulate_batch(setup, master_seed, np.arange(n_runs))
     n_specs = len(setup.changes)
     gamma = result.gamma.reshape(n_specs, 1, n_runs)
@@ -120,21 +123,23 @@ def monte_carlo(setup: EpisodeSetup, n_runs: int, master_seed: int) -> Evaluatio
     for block in (gamma, tau, cost):
         block.flags.writeable = False
     premature, delay = _switch_outcomes(gamma, tau)
-    n_cells = tau.shape[1]
-    a, b = (np.broadcast_to(t, n_cells) for t in setup.effective_thresholds())
-    # every (spec, cell) in one reduction per aggregate, which sums each row
-    # as the one-row call would; a cell's mean delay drops its NaNs first
+    # per (kind, cell), its kind and effective (A, B)
+    n_cells = np.size(setup.threshold_a)
+    cells = [(kind, float(a), float(b)) for kind in setup.kinds for a, b in zip(
+        *(np.broadcast_to(t, n_cells) for t in setup.effective_thresholds(kind)))]
+    # every (spec, kind, cell) in one reduction per aggregate, which sums each
+    # row as the one-row call would; a cell's mean delay drops its NaNs first
     mean_cost = cost.mean(axis=-1).tolist()
     stderr = (np.std(cost, axis=-1, ddof=1) / math.sqrt(n_runs) if n_runs > 1
-              else np.zeros((n_specs, n_cells))).tolist()
+              else np.zeros((n_specs, len(cells)))).tolist()
     premature_rate = premature.mean(axis=-1).tolist()
     entries = [[EvaluationReport(
-        policy=setup.policy_kind, n_runs=n_runs, mean_cost=mean_cost[s][c],
-        stderr=stderr[s][c], mean_delay=_mean_delay(delay[s, c]),
-        premature_rate=premature_rate[s][c], threshold_a=float(a[c]),
-        threshold_b=float(b[c]), seed=master_seed, gamma=gamma[s, 0], tau=tau[s, c],
-        discounted_cost=cost[s, c]) for c in range(n_cells)] for s in range(n_specs)]
-    if not np.ndim(setup.threshold_a):
+        policy=kind, n_runs=n_runs, mean_cost=mean_cost[s][c], stderr=stderr[s][c],
+        mean_delay=_mean_delay(delay[s, c]), premature_rate=premature_rate[s][c],
+        threshold_a=a, threshold_b=b, seed=master_seed, gamma=gamma[s, 0], tau=tau[s, c],
+        discounted_cost=cost[s, c]) for c, (kind, a, b) in enumerate(cells)]
+        for s in range(n_specs)]
+    if not np.ndim(setup.threshold_a) and not isinstance(setup.policy_kind, tuple):
         entries = [reports[0] for reports in entries]
     return entries if isinstance(setup.change, tuple) else entries[0]
 

@@ -125,21 +125,21 @@ def log_ratio_table(kernel1: np.ndarray, kernel0: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(k1, EPS_PROB)) - np.log(np.maximum(k0, EPS_PROB))
 
 
-def validate_policy(feasible: tuple[tuple[int, ...], ...], policy, shape: tuple[int, ...],
+def validate_policy(mask: np.ndarray, policy, shape: tuple[int, ...],
                     name: str) -> np.ndarray:
     """`policy` as an array, checked to be an integer array of `shape`, (S,)
-    or (S, G), whose every action is one that `feasible` (one tuple of
-    action indices per state) lists at its row's state."""
+    or (S, G), whose every action is feasible at its row's state under
+    `mask`, a boolean (S, A) mask such as `TabularMdp.feasible_mask()`."""
     policy = np.asarray(policy)
     if policy.shape != shape or policy.dtype.kind not in "iu":
         raise ValueError(f"{name} must be an integer array of shape {shape}, "
                          f"got {policy.dtype} of shape {policy.shape}")
-    rows = policy.reshape(len(feasible), -1)
-    n_actions = 1 + max(max(acts) for acts in feasible)
+    rows = policy.reshape(len(mask), -1)
+    n_actions = mask.shape[1]
     if not (0 <= rows.min() and rows.max() < n_actions
-            and action_mask(feasible, n_actions)[np.arange(len(feasible))[:, None], rows].all()):
+            and mask[np.arange(len(mask))[:, None], rows].all()):
         s, a = next((s, a) for s, row in enumerate(rows.tolist()) for a in row
-                    if a not in feasible[s])
+                    if not (0 <= a < n_actions and mask[s, a]))
         raise ValueError(f"{name}: action {a} infeasible at state {s}")
     return policy
 
@@ -194,7 +194,7 @@ def policy_evaluation(mdp: TabularMdp, policy: np.ndarray, beta: float) -> np.nd
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
-    policy = validate_policy(mdp.feasible, policy, (mdp.n_states,), "policy")
+    policy = validate_policy(mdp.feasible_mask(), policy, (mdp.n_states,), "policy")
     idx = np.arange(mdp.n_states)
     p_pi = mdp.kernel[idx, policy]          # (S, S)
     c_pi = mdp.cost[idx, policy]

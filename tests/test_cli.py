@@ -249,6 +249,22 @@ class TestEvaluate:
         assert ((out / "runs.csv").read_bytes(),
                 (out / "summary.csv").read_bytes()) == first
 
+    @pytest.mark.parametrize("flags, extra, n_calls", [
+        # every kind in one engine call at fixed thresholds
+        (["--a", "5", "--b", "2"], "", 1),
+        # one call per grid, whose chosen report is reused, and one for
+        # oracle and random together
+        ([], "", 3),
+        # with fewer runs per grid cell, each chosen cell is rerun
+        ([], "opt_runs = 6", 5)])
+    def test_engine_calls(self, tmp_path, flags, extra, n_calls):
+        cfg, out = write_config(tmp_path / "exp.ini", extra=extra), tmp_path / "out"
+        main(["solve", "--config", str(cfg), "--out-dir", str(out)])
+        with mock.patch.object(cli.harness, "simulate_batch",
+                               wraps=cli.harness.simulate_batch) as calls:
+            assert main(["evaluate", "--config", str(cfg), "--out-dir", str(out), *flags]) == 0
+        assert calls.call_count == n_calls
+
     def test_worker_count_does_not_change_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", n_runs=600, horizon=40,
                            kinds="tt")

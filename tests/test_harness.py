@@ -384,6 +384,29 @@ class TestDelayProfile:
             assert probe["false_switch_rate"] <= pre["false_switch_rate"] + 0.02
 
 
+class TestKindGroups:
+    """The policies of one instance, as a tuple of kinds, in one engine call."""
+
+    @pytest.mark.parametrize("detector", ["shiryaev", "sr", "cusum"])
+    def test_reports_equal_each_kind_alone(self, small_env, small_policies, detector):
+        kinds = ("tt", "random", "oracle", "kl", "loc")
+        setup = small_setup(small_env, small_policies, kinds, horizon=40, detector=detector)
+        with mock.patch.object(harness, "simulate_batch", wraps=simulate_batch) as calls:
+            reports = monte_carlo(setup, 300, master_seed=4)
+        assert calls.call_count == 1
+        assert [r.policy for r in reports] == list(kinds)
+        for kind, report in zip(kinds, reports):
+            alone = monte_carlo(replace(setup, policy_kind=kind), 300, master_seed=4)
+            assert report == alone
+            for name in ("gamma", "tau", "discounted_cost"):
+                assert getattr(report, name).tobytes() == getattr(alone, name).tobytes()
+        # each kind reports its own thresholds, and the kinds that read none
+        # report A = inf and B = 0
+        floor = -math.inf if detector == "cusum" else 0.0
+        assert [(r.threshold_a, r.threshold_b) for r in reports] == [
+            (50.0, 3.0), (math.inf, 0.0), (math.inf, 0.0), (50.0, floor), (50.0, 50.0)]
+
+
 class TestGridPass:
     """A threshold grid simulated in one engine pass over its change specs
     gives, cell for cell, the estimates of simulating that cell alone under

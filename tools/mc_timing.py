@@ -5,7 +5,10 @@ rho=0.01, 1000 runs x 1000 steps, seed 0) it solves the policies with the
 201-point belief grid, makes one untimed oracle `harness.monte_carlo` call
 that draws the runs' randomness, and then prints, for oracle, random, loc,
 tt and momdp at fixed thresholds (Shiryaev detector, A=1000, B=10), the
-minimum wall time of `monte_carlo` over --repeat calls. The last line gives
+minimum wall time of `monte_carlo` over --repeat calls, and then the
+minimum wall time of one `monte_carlo` call over all five kinds at once (a
+kind tuple), with a SHA-256 of every kind's per-run `discounted_cost` and
+`tau`, which equals the per-kind digest of the last line. The last line gives
 the untimed call's wall time, the process's peak resident memory
 (`ru_maxrss`) and a SHA-256 of every kind's per-run `discounted_cost` and
 `tau`, so two versions of the package can be compared for speed and for
@@ -64,6 +67,19 @@ def main() -> None:
         digest.update(report.discounted_cost.tobytes())
         digest.update(report.tau.tobytes())
         print(f"kind={kind} monte_carlo_s={best:.3f}")
+    joint = harness.make_setup(env, policies, KINDS, change, HORIZON, BETA,
+                               detector_kind="shiryaev", detector_rho=RHO,
+                               threshold_a=THRESHOLD_A, threshold_b=THRESHOLD_B)
+    best = float("inf")
+    for _ in range(args.repeat):
+        start = time.perf_counter()
+        reports = harness.monte_carlo(joint, RUNS, SEED)
+        best = min(best, time.perf_counter() - start)
+    joint_digest = hashlib.sha256()
+    for report in reports:
+        joint_digest.update(report.discounted_cost.tobytes())
+        joint_digest.update(report.tau.tobytes())
+    print(f"kinds={','.join(KINDS)} monte_carlo_s={best:.3f} sha256={joint_digest.hexdigest()}")
     best = float("inf")
     for _ in range(args.repeat):
         engine._PATH_CACHE.clear()
