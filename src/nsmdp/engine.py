@@ -6,23 +6,24 @@ exogenous inverse-CDF draws, so runs with the same seed share demand paths
 across policies and threshold settings (common random numbers). A draw's
 (horizon, runs) regime and demand paths are built once and cached
 (`episode_paths`), so the policies and threshold grids of one instance
-share them. A setup whose change is a tuple of specs runs them all in one
-step loop: the batch's columns are (spec, run) pairs, each reading its
-spec's paths, and each spec's outcomes are those of a batch over it alone.
-A setup whose policy kind is a tuple of kinds, at scalar thresholds, runs
-them all in one step loop too: its rows are (kind, run) pairs, each kind's
-group takes only its own action step (one detector update and switch
-serves the loc, kl and tt rows), and the rest of the step runs once over
-all rows, so each kind's outcomes are those of a batch over it alone.
+share them. A setup's change may be a tuple of specs, its policy kind a
+tuple of kinds and its thresholds arrays, one threshold cell per entry, in
+any combination: the batch's columns are (spec, run) pairs, each reading
+its spec's paths, and its cells (kind, cell) pairs, the kinds in
+GROUP_ORDER. If the kinds share one action step (one kind, or loc, kl and
+tt, which share one detector update and switch), the cells form one merged
+grid, below. Otherwise, and when traced, each (kind, cell, column) has a
+row, which switches in place; each kind's rows take only its own action
+step, and the rest of the step runs once over all rows. Either way each
+(spec, kind, cell)'s outcomes are those of a batch over it alone.
 
-A setup whose thresholds are arrays holds one threshold cell per entry.
-Its cells fall into blocks, one per distinct B (`cell_paths`), and cells
-share a row for as long as their pre-switch paths agree. A row is a run, a
-contiguous range of blocks and the index of the first distinct A it has not
-passed. Every run starts with all its blocks in one row; a row splits only
-when its statistic lies between two of its blocks' B, the pre and probe
-actions differ at its state, and both sides still hold cells it has not
-passed, so a run never holds more rows than blocks.
+A merged grid's cells fall into blocks, one per distinct B (`cell_paths`),
+and share a row for as long as their pre-switch paths agree. A row is a
+run, a contiguous range of blocks and the index of the first distinct A it
+has not passed. Every run starts with all its blocks in one row; a row
+splits only when its statistic lies between two of its blocks' B, the pre
+and probe actions differ at its state, and both sides still hold cells it
+has not passed, so a run never holds more rows than blocks.
 The cells whose A a row's statistic passes on one step leave it for one
 post-switch accumulator, which keeps the row's run, state and discounted
 cost and follows pi_post: each step it looks up its own cost and successor
@@ -31,8 +32,7 @@ pass is gone from the step loop. An accumulator records only its row's
 block range and passed A indices; after the step loop, the cells of every
 accumulator and remaining row are listed once, EVENT_BLOCK at a time. Rows and
 accumulators do the float operations, and so give the bits, of each of
-their cells simulated alone. A one-cell or traced setup keeps one row per
-cell, which switches in place.
+their cells simulated alone.
 
 Randomness protocol, fixed per run: seed the generator from
 SeedSequence(master_seed, spawn_key=(run_id,)), draw the change point (one
@@ -82,8 +82,8 @@ CUSUM_REACH_MARGIN = 1e-9   # relative slack on the windowed CUSUM's largest val
 class EpisodeSetup:
     """Everything needed to simulate episodes of one policy on one instance,
     or of several policies on shared draws: `policy_kind` may be a tuple of
-    distinct kinds, which share the scalar thresholds and each apply their
-    own degeneracies to them (`kind_thresholds`)."""
+    distinct kinds, which share the thresholds, scalars or one entry per
+    cell, and each apply their own degeneracies to them (`kind_thresholds`)."""
 
     env: InventoryEnv
     policy_kind: str | tuple[str, ...]             # a tuple: one group of rows per kind
@@ -111,9 +111,6 @@ class EpisodeSetup:
                 or len(set(kinds)) < len(kinds)):
             raise ValueError(f"policy_kind must be one of {', '.join(BATCHABLE_KINDS)} or a "
                              f"nonempty tuple of distinct ones, got {self.policy_kind!r}")
-        grouped = isinstance(self.policy_kind, tuple)
-        if grouped and isinstance(self.change, tuple):
-            raise ValueError("policy_kind and change cannot both be tuples")
         for name in ("horizon", "window", "initial_state"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -148,9 +145,6 @@ class EpisodeSetup:
         if a != b or len(a) > 1 or a == (0,):
             raise ValueError("thresholds must be two scalars or two nonempty 1-D arrays "
                              f"of equal length, got shapes {a} and {b}")
-        if grouped and a:
-            raise ValueError(f"a policy_kind tuple needs scalar thresholds, got threshold_a "
-                             f"and threshold_b of shape {a}")
         for kind in kinds:
             check_thresholds(self.detector_kind, self.detector_rho,
                              *self.effective_thresholds(kind))
@@ -168,7 +162,9 @@ class EpisodeSetup:
     def effective_thresholds(self, kind: str | None = None) -> tuple[float, float]:
         """(A, B) of `kind`, by default the setup's one kind, after applying
         the kind's degeneracies (per cell for threshold arrays; kl's B stays
-        a scalar)."""
+        a scalar). A setup with a kind tuple needs `kind`."""
+        if kind is None and isinstance(self.policy_kind, tuple):
+            raise ValueError(f"name one kind of the policy_kind tuple {self.policy_kind!r}")
         return kind_thresholds(self.policy_kind if kind is None else kind,
                                self.detector_kind, self.threshold_a, self.threshold_b)
 
@@ -178,9 +174,9 @@ class BatchResult:
     """Outcomes of a simulated batch. The batch's columns are (change spec,
     run) pairs, spec-major, and gamma has one entry per column. tau,
     discounted_cost and the traces have one per (spec, kind, cell, run), in
-    that order, aligned with run_ids, which repeats the run ids once per
-    (spec, kind, threshold cell); so each spec's entries, and each kind's
-    in the order of a kind tuple, are those of a batch over it alone."""
+    that order with the kinds in the tuple's, aligned with run_ids, which
+    repeats the run ids once per (spec, kind, threshold cell); so each
+    (spec, kind, cell)'s entries are those of a batch over it alone."""
 
     run_ids: np.ndarray
     gamma: np.ndarray              # float, inf = never; one per column
@@ -351,17 +347,19 @@ def episode_paths(env: InventoryEnv, change: ChangeSpec, horizon: int, master_se
 _PATH_CACHE: dict = {}
 
 
-def cell_paths(setup: EpisodeSetup,
-               kind: str | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per cell of `kind`, by default the setup's one kind, A in the
+def cell_paths(setup: EpisodeSetup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per (kind, cell), with the setup's kinds in GROUP_ORDER, A in the
     statistic's domain and the index of its block; per block, in ascending
     order, B in that domain, or +inf for the cells that never probe: those
     with B >= A, which switch wherever their statistic exceeds B, and under
     CUSUM those whose B is beyond the windowed statistic's reach. The cells
     of a block share one pre-switch path."""
-    log_a, log_b = (np.array([threshold_domain(setup.detector_kind, float(t))
-                              for t in np.broadcast_to(thr, np.size(setup.threshold_a))])
-                    for thr in setup.effective_thresholds(kind))
+    n_cells = np.size(setup.threshold_a)
+    # (kind, A or B, cell)
+    thresholds = np.array([[np.broadcast_to(t, n_cells) for t in setup.effective_thresholds(kind)]
+                           for kind in sorted(setup.kinds, key=GROUP_ORDER.index)], dtype=float)
+    log_a, log_b = (np.array([threshold_domain(setup.detector_kind, t) for t in thr.tolist()])
+                    for thr in thresholds.swapaxes(0, 1).reshape(2, -1))
     never_probes = log_b >= log_a
     if setup.detector_kind == "cusum":
         # the statistic sums at most window + 1 log ratios, and is computed as a
@@ -457,11 +455,11 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
 
     The batch's columns are (spec, run) pairs, spec-major, which the step
     loop treats as runs: each spec's paths come from `episode_paths`, and
-    only the paths the kinds read are joined across specs. A kind tuple's
-    rows are (kind, run) pairs, whose groups take their rows in GROUP_ORDER;
-    the outcomes come back in the tuple's order."""
+    only the paths the kinds read are joined across specs. Rows are (kind,
+    cell, column) triples, the kinds in GROUP_ORDER, unless merged; both
+    routes map back through one (cell, column) reference array."""
     run_ids = np.asarray(run_ids, dtype=int)
-    env, horizon, kinds = setup.env, setup.horizon, setup.kinds
+    env, horizon = setup.env, setup.horizon
     paths = [episode_paths(env, change, horizon, master_seed, run_ids)
              for change in setup.changes]
 
@@ -475,19 +473,27 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
     n_pairs = n_states * n_actions
     costs = np.stack((env.mdp_pre.cost, env.mdp_post.cost)).reshape(-1)
 
-    # the kinds in step order, each with its cells' A and B; a grid has one kind
-    order = sorted(range(len(kinds)), key=lambda g: GROUP_ORDER.index(kinds[g]))
-    by_kind = [cell_paths(setup, kinds[g]) for g in order]
-    log_a = np.concatenate([cells_a for cells_a, _, _ in by_kind])
-    cell_b = np.concatenate([blocks_b[block] for _, block, blocks_b in by_kind])
-    cell_block, block_b = by_kind[0][1:]
-    # n_cells counts the (kind, cell) pairs
-    n_kinds, n_cells, n_runs, n_blocks = len(kinds), len(log_a), len(run_ids), len(block_b)
+    # the kinds in step order; n_cells counts the (kind, cell) pairs
+    kinds = sorted(setup.kinds, key=GROUP_ORDER.index)
+    log_a, cell_block, block_b = cell_paths(setup)
+    n_cells, n_runs, n_blocks = len(log_a), len(run_ids), len(block_b)
     n_specs = len(paths)
     n_cols = n_specs * n_runs
-    uses_detector = any(kind in DETECTOR_KINDS for kind in kinds)
-    uses_belief = "momdp" in kinds
-    merged = n_kinds == 1 and n_cells > 1 and not trace
+    n_det_kinds = sum(kind in DETECTOR_KINDS for kind in kinds)
+    uses_detector, uses_belief = n_det_kinds > 0, "momdp" in kinds
+    # the action steps, each over its rows: one switch step over the rows of
+    # the detector kinds, and one step per other kind. The rows the detector
+    # updates, and after them those of momdp, lead, so that the rows which
+    # read the transition are the first n_read; the last kind's end at None
+    per_kind = n_cells // len(kinds) * n_cols
+    ends = [per_kind * (g + 1) for g in range(len(kinds) - 1)] + [None]
+    n_det = ends[n_det_kinds - 1] if uses_detector else 0
+    n_read = ends[kinds.index("momdp")] if uses_belief else n_det
+    steps = [("switch", slice(0, n_det))] if uses_detector else []
+    steps += [(kind, slice(start, end)) for kind, start, end in zip(kinds, [0, *ends], ends)
+              if kind not in DETECTOR_KINDS]
+    # the kinds that share one action step share one merged grid
+    merged = len(steps) == 1 and n_cells > 1 and not trace
     # the rows are the first n_rows columns of ints and floats, whose rows
     # are the fields; a row's RUN is its batch column, and a merged column
     # holds at most n_blocks rows
@@ -501,28 +507,13 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         floats[NEXT_A] = cells.a_next[cells.next_index(0, n_blocks, 0)]
         floats[LO_B], floats[HI_B] = block_b[0], block_b[-1]
     else:
-        # one row per (spec, kind, cell, run), in that order, with the cell's A and B
-        ints[RUN] = np.broadcast_to(np.arange(n_cols).reshape(n_specs, 1, n_runs),
-                                    (n_specs, n_cells, n_runs)).reshape(-1)
-        floats[NEXT_A] = np.tile(np.repeat(log_a, n_runs), n_specs)
-        floats[LO_B] = np.tile(np.repeat(cell_b, n_runs), n_specs)
+        # one row per (kind, cell, column), in that order, with the cell's A and B
+        ints[RUN] = np.tile(np.arange(n_cols), n_cells)
+        floats[NEXT_A] = np.repeat(log_a, n_cols)
+        floats[LO_B] = np.repeat(block_b[cell_block], n_cols)
     ints[STATE], ints[TAU], floats[STAT] = setup.initial_state, -1, -math.inf
     # a one-cell setup's rows are its columns, in order
     by_run = ints[RUN, :n_rows] if merged or n_cells > 1 else slice(None)
-    # the action steps, each over its rows: one switch step over the rows of
-    # the detector kinds, and one step per other kind. The rows the detector
-    # updates, and after them those of momdp, lead, so that the rows which
-    # read the transition are the first n_read; None stands for all rows
-    if n_kinds == 1:
-        steps = [("switch" if uses_detector else kinds[0], slice(None))]
-        n_det = None if uses_detector else 0
-        n_read = None if uses_detector or uses_belief else 0
-    else:
-        n_det = n_runs * sum(kind in DETECTOR_KINDS for kind in kinds)
-        n_read = n_det + n_runs * uses_belief
-        steps = [("switch", slice(0, n_det))] if n_det else []
-        steps += [(kinds[g], slice(i * n_runs, (i + 1) * n_runs))
-                  for i, g in enumerate(order) if kinds[g] not in DETECTOR_KINDS]
 
     if uses_detector or uses_belief:
         log_lr = log_ratio_table(env.mdp_post.kernel, env.mdp_pre.kernel).reshape(-1)
@@ -562,7 +553,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         joint_succ = np.broadcast_to(post_succ, (2, n_demands, n_states)).reshape(-1)
     if uses_belief:
         lr_lin = np.exp(log_lr)
-        belief = np.zeros(n_rows if n_kinds == 1 else n_runs)
+        belief = np.zeros(n_rows)[n_det:n_read]      # one per row of momdp
         grid = setup.momdp.grid_size
     if "random" in kinds:
         action_path = joined(3)
@@ -657,8 +648,8 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
             if kind == "oracle":
                 a = np.where(post[rows], setup.pi_post[s_k], setup.pi_pre[s_k])
             elif kind == "random":
-                # a kind's group of rows holds the runs in order
-                u = action_path[k] if n_kinds > 1 else action_path[k][by_run]
+                # rows as many as the columns are the columns in order
+                u = action_path[k] if len(s_k) == n_cols else action_path[k][by_run[rows]]
                 a = (u * n_feas[s_k]).astype(int)
             elif kind == "momdp":
                 a = np.take(setup.momdp.policy,
@@ -709,16 +700,16 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
             block = slice(first, min(first + EVENT_BLOCK, last.stop))
             row, cell = cells.cells(*ev_span[:, block].astype(int))
             ref[cell, ev_run[block][row]] = first + row
-        # in (spec, cell, run) order
-        by_spec = ref.reshape(n_cells, n_specs, n_runs).transpose(1, 0, 2)
-        tau, disc = ev_tau.take(by_spec), ev_disc.take(by_spec)
+        taus, discs = ev_tau, ev_disc
     else:
-        # the kinds' groups back in the tuple's order
-        inverse = np.argsort(order)
-        tau, disc = (x[:n_rows].reshape(n_kinds, -1)[inverse] for x in (ints[TAU], floats[DISC]))
-        if n_kinds > 1:
-            traces = {name: t.reshape(n_kinds, -1, horizon)[inverse].reshape(t.shape)
-                      for name, t in traces.items()}
+        ref = np.arange(n_rows).reshape(n_cells, n_cols)
+        taus, discs = ints[TAU], floats[DISC]
+    # per (cell, column), its row or event: the kinds back in the tuple's
+    # order, then in (spec, kind, cell, run) order
+    ref = ref.reshape(len(kinds), -1, n_cols)[[kinds.index(kind) for kind in setup.kinds]]
+    by_spec = ref.reshape(n_cells, n_specs, n_runs).transpose(1, 0, 2)
+    tau, disc = taus.take(by_spec), discs.take(by_spec)
+    traces = {name: t[by_spec.reshape(-1)] for name, t in traces.items()}
     return BatchResult(run_ids=np.tile(run_ids, n_specs * n_cells), gamma=gamma.copy(),
                        tau=tau.reshape(-1), discounted_cost=disc.reshape(-1),
                        trace=traces)

@@ -106,11 +106,12 @@ def monte_carlo(setup: EpisodeSetup, n_runs: int, master_seed: int) -> Evaluatio
     """Independent episodes with per-run seeds derived from the master seed.
 
     A setup with threshold arrays gets a list of reports, one per cell in
-    cell order; otherwise one report. A setup whose change is a tuple of
-    specs gets a list with one such entry per spec, and one whose policy
-    kind is a tuple of kinds a list with one report per kind; each entry
-    equals the call with that spec or kind alone. All of them come from one
-    engine call, and every report holds its runs' arrays.
+    cell order, and one whose policy kind is a tuple of kinds a list of one
+    report per (kind, cell), in that order; otherwise one report. A setup
+    whose change is a tuple of specs gets a list with one such entry per
+    spec. Each report equals the call with that spec, kind and cell alone.
+    All of them come from one engine call, and every report holds its runs'
+    arrays.
     """
     if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
         raise ValueError(f"n_runs must be an integer >= 1, got {n_runs!r}")
@@ -311,6 +312,8 @@ def delay_profile(setup: EpisodeSetup, thresholds, n_runs: int = 1000,
     probing policy is pinned by building a single-threshold setup whose pre-
     and post-switch policies coincide.
     """
+    if isinstance(setup.policy_kind, tuple):
+        raise ValueError(f"delay_profile needs one policy_kind, got {setup.policy_kind!r}")
     thresholds = [float(a) for a in thresholds]
     if not thresholds:
         return []

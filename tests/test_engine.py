@@ -12,7 +12,8 @@ capacity-20 instance, whose
 post-switch table indices exceed uint8; the growth of the CUSUM buffer and
 the event arrays, which stays within what the call can need; a batch over
 several change specs against each spec's own batch, and one over a tuple
-of policy kinds against each kind's own batch; the listing of cells
+of policy kinds, with threshold cells and change specs, against each
+(spec, kind, cell)'s own batch; the listing of cells
 in blocks of any size; the cache of per-draw paths that `simulate_batch`
 reads; and the bulk draw of those paths against
 `util.protocol_randomness`, numpy's own per-run seeding, over one- and
@@ -28,8 +29,9 @@ from hypothesis import given, settings, strategies as st
 
 from nsmdp import engine, harness
 from nsmdp.controllers import switch_action
-from nsmdp.engine import (BATCHABLE_KINDS, PATH_BLOCK, PATH_CACHE_RUNS, EpisodeSetup,
-                          cell_paths, draw_episode_randomness, episode_paths, simulate_batch)
+from nsmdp.engine import (BATCHABLE_KINDS, DETECTOR_KINDS, PATH_BLOCK, PATH_CACHE_RUNS,
+                          EpisodeSetup, cell_paths, draw_episode_randomness, episode_paths,
+                          simulate_batch)
 from nsmdp.errors import NumericalError
 from nsmdp.harness import make_setup, threshold_cells
 from nsmdp.inventory import ChangeSpec, InventoryParams, build_env
@@ -365,20 +367,27 @@ def test_specs_in_one_batch_equal_each_spec_alone(setup, changes, first_id, n_ru
 
 @st.composite
 def kind_tuples(draw):
-    """A setup over a tuple of distinct kinds, all six or a few, in a random
-    order, at scalar thresholds: A = inf with B = 0, B = A, or a two-
-    threshold cell."""
+    """A setup over a tuple of distinct kinds in a random order: all six, a
+    few, or a few of the detector kinds, which share one merged grid. It has
+    one change spec or a tuple of them, and scalar thresholds or a few
+    threshold cells, each A = inf with B = 0, B = A, or a two-threshold
+    cell."""
     env, pi_pre, pi_probe, pi_post = random_env_and_policies(draw)
     detector = draw(st.sampled_from(("shiryaev", "sr", "cusum")))
     values = LOG if detector == "cusum" else LINEAR
-    a, b = draw(st.one_of(st.just((math.inf, 0.0)),
-                          st.sampled_from(values).map(lambda a: (a, a)),
-                          st.sampled_from(threshold_cells("tt", values, values))))
-    kinds = draw(st.permutations(BATCHABLE_KINDS))
+    cells = st.one_of(st.just((math.inf, 0.0)), st.sampled_from(values).map(lambda a: (a, a)),
+                      st.sampled_from(threshold_cells("tt", values, values)))
+    a, b = (np.array(draw(st.lists(cells, min_size=2, max_size=3))).T if draw(st.booleans())
+            else draw(cells))
+    change = (tuple(draw(st.lists(st.sampled_from(CHANGES), min_size=2, max_size=3,
+                                  unique=True))) if draw(st.booleans())
+              else draw(st.sampled_from(CHANGES)))
+    kinds = draw(st.permutations(draw(st.sampled_from((BATCHABLE_KINDS, DETECTOR_KINDS)))))
     beta = draw(st.sampled_from((0.0, 0.6, 0.95)))
     return EpisodeSetup(
-        env=env, policy_kind=tuple(kinds[:draw(st.one_of(st.just(6), st.integers(2, 5)))]),
-        change=draw(st.sampled_from(CHANGES)), horizon=draw(st.integers(1, 40)), beta=beta,
+        env=env, policy_kind=tuple(kinds[:draw(st.one_of(st.just(6),
+                                                        st.integers(2, len(kinds))))]),
+        change=change, horizon=draw(st.integers(1, 40)), beta=beta,
         pi_pre=pi_pre, pi_probe=pi_probe, pi_post=pi_post, detector_kind=detector,
         detector_rho=draw(st.sampled_from((0.01, 0.3))) if detector == "shiryaev" else 0.0,
         window=draw(st.integers(1, 8)), threshold_a=a, threshold_b=b,
@@ -387,21 +396,25 @@ def kind_tuples(draw):
         initial_state=draw(st.integers(0, env.params.capacity)))
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=80, derandomize=True, deadline=None)
 @given(setup=kind_tuples(), first_id=st.integers(0, 1000),
        n_runs=st.one_of(st.integers(1, 30), st.integers(PATH_BLOCK + 1, PATH_BLOCK + 30)),
        seed=st.integers(0, 2**32 - 1))
 def test_kinds_in_one_batch_equal_each_kind_alone(setup, first_id, n_runs, seed):
-    # the batch's rows are (kind, run) pairs, and its outcomes are each kind's
-    # own batch, in the tuple's order, bit for bit; the draw is built in more
-    # than one PATH_BLOCK when there are more runs than one holds
+    # the batch's rows are (kind, cell, column) pairs, and its outcomes are
+    # each (spec, kind, cell)'s own batch, in the tuple's order, bit for bit;
+    # the draw is built in more than one PATH_BLOCK when there are more runs
+    # than one holds
     ids = np.arange(first_id, first_id + n_runs)
+    cells = list(zip(*(np.broadcast_to(t, np.size(setup.threshold_a)).tolist()
+                       for t in (setup.threshold_a, setup.threshold_b))))
     for trace in (False, True) if n_runs <= 30 else (False,):
         joint = simulate_batch(setup, seed, ids, trace=trace)
-        alone = [simulate_batch(replace(setup, policy_kind=kind), seed, ids, trace=trace)
-                 for kind in setup.kinds]
-        for r in alone:
-            assert_bits_equal(joint.gamma, r.gamma, "gamma")
+        alone = [simulate_batch(replace(setup, change=change, policy_kind=kind, threshold_a=a,
+                                        threshold_b=b), seed, ids, trace=trace)
+                 for change in setup.changes for kind in setup.kinds for a, b in cells]
+        assert_bits_equal(joint.gamma, np.concatenate(
+            [r.gamma for r in alone[::len(alone) // len(setup.changes)]]), "gamma")
         for name in ("run_ids", "tau", "discounted_cost"):
             assert_bits_equal(getattr(joint, name),
                               np.concatenate([getattr(r, name) for r in alone]), name)
@@ -419,10 +432,17 @@ def test_setup_rejects_bad_kind_tuples(small_env, small_policies):
                   ("oracle", ["tt"]), ["tt"]):
         with pytest.raises(ValueError, match="policy_kind"):
             replace(setup, policy_kind=kinds)
-    with pytest.raises(ValueError, match="policy_kind tuple needs scalar thresholds"):
-        replace(setup, threshold_a=np.array([50.0, 80.0]), threshold_b=np.array([3.0, 3.0]))
-    with pytest.raises(ValueError, match="policy_kind and change"):
-        replace(setup, change=(ChangeSpec("fixed", gamma=1), ChangeSpec("never")))
+
+
+def test_kind_tuple_thresholds_need_a_kind(small_env, small_policies):
+    # a tuple's kinds apply their own degeneracies, so no kind's (A, B)
+    # stands for the setup's
+    setup = make_setup(small_env, small_policies, ("oracle", "loc"), ChangeSpec("fixed", gamma=1),
+                       10, 0.95, threshold_a=50.0, threshold_b=3.0)
+    with pytest.raises(ValueError, match="policy_kind"):
+        setup.effective_thresholds()
+    assert setup.effective_thresholds("oracle") == (math.inf, 0.0)
+    assert setup.effective_thresholds("loc") == (50.0, 50.0)
 
 
 @pytest.mark.parametrize("detector, a_grid, b_grid", [

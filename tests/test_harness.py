@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: determinism, episode accounting,
 threshold optimization, calibration, and the CSV surfaces."""
 
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -9,10 +10,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from nsmdp import harness
+from nsmdp import engine, harness
 from nsmdp.controllers import SwitchController
 from nsmdp.detectors import Detector, DetectorConfig
-from nsmdp.engine import cell_paths, episode_paths, simulate_batch
+from nsmdp.engine import DETECTOR_KINDS, cell_paths, episode_paths, simulate_batch
 from nsmdp.harness import (_switch_outcomes,
                            calibrate_nonbayes, default_a_grid, default_b_grid,
                            delay_profile, estimate_nonbayes_grid,
@@ -385,26 +386,58 @@ class TestDelayProfile:
 
 
 class TestKindGroups:
-    """The policies of one instance, as a tuple of kinds, in one engine call."""
+    """The policies of one instance, as a tuple of kinds, in one engine call,
+    at scalar thresholds or at threshold cells, under one change spec or a
+    tuple of them."""
+
+    CELLS = ((50.0, 3.0), (8.0, 8.0), (300.0, 0.5))
 
     @pytest.mark.parametrize("detector", ["shiryaev", "sr", "cusum"])
     def test_reports_equal_each_kind_alone(self, small_env, small_policies, detector):
         kinds = ("tt", "random", "oracle", "kl", "loc")
-        setup = small_setup(small_env, small_policies, kinds, horizon=40, detector=detector)
-        with mock.patch.object(harness, "simulate_batch", wraps=simulate_batch) as calls:
-            reports = monte_carlo(setup, 300, master_seed=4)
-        assert calls.call_count == 1
-        assert [r.policy for r in reports] == list(kinds)
-        for kind, report in zip(kinds, reports):
-            alone = monte_carlo(replace(setup, policy_kind=kind), 300, master_seed=4)
-            assert report == alone
-            for name in ("gamma", "tau", "discounted_cost"):
-                assert getattr(report, name).tobytes() == getattr(alone, name).tobytes()
-        # each kind reports its own thresholds, and the kinds that read none
-        # report A = inf and B = 0
-        floor = -math.inf if detector == "cusum" else 0.0
-        assert [(r.threshold_a, r.threshold_b) for r in reports] == [
-            (50.0, 3.0), (math.inf, 0.0), (math.inf, 0.0), (50.0, floor), (50.0, 50.0)]
+        scalar = small_setup(small_env, small_policies, kinds, horizon=40, detector=detector)
+        a, b = np.array(self.CELLS).T
+        grid = replace(scalar, threshold_a=a, threshold_b=b,
+                       change=(CHANGE, ChangeSpec(kind="never")))
+        for setup, cells in ((scalar, self.CELLS[:1]), (grid, self.CELLS)):
+            with mock.patch.object(harness, "simulate_batch", wraps=simulate_batch) as calls:
+                entries = monte_carlo(setup, 300, master_seed=4)
+            assert calls.call_count == 1
+            # one list per spec, of one report per (kind, cell), each equal to
+            # that cell alone under that spec
+            entries = entries if setup is grid else [entries]
+            for change, reports in zip(setup.changes, entries):
+                assert [r.policy for r in reports] == [kind for kind in kinds for _ in cells]
+                for report, (kind, (a, b)) in zip(reports, itertools.product(kinds, cells)):
+                    alone = monte_carlo(replace(setup, policy_kind=kind, change=change,
+                                                threshold_a=a, threshold_b=b), 300,
+                                        master_seed=4)
+                    assert report == alone
+                    for name in ("gamma", "tau", "discounted_cost"):
+                        assert (getattr(report, name).tobytes()
+                                == getattr(alone, name).tobytes())
+            # each kind reports its own thresholds, and the kinds that read
+            # none report A = inf and B = 0
+            floor = -math.inf if detector == "cusum" else 0.0
+            assert [(r.threshold_a, r.threshold_b) for r in entries[0][::len(cells)]] == [
+                (50.0, 3.0), (math.inf, 0.0), (math.inf, 0.0), (50.0, floor), (50.0, 50.0)]
+        # the detector kinds share one action step, and so one merged grid
+        detector_kinds = ("loc", "tt", "kl")
+        with mock.patch.object(engine, "_CellIndex", wraps=engine._CellIndex) as index:
+            merged = monte_carlo(replace(grid, policy_kind=detector_kinds), 300, master_seed=4)
+        assert index.call_count == 1
+        assert merged == [sorted((r for r in reports if r.policy in DETECTOR_KINDS),
+                                 key=lambda r: detector_kinds.index(r.policy))
+                          for reports in entries]
+
+    def test_one_kind_functions_reject_a_kind_tuple(self, small_env, small_policies):
+        setup = small_setup(small_env, small_policies, ("loc", "tt"), detector="sr")
+        with pytest.raises(ValueError, match="policy_kind"):
+            delay_profile(setup, [3.0, 40.0], n_runs=8)
+        # the grid searches raise through threshold_cells
+        for search in (optimize_thresholds, estimate_nonbayes_grid):
+            with pytest.raises(ValueError, match="threshold grid not applicable"):
+                search(setup, [3.0, 40.0], [0.0, 1.0], n_runs=8)
 
 
 class TestGridPass:
