@@ -216,11 +216,12 @@ def _json_text(obj, level: int = 0) -> str:
     """json.dumps(obj, sort_keys=True, indent=1) for a value nested `level`
     deep, where numpy arrays stand for their lists.
 
-    A nonempty array is encoded once by the C encoder (json.dumps without an
-    indent) and then indented: in the compact text, m closing brackets, ", "
-    and m opening brackets separate the items at depth ndim - m, and no
-    number token holds a bracket or ", ". Dicts recurse in sorted key order;
-    scalars and empty arrays go through json.dumps itself.
+    A nonempty array's numbers are encoded by the C encoder once per
+    distinct value (`harness.distinct_texts`, keyed on the bytes, so -0.0
+    stays apart from 0.0): a kernel or policy holds few distinct values.
+    Its lists are then joined innermost first, each item on its own line.
+    Dicts recurse in sorted key order; scalars and empty arrays go through
+    json.dumps itself.
     """
     newline = "\n" + " " * level
     if isinstance(obj, dict):
@@ -233,19 +234,14 @@ def _json_text(obj, level: int = 0) -> str:
         obj = obj.tolist()
     if not isinstance(obj, np.ndarray):
         return json.dumps(obj, sort_keys=True, indent=1).replace("\n", newline)
-    ndim = obj.ndim
-    text = json.dumps(obj.tolist())
-
-    def closing(m):   # m closing brackets after the items at depth ndim
-        return "".join(f"{newline}{' ' * (ndim - 1 - i)}]" for i in range(m))
-
-    def opening(m):   # m opening brackets before the items at depth ndim
-        return "".join(f"{newline}{' ' * (ndim - m + i)}[" for i in range(m))
-
-    item = newline + " " * ndim
-    for m in range(ndim - 1, -1, -1):
-        text = text.replace("]" * m + ", " + "[" * m, closing(m) + "," + opening(m) + item)
-    return "[" + opening(ndim - 1) + item + text[ndim:-ndim] + closing(ndim)
+    # the C encoder writes a list's items apart by ", ", which no number holds
+    texts = harness.distinct_texts(obj, lambda values: json.dumps(values)[1:-1].split(", "))
+    for depth in range(obj.ndim - 1, -1, -1):
+        indent, n = newline + " " * (depth + 1), obj.shape[depth]
+        close = newline + " " * depth + "]"
+        texts = ["[" + indent + ("," + indent).join(texts[i:i + n]) + close
+                 for i in range(0, len(texts), n)]
+    return texts[0]
 
 
 def _json_dump(obj, path: Path) -> None:
@@ -268,6 +264,28 @@ def _model_params(cfg: ExperimentConfig) -> dict:
         "capacity", "order_cost", "holding_cost", "penalty", "demand_rate", "uniform_max")}
 
 
+def solve_documents(cfg: ExperimentConfig, env, policies: harness.PolicySet) -> dict:
+    """What `solve` writes for the policies solved on `env`: the contents of
+    models.json and solution.json, by file name (see `_json_dump`)."""
+    k0, k1 = env.mdp_pre.kernel, env.mdp_post.kernel
+    info_max, pi_info = max_info_number(k0, k1, env.mdp_pre.feasible)
+    models = {
+        "params": _model_params(cfg),
+        "pre": {"kernel": env.mdp_pre.kernel, "cost": env.mdp_pre.cost},
+        "post": {"kernel": env.mdp_post.kernel, "cost": env.mdp_post.cost},
+    }
+    solution = {"params": models["params"], "beta": cfg.run.beta,
+                "info_pre": info_number(k0, k1, policies.pi_pre),
+                "info_probe": info_number(k0, k1, policies.pi_probe),
+                "info_max": info_max, "pi_info_max": pi_info,
+                **{name: getattr(policies, name) for name in POLICY_ARRAYS}}
+    if policies.momdp is not None:
+        solution["momdp"] = {"rho": cfg.change.rho, "grid_size": cfg.policies.momdp_grid,
+                             "policy": policies.momdp.policy,
+                             "value": policies.momdp.value}
+    return {"models.json": models, "solution.json": solution}
+
+
 def cmd_solve(cfg: ExperimentConfig) -> int:
     env = build_env(cfg.params)
     cfg.run.out_dir.mkdir(parents=True, exist_ok=True)
@@ -275,30 +293,23 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     policies = harness.solve_policies(
         env, cfg.run.beta, momdp_grid=cfg.policies.momdp_grid if with_momdp else None,
         momdp_rho=cfg.change.rho, momdp_tol=cfg.policies.momdp_tol)
-    k0, k1 = env.mdp_pre.kernel, env.mdp_post.kernel
-    info_pre = info_number(k0, k1, policies.pi_pre)
-    info_probe = info_number(k0, k1, policies.pi_probe)
-    info_max, pi_info = max_info_number(k0, k1, env.mdp_pre.feasible)
-
-    models = {
-        "params": _model_params(cfg),
-        "pre": {"kernel": env.mdp_pre.kernel, "cost": env.mdp_pre.cost},
-        "post": {"kernel": env.mdp_post.kernel, "cost": env.mdp_post.cost},
-    }
-    _json_dump(models, cfg.run.out_dir / "models.json")
-
-    solution = {"params": models["params"], "beta": cfg.run.beta, "info_pre": info_pre,
-                "info_probe": info_probe, "info_max": info_max, "pi_info_max": pi_info,
-                **{name: getattr(policies, name) for name in POLICY_ARRAYS}}
-    if with_momdp:
-        solution["momdp"] = {"rho": cfg.change.rho, "grid_size": cfg.policies.momdp_grid,
-                             "policy": policies.momdp.policy,
-                             "value": policies.momdp.value}
-    _json_dump(solution, _solution_path(cfg))
-    print(f"solved both regimes: I_pi0={info_pre:.6g} I_probe={info_probe:.6g} "
-          f"I_max={info_max:.6g}")
+    documents = solve_documents(cfg, env, policies)
+    for name, document in documents.items():
+        _json_dump(document, cfg.run.out_dir / name)
+    sol = documents["solution.json"]
+    print(f"solved both regimes: I_pi0={sol['info_pre']:.6g} I_probe={sol['info_probe']:.6g} "
+          f"I_max={sol['info_max']:.6g}")
     print(f"wrote {cfg.run.out_dir / 'models.json'} and {_solution_path(cfg)}")
     return 0
+
+
+def _float_array(raw, shape: tuple, name: str) -> np.ndarray:
+    """`raw` as an array; ValueError naming the field unless it is a float
+    array of `shape`."""
+    array = np.array(raw)
+    if array.shape != shape or array.dtype.kind != "f":
+        raise ValueError(f"{name} must be a float array of shape {shape}")
+    return array
 
 
 def _load_policies(cfg: ExperimentConfig, env) -> harness.PolicySet:
@@ -327,18 +338,20 @@ def _load_policies(cfg: ExperimentConfig, env) -> harness.PolicySet:
             raise ValueError(f"solved for another model ({'; '.join(stale)})")
         n, arrays, momdp = env.n_states, {}, None
         for name in POLICY_ARRAYS:
-            arrays[name] = np.array(sol[name])
             if name.startswith("pi_"):
-                validate_policy(env.mdp_pre.feasible_mask(), arrays[name], (n,), name)
-            elif arrays[name].shape != (n,) or arrays[name].dtype.kind != "f":
-                raise ValueError(f"{name} must be a float array of shape ({n},)")
+                arrays[name] = validate_policy(env.mdp_pre.feasible_mask(), np.array(sol[name]),
+                                               (n,), name)
+            else:
+                arrays[name] = _float_array(sol[name], (n,), name)
         if with_momdp:
             m = sol["momdp"]
+            shape = (n, m["grid_size"])
             momdp = MomdpSolution(
                 pomdp=build_pomdp(env.mdp_pre, env.mdp_post, m["rho"]),
-                grid=np.linspace(0.0, 1.0, m["grid_size"]), value=np.array(m["value"]),
+                grid=np.linspace(0.0, 1.0, m["grid_size"]),
+                value=_float_array(m["value"], shape, "momdp.value"),
                 policy=validate_policy(env.mdp_pre.feasible_mask(), np.array(m["policy"]),
-                                       (n, m["grid_size"]), "momdp.policy"))
+                                       shape, "momdp.policy"))
     except KeyError as exc:
         raise ConfigError(f"{path}: field {exc} is missing; rerun `nsmdp solve`") from exc
     except (AttributeError, ValueError) as exc:

@@ -26,9 +26,11 @@ and probe actions differ at its state, and both sides still hold cells it
 has not passed, so a run never holds more rows than blocks.
 The cells whose A a row's statistic passes on one step leave it for one
 post-switch accumulator, which keeps the row's run, state and discounted
-cost and follows pi_post: each step it looks up its own cost and successor
-in one (regime, demand, state) table of pi_post. A row whose last cells
-pass is gone from the step loop. An accumulator records only its row's
+cost and follows pi_post. Accumulators on one (column, state) share their
+group's lookup of the cost and successor in one (regime, demand, state)
+table of pi_post, and stay together from then on; each adds the group's
+cost to its own discounted cost. A row whose last cells pass is gone
+from the step loop. An accumulator records only its row's
 block range and passed A indices; after the step loop, the cells of every
 accumulator and remaining row are listed once, EVENT_BLOCK at a time. Rows and
 accumulators do the float operations, and so give the bits, of each of
@@ -265,32 +267,31 @@ def draw_episode_randomness(change: ChangeSpec, horizon: int, master_seed: int,
 
     Every run's PCG64 state is derived in bulk (`_pcg64_states`) and loaded
     into one generator, which then draws exactly what a generator seeded
-    from the run's own SeedSequence would. The first run's state is checked
-    against numpy's own seeding."""
+    from the run's own SeedSequence would. A run's action uniforms follow
+    its demand uniforms in the stream, so both fill one (runs, 2 * horizon)
+    row at once, and the blocks returned are its two halves. The first
+    run's state is checked against numpy's own seeding."""
     master_seed = operator.index(master_seed)
     run_ids = np.asarray(run_ids, dtype=np.int64)
     if master_seed < 0 or (run_ids < 0).any():
         raise ValueError("the master seed and run ids must be non-negative")
     n = len(run_ids)
-    gamma = np.empty(n)
-    demand_u = np.empty((n, horizon))
-    action_u = np.empty((n, horizon))
-    if n == 0:
-        return gamma, demand_u, action_u
-    states = _pcg64_states(master_seed, run_ids)
-    bit_gen = np.random.PCG64(np.random.SeedSequence(master_seed,
-                                                     spawn_key=(int(run_ids[0]),)))
-    if bit_gen.state["state"] != dict(zip(("state", "inc"), states[0])):
-        raise NumericalError("bulk PCG64 seeding disagrees with numpy's SeedSequence")
-    rng = np.random.Generator(bit_gen)
-    loaded = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for i, (state, inc) in enumerate(states):
-        loaded["state"] = {"state": state, "inc": inc}
-        bit_gen.state = loaded
-        gamma[i] = sample_change_point(change, rng)
-        rng.random(out=demand_u[i])
-        rng.random(out=action_u[i])
-    return gamma, demand_u, action_u
+    gamma, uniforms = np.empty(n), np.empty((n, 2 * horizon))
+    if n:
+        states = _pcg64_states(master_seed, run_ids)
+        bit_gen = np.random.PCG64(np.random.SeedSequence(master_seed,
+                                                         spawn_key=(int(run_ids[0]),)))
+        if bit_gen.state["state"] != dict(zip(("state", "inc"), states[0])):
+            raise NumericalError("bulk PCG64 seeding disagrees with numpy's SeedSequence")
+        rng = np.random.Generator(bit_gen)
+        state = {}
+        loaded = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+        for i, (pcg_state, inc) in enumerate(states):
+            state["state"], state["inc"] = pcg_state, inc
+            bit_gen.state = loaded
+            gamma[i] = sample_change_point(change, rng)
+            rng.random(out=uniforms[i])
+    return gamma, uniforms[:, :horizon], uniforms[:, horizon:]
 
 
 PATH_BLOCK = 256          # runs drawn at a time, which bounds the build's temporaries
@@ -425,6 +426,7 @@ class _CellIndex:
 
 
 EVENT_BLOCK = 1024        # events and final rows whose cells are listed at a time
+GROUP_SLACK = 64          # accumulator groups past twice the distinct count that merge
 
 
 # a row's integer fields: its run, its blocks [LO, HI), the index of the
@@ -536,12 +538,16 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         # discounted cost, and the row's blocks [LO, HI) and A indices
         # [NEXT_J, j1) passed, from which its cells are listed after the loop.
         # Each event and final row reports at least one (cell, run), so there
-        # are at most n_events_max; the event arrays grow as events come
+        # are at most n_events_max; the event arrays grow as events come.
+        # An event's column and state are those of its group (ev_group),
+        # which events on one (column, state) come to share
         n_events_max = n_cells * n_cols
         ref = np.empty((n_cells, n_cols), dtype=np.min_scalar_type(n_events_max))
-        ev_run, ev_state = np.empty(n_cols, dtype=np.int32), np.empty(n_cols, dtype=int)
+        ev_run, ev_group = np.empty(n_cols, dtype=np.int32), np.empty(n_cols, dtype=int)
         ev_tau, ev_disc = np.empty(n_cols, dtype=int), np.empty(n_cols)
         ev_span = np.empty((4, n_cols), dtype=np.min_scalar_type(max(n_blocks, cells.m)))
+        group_col, group_state = np.empty(n_cols, dtype=int), np.empty(n_cols, dtype=int)
+        n_groups = n_distinct = 0
     if merged and uses_detector:
         # pi_post's cost and successor state at (regime, demand, state), flat
         # at (post * n_demands + demand) * n_states + s
@@ -584,13 +590,19 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                     span = rows_i[LO:NEXT_J + 1, h]
                     j1 = np.searchsorted(cells.a, stat[h])     # the cells whose A < stat
                     new = slice(n_events, n_events + len(h))
-                    ev_run, ev_state, ev_tau, ev_disc, ev_span = (
+                    ev_run, ev_group, ev_tau, ev_disc, ev_span = (
                         _room(ev, new.stop, n_events_max)
-                        for ev in (ev_run, ev_state, ev_tau, ev_disc, ev_span))
-                    ev_run[new], ev_state[new] = rows_i[RUN, h], rows_i[STATE, h]
+                        for ev in (ev_run, ev_group, ev_tau, ev_disc, ev_span))
+                    # each event starts a group of its own, merged into
+                    # the others on its (column, state) below
+                    grp = slice(n_groups, n_groups + len(h))
+                    group_col, group_state = (_room(g, grp.stop, n_events_max)
+                                              for g in (group_col, group_state))
+                    group_col[grp], group_state[grp] = rows_i[RUN, h], rows_i[STATE, h]
+                    ev_run[new], ev_group[new] = rows_i[RUN, h], np.arange(grp.start, grp.stop)
                     ev_disc[new], ev_tau[new] = rows_f[DISC, h], k
                     ev_span[:3, new], ev_span[3, new] = span, j1
-                    n_events += len(h)
+                    n_events, n_groups = new.stop, grp.stop
                     nxt = cells.next_index(span[0], span[1], j1)
                     rows_i[NEXT_J, h], rows_f[NEXT_A, h] = j1, cells.a_next[nxt]
                     gone = h[nxt == cells.m]            # rows whose last cells passed
@@ -667,11 +679,20 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         rows_f[DISC] += beta_pow * cost
         w = demand_path[k][by_run]
         if n_events:
-            # the demand path is uint8: widen it before it meets n_states
+            if n_groups > 2 * n_distinct + GROUP_SLACK:
+                # groups on one (column, state) merge; their events follow pi_post
+                # from there on the same demands, so they stay together
+                distinct, merged_into = np.unique(
+                    group_col[:n_groups] * n_states + group_state[:n_groups], return_inverse=True)
+                n_groups = n_distinct = len(distinct)
+                group_col[:n_groups], group_state[:n_groups] = np.divmod(distinct, n_states)
+                ev_group[:n_events] = merged_into.take(ev_group[:n_events])
+            # the demand path is uint8: widen it before it meets n_states. Each
+            # event adds its group's cost, as it would have looked it up itself
             code = (post_path[k] * n_demands + demand_path[k].astype(int)) * n_states
-            idx = code.take(ev_run[:n_events]) + ev_state[:n_events]
-            ev_disc[:n_events] += (beta_pow * joint_cost).take(idx)
-            joint_succ.take(idx, out=ev_state[:n_events])
+            idx = code.take(group_col[:n_groups]) + group_state[:n_groups]
+            ev_disc[:n_events] += (beta_pow * joint_cost).take(idx).take(ev_group[:n_events])
+            joint_succ.take(idx, out=group_state[:n_groups])
         beta_pow *= setup.beta
 
         if trace:

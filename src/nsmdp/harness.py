@@ -342,24 +342,49 @@ def _fmt(value) -> str:
     return _FLOAT_FORMAT(float(value))
 
 
+def distinct_texts(values: np.ndarray, texts) -> list[str]:
+    """texts(values.ravel().tolist()), with `texts` called once on the
+    distinct values only: it maps a list of scalars to one string each.
+
+    Values are told apart by their bytes, so 0.0 and -0.0 keep their own
+    texts, and so do NaNs of different bit patterns."""
+    flat = np.ascontiguousarray(values).reshape(-1)
+    _, first, inverse = np.unique(flat.view(f"u{flat.itemsize}"), return_index=True,
+                                  return_inverse=True)
+    return np.array(texts(flat[first].tolist()), dtype=object)[inverse].tolist()
+
+
+def _float_texts(values: list[float]) -> list[str]:
+    return list(map(_FLOAT_FORMAT, values))
+
+
+def _delay_texts(delays: list[float]) -> list[str]:
+    return ["" if math.isnan(d) else _FLOAT_FORMAT(d) for d in delays]
+
+
 def write_runs_csv(path, reports: list[EvaluationReport], horizon: int) -> None:
     """One row per run of each report, by policy and then run id; each
     policy appears in at most one report.
 
     Each column is formatted as `_fmt` would format its fields, and the
     rows are written as the csv module writes them: a policy kind never
-    needs quoting, and lines end in CRLF."""
+    needs quoting, and lines end in CRLF. The gamma and delay columns are
+    formatted once per distinct value (`distinct_texts`), and gamma and the
+    run ids once for the reports that share them."""
     lines = ["run_id,policy,gamma,tau_switch,horizon,"
              "discounted_cost,detection_delay,premature_switch"]
+    run_ids = list(map(str, range(max((len(r.tau) for r in reports), default=0))))
+    gamma_texts = {}
     for r in sorted(reports, key=lambda r: r.policy):
         premature, delay = _switch_outcomes(r.gamma, r.tau)
+        if (key := r.gamma.tobytes()) not in gamma_texts:
+            gamma_texts[key] = distinct_texts(r.gamma, _float_texts)
         lines.extend(map(",".join, zip(
-            map(str, range(len(r.tau))), itertools.repeat(r.policy),
-            map(_FLOAT_FORMAT, r.gamma.tolist()),
+            run_ids[:len(r.tau)], itertools.repeat(r.policy), gamma_texts[key],
             ["" if t < 0 else str(t) for t in r.tau.tolist()],
             itertools.repeat(str(horizon)),
             map(_FLOAT_FORMAT, r.discounted_cost.tolist()),
-            ["" if math.isnan(d) else _FLOAT_FORMAT(d) for d in delay.tolist()],
+            distinct_texts(delay, _delay_texts),
             ["1" if p else "0" for p in premature.tolist()])))
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")

@@ -121,7 +121,10 @@ def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
     The continuation term depends on (s, a) only through the pair of
     transition rows (kernel0[s, a], kernel1[s, a]), so the interpolation
     tables are built once per distinct pair (rows equal bit for bit) and
-    have shape (U, G, S'), with U <= S * A.
+    have shape (U, G, S'), with U <= S * A. Each evaluation works on the K
+    distinct (pair, grid point) keys its policy uses, listed in ascending
+    order through a mark array; its products fill two (K, S') buffers, so
+    a GMRES product allocates only its (S * G,) result.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -161,15 +164,26 @@ def belief_grid_solve(pomdp: RegimePomdp, grid_size: int = 201,
                          + pred[None, None, :] * mdp1.cost[:, :, None], np.inf)   # (S, A, G)
 
     s_rows, g_cols = np.arange(n_s)[:, None], np.arange(g)[None, :]
+    p_flat, lo_flat, wl_flat, wh_flat = (t.reshape(-1, n_s) for t in (p_next, flat_lo, w_lo, w_hi))
+    mark = np.zeros(len(p_flat), dtype=bool)
     policy, v, deltas = np.argmin(step_cost, axis=1), np.zeros((n_s, g)), []
     for _ in range(PI_MAX_ITER):
-        # cells sharing (row[s, pi[s, g]], g) share a continuation: products work per key
-        keys, where = np.unique((row[s_rows, policy] * g + g_cols).ravel(), return_inverse=True)
-        p_k, lo_k, wl_k, wh_k = (np.take(t.reshape(-1, n_s), keys, axis=0)
-                                 for t in (p_next, flat_lo, w_lo, w_hi))   # (K, S')
+        # cells sharing (row[s, pi[s, g]], g) share a continuation: products
+        # work per key, the keys ascending as np.unique would list them
+        cell_key = (row[s_rows, policy] * g + g_cols).ravel()
+        mark[:] = False
+        mark[cell_key] = True
+        keys = np.flatnonzero(mark)
+        where = (np.cumsum(mark) - 1).take(cell_key)
+        p_k, lo_k, wl_k, wh_k = (t.take(keys, axis=0)
+                                 for t in (p_flat, lo_flat, wl_flat, wh_flat))   # (K, S')
+        lo_part, hi_part = np.empty_like(wl_k), np.empty_like(wh_k)
         def minus_beta_p(x):   # (I - beta * P_pi) x
-            interp = wl_k * np.take(x, lo_k) + wh_k * np.take(x[1:], lo_k)
-            return x - beta * np.take(np.einsum("kn,kn->k", p_k, interp), where)
+            # lo_k + 1 < S * G, so "clip" never acts; it spares "raise"'s buffered copy
+            np.multiply(wl_k, x.take(lo_k, out=lo_part, mode="clip"), out=lo_part)
+            np.multiply(wh_k, x[1:].take(lo_k, out=hi_part, mode="clip"), out=hi_part)
+            np.add(lo_part, hi_part, out=lo_part)
+            return x - beta * np.einsum("kn,kn->k", p_k, lo_part).take(where)
         c_pi = step_cost[s_rows, policy, g_cols]
         eval_tol = min(tol / 10, 1e-13 * (1 + float(np.max(np.abs(c_pi))) / (1 - beta)))
         v, v_old = _gmres(minus_beta_p, c_pi.ravel(), v.ravel(), eval_tol, beta).reshape(n_s, g), v
@@ -198,16 +212,17 @@ def _gmres(matvec, b: np.ndarray, x: np.ndarray, tol: float, beta: float) -> np.
     replaced by those sweeps, so the residual after n products is at most
     beta ** (n / 2) times the first one, give or take a cycle. Returns once
     the sup-norm residual is at most `tol`; NumericalError once that bound
-    says it should have been reached."""
+    says it should have been reached. The rotations work on Python floats,
+    with the IEEE results numpy scalars would give, at a fraction of the
+    call cost."""
     m, used, r = KRYLOV_DIM, 1, b - matvec(x)
     first = np.max(np.abs(r))
     while (sup := np.max(np.abs(r))) > tol:
         if first * beta ** max(0.0, (used - 2 * m - 2) / 2) < tol:
             raise NumericalError(f"policy evaluation residual {sup:.3e} above {tol:.3e} "
                                  f"after {used} products")
-        basis, tri, cs, sn, res = (np.zeros(shape) for shape in
-                                   ((m + 1, len(b)), (m, m), m, m, m + 1))
-        res[0] = np.linalg.norm(r)
+        basis, tri = np.zeros((m + 1, len(b))), np.zeros((m, m))
+        cs, sn, res = [0.0] * m, [0.0] * m, [float(np.linalg.norm(r))] + [0.0] * m
         basis[0] = r / res[0]
         for j in range(m):
             w, h = matvec(basis[j]), np.zeros(j + 1)
@@ -215,10 +230,10 @@ def _gmres(matvec, b: np.ndarray, x: np.ndarray, tol: float, beta: float) -> np.
                 dh = basis[:j + 1] @ w
                 w -= dh @ basis[:j + 1]
                 h += dh
-            norm = np.linalg.norm(w)
+            norm, h = float(np.linalg.norm(w)), h.tolist()
             for i in range(j):                       # the earlier rotations
                 h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
-            rad = np.hypot(h[j], norm)
+            rad = float(np.hypot(h[j], norm))        # libm's hypot; math.hypot rounds differently
             cs[j], sn[j], h[j] = h[j] / rad, norm / rad, rad
             tri[:j + 1, j], res[j], res[j + 1] = h, cs[j] * res[j], -sn[j] * res[j]
             if abs(res[j + 1]) <= tol:

@@ -133,6 +133,10 @@ def json_reference(obj) -> bytes:
 
 
 FLOAT_EDGES = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1]
+# few distinct values, each repeated: the writer formats each distinct value
+# once, and 0.0 == -0.0 while NaN != NaN, so neither may decide what is distinct
+FEW_DISTINCT = np.random.default_rng(0).choice(
+    np.array(FLOAT_EDGES[:5] + [np.copysign(math.nan, -1.0)]), size=(4, 5, 6))
 
 
 class TestJsonWriter:
@@ -140,7 +144,8 @@ class TestJsonWriter:
         np.array(FLOAT_EDGES), np.array(FLOAT_EDGES).reshape(2, 4),
         np.array(FLOAT_EDGES * 3).reshape(2, 3, 4), np.arange(-6, 6).reshape(3, 2, 2),
         np.arange(5), np.array([[True, False], [False, True]]), np.ones((1, 1, 1), bool),
-        np.zeros(0), np.zeros((3, 0)), np.zeros((2, 0, 1), int), np.array(2.5)],
+        np.zeros(0), np.zeros((3, 0)), np.zeros((2, 0, 1), int), np.array(2.5),
+        FEW_DISTINCT, -FEW_DISTINCT[0], FEW_DISTINCT.ravel()[:40]],
         ids=lambda a: f"{a.dtype}{a.shape}")
     def test_array_bytes_equal_json_of_its_list(self, tmp_path, array):
         for obj in (array, {"b": array, "a": {"z": array, "y": [1, None]}, "c": {}}):
@@ -307,6 +312,28 @@ class TestEvaluate:
         assert captured.out == ""
         assert "solution.json" in captured.err and "nsmdp solve" in captured.err
         assert field is None or field in captured.err
+        assert not (out / "runs.csv").exists()
+
+    @pytest.mark.parametrize("damage", [
+        lambda value: [["x"] * len(row) for row in value],     # strings, the right shape
+        lambda value: value[:-1],                               # a row short
+        lambda value: np.rint(value).astype(int).tolist(),      # integers, the right shape
+    ], ids=["strings", "short", "ints"])
+    def test_damaged_momdp_value_rejected(self, tmp_path, capsys, damage):
+        cfg = write_config(tmp_path / "exp.ini", kinds="oracle,momdp", n_runs=6)
+        cfg.write_text(cfg.read_text().replace("[policies]\n", "[policies]\nmomdp_grid = 21\n"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        path = out / "solution.json"
+        sol = json.loads(path.read_text())
+        sol["momdp"]["value"] = damage(sol["momdp"]["value"])
+        path.write_text(json.dumps(sol))
+        capsys.readouterr()
+        code = main(["evaluate", "--config", str(cfg), "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "solution.json" in captured.err and "momdp.value" in captured.err
         assert not (out / "runs.csv").exists()
 
     def test_momdp_policy_round_trips_through_solution_file(self, tmp_path):

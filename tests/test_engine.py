@@ -19,6 +19,7 @@ reads; and the bulk draw of those paths against
 `util.protocol_randomness`, numpy's own per-run seeding, over one- and
 multi-word seeds and run ids."""
 
+import itertools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -538,10 +539,13 @@ DRAW_CHANGES = (ChangeSpec("geometric", rho=0.05), ChangeSpec("fixed", gamma=3),
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("change", DRAW_CHANGES, ids=lambda c: c.kind)
 def test_draw_equals_numpy_seeding(seed, change):
-    # one- and two-word ids in one draw, and each id first in a draw of its own
-    for ids in (RUN_IDS, RUN_IDS[::-1], *RUN_IDS[:, None]):
-        for new, old in zip(draw_episode_randomness(change, 9, seed, ids),
-                            protocol_randomness(change, 9, seed, ids)):
+    # one- and two-word ids in one draw, and each id first in a draw of its
+    # own; a run's demand and action blocks are drawn as one row
+    for horizon, ids in itertools.product((1, 9, 250), (RUN_IDS, RUN_IDS[::-1],
+                                                        *RUN_IDS[:, None])):
+        for new, old in zip(draw_episode_randomness(change, horizon, seed, ids),
+                            protocol_randomness(change, horizon, seed, ids)):
+            assert new.shape == old.shape
             np.testing.assert_array_equal(new, old)
 
 

@@ -14,7 +14,7 @@ from nsmdp import engine, harness
 from nsmdp.controllers import SwitchController
 from nsmdp.detectors import Detector, DetectorConfig
 from nsmdp.engine import DETECTOR_KINDS, cell_paths, episode_paths, simulate_batch
-from nsmdp.harness import (_switch_outcomes,
+from nsmdp.harness import (EvaluationReport, _switch_outcomes,
                            calibrate_nonbayes, default_a_grid, default_b_grid,
                            delay_profile, estimate_nonbayes_grid,
                            calibrate_from_grid, frontier_sweep, make_setup,
@@ -717,6 +717,33 @@ class TestCsvSurfaces:
         write_runs_csv(new, reports, 200)
         runs_csv_oracle(old, reports, 200)
         assert new.read_bytes() == old.read_bytes()
+
+    def test_runs_csv_with_shared_gamma_equals_csv_writer(self, tmp_path):
+        # reports sharing one gamma array, a copy of it and a prefix of it,
+        # zeros of both signs, taus that leave NaN delays, and costs repeated
+        # within and across reports
+        rng = np.random.default_rng(2)
+        gamma = rng.choice([-0.0, 0.0, 1.0, 3.0, 7.0, math.inf], size=30)
+        tau = rng.integers(-1, 9, size=30)
+        cost = rng.choice([0.0, -0.0, 12.5, 1e300, 1 / 3, math.inf], size=30)
+
+        def report(policy, gamma, tau, cost):
+            return EvaluationReport(policy=policy, n_runs=len(tau), mean_cost=0.0, stderr=0.0,
+                                    mean_delay=None, premature_rate=0.0, threshold_a=math.inf,
+                                    threshold_b=0.0, seed=0, gamma=gamma, tau=tau,
+                                    discounted_cost=cost)
+
+        reports = [report("tt", gamma, tau, cost),
+                   report("oracle", gamma, np.full(30, -1), cost[::-1]),
+                   report("random", gamma.copy(), tau[::-1], cost),
+                   report("loc", gamma[:12], tau[:12], cost[:12]),
+                   report("kl", np.where(gamma == 0.0, 5.0, gamma), tau, cost)]
+        assert np.isnan(_switch_outcomes(gamma, tau)[1]).any()
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_runs_csv(new, reports, 9)
+        runs_csv_oracle(old, reports, 9)
+        assert new.read_bytes() == old.read_bytes()
+        assert {"0", "-0"} <= {line.split(",")[2] for line in new.read_text().splitlines()}
 
     def test_infinite_gamma_serialized_as_inf(self, tmp_path, small_env,
                                               small_policies):

@@ -1,6 +1,7 @@
 """Tests for the latent-regime POMDP construction and belief-grid solver."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from nsmdp.mdp import TabularMdp, action_mask, value_iteration
 from nsmdp.momdp import (MomdpSolution, belief_grid_solve, belief_step, belief_update,
                          build_pomdp)
 
-from util import belief_grid_oracle, random_kernel, random_mdp
+from util import belief_grid_oracle, belief_grid_solve_frozen, random_kernel, random_mdp
 
 
 def toy_pair(rng, n_states=2, n_actions=2):
@@ -245,6 +246,38 @@ class TestBeliefGridSolve:
         tol = 1e-7
         sol = belief_grid_solve(inventory_pomdp(), grid_size=41, beta=0.95, tol=tol)
         assert _bellman_residual(sol, beta=0.95) <= tol
+
+
+def assert_bits_equal_frozen(pomdp, grid_size, beta, tol):
+    """belief_grid_solve's value, policy and deltas have the bytes of the
+    frozen solver's, or both raise the same error."""
+    try:
+        ref = belief_grid_solve_frozen(pomdp, grid_size=grid_size, beta=beta, tol=tol)
+    except NumericalError as exc:
+        with pytest.raises(NumericalError, match=re.escape(str(exc))):
+            belief_grid_solve(pomdp, grid_size=grid_size, beta=beta, tol=tol)
+        return
+    sol = belief_grid_solve(pomdp, grid_size=grid_size, beta=beta, tol=tol)
+    assert sol.value.tobytes() == ref.value.tobytes()
+    assert sol.policy.tobytes() == ref.policy.tobytes()
+    assert np.array(sol.deltas).tobytes() == np.array(ref.deltas).tobytes()
+
+
+class TestBitsEqualFrozenSolver:
+    """The fixed-policy product, the per-key grouping and the GMRES
+    rotations may change how they work, never a bit of what they return."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(pomdp=random_pomdps(), grid_size=st.integers(2, 101),
+           beta=st.sampled_from((0.0, 0.5, 0.9, 0.99, 0.999)),
+           tol=st.sampled_from((1e-6, 1e-9)))
+    def test_random_pomdps(self, pomdp, grid_size, beta, tol):
+        assert_bits_equal_frozen(pomdp, grid_size, beta, tol)
+
+    @pytest.mark.parametrize("capacity", (10, 20))
+    @pytest.mark.parametrize("penalty", (100.0, 200.0, 300.0))
+    def test_table_instances(self, capacity, penalty):
+        assert_bits_equal_frozen(inventory_pomdp(capacity, penalty), 201, 0.99, 1e-6)
 
 
 def assert_matches_oracle(pomdp, grid_size, beta, tol):

@@ -6,7 +6,8 @@ arbitrate the vectorized implementations. `value_iteration_oracle` and
 `belief_grid_oracle` are the sweep loops that policy iteration replaced;
 they judge `value_iteration`'s and `belief_grid_solve`'s policies, and
 their values within the sweep loops' tolerance band. The exceptions are
-two frozen copies that pin the package's output bit for bit.
+frozen copies that pin the package's output bit for bit, among them
+`belief_grid_solve_frozen` with `gmres_frozen`.
 `engine_oracle` is the one-row-per-cell episode loop. It draws its
 randomness by the plain protocol (`protocol_paths`: numpy's own seeding
 per run, then `np.searchsorted`), so it judges the engine's bulk draw. It
@@ -238,6 +239,153 @@ def belief_grid_oracle(pomdp, grid_size=201, beta=0.99, tol=1e-6,
             interp_pi = (1.0 - w_pi) * vf[flat_pi] + w_pi * vf[flat_pi + 1]
             v = c_pi + beta * np.einsum("sgn,sgn->sg", p_pi, interp_pi)
     raise NumericalError(f"belief-grid value iteration did not converge in {max_iter} sweeps")
+
+
+# the package's limits when the belief-grid solver was frozen
+FROZEN_PI_MAX_ITER, FROZEN_KRYLOV_DIM = 100, 40
+
+
+def belief_grid_solve_frozen(pomdp, grid_size: int = 201,
+                             beta: float = 0.99, tol: float = 1e-6) -> MomdpSolution:
+    """`momdp.belief_grid_solve` frozen as it was before its fixed-policy
+    product wrote into preallocated buffers, its keys came from a mark
+    array and its GMRES rotated Python floats; its value, policy and deltas
+    pin the solver's bits. Its docstring then:
+
+    Policy iteration over (state, belief-grid) cells.
+
+    Next-step values are read off the grid by linear interpolation in the
+    belief coordinate. From the cheapest feasible actions, each step solves
+    (I - beta * P_pi) v = c_pi by `_gmres` to a fixed-policy residual of at
+    most min(tol / 10, 1e-13 * (1 + max|c_pi| / (1 - beta))), then moves a
+    cell only where another action is better by more than that, so near-ties
+    cannot cycle. Returns the last value, the greedy policy (ties to the
+    lowest action index) and the sup-norm change of each evaluation (the
+    first from zero). `tol` is a check: NumericalError if the final Bellman
+    residual exceeds it, after PI_MAX_ITER steps, or if an evaluation
+    stalls (as it does below the values' rounding error).
+
+    The continuation term depends on (s, a) only through the pair of
+    transition rows (kernel0[s, a], kernel1[s, a]), so the interpolation
+    tables are built once per distinct pair (rows equal bit for bit) and
+    have shape (U, G, S'), with U <= S * A.
+    """
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"beta must be in [0, 1), got {beta}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    mdp0, mdp1, rho = pomdp.mdp0, pomdp.mdp1, pomdp.rho
+    n_s, n_a = mdp0.n_states, mdp0.n_actions
+    g = grid_size
+    grid = np.linspace(0.0, 1.0, g)
+
+    # row[s, a] indexes the distinct (kernel0[s, a], kernel1[s, a]) pair;
+    # pairs are compared as bit patterns, so each group's tables hold exactly
+    # the values every member would compute for itself
+    k0 = mdp0.kernel.reshape(n_s * n_a, -1)
+    k1 = mdp1.kernel.reshape(n_s * n_a, -1)
+    _, first, row = np.unique(np.hstack([k0, k1]).view(np.uint64), axis=0,
+                              return_index=True, return_inverse=True)
+    row = row.reshape(n_s, n_a)
+    t0, t1 = k0[first][:, None, :], k1[first][:, None, :]   # (U, 1, S')
+
+    mask = mdp0.feasible_mask()                      # shared with mdp1
+    pred = grid + (1.0 - grid) * rho                 # (G,)
+    pw = pred[None, :, None]
+    p_next = (1.0 - pw) * t0 + pw * t1               # (U, G, S')
+
+    lr = np.exp(log_ratio_table(t1, t0))
+    b_next = belief_step(grid[None, :, None], lr, rho)
+    pos = np.clip(b_next, 0.0, 1.0) * (g - 1)
+    lo = np.minimum(pos.astype(np.int64), g - 2)     # (U, G, S')
+    w_hi = pos - lo
+    w_lo = 1.0 - w_hi
+    flat_lo = np.arange(n_s) * g + lo                # high corner: flat_lo + 1
+
+    step_cost = np.where(mask[:, :, None], (1.0 - pred[None, None, :]) * mdp0.cost[:, :, None]
+                         + pred[None, None, :] * mdp1.cost[:, :, None], np.inf)   # (S, A, G)
+
+    s_rows, g_cols = np.arange(n_s)[:, None], np.arange(g)[None, :]
+    policy, v, deltas = np.argmin(step_cost, axis=1), np.zeros((n_s, g)), []
+    for _ in range(FROZEN_PI_MAX_ITER):
+        # cells sharing (row[s, pi[s, g]], g) share a continuation: products work per key
+        keys, where = np.unique((row[s_rows, policy] * g + g_cols).ravel(), return_inverse=True)
+        p_k, lo_k, wl_k, wh_k = (np.take(t.reshape(-1, n_s), keys, axis=0)
+                                 for t in (p_next, flat_lo, w_lo, w_hi))   # (K, S')
+        def minus_beta_p(x):   # (I - beta * P_pi) x
+            interp = wl_k * np.take(x, lo_k) + wh_k * np.take(x[1:], lo_k)
+            return x - beta * np.take(np.einsum("kn,kn->k", p_k, interp), where)
+        c_pi = step_cost[s_rows, policy, g_cols]
+        eval_tol = min(tol / 10, 1e-13 * (1 + float(np.max(np.abs(c_pi))) / (1 - beta)))
+        v, v_old = gmres_frozen(minus_beta_p, c_pi.ravel(), v.ravel(), eval_tol,
+                                beta).reshape(n_s, g), v
+        deltas.append(float(np.max(np.abs(v - v_old))))
+        interp = w_lo * np.take(v, flat_lo) + w_hi * np.take(v.ravel()[1:], flat_lo)
+        q = step_cost + beta * np.einsum("ugn,ugn->ug", p_next, interp)[row]
+        better = q.min(axis=1) < q[s_rows, policy, g_cols] - eval_tol
+        if not better.any():
+            break
+        policy = np.where(better, q.argmin(axis=1), policy)
+    else:
+        raise NumericalError("belief-grid policy iteration did not settle in "
+                             f"{FROZEN_PI_MAX_ITER} steps")
+    residual = float(np.max(np.abs(v - q.min(axis=1))))
+    if residual > tol:
+        raise NumericalError(f"belief-grid residual {residual:.3e} exceeds tol {tol:.3e}")
+    return MomdpSolution(pomdp=pomdp, grid=grid, value=v, policy=q.argmin(axis=1).astype(int),
+                         deltas=tuple(deltas))
+
+
+def gmres_frozen(matvec, b: np.ndarray, x: np.ndarray, tol: float, beta: float) -> np.ndarray:
+    """`momdp._gmres` as it was, rotating numpy scalars. Its docstring then:
+
+    Solve matvec(x) = b from `x`, where matvec(x) = x - beta * P x and
+    P's rows are nonnegative and sum to one, so a sweep x <- x + r (r the
+    residual b - matvec(x)) shrinks the sup-norm residual by a factor beta.
+    GMRES restarted every KRYLOV_DIM products, with Givens rotations; a
+    cycle that shrinks the residual less than as many sweeps would is
+    replaced by those sweeps, so the residual after n products is at most
+    beta ** (n / 2) times the first one, give or take a cycle. Returns once
+    the sup-norm residual is at most `tol`; NumericalError once that bound
+    says it should have been reached."""
+    m, used, r = FROZEN_KRYLOV_DIM, 1, b - matvec(x)
+    first = np.max(np.abs(r))
+    while (sup := np.max(np.abs(r))) > tol:
+        if first * beta ** max(0.0, (used - 2 * m - 2) / 2) < tol:
+            raise NumericalError(f"policy evaluation residual {sup:.3e} above {tol:.3e} "
+                                 f"after {used} products")
+        basis, tri, cs, sn, res = (np.zeros(shape) for shape in
+                                   ((m + 1, len(b)), (m, m), m, m, m + 1))
+        res[0] = np.linalg.norm(r)
+        basis[0] = r / res[0]
+        for j in range(m):
+            w, h = matvec(basis[j]), np.zeros(j + 1)
+            for _ in range(2):                       # classical Gram-Schmidt, run twice
+                dh = basis[:j + 1] @ w
+                w -= dh @ basis[:j + 1]
+                h += dh
+            norm = np.linalg.norm(w)
+            for i in range(j):                       # the earlier rotations
+                h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
+            rad = np.hypot(h[j], norm)
+            cs[j], sn[j], h[j] = h[j] / rad, norm / rad, rad
+            tri[:j + 1, j], res[j], res[j + 1] = h, cs[j] * res[j], -sn[j] * res[j]
+            if abs(res[j + 1]) <= tol:
+                break
+            basis[j + 1] = w / norm
+        y = np.linalg.solve(tri[:j + 1, :j + 1], res[:j + 1])   # triangular: back-substitution
+        x_new = x + y @ basis[:j + 1]
+        r_new, used = b - matvec(x_new), used + j + 2
+        if np.max(np.abs(r_new)) <= beta ** (j + 2) * sup:
+            x, r = x_new, r_new
+        else:
+            for _ in range(j + 2):
+                x = x + r
+                r = b - matvec(x)
+            used += j + 2
+    return x
 
 
 def protocol_randomness(change, horizon, master_seed, run_ids):

@@ -9,9 +9,11 @@ regimes' kernel and cost bytes and one of every policy array that solve
 returns (pi_pre, pi_post, pi_probe and the belief-grid policy), so two
 versions of the package can be compared for speed, for identical models
 and for identical policies. For the belief-grid
-solve it also prints how many policy evaluations it made and the Bellman
-residual of its value, recomputed here on full (S, A, G, S') tables rather
-than the solver's own.
+solve it also prints how many policy evaluations it made, a SHA-256 of its
+value and deltas bytes, and the Bellman residual of its value, recomputed
+here on full (S, A, G, S') tables rather than the solver's own. Last, it
+prints the time to encode what `nsmdp solve` writes to models.json and
+solution.json for the instance (`cli.solve_documents`, `cli._json_text`).
 
     PYTHONPATH=src python tools/solve_timing.py --repeat 3
 """
@@ -24,7 +26,7 @@ import time
 
 import numpy as np
 
-from nsmdp import harness, inventory
+from nsmdp import cli, harness, inventory
 from nsmdp.mdp import log_ratio_table, value_iteration
 from nsmdp.momdp import MomdpSolution, belief_step
 
@@ -85,12 +87,22 @@ def main() -> None:
         digest = hashlib.sha256()
         for table in (pol.pi_pre, pol.pi_post, pol.pi_probe, pol.momdp.policy):
             digest.update(np.ascontiguousarray(table, dtype=np.int64).tobytes())
+        value = hashlib.sha256(pol.momdp.value.tobytes() + np.array(pol.momdp.deltas).tobytes())
+        cfg = cli.load_config(None, {"inventory.capacity": str(capacity),
+                                     "inventory.shortage_penalty": repr(penalty),
+                                     "run.beta": repr(BETA), "policies.momdp_grid": str(GRID),
+                                     "policies.kinds": "oracle,loc,kl,tt,random,momdp"})
+        documents = cli.solve_documents(cfg, env, pol)
+        encode = {name: best_of(args.repeat, lambda: cli._json_text(document))[0]
+                  for name, document in documents.items()}
         print(f"N={capacity} p={penalty:g} build_env_ms={build * 1e3:.2f} "
               f"models_sha256={models.hexdigest()} vi_pre_ms={vi_pre * 1e3:.2f} "
               f"vi_post_ms={vi_post * 1e3:.2f} solve_s={plain:.4f} "
               f"solve_grid_s={grid:.3f} grid_evaluations={len(pol.momdp.deltas)} "
               f"grid_residual={grid_residual(pol.momdp, BETA):.2e} "
-              f"policies_sha256={digest.hexdigest()}")
+              f"policies_sha256={digest.hexdigest()} value_sha256={value.hexdigest()} "
+              f"models_json_ms={encode['models.json'] * 1e3:.2f} "
+              f"solution_json_ms={encode['solution.json'] * 1e3:.2f}")
 
 
 if __name__ == "__main__":
