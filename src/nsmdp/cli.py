@@ -336,6 +336,11 @@ def _load_policies(cfg: ExperimentConfig, env) -> harness.PolicySet:
                  for k, v in wanted.items() if solved.get(k) != v]
         if stale:
             raise ValueError(f"solved for another model ({'; '.join(stale)})")
+        if with_momdp and (isinstance(sol["momdp"]["grid_size"], bool)
+                           or not isinstance(sol["momdp"]["grid_size"], int)):
+            # 21.0 equals the config's 21, but no grid has that many points
+            raise ValueError(f"momdp.grid_size must be an integer, got "
+                             f"{sol['momdp']['grid_size']!r}")
         n, arrays, momdp = env.n_states, {}, None
         for name in POLICY_ARRAYS:
             if name.startswith("pi_"):

@@ -62,10 +62,13 @@ def switch_action(policies: np.ndarray, switched, log_stat, log_b, s):
 
     `policies` stacks the pre, probe and post policies as rows; `log_b` is B
     in the statistic's domain (see `threshold_domain`). Works elementwise
-    on arrays of runs.
+    on arrays of runs; `switched` is None for runs that never switch, whose
+    phase is then pre or probe.
     """
-    phase = np.maximum(2 * np.asarray(switched), log_stat > log_b)
-    return phase, policies.reshape(-1)[phase * policies.shape[1] + s]
+    phase = log_stat > log_b
+    if switched is not None:
+        phase = np.maximum(2 * np.asarray(switched), phase)
+    return phase, policies.reshape(-1).take(phase * policies.shape[1] + s)
 
 
 def kl_policy(kernel0: np.ndarray, kernel1: np.ndarray,

@@ -36,6 +36,16 @@ accumulator and remaining row are listed once, EVENT_BLOCK at a time. Rows and
 accumulators do the float operations, and so give the bits, of each of
 their cells simulated alone.
 
+A merged row never switches, so `switch_action` reads no switched mask for
+it: its action is the flat (pre, probe, post) policy stack at (statistic >
+the B of its block LO) * n_states + state, one `take`. An event's integer
+fields (run, LO, HI, first and end passed A index, switch step) are one
+(6, events) block of the narrowest signed dtype that holds them, its group
+index an int array, its discounted cost a float array; all grow together,
+checked once per step that passes cells. The accumulators' table index
+before the state, (post * n_demands + demand) * n_states, is one
+(horizon, columns) path of the narrowest unsigned dtype, built once per call.
+
 Randomness protocol, fixed per run: seed the generator from
 SeedSequence(master_seed, spawn_key=(run_id,)), draw the change point (one
 geometric variate, if the change spec is random), then a horizon-length
@@ -437,6 +447,13 @@ GROUP_SLACK = 64          # accumulator groups past twice the distinct count tha
 # and of the CUSUM buffer, so rows move with all their columns.
 RUN, LO, HI, NEXT_J, STATE, SA_PREV, TAU = range(7)
 STAT, DISC, NEXT_A, LO_B, HI_B = range(5)
+# an event's integer fields, one narrow signed block: the row's RUN, LO, HI
+# and NEXT_J when it passed, the end J1 of the A indices it passed, and its
+# switch step EV_TAU
+J1, EV_TAU = NEXT_J + 1, NEXT_J + 2
+# a splitting row's edges: its LO, its split point (first its HI), its HI
+# and its NEXT_J, one gather; [LO, split) and [split, HI) are its two sides
+_EDGE_FIELDS = np.array([[LO], [HI], [HI], [NEXT_J]])
 
 
 def _room(array: np.ndarray, size: int, limit: int, growth: float = 2.0) -> np.ndarray:
@@ -514,8 +531,8 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         floats[NEXT_A] = np.repeat(log_a, n_cols)
         floats[LO_B] = np.repeat(block_b[cell_block], n_cols)
     ints[STATE], ints[TAU], floats[STAT] = setup.initial_state, -1, -math.inf
-    # a one-cell setup's rows are its columns, in order
-    by_run = ints[RUN, :n_rows] if merged or n_cells > 1 else slice(None)
+    # a one-cell setup's rows are its columns, in order, and read the paths as they are
+    by_run, rows_are_cols = ints[RUN, :n_rows], n_cells == 1
 
     if uses_detector or uses_belief:
         log_lr = log_ratio_table(env.mdp_post.kernel, env.mdp_pre.kernel).reshape(-1)
@@ -540,23 +557,30 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         # Each event and final row reports at least one (cell, run), so there
         # are at most n_events_max; the event arrays grow as events come.
         # An event's column and state are those of its group (ev_group),
-        # which events on one (column, state) come to share
+        # which events on one (column, state) come to share. The group index
+        # stays int, since a narrow `take` index is cast on every step; groups
+        # never outnumber events, so the group arrays share the events' capacity
         n_events_max = n_cells * n_cols
         ref = np.empty((n_cells, n_cols), dtype=np.min_scalar_type(n_events_max))
-        ev_run, ev_group = np.empty(n_cols, dtype=np.int32), np.empty(n_cols, dtype=int)
-        ev_tau, ev_disc = np.empty(n_cols, dtype=int), np.empty(n_cols)
-        ev_span = np.empty((4, n_cols), dtype=np.min_scalar_type(max(n_blocks, cells.m)))
+        ev = np.empty((EV_TAU + 1, n_cols), dtype=np.min_scalar_type(
+            -max(n_cols, n_blocks + 1, cells.m + 1, horizon)))
+        ev_group, ev_disc = np.empty(n_cols, dtype=int), np.empty(n_cols)
         group_col, group_state = np.empty(n_cols, dtype=int), np.empty(n_cols, dtype=int)
         n_groups = n_distinct = 0
     if merged and uses_detector:
         # pi_post's cost and successor state at (regime, demand, state), flat
-        # at (post * n_demands + demand) * n_states + s
+        # at (post * n_demands + demand) * n_states + s; the part before s is
+        # one (horizon, columns) path, built once per call
         n_demands = max(len(env.pmf_pre), len(env.pmf_post))
         states = np.arange(n_states)
         post_cost = costs.reshape(2, n_pairs)[:, states * n_actions + setup.pi_post]
         post_succ = np.maximum(0, states + setup.pi_post - np.arange(n_demands)[:, None])
         joint_cost = np.broadcast_to(post_cost[:, None], (2, n_demands, n_states)).reshape(-1)
         joint_succ = np.broadcast_to(post_succ, (2, n_demands, n_states)).reshape(-1)
+        code_path = np.multiply(post_path, n_demands,
+                                dtype=np.min_scalar_type(len(joint_cost)))
+        code_path += demand_path
+        code_path *= n_states
     if uses_belief:
         lr_lin = np.exp(log_lr)
         belief = np.zeros(n_rows)[n_det:n_read]      # one per row of momdp
@@ -577,74 +601,78 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
             transition = rows_i[SA_PREV, :n_read] * n_states + rows_i[STATE, :n_read]
             if uses_detector:
                 stat = rows_f[STAT, :n_det]
-                live = slice(0, n_rows) if merged else np.flatnonzero(rows_i[TAU, :n_det] < 0)
-                step_lr = log_lr[transition[live]]
+                live = slice(0, n_rows) if merged else (rows_i[TAU, :n_det] < 0).nonzero()[0]
+                step_lr = log_lr.take(transition[live])
                 if setup.detector_kind == "cusum":
                     stat[live] = windowed_cusum(buf, live, step_lr, k)
                 else:
                     stat[live] = shiryaev_log_update(stat[live], step_lr, log1m_rho)
-                h = np.flatnonzero(stat > rows_f[NEXT_A, :n_det])     # rows passing cells now
+                h = (stat > rows_f[NEXT_A, :n_det]).nonzero()[0]     # rows passing cells now
                 if len(h) and not merged:
                     rows_i[TAU, h], rows_f[NEXT_A, h] = k, math.inf
                 elif len(h):
-                    span = rows_i[LO:NEXT_J + 1, h]
-                    j1 = np.searchsorted(cells.a, stat[h])     # the cells whose A < stat
+                    fields = rows_i[:STATE + 1, h]              # RUN .. NEXT_J, STATE
+                    j1 = cells.a.searchsorted(stat.take(h))     # the cells whose A < stat
                     new = slice(n_events, n_events + len(h))
-                    ev_run, ev_group, ev_tau, ev_disc, ev_span = (
-                        _room(ev, new.stop, n_events_max)
-                        for ev in (ev_run, ev_group, ev_tau, ev_disc, ev_span))
+                    if new.stop > len(ev_disc):
+                        ev, ev_group, ev_disc, group_col, group_state = (
+                            _room(x, new.stop, n_events_max)
+                            for x in (ev, ev_group, ev_disc, group_col, group_state))
                     # each event starts a group of its own, merged into
                     # the others on its (column, state) below
                     grp = slice(n_groups, n_groups + len(h))
-                    group_col, group_state = (_room(g, grp.stop, n_events_max)
-                                              for g in (group_col, group_state))
-                    group_col[grp], group_state[grp] = rows_i[RUN, h], rows_i[STATE, h]
-                    ev_run[new], ev_group[new] = rows_i[RUN, h], np.arange(grp.start, grp.stop)
-                    ev_disc[new], ev_tau[new] = rows_f[DISC, h], k
-                    ev_span[:3, new], ev_span[3, new] = span, j1
+                    group_col[grp], group_state[grp] = fields[RUN], fields[STATE]
+                    ev[:J1, new], ev[J1, new], ev[EV_TAU, new] = fields[:J1], j1, k
+                    ev_group[new], ev_disc[new] = np.arange(grp.start, grp.stop), rows_f[DISC, h]
                     n_events, n_groups = new.stop, grp.stop
-                    nxt = cells.next_index(span[0], span[1], j1)
-                    rows_i[NEXT_J, h], rows_f[NEXT_A, h] = j1, cells.a_next[nxt]
+                    nxt = cells.next_index(fields[LO], fields[HI], j1)
+                    rows_i[NEXT_J, h], rows_f[NEXT_A, h] = j1, cells.a_next.take(nxt)
                     gone = h[nxt == cells.m]            # rows whose last cells passed
                     if len(gone):
-                        # rows from the end move into their places
+                        # the rows left at the end move into the holes below it
                         n_rows -= len(gone)
+                        n_holes = gone.searchsorted(n_rows)
                         moves = np.ones(len(gone), dtype=bool)
-                        moves[gone[gone >= n_rows] - n_rows] = False
-                        holes, movers = gone[gone < n_rows], n_rows + np.flatnonzero(moves)
+                        moves[gone[n_holes:] - n_rows] = False
+                        holes, movers = gone[:n_holes], n_rows + moves.nonzero()[0]
                         ints[:, holes], floats[:, holes] = ints[:, movers], floats[:, movers]
                         if setup.detector_kind == "cusum":
                             buf[:, holes] = buf[:, movers]
                         rows_i, rows_f = ints[:, :n_rows], floats[:, :n_rows]
                 if merged and n_blocks > 1:
                     stat = rows_f[STAT]
-                    h = np.flatnonzero((stat > rows_f[LO_B]) & (stat <= rows_f[HI_B]))
-                    h = h[probe_differs[rows_i[STATE, h]]]
+                    h = ((stat > rows_f[LO_B]) & (stat <= rows_f[HI_B])).nonzero()[0]
                     if len(h):
-                        # blocks below c probe, and blocks from c on stay pre
-                        lo, hi, j = rows_i[LO, h], rows_i[HI, h], rows_i[NEXT_J, h]
-                        c = np.searchsorted(block_b, stat[h])
-                        below, above = cells.next_index(lo, c, j), cells.next_index(c, hi, j)
+                        h = h[probe_differs.take(rows_i[STATE].take(h))]
+                    if len(h):
+                        # blocks below c probe, and blocks from c on stay pre:
+                        # edges[:2] and edges[1:3] bound the two sides
+                        edges = rows_i[_EDGE_FIELDS, h]
+                        c = edges[1] = block_b.searchsorted(stat.take(h))
+                        below, above = cells.next_index(edges[:2], edges[1:3], edges[3])
                         # a row keeps its probing blocks if they hold cells, else
                         # the others; where both sides do, the others split off
-                        split = (below < cells.m) & (above < cells.m)
-                        to = slice(n_rows, n_rows + np.count_nonzero(split))
-                        ints[:, to], floats[:, to] = rows_i[:, h[split]], rows_f[:, h[split]]
-                        ints[LO, to], floats[LO_B, to] = c[split], block_b[c[split]]
-                        floats[NEXT_A, to] = cells.a_next[above[split]]
-                        if setup.detector_kind == "cusum":
-                            # a column is window + 3 floats, so it grows by
-                            # less: at twice, the protocol CUSUM tt grid
-                            # peaked 10 MB higher
-                            buf = _room(buf, to.stop, capacity, growth=1.5)
-                            buf[:, to] = buf[:, h[split]]
                         keeps = below < cells.m
-                        rows_i[LO, h] = np.where(keeps, lo, c)
-                        rows_i[HI, h] = np.where(keeps, c, hi)
-                        rows_f[LO_B, h] = block_b[rows_i[LO, h]]
-                        rows_f[HI_B, h] = block_b[rows_i[HI, h] - 1]
-                        rows_f[NEXT_A, h] = cells.a_next[np.where(keeps, below, above)]
-                        n_rows = to.stop
+                        split = (keeps & (above < cells.m)).nonzero()[0]
+                        if len(split):
+                            hs, cs = h.take(split), c.take(split)
+                            to = slice(n_rows, n_rows + len(split))
+                            ints[:, to], floats[:, to] = rows_i[:, hs], rows_f[:, hs]
+                            ints[LO, to], floats[LO_B, to] = cs, block_b.take(cs)
+                            floats[NEXT_A, to] = cells.a_next.take(above.take(split))
+                            if setup.detector_kind == "cusum":
+                                # a column is window + 3 floats, so it grows by
+                                # less: at twice, the protocol CUSUM tt grid
+                                # peaked 10 MB higher
+                                buf = _room(buf, to.stop, capacity, growth=1.5)
+                                buf[:, to] = buf[:, hs]
+                            n_rows = to.stop
+                        # the side a row keeps, its B at LO and HI - 1, its next A
+                        lo_hi = np.where(keeps, edges[:2], edges[1:3])
+                        rows_i[LO:HI + 1, h] = lo_hi
+                        lo_hi[1] -= 1
+                        rows_f[LO_B:HI_B + 1, h] = block_b.take(lo_hi)
+                        rows_f[NEXT_A, h] = cells.a_next.take(np.where(keeps, below, above))
                         rows_i, rows_f = ints[:, :n_rows], floats[:, :n_rows]
             if uses_belief:
                 step_lr = lr_lin[transition[n_det:]]
@@ -653,7 +681,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         s, stat = rows_i[STATE], rows_f[STAT]
         if merged:
             by_run = rows_i[RUN]
-        post = post_path[k][by_run]
+        post = post_path[k] if rows_are_cols else post_path[k].take(by_run)
         actions = []
         for kind, rows in steps:
             s_k = s[rows]
@@ -668,16 +696,16 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                             s_k * grid + np.rint(belief * (grid - 1)).astype(int))
             else:
                 # a merged row never switches: its cells leave it instead
-                phase, a = switch_action(policies, not merged and rows_i[TAU, rows] >= 0,
+                phase, a = switch_action(policies, None if merged else rows_i[TAU, rows] >= 0,
                                          stat[rows], rows_f[LO_B, rows], s_k)
             actions.append(a)
         a = actions[0] if len(actions) == 1 else np.concatenate(actions)
 
         sa = np.multiply(s, n_actions, out=rows_i[SA_PREV])
         sa += a
-        cost = costs[post * n_pairs + sa]
+        cost = costs.take(post * n_pairs + sa)
         rows_f[DISC] += beta_pow * cost
-        w = demand_path[k][by_run]
+        w = demand_path[k] if rows_are_cols else demand_path[k].take(by_run)
         if n_events:
             if n_groups > 2 * n_distinct + GROUP_SLACK:
                 # groups on one (column, state) merge; their events follow pi_post
@@ -687,10 +715,8 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                 n_groups = n_distinct = len(distinct)
                 group_col[:n_groups], group_state[:n_groups] = np.divmod(distinct, n_states)
                 ev_group[:n_events] = merged_into.take(ev_group[:n_events])
-            # the demand path is uint8: widen it before it meets n_states. Each
-            # event adds its group's cost, as it would have looked it up itself
-            code = (post_path[k] * n_demands + demand_path[k].astype(int)) * n_states
-            idx = code.take(group_col[:n_groups]) + group_state[:n_groups]
+            # each event adds its group's cost, as it would have looked it up itself
+            idx = code_path[k].take(group_col[:n_groups]) + group_state[:n_groups]
             ev_disc[:n_events] += (beta_pow * joint_cost).take(idx).take(ev_group[:n_events])
             joint_succ.take(idx, out=group_state[:n_groups])
         beta_pow *= setup.beta
@@ -707,21 +733,22 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                 traces["statistic"][n_det:n_read, k] = belief
         np.maximum(np.subtract(s + a, w, out=s), 0, out=s)
 
+    # the step loop alone reads the paths: a joined or code path goes before
+    # the listing and the outcomes take their memory
+    post_path = demand_path = code_path = None
     if merged:
-        # the rows follow the events, each reporting the cells it still holds;
-        # the cells are listed a block at a time, to bound the temporaries, from
-        # spans widened to int, since `_ranges` subtracts
+        # the rows follow the events, each reporting the cells it still holds
+        # (a merged row never switches); the cells are listed a block at a
+        # time, to bound the temporaries, from fields widened to int
         last = slice(n_events, n_events + n_rows)
-        ev_run, ev_tau, ev_disc, ev_span = (_room(ev, last.stop, n_events_max)
-                                            for ev in (ev_run, ev_tau, ev_disc, ev_span))
-        ev_run[last], ev_span[:3, last], ev_span[3, last] = (
-            ints[RUN, :n_rows], ints[LO:NEXT_J + 1, :n_rows], cells.m)
-        ev_tau[last], ev_disc[last] = ints[TAU, :n_rows], floats[DISC, :n_rows]
+        ev, ev_disc = (_room(x, last.stop, n_events_max) for x in (ev, ev_disc))
+        ev[:J1, last], ev[J1, last], ev[EV_TAU, last] = ints[:J1, :n_rows], cells.m, -1
+        ev_disc[last] = floats[DISC, :n_rows]
         for first in range(0, last.stop, EVENT_BLOCK):
-            block = slice(first, min(first + EVENT_BLOCK, last.stop))
-            row, cell = cells.cells(*ev_span[:, block].astype(int))
-            ref[cell, ev_run[block][row]] = first + row
-        taus, discs = ev_tau, ev_disc
+            block = ev[:, first:min(first + EVENT_BLOCK, last.stop)].astype(int)
+            row, cell = cells.cells(*block[LO:J1 + 1])
+            ref[cell, block[RUN].take(row)] = first + row
+        taus, discs = ev[EV_TAU], ev_disc
     else:
         ref = np.arange(n_rows).reshape(n_cells, n_cols)
         taus, discs = ints[TAU], floats[DISC]
@@ -729,7 +756,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
     # order, then in (spec, kind, cell, run) order
     ref = ref.reshape(len(kinds), -1, n_cols)[[kinds.index(kind) for kind in setup.kinds]]
     by_spec = ref.reshape(n_cells, n_specs, n_runs).transpose(1, 0, 2)
-    tau, disc = taus.take(by_spec), discs.take(by_spec)
+    tau, disc = taus.take(by_spec).astype(int, copy=False), discs.take(by_spec)
     traces = {name: t[by_spec.reshape(-1)] for name, t in traces.items()}
     return BatchResult(run_ids=np.tile(run_ids, n_specs * n_cells), gamma=gamma.copy(),
                        tau=tau.reshape(-1), discounted_cost=disc.reshape(-1),

@@ -336,6 +336,23 @@ class TestEvaluate:
         assert "solution.json" in captured.err and "momdp.value" in captured.err
         assert not (out / "runs.csv").exists()
 
+    def test_float_momdp_grid_size_rejected(self, tmp_path, capsys):
+        # 21.0 equals the config's momdp_grid, so only the type check rejects it
+        cfg = write_config(tmp_path / "exp.ini", kinds="oracle,momdp", n_runs=6)
+        cfg.write_text(cfg.read_text().replace("[policies]\n", "[policies]\nmomdp_grid = 21\n"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        path = out / "solution.json"
+        path.write_text(path.read_text().replace('"grid_size": 21', '"grid_size": 21.0'))
+        assert json.loads(path.read_text())["momdp"]["grid_size"] == 21.0
+        capsys.readouterr()
+        code = main(["evaluate", "--config", str(cfg), "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "solution.json" in captured.err and "momdp.grid_size" in captured.err
+        assert not (out / "runs.csv").exists()
+
     def test_momdp_policy_round_trips_through_solution_file(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", kinds="momdp", n_runs=6)
         cfg.write_text(cfg.read_text().replace(

@@ -332,10 +332,14 @@ def test_grown_arrays_stay_within_their_bounds(small_env, small_policies, change
     real_room = engine._room
     with mock.patch.object(engine, "_room", side_effect=room):
         simulate_batch(setup, 3, np.arange(8))
+    # the buffer is (window + 3, rows) floats, the packed event block
+    # (EV_TAU + 1, events) narrow signed ints, and the rest 1-D
     buffers = [g for g in grown if g.ndim == 2 and g.dtype == float]
-    assert buffers and len(buffers) < len(grown)
+    events = [g for g in grown if g.ndim == 2 and g.dtype.kind == "i"]
+    assert buffers and events
+    assert all(g.shape[0] == engine.EV_TAU + 1 and g.dtype.itemsize < 8 for g in events)
     for g in grown:
-        bound = n_blocks if g.ndim == 2 and g.dtype == float else len(a)
+        bound = n_blocks if any(g is buffer for buffer in buffers) else len(a)
         assert g.shape[-1] <= bound * n_cols
 
 
@@ -463,6 +467,21 @@ def test_protocol_instance_grid_equals_oracle(paper_env, paper_policies, detecto
     # some run's cells switch on different steps, so accumulators run for a while
     switched = np.where(tau >= 0, tau, setup.horizon)
     assert (switched.min(axis=0) < switched.max(axis=0)).any()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(setup=split_grids(), seed=st.integers(0, 2**32 - 1))
+def test_group_merging_is_invisible(setup, seed):
+    # accumulator groups merging on every event step, or never, give the
+    # default's bits, on the drawn change and on change-at-1 / change-never
+    ids = np.arange(12)
+    for case in (setup, replace(setup, change=E1_EINF)):
+        default = simulate_batch(case, seed, ids)
+        for slack in (0, 10**9):
+            with mock.patch.object(engine, "GROUP_SLACK", slack):
+                got = simulate_batch(case, seed, ids)
+            for name in ("run_ids", "gamma", "tau", "discounted_cost"):
+                assert_bits_equal(getattr(got, name), getattr(default, name), name)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

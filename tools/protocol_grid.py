@@ -17,7 +17,15 @@ It prints the wall time of the grid, the process's peak resident memory
 (`ru_maxrss`) and a SHA-256 of every cell's estimates, so two versions of
 the package can be compared for speed and for identical results.
 
+`--runs` and `--horizon` shrink the grid's batch, for instance to the
+benchmark's `frontier_cusum` size (256 runs x 400 steps), where the step
+loop's per-step cost weighs most. `--repeat N` runs the grid N times, each
+drawing its paths afresh, checks that every repetition gives the same
+SHA-256, and prints the minimum (`wall_s`) and median (`wall_s_median`)
+wall time.
+
     PYTHONPATH=src python tools/protocol_grid.py --detector cusum --kind tt --seed 0
+    PYTHONPATH=src python tools/protocol_grid.py --runs 256 --horizon 400 --repeat 9
 """
 
 from __future__ import annotations
@@ -25,9 +33,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import resource
+import statistics
 import time
 
-from nsmdp import harness, inventory
+from nsmdp import engine, harness, inventory
 
 CAPACITY, BETA, RHO = 20, 0.99, 0.01
 PENALTY = {"cusum": 200.0, "sr": 200.0, "shiryaev": 100.0}
@@ -39,7 +48,12 @@ def main() -> None:
     parser.add_argument("--detector", choices=("cusum", "sr", "shiryaev"), default="cusum")
     parser.add_argument("--kind", choices=("loc", "tt"), default="tt")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--runs", type=int, default=RUNS)
+    parser.add_argument("--horizon", type=int, default=HORIZON)
+    parser.add_argument("--repeat", type=int, default=1)
     args = parser.parse_args()
+    if min(args.runs, args.horizon, args.repeat) < 1:
+        parser.error("--runs, --horizon and --repeat must be at least 1")
 
     env = inventory.build_env(inventory.InventoryParams(
         capacity=CAPACITY, order_cost=1.0, holding_cost=5.0,
@@ -47,26 +61,35 @@ def main() -> None:
     policies = harness.solve_policies(env, BETA)
     change = inventory.ChangeSpec(kind="geometric", rho=RHO)
     b_grid = harness.default_b_grid() if args.kind == "tt" else None
-    start = time.perf_counter()
-    if args.detector in ("cusum", "sr"):
-        setup = harness.make_setup(env, policies, args.kind, change, HORIZON, BETA,
-                                   detector_kind=args.detector, window=WINDOW)
-        cells = harness.estimate_nonbayes_grid(setup, harness.default_a_grid(), b_grid,
-                                               n_runs=RUNS, master_seed=args.seed)
-        rows = [(c.threshold_a, c.threshold_b, c.e1_cost, c.e1_stderr, c.einf_cost,
-                 c.einf_stderr) for c in cells]
-    else:
-        setup = harness.make_setup(env, policies, args.kind, change, HORIZON, BETA,
-                                   detector_kind="shiryaev", detector_rho=RHO)
-        cells = harness.optimize_thresholds(setup, harness.default_a_grid(), b_grid,
-                                            n_runs=RUNS, master_seed=args.seed).cells
-        rows = [(c.threshold_a, c.threshold_b, c.mean_cost, c.stderr) for c in cells]
-    wall = time.perf_counter() - start
-    digest = hashlib.sha256(repr([tuple(float(v).hex() for v in row)
-                                  for row in rows]).encode()).hexdigest()
+    walls, digests = [], set()
+    for _ in range(args.repeat):
+        engine._PATH_CACHE.clear()
+        start = time.perf_counter()
+        if args.detector in ("cusum", "sr"):
+            setup = harness.make_setup(env, policies, args.kind, change, args.horizon, BETA,
+                                       detector_kind=args.detector, window=WINDOW)
+            cells = harness.estimate_nonbayes_grid(setup, harness.default_a_grid(), b_grid,
+                                                   n_runs=args.runs, master_seed=args.seed)
+            rows = [(c.threshold_a, c.threshold_b, c.e1_cost, c.e1_stderr, c.einf_cost,
+                     c.einf_stderr) for c in cells]
+        else:
+            setup = harness.make_setup(env, policies, args.kind, change, args.horizon, BETA,
+                                       detector_kind="shiryaev", detector_rho=RHO)
+            cells = harness.optimize_thresholds(setup, harness.default_a_grid(), b_grid,
+                                                n_runs=args.runs, master_seed=args.seed).cells
+            rows = [(c.threshold_a, c.threshold_b, c.mean_cost, c.stderr) for c in cells]
+        walls.append(time.perf_counter() - start)
+        digests.add(hashlib.sha256(repr([tuple(float(v).hex() for v in row)
+                                         for row in rows]).encode()).hexdigest())
+    if len(digests) > 1:
+        raise SystemExit(f"the repetitions disagree: sha256 {sorted(digests)}")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"detector={args.detector} kind={args.kind} seed={args.seed} cells={len(cells)} "
-          f"wall_s={wall:.2f} ru_maxrss_mb={peak_mb:.1f} sha256={digest}")
+    size = "" if (args.runs, args.horizon) == (RUNS, HORIZON) else (
+        f"runs={args.runs} horizon={args.horizon} ")
+    wall = (f"wall_s={min(walls):.2f}" if args.repeat == 1 else
+            f"wall_s={min(walls):.4f} wall_s_median={statistics.median(walls):.4f}")
+    print(f"detector={args.detector} kind={args.kind} seed={args.seed} {size}"
+          f"cells={len(cells)} {wall} ru_maxrss_mb={peak_mb:.1f} sha256={digests.pop()}")
 
 
 if __name__ == "__main__":
