@@ -23,7 +23,8 @@ run, a contiguous range of blocks and the index of the first distinct A it
 has not passed. Every run starts with all its blocks in one row; a row
 splits only when its statistic lies between two of its blocks' B, the pre
 and probe actions differ at its state, and both sides still hold cells it
-has not passed, so a run never holds more rows than blocks.
+has not passed, so a run never holds more rows than blocks. A row's next A
+is one gather from a dense (LO, HI, A index) table sized for <= 17 blocks.
 The cells whose A a row's statistic passes on one step leave it for one
 post-switch accumulator, which keeps the row's run, state and discounted
 cost and follows pi_post. Accumulators on one (column, state) share their
@@ -393,25 +394,22 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 class _CellIndex:
     """A grid's cells by distinct A (index j, ascending) and block (index b),
-    for the merged rows of `simulate_batch`."""
+    for the merged rows of `simulate_batch`. `next_index` reads one dense
+    (n_blocks + 1, n_blocks + 1, m + 1) table, quadratic in the B grid
+    (`thresholds.b_grid`): sized for the package's at most 17 blocks (16 for
+    the default tt grid, 1 for loc and kl), it is 9 KB of uint8 there."""
 
     def __init__(self, log_a: np.ndarray, cell_block: np.ndarray, n_blocks: int):
         self.a, cell_j = np.unique(log_a, return_inverse=True)
         m = self.m = len(self.a)
         self.a_next = np.append(self.a, math.inf)     # indexed by next_index
-        # span[l, b, j]: the least A index >= j among the cells of blocks
-        # b .. b + 2**l - 1, m if none; a range of blocks is the union of two
-        # such spans, of the widest level that fits in it
-        first = np.full((n_blocks, m + 1), m, dtype=np.min_scalar_type(m))
-        first[cell_block, cell_j] = cell_j
-        levels = [np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1]]
-        while 2 ** len(levels) <= n_blocks:
-            half = 2 ** (len(levels) - 1)
-            levels.append(np.minimum(levels[-1][:-half], levels[-1][half:]))
-        self.span = np.full((len(levels), n_blocks, m + 1), m, dtype=first.dtype)
-        for level, least in enumerate(levels):
-            self.span[level, :len(least)] = least
-        self.level = np.array([max(w.bit_length() - 1, 0) for w in range(n_blocks + 1)])
+        # least[b, j]: next_index over block b alone; nxt[lo, hi, j] over [lo, hi)
+        least = np.full((n_blocks, m + 1), m, dtype=np.min_scalar_type(m))
+        least[cell_block, cell_j] = cell_j
+        least = np.minimum.accumulate(least[:, ::-1], axis=1)[:, ::-1]
+        self.nxt = np.full((n_blocks + 1, n_blocks + 1, m + 1), m, dtype=least.dtype)
+        for lo in range(n_blocks):
+            np.minimum.accumulate(least[lo:], axis=0, out=self.nxt[lo, lo + 1:])
         # the cells in order of (A index, block), and per (j, b) the position of
         # the first with A index j and a block >= b
         key = cell_j * (n_blocks + 1) + cell_block
@@ -422,8 +420,7 @@ class _CellIndex:
     def next_index(self, lo, hi, j):
         """Per row, the least A index >= j among the cells of blocks
         [lo, hi), or m if there is none."""
-        level = self.level[hi - lo]
-        return np.minimum(self.span[level, lo, j], self.span[level, hi - (1 << level), j])
+        return self.nxt[lo, hi, j]
 
     def cells(self, lo, hi, j0, j1) -> tuple[np.ndarray, np.ndarray]:
         """(row, cell) pairs: per row, the cells of blocks [lo, hi) whose A

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controllers import kl_policy
+from .controllers import kind_thresholds, kl_policy
 from .engine import EpisodeSetup, simulate_batch
 from .inventory import ChangeSpec, InventoryEnv
 from .momdp import MomdpSolution, belief_grid_solve, build_pomdp
@@ -203,13 +203,17 @@ def optimize_thresholds(setup: EpisodeSetup, a_grid, b_grid=None,
 
     Every cell is evaluated on the same per-run seeds, so comparisons are
     paired; costs within a relative 1e-12 of the least tie, and ties resolve
-    to the smallest A then the smallest B.
+    to the smallest A then the smallest B of the grid. The choice holds the
+    cell's effective (A, B), as simulated (`kind_thresholds`).
     """
+    if isinstance(setup.change, tuple):
+        raise ValueError(f"optimize_thresholds needs one change spec, got {setup.change!r}")
     cells = threshold_cells(setup.policy_kind, a_grid, b_grid)
     reports = monte_carlo(_grid_setup(setup, cells), n_runs, master_seed)
     best = _least(range(len(cells)), lambda i: reports[i].mean_cost, lambda i: cells[i])
-    return ThresholdChoice(threshold_a=cells[best][0], threshold_b=cells[best][1],
-                           report=reports[best], cells=tuple(reports))
+    a, b = kind_thresholds(setup.policy_kind, setup.detector_kind, *cells[best])
+    return ThresholdChoice(threshold_a=a, threshold_b=b, report=reports[best],
+                           cells=tuple(reports))
 
 
 def _grid_setup(setup: EpisodeSetup, cells) -> EpisodeSetup:
@@ -255,12 +259,13 @@ def estimate_nonbayes_grid(setup: EpisodeSetup, a_grid, b_grid=None,
                            n_runs: int = 1000,
                            master_seed: int = 0) -> tuple[NonBayesCell, ...]:
     """Per-cell cost estimates under change-at-1 and change-never measures,
-    shared across calibration levels."""
+    shared across calibration levels, each with its cell's effective (A, B),
+    which order the cells as the grid's (A, B) do."""
     cells = threshold_cells(setup.policy_kind, a_grid, b_grid)
     e1, einf = monte_carlo(replace(_grid_setup(setup, cells), change=_E1_EINF),
                            n_runs, master_seed)
-    return tuple(NonBayesCell(a, b, r1.mean_cost, r1.stderr, rinf.mean_cost, rinf.stderr)
-                 for (a, b), r1, rinf in zip(cells, e1, einf))
+    return tuple(NonBayesCell(r1.threshold_a, r1.threshold_b, r1.mean_cost, r1.stderr,
+                              rinf.mean_cost, rinf.stderr) for r1, rinf in zip(e1, einf))
 
 
 def calibrate_from_grid(policy: str, alpha: float,

@@ -13,7 +13,8 @@ post-switch table indices exceed uint8; the growth of the CUSUM buffer and
 the event arrays, which stays within what the call can need; a batch over
 several change specs against each spec's own batch, and one over a tuple
 of policy kinds, with threshold cells and change specs, against each
-(spec, kind, cell)'s own batch; the listing of cells
+(spec, kind, cell)'s own batch; the dense next-A table against brute
+force, and its size on the protocol's default tt grid; the listing of cells
 in blocks of any size; the cache of per-draw paths that `simulate_batch`
 reads; and the bulk draw of those paths against
 `util.protocol_randomness`, numpy's own per-run seeding, over one- and
@@ -235,7 +236,7 @@ def test_grid_without_join_events_equals_oracle(small_env, small_policies):
     assert (assert_equal_oracle(setup, 3, np.arange(40)).tau == -1).all()
 
 
-@pytest.mark.parametrize("n_blocks", [1, 2, 5, 19, 40])
+@pytest.mark.parametrize("n_blocks", [1, 2, 5, 17, 19, 40])
 def test_cell_index_equals_brute_force(n_blocks):
     # every block range and A-index range of a random grid with repeated A,
     # empty blocks and blocks of many cells
@@ -600,3 +601,20 @@ def test_bulk_seeding_is_checked_against_numpy():
 def test_empty_draw():
     gamma, demand_u, action_u = draw_episode_randomness(ChangeSpec("never"), 4, 0, np.arange(0))
     assert gamma.shape == (0,) and demand_u.shape == action_u.shape == (0, 4)
+
+
+@pytest.mark.parametrize("detector", ["shiryaev", "sr", "cusum"])
+def test_default_tt_grid_table_is_small(paper_env, paper_policies, detector):
+    # the protocol's default tt grid has at most 17 blocks, so its dense
+    # next-A table is uint8 and under 10 KB; the blocks read only the
+    # transition kernels, which the penalty does not change
+    a, b = np.array(threshold_cells("tt", harness.default_a_grid(),
+                                    harness.default_b_grid())).T
+    setup = make_setup(paper_env, paper_policies, "tt", ChangeSpec("geometric", rho=0.01),
+                       1000, 0.99, detector_kind=detector,
+                       detector_rho=0.01 if detector == "shiryaev" else 0.0,
+                       threshold_a=a, threshold_b=b, window=200)
+    log_a, cell_block, block_b = cell_paths(setup)
+    index = engine._CellIndex(log_a, cell_block, len(block_b))
+    assert len(block_b) <= 17
+    assert index.nxt.dtype == np.uint8 and index.nxt.nbytes < 10_000

@@ -438,6 +438,11 @@ class TestKindGroups:
         for search in (optimize_thresholds, estimate_nonbayes_grid):
             with pytest.raises(ValueError, match="threshold grid not applicable"):
                 search(setup, [3.0, 40.0], [0.0, 1.0], n_runs=8)
+        # and the Bayesian search needs one change spec
+        setup = small_setup(small_env, small_policies, "tt",
+                            change=(ChangeSpec(kind="fixed", gamma=1), ChangeSpec(kind="never")))
+        with pytest.raises(ValueError, match="change"):
+            optimize_thresholds(setup, [3.0, 40.0], [0.0, 1.0], n_runs=8)
 
 
 class TestGridPass:
@@ -474,8 +479,12 @@ class TestGridPass:
         assert len(choice.cells) == len(cells)
         for cell, nb, (a, b) in zip(choice.cells, grid, cells):
             one = replace(setup, threshold_a=a, threshold_b=b)
-            # a cell reports its effective (A, B): kl's B is the statistic's floor
+            # a cell reports its effective (A, B): kl's B is the statistic's floor;
+            # so do its non-Bayesian estimates and, where it is chosen, the choice
             assert (cell.threshold_a, cell.threshold_b) == one.effective_thresholds()
+            assert (nb.threshold_a, nb.threshold_b) == one.effective_thresholds()
+            if cell is choice.report:
+                assert (choice.threshold_a, choice.threshold_b) == one.effective_thresholds()
             alone = monte_carlo(one, self.N_RUNS, master_seed=4)
             assert (cell.mean_cost, cell.stderr) == (alone.mean_cost, alone.stderr)
             assert cell == alone and cell.tau.tolist() == alone.tau.tolist()

@@ -2,7 +2,7 @@
 
 On the protocol instance (N=20, beta=0.99, geometric change with rho=0.01,
 1000 runs x 1000 steps, the default 30-point A grid and 16-point B grid) it
-runs one policy kind's grid under one detector:
+runs one policy kind's grid (loc, kl or tt) under one detector:
 
 - cusum: criterion 7's non-Bayesian grid at p=200,
   `harness.estimate_nonbayes_grid` (change-at-1 and change-never cost per
@@ -46,7 +46,7 @@ RUNS, HORIZON, WINDOW = 1000, 1000, 200
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--detector", choices=("cusum", "sr", "shiryaev"), default="cusum")
-    parser.add_argument("--kind", choices=("loc", "tt"), default="tt")
+    parser.add_argument("--kind", choices=("loc", "kl", "tt"), default="tt")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--runs", type=int, default=RUNS)
     parser.add_argument("--horizon", type=int, default=HORIZON)
