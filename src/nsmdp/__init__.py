@@ -13,9 +13,8 @@ from .detectors import (Detector, DetectorConfig, DetectorState, check_stop,
                         shiryaev_batch, shiryaev_step, sr_step)
 from .engine import EpisodeSetup, simulate_batch
 from .errors import ModelError, NumericalError, StateError
-from .harness import (EvaluationReport, PolicySet, calibrate_nonbayes,
-                      delay_profile, frontier_sweep, monte_carlo,
-                      optimize_thresholds, solve_policies)
+from .harness import (EvaluationReport, PolicySet, delay_profile, frontier_sweep,
+                      monte_carlo, optimize_thresholds, solve_policies)
 from .inventory import (ChangeSpec, InventoryEnv, InventoryParams,
                         build_env, build_inventory_mdp, demand_pmf,
                         sample_change_point)

@@ -6,10 +6,10 @@ solve      build both regime MDPs, solve them, and write models.json plus
            solution.json (policies, values, information numbers).
 evaluate   Monte Carlo comparison of the configured policies; writes
            runs.csv and summary.csv. Thresholded policies use the fixed
-           thresholds from the config when given, otherwise the threshold
-           grid is searched under the Bayesian cost with shared seeds.
-sweep      non-Bayesian frontier over the configured alpha levels; writes
-           frontier.csv.
+           thresholds from the config when given, otherwise one threshold
+           grid for loc, kl and tt is searched under the Bayesian cost.
+sweep      non-Bayesian frontier over the configured alpha levels, from one
+           grid for loc, kl and tt; writes frontier.csv.
 calibrate  single-alpha constrained threshold selection; writes frontier.csv.
 info       print a per-step statistic trace, either for one simulated
            episode or for a scripted trajectory file of s,a,s_next rows.
@@ -39,7 +39,7 @@ import numpy as np
 from . import harness
 from .controllers import PHASES, check_thresholds
 from .detectors import Detector, DetectorConfig
-from .engine import BATCHABLE_KINDS, EpisodeSetup, simulate_batch
+from .engine import BATCHABLE_KINDS, DETECTOR_KINDS, EpisodeSetup, simulate_batch
 from .errors import ModelError, NumericalError, StateError
 from .inventory import ChangeSpec, InventoryParams, build_env
 from .mdp import info_number, max_info_number, validate_policy
@@ -403,17 +403,17 @@ def cmd_evaluate(cfg: ExperimentConfig, assert_ordering: bool = False) -> int:
     a_grid, b_grid = _grids(cfg)
     opt_runs = cfg.thresholds.opt_runs if cfg.thresholds.opt_runs > 0 else n_runs
 
-    # a grid search per thresholded kind unless A is fixed; on the same runs
-    # the chosen cell's grid report is its rerun, bit for bit, and keeps the
-    # grid's arrays alive
+    # one grid search over the thresholded kinds unless A is fixed; on the
+    # same runs the chosen cell's grid report is its rerun, bit for bit, and
+    # keeps the grid's arrays alive
     by_kind = {}
-    for kind in cfg.policies.kinds if cfg.thresholds.a is None else ():
-        if kind in ("loc", "kl", "tt"):
-            setup = _episode_setup(cfg, env, policies, kind)
-            choice = harness.optimize_thresholds(setup, a_grid, b_grid,
-                                                 n_runs=opt_runs, master_seed=seed)
+    searched = tuple(k for k in cfg.policies.kinds if k in DETECTOR_KINDS)
+    if searched and cfg.thresholds.a is None:
+        setup = _episode_setup(cfg, env, policies, searched)
+        for kind, choice in zip(searched, harness.optimize_thresholds(
+                setup, a_grid, b_grid, n_runs=opt_runs, master_seed=seed)):
             by_kind[kind] = choice.report if opt_runs == n_runs else harness.monte_carlo(
-                replace(setup, threshold_a=choice.threshold_a,
+                replace(setup, policy_kind=kind, threshold_a=choice.threshold_a,
                         threshold_b=choice.threshold_b), n_runs, seed)
     # every other kind in one engine call, at the fixed thresholds
     rest = tuple(kind for kind in cfg.policies.kinds if kind not in by_kind)
@@ -452,12 +452,11 @@ def _frontier(cfg: ExperimentConfig, alphas) -> list[harness.CalibrationResult]:
     env = build_env(cfg.params)
     policies = _load_policies(cfg, env)
     cfg.run.out_dir.mkdir(parents=True, exist_ok=True)
-    setups = {kind: _episode_setup(cfg, env, policies, kind, nonbayes=True)
-              for kind in cfg.policies.kinds if kind in ("loc", "kl", "tt")}
-    if not setups:
-        raise ConfigError("sweep/calibrate need at least one of loc, kl, tt "
-                          "in policies.kinds")
-    rows = harness.frontier_sweep(setups, alphas, *_grids(cfg), n_runs=cfg.run.n_runs,
+    kinds = tuple(kind for kind in cfg.policies.kinds if kind in DETECTOR_KINDS)
+    if not kinds:
+        raise ConfigError("sweep/calibrate need at least one of loc, kl, tt in policies.kinds")
+    setup = _episode_setup(cfg, env, policies, kinds, nonbayes=True)
+    rows = harness.frontier_sweep(setup, alphas, *_grids(cfg), n_runs=cfg.run.n_runs,
                                   master_seed=cfg.run.seed)
     harness.write_frontier_csv(cfg.run.out_dir / "frontier.csv", rows)
     return rows

@@ -88,7 +88,6 @@ DETECTOR_KINDS = ("loc", "kl", "tt")
 # update a detector lead, then the momdp rows, so that the rows which read
 # the transition are one leading range
 GROUP_ORDER = ("loc", "kl", "tt", "momdp", "oracle", "random")
-CUSUM_REACH_MARGIN = 1e-9   # relative slack on the windowed CUSUM's largest value
 
 
 @dataclass(frozen=True)
@@ -363,8 +362,7 @@ def cell_paths(setup: EpisodeSetup) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Per (kind, cell), with the setup's kinds in GROUP_ORDER, A in the
     statistic's domain and the index of its block; per block, in ascending
     order, B in that domain, or +inf for the cells that never probe: those
-    with B >= A, which switch wherever their statistic exceeds B, and under
-    CUSUM those whose B is beyond the windowed statistic's reach. The cells
+    with B >= A, which switch wherever their statistic exceeds B. The cells
     of a block share one pre-switch path."""
     n_cells = np.size(setup.threshold_a)
     # (kind, A or B, cell)
@@ -372,16 +370,7 @@ def cell_paths(setup: EpisodeSetup) -> tuple[np.ndarray, np.ndarray, np.ndarray]
                            for kind in sorted(setup.kinds, key=GROUP_ORDER.index)], dtype=float)
     log_a, log_b = (np.array([threshold_domain(setup.detector_kind, t) for t in thr.tolist()])
                     for thr in thresholds.swapaxes(0, 1).reshape(2, -1))
-    never_probes = log_b >= log_a
-    if setup.detector_kind == "cusum":
-        # the statistic sums at most window + 1 log ratios, and is computed as a
-        # difference of two sums of at most that many; the margin is far above
-        # the rounding of those additions
-        lr = log_ratio_table(setup.env.mdp_post.kernel, setup.env.mdp_pre.kernel)
-        reach = (setup.window + 1) * (max(float(lr.max()), 0.0)
-                                      + CUSUM_REACH_MARGIN * float(np.abs(lr).max()))
-        never_probes |= log_b > reach
-    block_b, cell_block = np.unique(np.where(never_probes, math.inf, log_b),
+    block_b, cell_block = np.unique(np.where(log_b >= log_a, math.inf, log_b),
                                     return_inverse=True)
     return log_a, cell_block, block_b
 

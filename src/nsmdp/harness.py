@@ -9,7 +9,8 @@ arrays. A threshold grid is one engine call over all runs and change specs,
 the cells a batch dimension; each cell's report, per-run arrays included, is
 bit-identical to simulating it alone under its spec. So a non-Bayesian grid
 runs change-at-1 and change-never in one step loop, and the policies of one
-instance at fixed thresholds run in one step loop as a tuple of kinds.
+instance at fixed thresholds run in one step loop as a tuple of kinds. A grid
+search over loc, kl and tt simulates the union of their cells as one tt grid.
 """
 
 from __future__ import annotations
@@ -197,29 +198,50 @@ def _least(items, cost, cell):
                key=cell)
 
 
-def optimize_thresholds(setup: EpisodeSetup, a_grid, b_grid=None,
-                        n_runs: int = 1000, master_seed: int = 0) -> ThresholdChoice:
-    """Exhaustive threshold-grid search under the Bayesian cost.
+def _grid_setup(setup: EpisodeSetup, cells, **changes) -> EpisodeSetup:
+    """The setup with one threshold cell per entry of `cells`, and `changes`."""
+    a, b = np.array(cells, dtype=float).T
+    return replace(setup, threshold_a=a, threshold_b=b, **changes)
+
+
+_cell = operator.attrgetter("threshold_a", "threshold_b")
+
+
+def _kind_grids(setup: EpisodeSetup, change, a_grid, b_grid, n_runs: int,
+                master_seed: int) -> list:
+    """Per kind of the setup, per spec of the `change` tuple, the reports of
+    the kind's `threshold_cells`, relabelled with the kind, from one tt grid
+    over the sorted union of the kinds' effective cells (`kind_thresholds`):
+    a loc or kl cell is the tt cell at its effective (A, B), bit for bit."""
+    cells = {kind: [kind_thresholds(kind, setup.detector_kind, a, b)
+                    for a, b in threshold_cells(kind, a_grid, b_grid)] for kind in setup.kinds}
+    union = sorted(set(itertools.chain(*cells.values())))
+    # pi_probe falls back to pi_pre, as the engine does for loc
+    pi_probe = setup.pi_pre if setup.pi_probe is None else setup.pi_probe
+    entries = monte_carlo(_grid_setup(setup, union, policy_kind="tt", change=change,
+                                      pi_probe=pi_probe), n_runs, master_seed)
+    by_cell = [dict(zip(union, reports)) for reports in entries]
+    # tt's reports are the grid's own, so that a tt search alone copies none
+    return [[[r[c] if kind == "tt" else replace(r[c], policy=kind) for c in kind_cells]
+             for r in by_cell] for kind, kind_cells in cells.items()]
+
+
+def optimize_thresholds(setup: EpisodeSetup, a_grid, b_grid=None, n_runs: int = 1000,
+                        master_seed: int = 0) -> ThresholdChoice | list[ThresholdChoice]:
+    """Exhaustive threshold-grid search under the Bayesian cost; a tuple of
+    loc, kl and tt gets one choice per kind from one grid (`_kind_grids`).
 
     Every cell is evaluated on the same per-run seeds, so comparisons are
     paired; costs within a relative 1e-12 of the least tie, and ties resolve
-    to the smallest A then the smallest B of the grid. The choice holds the
-    cell's effective (A, B), as simulated (`kind_thresholds`).
+    to the smallest effective A then B, the (A, B) each cell reports.
     """
     if isinstance(setup.change, tuple):
         raise ValueError(f"optimize_thresholds needs one change spec, got {setup.change!r}")
-    cells = threshold_cells(setup.policy_kind, a_grid, b_grid)
-    reports = monte_carlo(_grid_setup(setup, cells), n_runs, master_seed)
-    best = _least(range(len(cells)), lambda i: reports[i].mean_cost, lambda i: cells[i])
-    a, b = kind_thresholds(setup.policy_kind, setup.detector_kind, *cells[best])
-    return ThresholdChoice(threshold_a=a, threshold_b=b, report=reports[best],
-                           cells=tuple(reports))
-
-
-def _grid_setup(setup: EpisodeSetup, cells) -> EpisodeSetup:
-    """The setup with one threshold cell per entry of `cells`."""
-    a, b = np.array(cells, dtype=float).T
-    return replace(setup, threshold_a=a, threshold_b=b)
+    choices = []
+    for (reports,) in _kind_grids(setup, (setup.change,), a_grid, b_grid, n_runs, master_seed):
+        best = _least(reports, operator.attrgetter("mean_cost"), _cell)
+        choices.append(ThresholdChoice(best.threshold_a, best.threshold_b, best, tuple(reports)))
+    return choices if isinstance(setup.policy_kind, tuple) else choices[0]
 
 
 @dataclass(frozen=True)
@@ -255,17 +277,16 @@ class NonBayesCell:
 _E1_EINF = (ChangeSpec(kind="fixed", gamma=1), ChangeSpec(kind="never"))
 
 
-def estimate_nonbayes_grid(setup: EpisodeSetup, a_grid, b_grid=None,
-                           n_runs: int = 1000,
-                           master_seed: int = 0) -> tuple[NonBayesCell, ...]:
+def estimate_nonbayes_grid(setup: EpisodeSetup, a_grid, b_grid=None, n_runs: int = 1000,
+                           master_seed: int = 0) -> tuple[NonBayesCell, ...] | list:
     """Per-cell cost estimates under change-at-1 and change-never measures,
     shared across calibration levels, each with its cell's effective (A, B),
-    which order the cells as the grid's (A, B) do."""
-    cells = threshold_cells(setup.policy_kind, a_grid, b_grid)
-    e1, einf = monte_carlo(replace(_grid_setup(setup, cells), change=_E1_EINF),
-                           n_runs, master_seed)
-    return tuple(NonBayesCell(r1.threshold_a, r1.threshold_b, r1.mean_cost, r1.stderr,
-                              rinf.mean_cost, rinf.stderr) for r1, rinf in zip(e1, einf))
+    which order the cells as the grid's (A, B) do; a tuple of loc, kl and tt
+    gets one such tuple per kind from one grid (`_kind_grids`)."""
+    grids = [tuple(NonBayesCell(r1.threshold_a, r1.threshold_b, r1.mean_cost, r1.stderr,
+                                rinf.mean_cost, rinf.stderr) for r1, rinf in zip(e1, einf))
+             for e1, einf in _kind_grids(setup, _E1_EINF, a_grid, b_grid, n_runs, master_seed)]
+    return grids if isinstance(setup.policy_kind, tuple) else grids[0]
 
 
 def calibrate_from_grid(policy: str, alpha: float,
@@ -276,35 +297,26 @@ def calibrate_from_grid(policy: str, alpha: float,
     smallest A then B. The cap is a user input and is applied exactly: a
     cell is feasible iff its change-never cost is <= alpha."""
     feasible = [c for c in grid if c.einf_cost <= alpha]
-    cell = operator.attrgetter("threshold_a", "threshold_b")
     if feasible:
-        best = _least(feasible, lambda c: c.e1_cost, cell)
+        best = _least(feasible, lambda c: c.e1_cost, _cell)
     else:
-        best = _least(grid, lambda c: c.einf_cost, cell)
+        best = _least(grid, lambda c: c.einf_cost, _cell)
     return CalibrationResult(policy, alpha, bool(feasible), best.threshold_a,
                              best.threshold_b, best.e1_cost, best.e1_stderr,
                              best.einf_cost, best.einf_stderr)
 
 
-def calibrate_nonbayes(setup: EpisodeSetup, alpha: float, a_grid, b_grid=None,
-                       n_runs: int = 1000, master_seed: int = 0) -> CalibrationResult:
-    grid = estimate_nonbayes_grid(setup, a_grid, b_grid, n_runs, master_seed)
-    return calibrate_from_grid(setup.policy_kind, alpha, grid)
-
-
-def frontier_sweep(setups: dict[str, EpisodeSetup], alphas, a_grid, b_grid=None,
-                   n_runs: int = 1000, master_seed: int = 0) -> list[CalibrationResult]:
-    """Calibrate every policy at every constraint level; grid estimates are
-    computed once per policy and reused across levels."""
+def frontier_sweep(setup: EpisodeSetup, alphas, a_grid, b_grid=None, n_runs: int = 1000,
+                   master_seed: int = 0) -> list[CalibrationResult]:
+    """Calibrate every policy of the setup (loc, kl or tt, or a tuple of them)
+    at every constraint level; the grid estimates are computed once."""
     alphas = list(alphas)
     if len(alphas) == 0:
         raise ValueError("alphas must be nonempty")
-    rows = []
-    for kind, setup in setups.items():
-        grid = estimate_nonbayes_grid(setup, a_grid, b_grid, n_runs, master_seed)
-        for alpha in alphas:
-            rows.append(calibrate_from_grid(kind, float(alpha), grid))
-    return rows
+    grids = estimate_nonbayes_grid(replace(setup, policy_kind=setup.kinds), a_grid, b_grid,
+                                   n_runs, master_seed)
+    return [calibrate_from_grid(kind, float(alpha), grid)
+            for kind, grid in zip(setup.kinds, grids) for alpha in alphas]
 
 
 def delay_profile(setup: EpisodeSetup, thresholds, n_runs: int = 1000,
@@ -322,8 +334,8 @@ def delay_profile(setup: EpisodeSetup, thresholds, n_runs: int = 1000,
     thresholds = [float(a) for a in thresholds]
     if not thresholds:
         return []
-    grid = _grid_setup(setup, [(a, setup.threshold_b) for a in thresholds])
-    e1, einf = monte_carlo(replace(grid, change=_E1_EINF), n_runs, master_seed)
+    e1, einf = monte_carlo(_grid_setup(setup, [(a, setup.threshold_b) for a in thresholds],
+                                       change=_E1_EINF), n_runs, master_seed)
     return [{"threshold": a,
              "mean_delay": float(np.nan_to_num(_switch_outcomes(r1.gamma, r1.tau)[1],
                                                nan=setup.horizon - 1).mean()),

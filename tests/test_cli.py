@@ -257,11 +257,11 @@ class TestEvaluate:
     @pytest.mark.parametrize("flags, extra, n_calls", [
         # every kind in one engine call at fixed thresholds
         (["--a", "5", "--b", "2"], "", 1),
-        # one call per grid, whose chosen report is reused, and one for
-        # oracle and random together
-        ([], "", 3),
+        # one call for the loc and tt grids, whose chosen reports are reused,
+        # and one for oracle and random together
+        ([], "", 2),
         # with fewer runs per grid cell, each chosen cell is rerun
-        ([], "opt_runs = 6", 5)])
+        ([], "opt_runs = 6", 4)])
     def test_engine_calls(self, tmp_path, flags, extra, n_calls):
         cfg, out = write_config(tmp_path / "exp.ini", extra=extra), tmp_path / "out"
         main(["solve", "--config", str(cfg), "--out-dir", str(out)])

@@ -15,7 +15,7 @@ from nsmdp.controllers import SwitchController
 from nsmdp.detectors import Detector, DetectorConfig
 from nsmdp.engine import DETECTOR_KINDS, cell_paths, episode_paths, simulate_batch
 from nsmdp.harness import (EvaluationReport, _switch_outcomes,
-                           calibrate_nonbayes, default_a_grid, default_b_grid,
+                           default_a_grid, default_b_grid,
                            delay_profile, estimate_nonbayes_grid,
                            calibrate_from_grid, frontier_sweep, make_setup,
                            monte_carlo, optimize_thresholds, solve_policies,
@@ -263,13 +263,18 @@ class TestThresholdOptimization:
         cost = 4321.0
         costs = {2.0: float(np.nextafter(cost, math.inf)), 20.0: cost}
 
-        def reports(setup, n_runs, master_seed):
-            return [mock.Mock(mean_cost=costs[a]) for a in setup.threshold_a]
+        report = monte_carlo(small_setup(small_env, small_policies, "tt"), 2, master_seed=0)
 
-        with mock.patch.object(harness, "monte_carlo", reports):
+        def reports(setup, n_runs, master_seed):
+            # the one grid call, under the setup's one spec
+            return [[replace(report, mean_cost=costs[a], threshold_a=a, threshold_b=b)
+                     for a, b in zip(setup.threshold_a.tolist(), setup.threshold_b.tolist())]]
+
+        with mock.patch.object(harness, "monte_carlo", side_effect=reports) as calls:
             choice = optimize_thresholds(small_setup(small_env, small_policies, "loc"),
                                          a_grid=[20.0, 2.0], n_runs=8)
-        assert choice.threshold_a == 2.0
+        assert calls.call_count == 1
+        assert choice.threshold_a == 2.0 and choice.report.policy == "loc"
 
 
 class TestNonBayesCalibration:
@@ -338,13 +343,11 @@ class TestNonBayesCalibration:
 
     def test_frontier_sweep_requires_alphas(self, small_env, small_policies):
         with pytest.raises(ValueError):
-            frontier_sweep({"loc": small_setup(small_env, small_policies, "loc")},
-                           [], a_grid=[1.0])
+            frontier_sweep(small_setup(small_env, small_policies, "loc"), [], a_grid=[1.0])
 
     def test_frontier_sweep_single_row(self, small_env, small_policies):
-        rows = frontier_sweep(
-            {"loc": small_setup(small_env, small_policies, "loc", detector="sr")},
-            [1e9], a_grid=[10.0], n_runs=16, master_seed=0)
+        rows = frontier_sweep(small_setup(small_env, small_policies, "loc", detector="sr"),
+                              [1e9], a_grid=[10.0], n_runs=16, master_seed=0)
         assert len(rows) == 1
         assert rows[0].policy == "loc" and rows[0].threshold_a == 10.0
 
@@ -434,7 +437,9 @@ class TestKindGroups:
         setup = small_setup(small_env, small_policies, ("loc", "tt"), detector="sr")
         with pytest.raises(ValueError, match="policy_kind"):
             delay_profile(setup, [3.0, 40.0], n_runs=8)
-        # the grid searches raise through threshold_cells
+        # the grid searches take a tuple of loc, kl and tt, and raise through
+        # threshold_cells on a kind without thresholds
+        setup = replace(setup, policy_kind=("oracle", "tt"))
         for search in (optimize_thresholds, estimate_nonbayes_grid):
             with pytest.raises(ValueError, match="threshold grid not applicable"):
                 search(setup, [3.0, 40.0], [0.0, 1.0], n_runs=8)
@@ -460,27 +465,61 @@ class TestGridPass:
         return np.geomspace(0.5, 1e5, 20), np.concatenate([[0.0], np.geomspace(0.6, 9e4, 12)])
 
     @pytest.mark.parametrize("detector", ["shiryaev", "sr", "cusum"])
-    @pytest.mark.parametrize("kind", ["loc", "kl", "tt"])
+    @pytest.mark.parametrize("kind", ["loc", "kl", "tt", ("loc", "kl", "tt")])
     def test_cells_equal_cell_by_cell(self, small_env, small_policies, kind, detector):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
         setup = replace(small_setup(small_env, small_policies, kind, horizon=40,
                                     detector=detector), window=5)
         a_grid, b_grid = self.grids(detector)
-        if kind == "tt":
+        if "tt" in kinds:
             a_grid = a_grid[::3] if detector == "cusum" else a_grid[::6]
+        if len(kinds) > 1:
+            # without the statistic's floor in the B grid, kl's (A, floor)
+            # cells are not tt's, and the one grid holds their union
+            b_grid = b_grid[1:]
+        with mock.patch.object(harness, "simulate_batch", wraps=simulate_batch) as calls:
+            choices = optimize_thresholds(setup, a_grid, b_grid, n_runs=self.N_RUNS,
+                                          master_seed=4)
+            grids = estimate_nonbayes_grid(setup, a_grid, b_grid, n_runs=self.N_RUNS,
+                                           master_seed=4)
+        # one engine call per grid search, whatever the kinds
+        assert calls.call_count == 2
+        if len(kinds) == 1:
+            choices, grids = [choices], [grids]
+        else:
+            n_union = len(calls.call_args.args[0].threshold_a)
+            assert n_union > len(threshold_cells("tt", a_grid, b_grid))
+        for kind, choice, grid in zip(kinds, choices, grids):
+            one_kind = replace(setup, policy_kind=kind)
+            if len(kinds) > 1:
+                # each kind's results are those of the kind alone, field for
+                # field and array for array
+                alone = optimize_thresholds(one_kind, a_grid, b_grid, n_runs=self.N_RUNS,
+                                            master_seed=4)
+                assert choice == alone and len(choice.cells) == len(alone.cells)
+                for cell, single in zip(choice.cells, alone.cells):
+                    for name in ("gamma", "tau", "discounted_cost"):
+                        assert getattr(cell, name).tobytes() == getattr(single, name).tobytes()
+                assert grid == estimate_nonbayes_grid(one_kind, a_grid, b_grid,
+                                                      n_runs=self.N_RUNS, master_seed=4)
+            self.check_cells(one_kind, choice, grid, a_grid, b_grid)
+
+    def check_cells(self, setup, choice, grid, a_grid, b_grid):
+        """Each cell of one kind's grid search, Bayesian and non-Bayesian,
+        equals that cell simulated alone."""
+        kind = setup.policy_kind
         cells = threshold_cells(kind, a_grid, b_grid)
         a, b = np.array(cells).T
         paths = cell_paths(replace(setup, threshold_a=a, threshold_b=b))[2]
         if kind == "tt":    # loc's and kl's cells share one path
             assert len(paths) > 1
-        choice = optimize_thresholds(setup, a_grid, b_grid, n_runs=self.N_RUNS,
-                                     master_seed=4)
-        grid = estimate_nonbayes_grid(setup, a_grid, b_grid, n_runs=self.N_RUNS,
-                                      master_seed=4)
         assert len(choice.cells) == len(cells)
         for cell, nb, (a, b) in zip(choice.cells, grid, cells):
             one = replace(setup, threshold_a=a, threshold_b=b)
-            # a cell reports its effective (A, B): kl's B is the statistic's floor;
-            # so do its non-Bayesian estimates and, where it is chosen, the choice
+            # a cell reports its kind and effective (A, B): kl's B is the
+            # statistic's floor; so do its non-Bayesian estimates and, where
+            # it is chosen, the choice
+            assert cell.policy == kind
             assert (cell.threshold_a, cell.threshold_b) == one.effective_thresholds()
             assert (nb.threshold_a, nb.threshold_b) == one.effective_thresholds()
             if cell is choice.report:
@@ -572,9 +611,6 @@ class TestGridPass:
         a = np.array([2.0, 2.0, 3 * reach, 4 * reach, 4 * reach])
         b = np.array([0.5, 2.0, 1.5 * reach, 1.5 * reach, 2 * reach])
         beyond = b > reach
-        _, cell_path, path_b = cell_paths(replace(setup, threshold_a=a, threshold_b=b))
-        assert path_b.tolist() == [0.5, math.inf]
-        assert (path_b[cell_path] == math.inf).tolist() == (beyond | (b >= a)).tolist()
         n_runs = 40
         batch = simulate_batch(replace(setup, threshold_a=a, threshold_b=b), 6,
                                np.arange(n_runs))
@@ -701,9 +737,9 @@ class TestCsvSurfaces:
         assert header == "policy,n_runs,mean_cost,stderr,mean_delay,A,B,seed"
         assert row.startswith("loc,3,")
 
-        res = calibrate_nonbayes(
+        res = calibrate_from_grid("loc", 1e9, estimate_nonbayes_grid(
             small_setup(small_env, small_policies, "loc", detector="sr"),
-            alpha=1e9, a_grid=[5.0], n_runs=4, master_seed=0)
+            a_grid=[5.0], n_runs=4, master_seed=0))
         fpath = tmp_path / "frontier.csv"
         write_frontier_csv(fpath, [res])
         fheader = fpath.read_text().splitlines()[0]
