@@ -410,11 +410,18 @@ def cmd_evaluate(cfg: ExperimentConfig, assert_ordering: bool = False) -> int:
     searched = tuple(k for k in cfg.policies.kinds if k in DETECTOR_KINDS)
     if searched and cfg.thresholds.a is None:
         setup = _episode_setup(cfg, env, policies, searched)
-        for kind, choice in zip(searched, harness.optimize_thresholds(
-                setup, a_grid, b_grid, n_runs=opt_runs, master_seed=seed)):
-            by_kind[kind] = choice.report if opt_runs == n_runs else harness.monte_carlo(
-                replace(setup, policy_kind=kind, threshold_a=choice.threshold_a,
-                        threshold_b=choice.threshold_b), n_runs, seed)
+        choices = harness.optimize_thresholds(setup, a_grid, b_grid, n_runs=opt_runs,
+                                              master_seed=seed)
+        if opt_runs == n_runs:
+            reports = [choice.report for choice in choices]
+        else:
+            # a choice's (A, B) is its effective pair, at which a loc or kl
+            # cell equals the tt cell bit for bit: one tt call reruns them all
+            a, b = np.array([(c.threshold_a, c.threshold_b) for c in choices]).T
+            reports = [replace(report, policy=kind) for kind, report in zip(
+                searched, harness.monte_carlo(replace(setup, policy_kind="tt", threshold_a=a,
+                                                      threshold_b=b), n_runs, seed))]
+        by_kind.update(zip(searched, reports))
     # every other kind in one engine call, at the fixed thresholds
     rest = tuple(kind for kind in cfg.policies.kinds if kind not in by_kind)
     if rest:

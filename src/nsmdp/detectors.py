@@ -41,7 +41,8 @@ def shiryaev_log_update(log_stat, log_lr, log_one_minus_rho):
 
     S_n = ((1 + S_{n-1}) / (1 - rho)) * lr_n, i.e.
     log S_n = logaddexp(0, log S_{n-1}) - log(1 - rho) + log lr_n.
-    Works elementwise on arrays; shared by the scalar and batch engines.
+    Works elementwise on arrays; `_advance` (the scalar `Detector` and
+    `*_step` functions) and `engine.simulate_batch` both call it.
     """
     return np.logaddexp(0.0, log_stat) - log_one_minus_rho + log_lr
 

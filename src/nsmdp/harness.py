@@ -15,7 +15,6 @@ search over loc, kl and tt simulates the union of their cells as one tt grid.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import operator
@@ -326,8 +325,9 @@ def delay_profile(setup: EpisodeSetup, thresholds, n_runs: int = 1000,
     Mean delay is measured under change-at-1 (censored at the horizon when no
     stop occurs); the false-switch rate is the change-never report's
     premature rate, the fraction of runs that stop within the horizon. The
-    probing policy is pinned by building a single-threshold setup whose pre-
-    and post-switch policies coincide.
+    setup's policies run as its kind uses them, so the caller pins the
+    probing policy: criterion 8 passes a setup whose pre-, probe and
+    post-switch policies are all that one policy (its `pinned` PolicySet).
     """
     if isinstance(setup.policy_kind, tuple):
         raise ValueError(f"delay_profile needs one policy_kind, got {setup.policy_kind!r}")
@@ -379,15 +379,23 @@ def _delay_texts(delays: list[float]) -> list[str]:
     return ["" if math.isnan(d) else _FLOAT_FORMAT(d) for d in delays]
 
 
+def _write_csv(path, lines) -> None:
+    """Lines of comma-joined text fields, as the csv module writes them: no
+    field here ever needs quoting (a policy kind or a `_fmt` text), and
+    lines end in CRLF."""
+    text = "\r\n".join(lines) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 def write_runs_csv(path, reports: list[EvaluationReport], horizon: int) -> None:
     """One row per run of each report, by policy and then run id; each
     policy appears in at most one report.
 
-    Each column is formatted as `_fmt` would format its fields, and the
-    rows are written as the csv module writes them: a policy kind never
-    needs quoting, and lines end in CRLF. The gamma and delay columns are
-    formatted once per distinct value (`distinct_texts`), and gamma and the
-    run ids once for the reports that share them."""
+    Each column is formatted as `_fmt` would format its fields. The gamma
+    and delay columns are formatted once per distinct value
+    (`distinct_texts`), and gamma and the run ids once for the reports that
+    share them."""
     lines = ["run_id,policy,gamma,tau_switch,horizon,"
              "discounted_cost,detection_delay,premature_switch"]
     run_ids = list(map(str, range(max((len(r.tau) for r in reports), default=0))))
@@ -403,28 +411,19 @@ def write_runs_csv(path, reports: list[EvaluationReport], horizon: int) -> None:
             map(_FLOAT_FORMAT, r.discounted_cost.tolist()),
             distinct_texts(delay, _delay_texts),
             ["1" if p else "0" for p in premature.tolist()])))
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+    _write_csv(path, lines)
 
 
 def write_summary_csv(path, reports: list[EvaluationReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "n_runs", "mean_cost", "stderr", "mean_delay",
-                         "A", "B", "seed"])
-        for r in reports:
-            writer.writerow([r.policy, r.n_runs, _fmt(r.mean_cost), _fmt(r.stderr),
-                             _fmt(r.mean_delay), _fmt(r.threshold_a),
-                             _fmt(r.threshold_b), r.seed])
+    _write_csv(path, ["policy,n_runs,mean_cost,stderr,mean_delay,A,B,seed", *(
+        ",".join([r.policy, *map(_fmt, (r.n_runs, r.mean_cost, r.stderr, r.mean_delay,
+                                        r.threshold_a, r.threshold_b, r.seed))])
+        for r in reports)])
 
 
 def write_frontier_csv(path, rows: list[CalibrationResult]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "policy", "A", "B", "e1_cost", "e1_stderr",
-                         "einf_cost", "einf_stderr", "feasible"])
-        for r in rows:
-            writer.writerow([_fmt(r.alpha), r.policy, _fmt(r.threshold_a),
-                             _fmt(r.threshold_b), _fmt(r.e1_cost), _fmt(r.e1_stderr),
-                             _fmt(r.einf_cost), _fmt(r.einf_stderr),
-                             _fmt(r.feasible)])
+    _write_csv(path, ["alpha,policy,A,B,e1_cost,e1_stderr,einf_cost,einf_stderr,feasible", *(
+        ",".join([_fmt(r.alpha), r.policy, *map(_fmt, (
+            r.threshold_a, r.threshold_b, r.e1_cost, r.e1_stderr, r.einf_cost, r.einf_stderr,
+            r.feasible))])
+        for r in rows)])

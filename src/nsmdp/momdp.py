@@ -54,7 +54,8 @@ def belief_step(b, lr, rho):
     """Posterior change probability after one transition with likelihood
     ratio lr: predict with the prior drift, then apply Bayes.
 
-    Works elementwise on arrays; shared by the scalar and batch engines.
+    Works elementwise on arrays; `belief_update`, `belief_grid_solve` and
+    `engine.simulate_batch` call it.
     """
     pred = b + (1.0 - b) * rho
     num = pred * lr

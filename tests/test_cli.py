@@ -49,7 +49,7 @@ KEY_FLAGS = {key: flag for flag, key in FLAGS.items()}
 
 
 def write_config(path, *, capacity=4, penalty=60.0, horizon=60, n_runs=12,
-                 kinds="oracle,loc,tt,random", extra=""):
+                 kinds="oracle,loc,tt,random", a_grid=3, extra=""):
     path.write_text(f"""
 [inventory]
 capacity = {capacity}
@@ -76,7 +76,7 @@ seed = 0
 kinds = {kinds}
 
 [thresholds]
-a_grid = 3
+a_grid = {a_grid}
 a_min = 2.0
 a_max = 200.0
 b_grid = 2
@@ -257,18 +257,39 @@ class TestEvaluate:
     @pytest.mark.parametrize("flags, extra, n_calls", [
         # every kind in one engine call at fixed thresholds
         (["--a", "5", "--b", "2"], "", 1),
-        # one call for the loc and tt grids, whose chosen reports are reused,
-        # and one for oracle and random together
+        # one call for the loc, kl and tt grids, whose chosen reports are
+        # reused, and one for oracle and random together
         ([], "", 2),
-        # with fewer runs per grid cell, each chosen cell is rerun
-        ([], "opt_runs = 6", 4)])
+        # with fewer runs per grid cell, one more call reruns every chosen cell
+        ([], "opt_runs = 6", 3),
+        # ... where kl's chosen cells are (A, -inf)
+        (["--detector", "cusum"], "opt_runs = 6", 3)])
     def test_engine_calls(self, tmp_path, flags, extra, n_calls):
-        cfg, out = write_config(tmp_path / "exp.ini", extra=extra), tmp_path / "out"
+        # an instance whose probe policy differs from pi_pre, and grids of
+        # values that print exactly (A in {2, 200}, B in {0, 2, 200}), so
+        # that summary.csv's A and B rerun the chosen cells exactly
+        kinds = ["oracle", "loc", "kl", "tt", "random"]
+        cfg = write_config(tmp_path / "exp.ini", capacity=8, penalty=100.0,
+                           kinds=",".join(kinds), a_grid=2, extra=extra)
+        out = tmp_path / "out"
         main(["solve", "--config", str(cfg), "--out-dir", str(out)])
+        evaluate = ["evaluate", "--config", str(cfg), "--out-dir", str(out), *flags]
         with mock.patch.object(cli.harness, "simulate_batch",
                                wraps=cli.harness.simulate_batch) as calls:
-            assert main(["evaluate", "--config", str(cfg), "--out-dir", str(out), *flags]) == 0
+            assert main(evaluate) == 0
         assert calls.call_count == n_calls
+        joint = {name: (out / name).read_bytes() for name in ("runs.csv", "summary.csv")}
+        # the same bytes as each kind run alone at its reported thresholds
+        alone = {}
+        for row in joint["summary.csv"].decode().splitlines()[1:]:
+            kind, *_, a, b, _ = row.split(",")
+            fixed = [] if a == "inf" else ["--a", a, *(["--b", b] if kind == "tt" else [])]
+            assert main([*evaluate, "--policies", kind, *fixed]) == 0
+            alone[kind] = {name: (out / name).read_bytes().splitlines(keepends=True)
+                           for name in joint}
+        for name, order in (("runs.csv", sorted(kinds)), ("summary.csv", kinds)):
+            rows = [row for kind in order for row in alone[kind][name][1:]]
+            assert joint[name] == b"".join([alone["oracle"][name][0], *rows])
 
     def test_worker_count_does_not_change_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", n_runs=600, horizon=40,

@@ -1,4 +1,5 @@
-"""Smoke test: every narrative demo runs to completion."""
+"""Smoke tests: every narrative demo runs to completion, and the timing
+tools reject bad arguments with a usage error."""
 
 import os
 import subprocess
@@ -22,3 +23,13 @@ def test_demo_exits_zero(demo):
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["solve_timing.py", "--repeat", "0"],
+                                  ["protocol_grid.py", "--seed", "-1"],
+                                  ["mc_timing.py", "--repeat", "0"]], ids=lambda a: a[0])
+def test_tool_rejects_bad_argument(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / argv[0]), *argv[1:]],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and f"error: {argv[1]} must be" in proc.stderr, proc.stderr

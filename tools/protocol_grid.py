@@ -68,13 +68,15 @@ def main() -> None:
     args = parser.parse_args()
     if min(args.runs, args.horizon, args.repeat) < 1:
         parser.error("--runs, --horizon and --repeat must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
 
     env = inventory.build_env(inventory.InventoryParams(
         capacity=CAPACITY, order_cost=1.0, holding_cost=5.0,
         penalty=PENALTY[args.detector], demand_rate=2.0))
     policies = harness.solve_policies(env, BETA)
     change = inventory.ChangeSpec(kind="geometric", rho=RHO)
-    # one kind alone is the setup's kind, as the benchmark and the CI pins run it
+    # one kind alone is the setup's kind, as the benchmark and the golden digests run it
     several = len(args.kind) > 1
     kind = args.kind if several else args.kind[0]
     b_grid = harness.default_b_grid() if "tt" in args.kind else None

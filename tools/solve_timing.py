@@ -70,6 +70,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
 
     for capacity, penalty in INSTANCES:
         params = inventory.InventoryParams(capacity=capacity, order_cost=1.0, holding_cost=5.0,
