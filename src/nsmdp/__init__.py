@@ -9,8 +9,8 @@ together with the Monte Carlo machinery to compare them.
 from .controllers import PHASES, SwitchController, kl_policy
 from .detectors import (Detector, DetectorConfig, DetectorState, check_stop,
                         cusum_step, geometric_prior, glr_step,
-                        log_likelihood_ratio, posterior_from_shiryaev,
-                        shiryaev_batch, shiryaev_step, sr_step)
+                        log_likelihood_ratio, shiryaev_batch, shiryaev_step,
+                        sr_step)
 from .engine import EpisodeSetup, simulate_batch
 from .errors import ModelError, NumericalError, StateError
 from .harness import (EvaluationReport, PolicySet, delay_profile, frontier_sweep,
@@ -18,7 +18,7 @@ from .harness import (EvaluationReport, PolicySet, delay_profile, frontier_sweep
 from .inventory import (ChangeSpec, InventoryEnv, InventoryParams,
                         build_env, build_inventory_mdp, demand_pmf,
                         sample_change_point)
-from .mdp import (TabularMdp, info_number, kl_step, max_info_number,
+from .mdp import (TabularMdp, info_number, max_info_number,
                   policy_evaluation, stationary_distribution, value_iteration)
 from .momdp import (MomdpSolution, RegimePomdp, belief_grid_solve, belief_update,
                     build_pomdp)

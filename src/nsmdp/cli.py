@@ -18,7 +18,9 @@ Every config key is declared once, with its rule, in CONFIG_KEYS; flags
 override keys through FLAGS. Exit codes: 0 success, 1 configuration error
 (including an unknown section or key), 2 runtime/numerical error. All
 randomness derives from the single seed; reruns with the same config and
-seed reproduce outputs byte for byte. `--workers` is accepted and has no effect.
+seed reproduce outputs byte for byte. `--workers` is accepted and sets
+nothing (there is no `run.workers` key). A config file that cannot be read
+as UTF-8 text, a directory included, or is not valid INI exits 1.
 """
 
 from __future__ import annotations
@@ -91,7 +93,6 @@ CONFIG_KEYS = (
     ("run", "n_runs", int, "1000", "Monte Carlo episodes", _at_least(1)),
     ("run", "seed", int, "0", "master seed, the source of all randomness", _at_least(0)),
     ("run", "initial_state", int, "0", "starting stock level, in [0, N]", None),
-    ("run", "workers", int, "1", "accepted for compatibility; has no effect", None),
     ("run", "out_dir", Path, "out", "output directory", None),
     ("policies", "kinds", _names, "oracle,loc,tt,random",
      f"comma list of distinct kinds from {','.join(BATCHABLE_KINDS)}", None),
@@ -116,8 +117,7 @@ KEY_HELP = {f"{section}.{key}": text + (f", must be {rule[1]}" if rule else "")
 # flag -> the key it overrides; --alphas belongs to sweep alone, and calibrate's
 # --alpha sets sweep.alphas to its one cap
 FLAGS = {"--seed": "run.seed", "--out-dir": "run.out_dir", "--n-runs": "run.n_runs",
-         "--horizon": "run.horizon", "--workers": "run.workers",
-         "--policies": "policies.kinds", "--detector": "detector.kind",
+         "--horizon": "run.horizon", "--policies": "policies.kinds", "--detector": "detector.kind",
          "--a": "thresholds.a", "--b": "thresholds.b", "--alphas": "sweep.alphas"}
 
 
@@ -147,9 +147,11 @@ def load_config(path: str | None, overrides: dict[str, str | None]) -> Experimen
     then check each key's range."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if path is not None:
-        if not Path(path).exists():
-            raise ConfigError(f"config file not found: {path}")
-        parser.read(path)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                parser.read_file(handle)
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     sections = parser.sections()
     if parser.defaults():   # configparser would feed [DEFAULT] keys to every section
         sections.insert(0, parser.default_section)
@@ -570,6 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, key in FLAGS.items():
             if flag != "--alphas" or name == "sweep":
                 p.add_argument(flag, dest=key, help=KEY_HELP[key])
+        p.add_argument("--workers", dest="_workers", metavar="WORKERS",
+                       help="accepted for compatibility; sets nothing")
         if name == "evaluate":
             p.add_argument("--assert-ordering", action="store_true",
                            help="fail unless oracle < tt < loc < random with "

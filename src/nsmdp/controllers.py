@@ -97,8 +97,9 @@ def _policy_table(table, feasible, name: str) -> np.ndarray:
 
 
 class SwitchController:
-    """Per-episode state machine for the oracle, random, single-threshold,
-    probe-always and two-threshold policies.
+    """Per-episode state machine for the single-threshold (loc),
+    probe-always (kl) and two-threshold (tt) policies; the oracle and
+    random baselines are engine policy kinds.
 
     kind='tt' takes both thresholds; 'loc' forces B = A and 'kl' forces B to
     the statistic floor (0 for shiryaev/sr, -inf for cusum), so the
@@ -113,31 +114,19 @@ class SwitchController:
                  detector: Detector | None = None,
                  threshold_a: float = math.inf,
                  threshold_b: float | None = None,
-                 oracle_switch_time: float = math.inf,
                  feasible: tuple[tuple[int, ...], ...] | None = None):
-        if kind not in ("oracle", "loc", "kl", "tt", "random"):
+        if kind not in ("loc", "kl", "tt"):
             raise ValueError(f"unknown controller kind {kind!r}")
         self.kind = kind
-        self.feasible = feasible
         self.pi_pre, self.pi_probe, self.pi_post = (
             None if table is None else _policy_table(table, feasible, name)
             for table, name in ((pi_pre, "pi_pre"), (pi_probe, "pi_probe"),
                                 (pi_post, "pi_post")))
         self.detector = detector
-        self.oracle_switch_time = oracle_switch_time
         self.phase = "pre"
         self.tau_switch: int | None = None
-
-        if kind == "random":
-            if feasible is None:
-                raise ValueError("random controller needs the feasible action sets")
-            return
-        if self.pi_pre is None or self.pi_post is None:
-            raise ValueError(f"{kind} controller needs pi_pre and pi_post")
-        if kind == "oracle":
-            return
-        if detector is None:
-            raise ValueError(f"{kind} controller needs a detector")
+        if self.pi_pre is None or self.pi_post is None or detector is None:
+            raise ValueError(f"{kind} controller needs pi_pre, pi_post and a detector")
         threshold_a, threshold_b = kind_thresholds(kind, detector.config.kind,
                                                    threshold_a, threshold_b)
         if threshold_b is None:
@@ -155,20 +144,9 @@ class SwitchController:
         detector.config = replace(detector.config, threshold=self.threshold_a)
 
     def step(self, s: int, transition_feedback: tuple[int, int, int] | None,
-             now: int, rng: np.random.Generator | None = None) -> int:
+             now: int) -> int:
         """Consume the just-realized transition, update the phase, and emit
         the action for the current state."""
-        if self.kind == "oracle":
-            if now >= self.oracle_switch_time:
-                self.phase = "post"
-                return int(self.pi_post[s])
-            return int(self.pi_pre[s])
-        if self.kind == "random":
-            if rng is None:
-                raise ValueError("random controller needs an rng")
-            acts = self.feasible[s]
-            return int(acts[int(rng.random() * len(acts))])
-
         if self.threshold_b > self.threshold_a:
             raise StateError("malformed controller: B > A")
         switched = self.phase == "post"

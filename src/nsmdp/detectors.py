@@ -21,6 +21,7 @@ from .errors import StateError
 from .mdp import log_ratio_table
 
 NEG_INF = float("-inf")
+GLR_MIN_SEPARATION = 1e-6   # required sup-distance of a GLR candidate from T0
 
 
 def log_likelihood_ratio(kernel0: np.ndarray, kernel1: np.ndarray,
@@ -122,7 +123,6 @@ class DetectorConfig:
     rho: float = 0.0                            # geometric prior parameter (shiryaev)
     window: int = 200                           # m, suffix window for cusum/glr
     theta_grid: tuple[np.ndarray, ...] = ()     # candidate post-change kernels (glr)
-    min_separation: float = 1e-6                # required sup-distance of candidates from T0
 
     def __post_init__(self):
         if self.kind not in ("shiryaev", "sr", "cusum", "glr"):
@@ -283,22 +283,10 @@ def shiryaev_batch(prior: np.ndarray, log_lrs: np.ndarray) -> float:
     return float(math.exp(m) * np.sum(np.exp(finite - m)))
 
 
-def posterior_from_shiryaev(statistic: float, rho: float) -> float:
-    """Posterior probability that the change has occurred, from the running
-    Shiryaev statistic: p = rho * S / (1 + rho * S)."""
-    if statistic < 0:
-        raise ValueError("statistic must be non-negative")
-    if math.isinf(statistic):
-        return 1.0
-    return rho * statistic / (1.0 + rho * statistic)
-
-
 def posterior_from_log_shiryaev(log_stat: float, rho: float) -> float:
-    """Overflow-safe posterior from log S_n."""
-    if log_stat == NEG_INF:
-        return 0.0
-    z = math.log(rho) + log_stat
-    return float(math.exp(z - np.logaddexp(0.0, z)))
+    """Posterior probability that the change has occurred, rho * S / (1 +
+    rho * S), from log S_n without overflow: 0 at S = 0, 1 at S = inf."""
+    return float(math.exp(-np.logaddexp(0.0, -math.log(rho) - log_stat)))
 
 
 class Detector:
@@ -317,10 +305,10 @@ class Detector:
         if config.kind == "glr":
             for idx, kernel_theta in enumerate(config.theta_grid):
                 dist = float(np.max(np.abs(np.asarray(kernel_theta) - self.kernel0)))
-                if dist < config.min_separation:
+                if dist < GLR_MIN_SEPARATION:
                     raise ValueError(
                         f"glr candidate {idx} is within {dist:.3e} of the "
-                        f"pre-change kernel (min separation {config.min_separation})"
+                        f"pre-change kernel (min separation {GLR_MIN_SEPARATION})"
                     )
             kernels = config.theta_grid
         else:

@@ -1,41 +1,42 @@
 """Vectorized episode simulation.
 
-Episodes are simulated in batches: one numpy-level loop over time steps,
-with every per-run quantity held in arrays across runs. Demands are
-exogenous inverse-CDF draws, so runs with the same seed share demand paths
-across policies and threshold settings (common random numbers). A draw's
-(horizon, runs) regime and demand paths are built once and cached
-(`episode_paths`), so the policies and threshold grids of one instance
-share them. A setup's change may be a tuple of specs, its policy kind a
-tuple of kinds and its thresholds arrays, one threshold cell per entry, in
-any combination: the batch's columns are (spec, run) pairs, each reading
-its spec's paths, and its cells (kind, cell) pairs, the kinds in
-GROUP_ORDER. If the kinds share one action step (one kind, or loc, kl and
-tt, which share one detector update and switch), the cells form one merged
-grid, below. Otherwise, and when traced, each (kind, cell, column) has a
-row, which switches in place; each kind's rows take only its own action
-step, and the rest of the step runs once over all rows. Either way each
-(spec, kind, cell)'s outcomes are those of a batch over it alone.
+Episodes are simulated in batches: one numpy-level loop over time steps, with
+every per-run quantity held in arrays across runs. Demands are exogenous
+inverse-CDF draws, so runs with the same seed share demand paths across
+policies and threshold settings (common random numbers). A draw's (horizon,
+runs) regime and demand paths are built once and cached (`episode_paths`), so
+the policies and threshold grids of one instance share them. A setup's change
+may be a tuple of specs, its policy kind a tuple of kinds and its thresholds
+arrays, one threshold cell per entry, in any combination: the batch's columns
+are (spec, run) pairs, each reading its spec's paths, and its cells (kind,
+cell) pairs, the kinds in GROUP_ORDER. If the kinds share one action step (one
+kind, or loc, kl and tt, which share one detector update and switch) and there
+is more than one cell, the cells form one merged grid, below. Otherwise, and
+when traced, each (kind, cell, column) has a row, which switches in place;
+each kind's rows take only its own action step, and the rest of the step runs
+once over all rows. Either way each (spec, kind, cell)'s outcomes are those of
+a batch over it alone.
 
-A merged grid's cells fall into blocks, one per distinct B (`cell_paths`),
-and share a row for as long as their pre-switch paths agree. A row is a
-run, a contiguous range of blocks and the index of the first distinct A it
-has not passed. Every run starts with all its blocks in one row; a row
-splits only when its statistic lies between two of its blocks' B, the pre
-and probe actions differ at its state, and both sides still hold cells it
-has not passed, so a run never holds more rows than blocks. A row's next A
-is one gather from a dense (LO, HI, A index) table sized for <= 17 blocks.
-The cells whose A a row's statistic passes on one step leave it for one
-post-switch accumulator, which keeps the row's run, state and discounted
-cost and follows pi_post. Accumulators on one (column, state) share their
-group's lookup of the cost and successor in one (regime, demand, state)
-table of pi_post, and stay together from then on; each adds the group's
-cost to its own discounted cost. A row whose last cells pass is gone
-from the step loop. An accumulator records only its row's
-block range and passed A indices; after the step loop, the cells of every
-accumulator and remaining row are listed once, EVENT_BLOCK at a time. Rows and
-accumulators do the float operations, and so give the bits, of each of
-their cells simulated alone.
+A merged grid's cells fall into blocks, one per distinct B (`cell_paths`), and
+share a row for as long as their pre-switch paths agree. A row is a run, a
+contiguous range of blocks and the index of the first distinct A it has not
+passed. Every run starts with all its blocks in one row; a row splits only
+when its statistic lies between two of its blocks' B, the pre and probe
+actions differ at its state, and both sides still hold cells it has not
+passed, so a run never holds more rows than blocks. A row's next A is one
+gather from a dense (LO, HI, A index) table sized for <= 17 blocks. The cells
+whose A a row's statistic passes on one step leave it for one post-switch
+accumulator, which keeps the row's run, state and discounted cost and follows
+pi_post. Accumulators on one (column, state) share their group's lookup of the
+cost and successor in one (regime, demand, state) table of pi_post, and stay
+together from then on; each adds the group's cost to its own discounted cost.
+Groups that reach one (column, state) merge once the group count passes twice
+the last distinct count plus GROUP_SLACK. A row whose last cells pass is gone
+from the step loop. An accumulator records only its row's block range and
+passed A indices; after the step loop, the cells of every accumulator and
+remaining row are listed once, EVENT_BLOCK at a time. Rows and accumulators do
+the float operations, and so give the bits, of each of their cells simulated
+alone.
 
 A merged row never switches, so `switch_action` reads no switched mask for
 it: its action is the flat (pre, probe, post) policy stack at (statistic >

@@ -233,24 +233,13 @@ def stationary_distribution(kernel: np.ndarray, policy: np.ndarray) -> np.ndarra
     return np.maximum(mu, 0.0) / np.maximum(mu, 0.0).sum()
 
 
-def kl_step(p: np.ndarray, q: np.ndarray) -> float:
-    """KL divergence sum(p * log(p/q)) in nats with 0*log0 = 0.
-
-    Probabilities inside the log are floored at EPS_PROB so that support
-    mismatches give large but finite values; the result is clamped at zero.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {q.shape}")
-    if np.any(p < 0) or np.any(q < 0):
-        raise ValueError("probabilities must be non-negative")
-    ratio = log_ratio_table(p, q)
-    return max(float(np.sum(np.where(p > 0, p * ratio, 0.0))), 0.0)
-
-
 def kl_per_action(kernel1: np.ndarray, kernel0: np.ndarray) -> np.ndarray:
-    """(S, A) table of KL(T1(s,a,.) || T0(s,a,.)); vectorized kl_step."""
+    """(S, A) table of KL(T1(s,a,.) || T0(s,a,.)) in nats, with 0*log0 = 0.
+
+    Probabilities inside the log are floored at EPS_PROB (`log_ratio_table`),
+    so support mismatches give large but finite values; each entry is
+    clamped at zero.
+    """
     k1 = np.asarray(kernel1, dtype=float)
     ratio = log_ratio_table(k1, kernel0)
     return np.maximum(np.sum(np.where(k1 > 0, k1 * ratio, 0.0), axis=2), 0.0)

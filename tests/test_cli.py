@@ -24,7 +24,7 @@ NON_DEFAULT = {
     "detector.kind": ("cusum", "cusum"), "detector.rho": ("0.2", 0.2),
     "detector.window": ("50", 50),
     "run.beta": ("0.9", 0.9), "run.horizon": ("30", 30), "run.n_runs": ("40", 40),
-    "run.seed": ("9", 9), "run.initial_state": ("3", 3), "run.workers": ("3", 3),
+    "run.seed": ("9", 9), "run.initial_state": ("3", 3),
     "run.out_dir": ("elsewhere", Path("elsewhere")),
     "policies.kinds": ("tt, momdp", ("tt", "momdp")),
     "policies.momdp_grid": ("11", 11), "policies.momdp_tol": ("1e-4", 1e-4),
@@ -290,6 +290,11 @@ class TestEvaluate:
         for name, order in (("runs.csv", sorted(kinds)), ("summary.csv", kinds)):
             rows = [row for kind in order for row in alone[kind][name][1:]]
             assert joint[name] == b"".join([alone["oracle"][name][0], *rows])
+        # the instance tells loc, kl and tt apart (cusum's grid picks tt = loc)
+        costs = {row.split(",")[0]: row.split(",")[2]
+                 for row in joint["summary.csv"].decode().splitlines()[1:]}
+        assert len({costs[kind] for kind in ("loc", "kl", "tt")}) == (
+            2 if "cusum" in flags else 3)
 
     def test_worker_count_does_not_change_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "exp.ini", n_runs=600, horizon=40,
@@ -426,14 +431,18 @@ class TestSweepAndCalibrate:
         assert main(["calibrate", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert "sweep.alphas must be finite and >= 0, got (3.0, -0.5)" in capsys.readouterr().err
 
-    def test_calibrate_single_alpha(self, config):
-        cfg, out = config
+    def test_calibrate_single_alpha(self, tmp_path):
+        # an instance whose probe policy differs from pi_pre
+        cfg = write_config(tmp_path / "exp.ini", capacity=8, penalty=100.0)
+        out = tmp_path / "out"
         main(["solve", "--config", str(cfg), "--out-dir", str(out)])
         code = main(["calibrate", "--config", str(cfg), "--out-dir", str(out),
                      "--alpha", "1e9", "--policies", "loc,tt", "--n-runs", "8"])
         assert code == 0
         lines = (out / "frontier.csv").read_text().strip().splitlines()
         assert len(lines) == 3
+        # loc's cell (2, 2) and tt's (2, 0) differ in cost
+        assert lines[1].split(",")[4] != lines[2].split(",")[4]
 
 
 class TestInfo:
@@ -554,6 +563,23 @@ class TestConfigValidation:
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.ini"]) == 1
 
+    @pytest.mark.parametrize("text", [b"[run]\nseed = 1\nseed = 2\n",
+                                      b"[run]\nseed = 1\n[run]\nhorizon = 3\n",
+                                      b"seed = 1\n[run]\n", b"[run]\nseed\n",
+                                      b"[run]\nseed = \xff\n", None],
+                             ids=["duplicate-key", "duplicate-section", "no-section",
+                                  "no-equals", "not-utf8", "directory"])
+    def test_unreadable_config_file(self, tmp_path, capsys, text):
+        # configparser's own errors, and a path it would skip silently
+        cfg = tmp_path / "bad.ini"
+        cfg.mkdir() if text is None else cfg.write_bytes(text)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {cfg}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_help_documents_config_keys(self, capsys):
         with pytest.raises(SystemExit):
             main(["evaluate", "--help"])
@@ -569,7 +595,8 @@ class TestConfigValidation:
                                              "thresholds.momdp_grid"),
                                             ("[runs]\nseed = 3\n", "runs.seed"),
                                             ("[DEFAULT]\nhorizon = 7\n[run]\n",
-                                             "DEFAULT.horizon")])
+                                             "DEFAULT.horizon"),
+                                            ("[run]\nworkers = 2\n", "run.workers")])
     def test_unknown_key_or_section(self, tmp_path, capsys, text, name):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(text)

@@ -10,9 +10,7 @@ from nsmdp.detectors import Detector, DetectorConfig
 from nsmdp.errors import StateError
 from nsmdp.harness import make_setup, monte_carlo
 from nsmdp.inventory import ChangeSpec
-from nsmdp.mdp import kl_step
-
-from util import random_kernel
+from util import kl_oracle, random_kernel
 
 
 def make_detector(env, kind="shiryaev", rho=0.05, threshold=math.inf, window=200):
@@ -47,7 +45,7 @@ class TestKlPolicy:
             k1 = random_kernel(4, 3, rng)
             policy = kl_policy(k0, k1)
             for s in range(4):
-                scores = [kl_step(k1[s, a], k0[s, a]) for a in range(3)]
+                scores = [kl_oracle(k1[s, a], k0[s, a]) for a in range(3)]
                 assert scores[policy[s]] == max(scores)
                 assert all(scores[policy[s]] >= scores[a] for a in range(3))
 
@@ -127,7 +125,13 @@ class TestPhaseMachine:
         SwitchController("tt", **tables, detector=make_detector(small_env, threshold=5.0),
                          threshold_a=5.0, threshold_b=1.0, feasible=feasible)
         with pytest.raises(ValueError, match="pi_pre"):
-            SwitchController("oracle", pi_pre=np.full(n, -1), pi_post=ps.pi_post)
+            SwitchController("loc", pi_pre=np.full(n, -1), pi_post=ps.pi_post,
+                             detector=make_detector(small_env, threshold=5.0), threshold_a=5.0)
+
+    @pytest.mark.parametrize("kind", ["oracle", "random"])
+    def test_baseline_kinds_are_engine_only(self, small_env, small_policies, kind):
+        with pytest.raises(ValueError, match="unknown controller kind"):
+            make_controller(small_env, small_policies, kind, a=10.0)
 
     def test_feedback_required_after_first_step(self, small_env, small_policies):
         ctrl = make_controller(small_env, small_policies, "tt", a=10.0, b=1.0)
@@ -198,23 +202,3 @@ class TestControllerEpisodes:
                 assert ctrl.detector.state.log_stat == standalone.state.log_stat
             s_prev, a_prev = s, action
             s = max(0, min(env.params.capacity, s + action - int(rng.integers(0, 5))))
-
-    def test_oracle_switches_exactly_at_change(self, small_env, small_policies):
-        ps = small_policies
-        ctrl = SwitchController("oracle", pi_pre=ps.pi_pre, pi_post=ps.pi_post,
-                                oracle_switch_time=4.0)
-        for k in range(8):
-            action = ctrl.step(1, None, k)
-            expected = ps.pi_post[1] if k >= 4 else ps.pi_pre[1]
-            assert action == expected
-
-    def test_random_uniform_over_feasible(self, small_env):
-        ctrl = SwitchController("random", feasible=small_env.mdp_pre.feasible)
-        rng = np.random.default_rng(0)
-        counts = np.zeros(small_env.params.capacity + 1)
-        for _ in range(4000):
-            counts[ctrl.step(2, None, 0, rng)] += 1
-        n_feas = small_env.params.capacity - 2 + 1
-        assert counts[n_feas:].sum() == 0
-        expected = 4000 / n_feas
-        assert np.all(np.abs(counts[:n_feas] - expected) < 4 * math.sqrt(expected))

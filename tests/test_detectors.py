@@ -8,7 +8,7 @@ import pytest
 from nsmdp.detectors import (Detector, DetectorConfig, check_stop, cusum_buffer,
                              cusum_step, geometric_prior, glr_step,
                              log_likelihood_ratio, new_detector_state,
-                             posterior_from_log_shiryaev, posterior_from_shiryaev,
+                             posterior_from_log_shiryaev,
                              shiryaev_batch, shiryaev_step, sr_step,
                              threshold_domain, windowed_cusum)
 from nsmdp.errors import StateError
@@ -329,14 +329,18 @@ class TestCheckStop:
 
 class TestPosterior:
     def test_boundary_values(self):
-        assert posterior_from_shiryaev(0.0, 0.01) == 0.0
-        assert posterior_from_shiryaev(math.inf, 0.01) == 1.0
+        # S = 0 and S = inf, in logs
         assert posterior_from_log_shiryaev(-math.inf, 0.01) == 0.0
+        assert posterior_from_log_shiryaev(math.inf, 0.01) == 1.0
+        assert posterior_from_log_shiryaev(1e6, 0.01) == 1.0
 
     def test_monotone_in_statistic(self):
-        values = [posterior_from_shiryaev(s, 0.02) for s in (0.0, 1.0, 10.0, 1e4)]
+        values = [posterior_from_log_shiryaev(s, 0.02)
+                  for s in (-math.inf, -5.0, 0.0, math.log(10.0), math.log(1e4), 800.0)]
         assert values == sorted(values)
         assert all(0.0 <= v <= 1.0 for v in values)
+        # p = rho * S / (1 + rho * S) at S = 10
+        assert values[3] == pytest.approx(0.2 / 1.2, rel=1e-12)
 
     def test_matches_exhaustive_bayes_oracle(self, rng):
         # run the recursion along random trajectories and compare with the
@@ -397,9 +401,9 @@ class TestDetectorDriver:
         k0 = random_kernel(2, 1, rng)
         near = k0 + 1e-9
         near /= near.sum(axis=2, keepdims=True)
-        cfg = DetectorConfig(kind="glr", threshold=10.0, theta_grid=(near,),
-                             min_separation=1e-3)
-        with pytest.raises(ValueError):
+        # within GLR_MIN_SEPARATION of T0 (about 1e-9 away)
+        cfg = DetectorConfig(kind="glr", threshold=10.0, theta_grid=(near,))
+        with pytest.raises(ValueError, match="min separation"):
             Detector(cfg, k0)
 
     @pytest.mark.parametrize("kind", ["sr", "cusum", "glr"])

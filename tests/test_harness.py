@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nsmdp import engine, harness
-from nsmdp.controllers import SwitchController
+from nsmdp.controllers import PHASES, SwitchController
 from nsmdp.detectors import Detector, DetectorConfig
 from nsmdp.engine import DETECTOR_KINDS, cell_paths, episode_paths, simulate_batch
 from nsmdp.harness import (EvaluationReport, _switch_outcomes,
@@ -24,19 +24,9 @@ from nsmdp.harness import (EvaluationReport, _switch_outcomes,
 from nsmdp.inventory import ChangeSpec, InventoryParams, build_env
 from nsmdp.mdp import info_number, log_ratio_table
 
-from util import finite_horizon_policy_value, protocol_paths, protocol_randomness, runs_csv_oracle
+from util import finite_horizon_policy_value, protocol_paths, runs_csv_oracle
 
 CHANGE = ChangeSpec(kind="geometric", rho=0.05)
-
-
-class _Uniforms:
-    """Hands out a run's pre-drawn action uniforms in order, as `random()`."""
-
-    def __init__(self, block):
-        self._values = iter(block)
-
-    def random(self):
-        return float(next(self._values))
 
 
 def small_setup(env, policies, kind, horizon=200, beta=0.95, a=50.0, b=3.0,
@@ -115,40 +105,39 @@ class TestEpisodeAccounting:
         assert report.mean_delay == delay[~np.isnan(delay)].mean()
 
     def test_object_path_matches_engine(self, small_env, small_policies):
-        """Replay each traced engine run through a SwitchController: the
-        controller, fed the run's (s, a, s') path and action uniforms, must
-        choose the engine's action at every step and switch at its tau."""
+        """Replay 20 traced engine runs per detector and kind through a
+        SwitchController: the controller, fed each run's (s, a, s') path,
+        must choose the engine's action and phase at every step and switch
+        at its tau."""
         env, ps = small_env, small_policies
         horizon = 200
-        for kind, a, b in (("oracle", math.inf, 0.0), ("random", math.inf, 0.0),
-                           ("loc", 50.0, 0.0), ("kl", 50.0, 0.0), ("tt", 50.0, 3.0)):
-            for seed in (0, 1, 2):
-                setup = small_setup(env, ps, kind, horizon=horizon, a=a, b=b)
-                batch = simulate_batch(setup, seed, np.array([0]), trace=True)
-                states = batch.trace["state"][0].astype(int)
-                actions = batch.trace["action"][0].astype(int)
-                if kind == "oracle":
-                    ctrl = SwitchController(
-                        "oracle", pi_pre=ps.pi_pre, pi_post=ps.pi_post,
-                        oracle_switch_time=max(batch.gamma[0] - 1.0, 0.0))
-                elif kind == "random":
-                    ctrl = SwitchController("random", feasible=env.mdp_pre.feasible)
-                else:
-                    det = Detector(DetectorConfig(kind="shiryaev", threshold=a,
-                                                  rho=0.05),
+        for detector, a, b_tt in (("shiryaev", 50.0, 3.0), ("sr", 50.0, 3.0),
+                                  ("cusum", 4.0, 1.0)):
+            rho = 0.05 if detector == "shiryaev" else 0.0
+            for kind, b in (("loc", 0.0), ("kl", 0.0), ("tt", b_tt)):
+                setup = small_setup(env, ps, kind, horizon=horizon, a=a, b=b,
+                                    detector=detector)
+                batch = simulate_batch(setup, 0, np.arange(20), trace=True)
+                phases = batch.trace["phase"]
+                # the runs switch, and probe unless loc
+                assert (batch.tau >= 0).any()
+                assert (phases == 1).any() == (kind != "loc")
+                for run in range(20):
+                    states = batch.trace["state"][run].astype(int)
+                    actions = batch.trace["action"][run].astype(int)
+                    det = Detector(DetectorConfig(kind=detector, threshold=a, rho=rho,
+                                                  window=setup.window),
                                    env.mdp_pre.kernel, env.mdp_post.kernel)
-                    ctrl = SwitchController(kind, pi_pre=ps.pi_pre,
-                                            pi_probe=ps.pi_probe,
+                    ctrl = SwitchController(kind, pi_pre=ps.pi_pre, pi_probe=ps.pi_probe,
                                             pi_post=ps.pi_post, detector=det,
                                             threshold_a=a, threshold_b=b)
-                _, _, action_u = protocol_randomness(CHANGE, horizon, seed, [0])
-                uniforms = _Uniforms(action_u[0])
-                for k in range(horizon):
-                    feedback = ((states[k - 1], actions[k - 1], states[k])
-                                if k >= 1 else None)
-                    assert ctrl.step(states[k], feedback, k, uniforms) == actions[k]
-                tau = int(batch.tau[0]) if batch.tau[0] >= 0 else None
-                assert ctrl.tau_switch == tau
+                    for k in range(horizon):
+                        feedback = ((states[k - 1], actions[k - 1], states[k])
+                                    if k >= 1 else None)
+                        assert ctrl.step(states[k], feedback, k) == actions[k]
+                        assert PHASES[int(phases[run, k])] == ctrl.phase
+                    tau = int(batch.tau[run]) if batch.tau[run] >= 0 else None
+                    assert ctrl.tau_switch == tau
 
     def test_setup_rejects_bad_initial_state_and_window(self, small_env, small_policies):
         for initial_state in (-1, small_env.n_states):
