@@ -305,12 +305,15 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _float_array(raw, shape: tuple, name: str) -> np.ndarray:
-    """`raw` as an array; ValueError naming the field unless it is a float
-    array of `shape`."""
+def _json_array(raw, name: str, float_shape: tuple | None = None) -> np.ndarray:
+    """`raw` as an array; ValueError naming the field if it holds a JSON true
+    or false, which numpy reads as 1 or 0, or is not a float array of
+    `float_shape` when that is given."""
     array = np.array(raw)
-    if array.shape != shape or array.dtype.kind != "f":
-        raise ValueError(f"{name} must be a float array of shape {shape}")
+    if bool in map(type, np.array(raw, dtype=object).flat):
+        raise ValueError(f"{name} must hold numbers, not true or false")
+    if float_shape is not None and (array.shape != float_shape or array.dtype.kind != "f"):
+        raise ValueError(f"{name} must be a float array of shape {float_shape}")
     return array
 
 
@@ -346,19 +349,19 @@ def _load_policies(cfg: ExperimentConfig, env) -> harness.PolicySet:
         n, arrays, momdp = env.n_states, {}, None
         for name in POLICY_ARRAYS:
             if name.startswith("pi_"):
-                arrays[name] = validate_policy(env.mdp_pre.feasible_mask(), np.array(sol[name]),
-                                               (n,), name)
+                arrays[name] = validate_policy(env.mdp_pre.feasible_mask(),
+                                               _json_array(sol[name], name), (n,), name)
             else:
-                arrays[name] = _float_array(sol[name], (n,), name)
+                arrays[name] = _json_array(sol[name], name, (n,))
         if with_momdp:
             m = sol["momdp"]
             shape = (n, m["grid_size"])
             momdp = MomdpSolution(
                 pomdp=build_pomdp(env.mdp_pre, env.mdp_post, m["rho"]),
                 grid=np.linspace(0.0, 1.0, m["grid_size"]),
-                value=_float_array(m["value"], shape, "momdp.value"),
-                policy=validate_policy(env.mdp_pre.feasible_mask(), np.array(m["policy"]),
-                                       shape, "momdp.policy"))
+                value=_json_array(m["value"], "momdp.value", shape),
+                policy=validate_policy(env.mdp_pre.feasible_mask(), _json_array(
+                    m["policy"], "momdp.policy"), shape, "momdp.policy"))
     except KeyError as exc:
         raise ConfigError(f"{path}: field {exc} is missing; rerun `nsmdp solve`") from exc
     except (AttributeError, ValueError) as exc:

@@ -32,19 +32,19 @@ cost and successor in one (regime, demand, state) table of pi_post, and stay
 together from then on; each adds the group's cost to its own discounted cost.
 Groups that reach one (column, state) merge once the group count passes twice
 the last distinct count plus GROUP_SLACK. A row whose last cells pass is gone
-from the step loop. An accumulator records only its row's block range and
-passed A indices; after the step loop, the cells of every accumulator and
-remaining row are listed once, EVENT_BLOCK at a time. Rows and accumulators do
-the float operations, and so give the bits, of each of their cells simulated
-alone.
+from the step loop. An accumulator records only its row's run, block range
+and first passed A index; after the step loop, one running maximum finds
+each cell's accumulator or remaining row (`_CellIndex.holders`). Rows and
+accumulators do the float operations, and so give the bits, of each of their
+cells simulated alone.
 
 A merged row never switches, so `switch_action` reads no switched mask for
 it: its action is the flat (pre, probe, post) policy stack at (statistic >
 the B of its block LO) * n_states + state, one `take`. An event's integer
-fields (run, LO, HI, first and end passed A index, switch step) are one
-(6, events) block of the narrowest signed dtype that holds them, its group
-index an int array, its discounted cost a float array; all grow together,
-checked once per step that passes cells. The accumulators' table index
+fields (run, LO, HI, first passed A index, switch step) are one (5, events)
+block of the narrowest signed dtype that holds them, its group index an int
+array, its discounted cost a float array; all grow together, checked once
+per step that passes cells. The accumulators' table index
 before the state, (post * n_demands + demand) * n_states, is one
 (horizon, columns) path of the narrowest unsigned dtype, built once per call.
 
@@ -390,39 +390,39 @@ class _CellIndex:
     the default tt grid, 1 for loc and kl), it is 9 KB of uint8 there."""
 
     def __init__(self, log_a: np.ndarray, cell_block: np.ndarray, n_blocks: int):
-        self.a, cell_j = np.unique(log_a, return_inverse=True)
+        self.a, self.cell_j = np.unique(log_a, return_inverse=True)
+        self.cell_block, self.n_blocks = cell_block, n_blocks
         m = self.m = len(self.a)
         self.a_next = np.append(self.a, math.inf)     # indexed by next_index
         # least[b, j]: next_index over block b alone; nxt[lo, hi, j] over [lo, hi)
         least = np.full((n_blocks, m + 1), m, dtype=np.min_scalar_type(m))
-        least[cell_block, cell_j] = cell_j
+        least[cell_block, self.cell_j] = self.cell_j
         least = np.minimum.accumulate(least[:, ::-1], axis=1)[:, ::-1]
         self.nxt = np.full((n_blocks + 1, n_blocks + 1, m + 1), m, dtype=least.dtype)
         for lo in range(n_blocks):
             np.minimum.accumulate(least[lo:], axis=0, out=self.nxt[lo, lo + 1:])
-        # the cells in order of (A index, block), and per (j, b) the position of
-        # the first with A index j and a block >= b
-        key = cell_j * (n_blocks + 1) + cell_block
-        self.order = np.argsort(key, kind="stable")
-        self.start = np.searchsorted(key[self.order], np.arange(m)[:, None] * (n_blocks + 1)
-                                     + np.arange(n_blocks + 1))
 
     def next_index(self, lo, hi, j):
         """Per row, the least A index >= j among the cells of blocks
         [lo, hi), or m if there is none."""
         return self.nxt[lo, hi, j]
 
-    def cells(self, lo, hi, j0, j1) -> tuple[np.ndarray, np.ndarray]:
-        """(row, cell) pairs: per row, the cells of blocks [lo, hi) whose A
-        index is in [j0, j1)."""
-        row = np.repeat(np.arange(len(lo)), j1 - j0)
-        j = _ranges(j0, j1 - j0)
-        first = self.start[j, lo[row]]
-        count = self.start[j, hi[row]] - first
-        return np.repeat(row, count), self.order[_ranges(first, count)]
+    def holders(self, run, lo, hi, j, n_cols: int) -> np.ndarray:
+        """Per (cell, column), the last of the entries (run, blocks [lo, hi), A
+        indices from j) that holds it, 0 if none does; no two entries share a
+        (run, block, j). Each paints its number at (j, b, run) for its blocks b,
+        and a running maximum along A (np.maximum per row: accumulate took 25
+        times as long) carries it up: an (m, n_blocks, n_cols) table of the
+        narrowest unsigned dtype, 30 x 16 per column for the default tt grid."""
+        counts = hi - lo
+        paint = np.zeros((self.m, self.n_blocks, n_cols), dtype=np.min_scalar_type(len(run) - 1))
+        paint[np.repeat(j, counts), _ranges(lo, counts), np.repeat(run, counts)] = np.repeat(
+            np.arange(len(run), dtype=paint.dtype), counts)
+        for below, row in zip(paint, paint[1:]):
+            np.maximum(below, row, out=row)
+        return paint[self.cell_j, self.cell_block]
 
 
-EVENT_BLOCK = 1024        # events and final rows whose cells are listed at a time
 GROUP_SLACK = 64          # accumulator groups past twice the distinct count that merge
 
 
@@ -435,9 +435,8 @@ GROUP_SLACK = 64          # accumulator groups past twice the distinct count tha
 RUN, LO, HI, NEXT_J, STATE, SA_PREV, TAU = range(7)
 STAT, DISC, NEXT_A, LO_B, HI_B = range(5)
 # an event's integer fields, one narrow signed block: the row's RUN, LO, HI
-# and NEXT_J when it passed, the end J1 of the A indices it passed, and its
-# switch step EV_TAU
-J1, EV_TAU = NEXT_J + 1, NEXT_J + 2
+# and NEXT_J when it passed, and its switch step EV_TAU
+EV_TAU = NEXT_J + 1
 # a splitting row's edges: its LO, its split point (first its HI), its HI
 # and its NEXT_J, one gather; [LO, split) and [split, HI) are its two sides
 _EDGE_FIELDS = np.array([[LO], [HI], [HI], [NEXT_J]])
@@ -539,8 +538,8 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         # per (cell, run), the event or final row it reports, numbered in that
         # order. An event is the cells one row passes on one step: an
         # accumulator that follows pi_post from the row's run, state and
-        # discounted cost, and the row's blocks [LO, HI) and A indices
-        # [NEXT_J, j1) passed, from which its cells are listed after the loop.
+        # discounted cost, and the row's blocks [LO, HI) and first A index
+        # NEXT_J passed, from which its cells are found after the loop.
         # Each event and final row reports at least one (cell, run), so there
         # are at most n_events_max; the event arrays grow as events come.
         # An event's column and state are those of its group (ev_group),
@@ -548,9 +547,8 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         # stays int, since a narrow `take` index is cast on every step; groups
         # never outnumber events, so the group arrays share the events' capacity
         n_events_max = n_cells * n_cols
-        ref = np.empty((n_cells, n_cols), dtype=np.min_scalar_type(n_events_max))
         ev = np.empty((EV_TAU + 1, n_cols), dtype=np.min_scalar_type(
-            -max(n_cols, n_blocks + 1, cells.m + 1, horizon)))
+            -max(n_cols, n_blocks + 1, cells.m, horizon)))
         ev_group, ev_disc = np.empty(n_cols, dtype=int), np.empty(n_cols)
         group_col, group_state = np.empty(n_cols, dtype=int), np.empty(n_cols, dtype=int)
         n_groups = n_distinct = 0
@@ -609,7 +607,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                     # the others on its (column, state) below
                     grp = slice(n_groups, n_groups + len(h))
                     group_col[grp], group_state[grp] = fields[RUN], fields[STATE]
-                    ev[:J1, new], ev[J1, new], ev[EV_TAU, new] = fields[:J1], j1, k
+                    ev[:EV_TAU, new], ev[EV_TAU, new] = fields[:EV_TAU], k
                     ev_group[new], ev_disc[new] = np.arange(grp.start, grp.stop), rows_f[DISC, h]
                     n_events, n_groups = new.stop, grp.stop
                     nxt = cells.next_index(fields[LO], fields[HI], j1)
@@ -721,29 +719,28 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         np.maximum(np.subtract(s + a, w, out=s), 0, out=s)
 
     # the step loop alone reads the paths: a joined or code path goes before
-    # the listing and the outcomes take their memory
+    # the holders' table and the outcomes take their memory
     post_path = demand_path = code_path = None
     if merged:
         # the rows follow the events, each reporting the cells it still holds
-        # (a merged row never switches); the cells are listed a block at a
-        # time, to bound the temporaries, from fields widened to int
+        # (a merged row never switches). On one (column, block) the events and
+        # then the row, numbered in order of NEXT_J from 0, each hold the A
+        # indices up to the next one's NEXT_J: a cell's is the last at or below it
         last = slice(n_events, n_events + n_rows)
         ev, ev_disc = (_room(x, last.stop, n_events_max) for x in (ev, ev_disc))
-        ev[:J1, last], ev[J1, last], ev[EV_TAU, last] = ints[:J1, :n_rows], cells.m, -1
+        ev[:EV_TAU, last], ev[EV_TAU, last] = ints[:EV_TAU, :n_rows], -1
         ev_disc[last] = floats[DISC, :n_rows]
-        for first in range(0, last.stop, EVENT_BLOCK):
-            block = ev[:, first:min(first + EVENT_BLOCK, last.stop)].astype(int)
-            row, cell = cells.cells(*block[LO:J1 + 1])
-            ref[cell, block[RUN].take(row)] = first + row
-        taus, discs = ev[EV_TAU], ev_disc
+        ref = cells.holders(*ev[:EV_TAU, :last.stop].astype(int), n_cols)
+        taus, discs = ev[EV_TAU, :last.stop].astype(int), ev_disc
     else:
         ref = np.arange(n_rows).reshape(n_cells, n_cols)
         taus, discs = ints[TAU], floats[DISC]
     # per (cell, column), its row or event: the kinds back in the tuple's
     # order, then in (spec, kind, cell, run) order
-    ref = ref.reshape(len(kinds), -1, n_cols)[[kinds.index(kind) for kind in setup.kinds]]
+    if kinds != list(setup.kinds):
+        ref = ref.reshape(len(kinds), -1, n_cols)[[kinds.index(kind) for kind in setup.kinds]]
     by_spec = ref.reshape(n_cells, n_specs, n_runs).transpose(1, 0, 2)
-    tau, disc = taus.take(by_spec).astype(int, copy=False), discs.take(by_spec)
+    tau, disc = taus.take(by_spec), discs.take(by_spec)
     traces = {name: t[by_spec.reshape(-1)] for name, t in traces.items()}
     return BatchResult(run_ids=np.tile(run_ids, n_specs * n_cells), gamma=gamma.copy(),
                        tau=tau.reshape(-1), discounted_cost=disc.reshape(-1),

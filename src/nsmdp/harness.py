@@ -92,14 +92,10 @@ def _switch_outcomes(gamma: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np
     """Per run, whether it switched before the change, and its detection
     delay (tau - gamma)^+, NaN where it never switched or the change never came."""
     switched = tau >= 0
-    delay = np.where(switched & np.isfinite(gamma), np.maximum(0.0, tau - gamma), np.nan)
+    delay = np.subtract(tau, gamma)
+    np.maximum(0.0, delay, out=delay)
+    np.putmask(delay, ~(switched & np.isfinite(gamma)), np.nan)
     return switched & (tau < gamma), delay
-
-
-def _mean_delay(delay: np.ndarray) -> float | None:
-    """The mean of a cell's finite delays, None if it has none."""
-    delay = delay[~np.isnan(delay)]
-    return float(delay.mean()) if len(delay) else None
 
 
 def monte_carlo(setup: EpisodeSetup, n_runs: int, master_seed: int) -> EvaluationReport | list:
@@ -129,14 +125,18 @@ def monte_carlo(setup: EpisodeSetup, n_runs: int, master_seed: int) -> Evaluatio
     cells = [(kind, float(a), float(b)) for kind in setup.kinds for a, b in zip(
         *(np.broadcast_to(t, n_cells) for t in setup.effective_thresholds(kind)))]
     # every (spec, kind, cell) in one reduction per aggregate, which sums each
-    # row as the one-row call would; a cell's mean delay drops its NaNs first
+    # row as the one-row call would; a cell's mean delay sums its finite
+    # delays, compacted in order, as `mean` would
     mean_cost = cost.mean(axis=-1).tolist()
     stderr = (np.std(cost, axis=-1, ddof=1) / math.sqrt(n_runs) if n_runs > 1
               else np.zeros((n_specs, len(cells)))).tolist()
     premature_rate = premature.mean(axis=-1).tolist()
+    finite = ~np.isnan(delay)
+    delays = np.split(delay[finite], np.cumsum(finite.sum(axis=-1)).tolist()[:-1])
+    mean_delay = [float(np.add.reduce(d) / len(d)) if len(d) else None for d in delays]
     entries = [[EvaluationReport(
         policy=kind, n_runs=n_runs, mean_cost=mean_cost[s][c], stderr=stderr[s][c],
-        mean_delay=_mean_delay(delay[s, c]), premature_rate=premature_rate[s][c],
+        mean_delay=mean_delay[s * len(cells) + c], premature_rate=premature_rate[s][c],
         threshold_a=a, threshold_b=b, seed=master_seed, gamma=gamma[s, 0], tau=tau[s, c],
         discounted_cost=cost[s, c]) for c, (kind, a, b) in enumerate(cells)]
         for s in range(n_specs)]

@@ -362,6 +362,35 @@ class TestEvaluate:
         assert "solution.json" in captured.err and "momdp.value" in captured.err
         assert not (out / "runs.csv").exists()
 
+    def test_json_booleans_rejected(self, tmp_path, capsys):
+        # numpy reads true and false as 1 and 0 (1.0 and 0.0 among floats):
+        # pi_pre = [4, true, 2, 1, 0] would pass as a feasible policy on this
+        # capacity-4 instance, though `solve` never wrote it
+        cfg = write_config(tmp_path / "exp.ini", kinds="oracle,tt,momdp", n_runs=6)
+        cfg.write_text(cfg.read_text().replace("[policies]\n", "[policies]\nmomdp_grid = 21\n"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        path = out / "solution.json"
+        solved = path.read_text()
+        for field, flag in [("pi_pre", True), ("pi_probe", True), ("pi_post", True),
+                            ("v_pre", False), ("v_post", True), ("momdp.policy", True),
+                            ("momdp.value", False)]:
+            sol = json.loads(solved)
+            table = sol["momdp"][field[6:]] if field.startswith("momdp.") else sol[field]
+            if field.startswith("momdp."):
+                table[1][0] = flag
+            else:
+                table[1] = flag
+            path.write_text(json.dumps(sol))
+            capsys.readouterr()
+            code = main(["evaluate", "--config", str(cfg), "--out-dir", str(out)])
+            captured = capsys.readouterr()
+            assert code == 1, field
+            assert captured.out == ""
+            assert f"{field} must hold numbers, not true or false" in captured.err
+            assert "solution.json" in captured.err and "nsmdp solve" in captured.err
+            assert not (out / "runs.csv").exists()
+
     def test_float_momdp_grid_size_rejected(self, tmp_path, capsys):
         # 21.0 equals the config's momdp_grid, so only the type check rejects it
         cfg = write_config(tmp_path / "exp.ini", kinds="oracle,momdp", n_runs=6)

@@ -1,24 +1,23 @@
-"""Property tests: `simulate_batch`, which merges a grid's cells into one
-row per distinct trajectory, against `util.engine_oracle`, the
-one-row-per-cell loop it replaced, bit for bit on random small inventory
-instances, policies, threshold grids, detectors, change points, horizons
-and run counts; on grids built for the edge cases of cells leaving a row
-(several cells passed on one step, equal A on one block, a statistic equal
-to A, no passes) and of rows splitting (A repeated across blocks, the floor
-B, B = A, B beyond the CUSUM reach, a statistic equal to a block's B, a side
-holding only passed cells); a CUSUM grid whose rows split past the
-buffer's first width and retire before a block boundary; a grid on the
-capacity-20 instance, whose
-post-switch table indices exceed uint8; the growth of the CUSUM buffer and
-the event arrays, which stays within what the call can need; a batch over
-several change specs against each spec's own batch, and one over a tuple
-of policy kinds, with threshold cells and change specs, against each
-(spec, kind, cell)'s own batch; the dense next-A table against brute
-force, and its size on the protocol's default tt grid; the listing of cells
-in blocks of any size; the cache of per-draw paths that `simulate_batch`
-reads; and the bulk draw of those paths against
-`util.protocol_randomness`, numpy's own per-run seeding, over one- and
-multi-word seeds and run ids."""
+"""Property tests: `simulate_batch`, which merges a grid's cells into one row
+per distinct trajectory, against `util.engine_oracle`, the one-row-per-cell
+loop it replaced, bit for bit on random small inventory instances,
+policies, threshold grids, detectors, change points, horizons and run
+counts; on grids built for the edge cases of cells leaving a row (several
+cells passed on one step, equal A on one block, a statistic equal to A, no
+passes) and of rows splitting (A repeated across blocks, the floor B, B =
+A, B beyond the CUSUM reach, a statistic equal to a block's B, a side
+holding only passed cells); a CUSUM grid whose rows split past the buffer's
+first width and retire before a block boundary; a grid on the capacity-20
+instance, whose post-switch table indices exceed uint8; the growth of the
+CUSUM buffer and the event arrays, which stays within what the call can
+need; a batch over several change specs against each spec's own batch, and
+one over a tuple of policy kinds, with threshold cells and change specs,
+against each (spec, kind, cell)'s own batch; the dense next-A table against
+brute force, and its size on the protocol's default tt grid; the table that
+finds each cell's holder against brute force, past uint8 and on a cell no
+row passes; the cache of per-draw paths that `simulate_batch` reads; and
+the bulk draw of those paths against `util.protocol_randomness`, numpy's
+own per-run seeding, over one- and multi-word seeds and run ids."""
 
 import itertools
 import math
@@ -236,8 +235,8 @@ def test_grid_without_join_events_equals_oracle(small_env, small_policies):
 
 @pytest.mark.parametrize("n_blocks", [1, 2, 5, 17, 19, 40])
 def test_cell_index_equals_brute_force(n_blocks):
-    # every block range and A-index range of a random grid with repeated A,
-    # empty blocks and blocks of many cells
+    # every block range and A index of a random grid with repeated A, empty
+    # blocks and blocks of many cells
     rng = np.random.default_rng(n_blocks)
     log_a = rng.choice([-math.inf, -1.0, 0.0, 0.5, 2.0, 7.5, math.inf], 3 * n_blocks)
     cell_block = rng.integers(0, n_blocks, len(log_a))
@@ -250,10 +249,39 @@ def test_cell_index_equals_brute_force(n_blocks):
                   for lo, hi in zip(los, his)]
         np.testing.assert_array_equal(index.next_index(los, his, j),
                                       [cell_j[c].min(initial=index.m) for c in inside])
-        for j1 in range(j0, index.m + 1):
-            row, cell = index.cells(los, his, j, np.full(len(los), j1))
-            assert sorted(zip(row.tolist(), cell.tolist())) == sorted(
-                (r, c) for r, cells in enumerate(inside) for c in cells if cell_j[c] < j1)
+    # entries (run, blocks [lo, hi), j) at distinct (run, block, j) on three
+    # columns: a cell's holder is the last entry on its column whose blocks
+    # hold its block and whose j is at or below its A index
+    n_cols, taken, entries = 3, set(), []
+    for _ in range(8 * n_blocks):
+        run, lo, j = rng.integers(n_cols), rng.integers(n_blocks), rng.integers(index.m)
+        hi = rng.integers(lo + 1, n_blocks + 1)
+        spots = {(run, b, j) for b in range(lo, hi)}
+        if not spots & taken:
+            taken |= spots
+            entries.append((run, lo, hi, j))
+    held = index.holders(*np.array(entries).T, n_cols)
+    assert held.dtype == np.min_scalar_type(len(entries) - 1)
+    np.testing.assert_array_equal(held, [[max(
+        (i for i, (r, lo, hi, j) in enumerate(entries)
+         if r == col and lo <= cell_block[c] < hi and j <= cell_j[c]), default=0)
+        for col in range(n_cols)] for c in range(len(log_a))])
+
+
+def test_holders_past_uint8_equal_oracle(small_env, small_policies):
+    # more than 256 events and final rows, so the holders' table steps from
+    # uint8 to uint16
+    a, b = np.array(threshold_cells("tt", [0.3, 1.0, 2.0, 8.0, 50.0], [0.0, 1.0, 8.0])).T
+    setup = grid(small_env, small_policies, "tt", a, b)
+    held, holders = [], engine._CellIndex.holders
+
+    def keep(self, *args):
+        held.append(holders(self, *args))
+        return held[-1]
+
+    with mock.patch.object(engine._CellIndex, "holders", keep):
+        assert_equal_oracle(setup, 3, np.arange(60))
+    assert [table.dtype for table in held] == [np.uint16]
 
 
 def test_a_side_holding_only_passed_cells_leaves_no_row(small_env, small_policies):
@@ -486,17 +514,16 @@ def test_group_merging_is_invisible(setup, seed):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(setup=split_grids(), seed=st.integers(0, 2**32 - 1))
 def test_cells_listed_in_blocks_equal_one_listing(setup, seed):
-    # and an A = inf cell, which no row ever passes
+    # every cell finds its holder, an A = inf cell too, which no row ever
+    # passes, so that its final row reports it
     setup = replace(setup, threshold_a=np.append(setup.threshold_a, math.inf),
                     threshold_b=np.append(setup.threshold_b, setup.threshold_b[0]))
     ids = np.arange(12)
     whole = simulate_batch(setup, seed, ids)
     assert (whole.tau.reshape(-1, len(ids))[-1] == -1).all()
-    for block in (1, 3):
-        with mock.patch.object(engine, "EVENT_BLOCK", block):
-            parts = simulate_batch(setup, seed, ids)
-        np.testing.assert_array_equal(parts.tau, whole.tau)
-        np.testing.assert_array_equal(parts.discounted_cost, whole.discounted_cost)
+    old = engine_oracle(setup, seed, ids)
+    for name in ("tau", "discounted_cost"):
+        assert_bits_equal(getattr(whole, name), getattr(old, name), name)
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)
@@ -616,3 +643,9 @@ def test_default_tt_grid_table_is_small(paper_env, paper_policies, detector):
     index = engine._CellIndex(log_a, cell_block, len(block_b))
     assert len(block_b) <= 17
     assert index.nxt.dtype == np.uint8 and index.nxt.nbytes < 10_000
+    # the holders' table at 1000 runs: (distinct A, blocks, columns), fewer
+    # entries than twice the (cell, column) outputs, and under 2 MB even at
+    # the widest dtype that one entry per output could need
+    n_entries = index.m * len(block_b) * 1000
+    assert n_entries <= 2 * len(log_a) * 1000
+    assert n_entries * np.min_scalar_type(len(log_a) * 1000).itemsize < 2_000_000
