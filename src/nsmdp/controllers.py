@@ -16,7 +16,6 @@ from dataclasses import replace
 import numpy as np
 
 from .detectors import Detector, threshold_domain
-from .errors import StateError
 from .mdp import action_mask, kl_per_action, validate_policy
 
 PHASES = ("pre", "probe", "post")
@@ -25,7 +24,7 @@ PHASES = ("pre", "probe", "post")
 def kind_thresholds(kind: str, detector_kind: str, threshold_a: float,
                     threshold_b: float | None) -> tuple[float, float | None]:
     """(A, B) after the kind's degeneracies: loc forces B = A, kl puts B at
-    the statistic floor (0 for shiryaev/sr, -inf for cusum/glr), tt keeps
+    the statistic floor (0 for shiryaev/sr, -inf for cusum), tt keeps
     both as given, and the kinds that read no thresholds (oracle, random,
     momdp) have A = inf and B = 0, so that kinds sharing thresholds each
     report their own."""
@@ -147,8 +146,6 @@ class SwitchController:
              now: int) -> int:
         """Consume the just-realized transition, update the phase, and emit
         the action for the current state."""
-        if self.threshold_b > self.threshold_a:
-            raise StateError("malformed controller: B > A")
         switched = self.phase == "post"
         if not switched:
             if transition_feedback is not None:

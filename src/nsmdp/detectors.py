@@ -2,9 +2,11 @@
 
 Four statistics are provided: Shiryaev (geometric-prior Bayesian), its
 rho = 0 limit Shiryaev-Roberts (SR), a windowed CUSUM, and a windowed GLR
-over a grid of candidate post-change kernels. Shiryaev/SR statistics are
-kept in log domain so long runs never overflow; CUSUM/GLR statistics are
-already sums of log-likelihood ratios.
+over a grid of candidate post-change kernels. `Detector` runs shiryaev, sr
+and cusum, as the engine and the CLI do; GLR is the functional `glr_step`
+with `check_stop`. Shiryaev/SR statistics are kept in log domain so long
+runs never overflow; CUSUM/GLR statistics are already sums of
+log-likelihood ratios.
 
 Thresholds for Shiryaev/SR live in the linear statistic domain and are
 compared in logs; CUSUM/GLR thresholds are log-domain reals.
@@ -21,7 +23,6 @@ from .errors import StateError
 from .mdp import log_ratio_table
 
 NEG_INF = float("-inf")
-GLR_MIN_SEPARATION = 1e-6   # required sup-distance of a GLR candidate from T0
 
 
 def log_likelihood_ratio(kernel0: np.ndarray, kernel1: np.ndarray,
@@ -118,23 +119,20 @@ def threshold_domain(kind: str, threshold: float) -> float:
 class DetectorConfig:
     """Configuration for one sequential detector."""
 
-    kind: str                                   # shiryaev | sr | cusum | glr
-    threshold: float                            # A (see module docstring for domains)
-    rho: float = 0.0                            # geometric prior parameter (shiryaev)
-    window: int = 200                           # m, suffix window for cusum/glr
-    theta_grid: tuple[np.ndarray, ...] = ()     # candidate post-change kernels (glr)
+    kind: str                   # shiryaev | sr | cusum
+    threshold: float            # A (see module docstring for domains)
+    rho: float = 0.0            # geometric prior parameter (shiryaev)
+    window: int = 200           # m, suffix window for cusum
 
     def __post_init__(self):
-        if self.kind not in ("shiryaev", "sr", "cusum", "glr"):
+        if self.kind not in ("shiryaev", "sr", "cusum"):
             raise ValueError(f"unknown detector kind {self.kind!r}")
         if self.kind == "shiryaev" and not 0.0 < self.rho < 1.0:
             raise ValueError("shiryaev requires rho in (0, 1); use kind='sr' for rho = 0")
         if self.kind == "sr" and self.rho != 0.0:
             raise ValueError("sr is the rho = 0 Shiryaev statistic")
-        if self.kind in ("cusum", "glr") and self.window < 1:
+        if self.kind == "cusum" and self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.kind == "glr" and len(self.theta_grid) == 0:
-            raise ValueError("glr requires a nonempty theta_grid")
         threshold_domain(self.kind, self.threshold)
 
 
@@ -290,33 +288,20 @@ def posterior_from_log_shiryaev(log_stat: float, rho: float) -> float:
 
 
 class Detector:
-    """Driver feeding (s, a, s') transitions into one configured statistic.
+    """Driver feeding (s, a, s') transitions into one configured statistic
+    (shiryaev, sr or cusum; GLR is `glr_step`).
 
-    Holds the pre-change kernel, a log-ratio table per post-change kernel,
-    the running DetectorState, and the stopping threshold; `update` raises
-    ValueError for a transition outside the table and StateError once
-    stopped (callers stop feeding a stopped detector).
+    Holds the pre-change kernel, the log-ratio table of the post-change
+    kernel, the running DetectorState, and the stopping threshold; `update`
+    raises ValueError for a transition outside the table and StateError
+    once stopped (callers stop feeding a stopped detector).
     """
 
-    def __init__(self, config: DetectorConfig, kernel0: np.ndarray,
-                 kernel1: np.ndarray | None = None):
+    def __init__(self, config: DetectorConfig, kernel0: np.ndarray, kernel1: np.ndarray):
         self.config = config
         self.kernel0 = np.asarray(kernel0, dtype=float)
-        if config.kind == "glr":
-            for idx, kernel_theta in enumerate(config.theta_grid):
-                dist = float(np.max(np.abs(np.asarray(kernel_theta) - self.kernel0)))
-                if dist < GLR_MIN_SEPARATION:
-                    raise ValueError(
-                        f"glr candidate {idx} is within {dist:.3e} of the "
-                        f"pre-change kernel (min separation {GLR_MIN_SEPARATION})"
-                    )
-            kernels = config.theta_grid
-        else:
-            if kernel1 is None:
-                raise ValueError(f"{config.kind} requires the post-change kernel")
-            kernels = (kernel1,)
-        # (candidates, S, A, S) per-transition log-likelihood ratios
-        self._log_lr = np.stack([log_ratio_table(kernel, self.kernel0) for kernel in kernels])
+        # (1, S, A, S) per-transition log-likelihood ratios
+        self._log_lr = log_ratio_table(kernel1, self.kernel0)[None]
         self._log1m_rho = float(np.log1p(-config.rho))
         self.state = new_detector_state(config.kind)
 
@@ -330,11 +315,3 @@ class Detector:
                               self._log1m_rho, cfg.window)
         self.state = check_stop(self.state, cfg.threshold)
         return self.state
-
-    @property
-    def stopped(self) -> bool:
-        return self.state.stopped
-
-    @property
-    def stopped_at(self) -> int | None:
-        return self.state.stopped_at

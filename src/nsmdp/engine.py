@@ -384,28 +384,25 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 class _CellIndex:
     """A grid's cells by distinct A (index j, ascending) and block (index b),
-    for the merged rows of `simulate_batch`. `next_index` reads one dense
-    (n_blocks + 1, n_blocks + 1, m + 1) table, quadratic in the B grid
-    (`thresholds.b_grid`): sized for the package's at most 17 blocks (16 for
-    the default tt grid, 1 for loc and kl), it is 9 KB of uint8 there."""
+    for the merged rows of `simulate_batch`. The next-A lookup is one dense
+    (n_blocks + 1, n_blocks + 1, m + 1) table, `nxt[lo, hi, j]`: per row, the
+    least A index >= j among the cells of blocks [lo, hi), or m if there is
+    none. It is quadratic in the B grid (`thresholds.b_grid`): sized for the
+    package's at most 17 blocks (16 for the default tt grid, 1 for loc and
+    kl), it is 9 KB of uint8 there."""
 
     def __init__(self, log_a: np.ndarray, cell_block: np.ndarray, n_blocks: int):
         self.a, self.cell_j = np.unique(log_a, return_inverse=True)
         self.cell_block, self.n_blocks = cell_block, n_blocks
         m = self.m = len(self.a)
-        self.a_next = np.append(self.a, math.inf)     # indexed by next_index
-        # least[b, j]: next_index over block b alone; nxt[lo, hi, j] over [lo, hi)
+        self.a_next = np.append(self.a, math.inf)     # indexed by nxt
+        # least[b, j]: nxt over block b alone; nxt[lo, hi, j] over [lo, hi)
         least = np.full((n_blocks, m + 1), m, dtype=np.min_scalar_type(m))
         least[cell_block, self.cell_j] = self.cell_j
         least = np.minimum.accumulate(least[:, ::-1], axis=1)[:, ::-1]
         self.nxt = np.full((n_blocks + 1, n_blocks + 1, m + 1), m, dtype=least.dtype)
         for lo in range(n_blocks):
             np.minimum.accumulate(least[lo:], axis=0, out=self.nxt[lo, lo + 1:])
-
-    def next_index(self, lo, hi, j):
-        """Per row, the least A index >= j among the cells of blocks
-        [lo, hi), or m if there is none."""
-        return self.nxt[lo, hi, j]
 
     def holders(self, run, lo, hi, j, n_cols: int) -> np.ndarray:
         """Per (cell, column), the last of the entries (run, blocks [lo, hi), A
@@ -509,7 +506,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
         # one row per column, holding every block
         cells = _CellIndex(log_a, cell_block, n_blocks)
         ints[RUN, :n_rows], ints[HI] = np.arange(n_cols), n_blocks
-        floats[NEXT_A] = cells.a_next[cells.next_index(0, n_blocks, 0)]
+        floats[NEXT_A] = cells.a_next[cells.nxt[0, n_blocks, 0]]
         floats[LO_B], floats[HI_B] = block_b[0], block_b[-1]
     else:
         # one row per (kind, cell, column), in that order, with the cell's A and B
@@ -610,7 +607,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                     ev[:EV_TAU, new], ev[EV_TAU, new] = fields[:EV_TAU], k
                     ev_group[new], ev_disc[new] = np.arange(grp.start, grp.stop), rows_f[DISC, h]
                     n_events, n_groups = new.stop, grp.stop
-                    nxt = cells.next_index(fields[LO], fields[HI], j1)
+                    nxt = cells.nxt[fields[LO], fields[HI], j1]
                     rows_i[NEXT_J, h], rows_f[NEXT_A, h] = j1, cells.a_next.take(nxt)
                     gone = h[nxt == cells.m]            # rows whose last cells passed
                     if len(gone):
@@ -634,7 +631,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
                         # edges[:2] and edges[1:3] bound the two sides
                         edges = rows_i[_EDGE_FIELDS, h]
                         c = edges[1] = block_b.searchsorted(stat.take(h))
-                        below, above = cells.next_index(edges[:2], edges[1:3], edges[3])
+                        below, above = cells.nxt[edges[:2], edges[1:3], edges[3]]
                         # a row keeps its probing blocks if they hold cells, else
                         # the others; where both sides do, the others split off
                         keeps = below < cells.m
@@ -738,7 +735,7 @@ def simulate_batch(setup: EpisodeSetup, master_seed: int, run_ids,
     # per (cell, column), its row or event: the kinds back in the tuple's
     # order, then in (spec, kind, cell, run) order
     if kinds != list(setup.kinds):
-        ref = ref.reshape(len(kinds), -1, n_cols)[[kinds.index(kind) for kind in setup.kinds]]
+        ref = ref.reshape(len(kinds), per_kind)[[kinds.index(kind) for kind in setup.kinds]]
     by_spec = ref.reshape(n_cells, n_specs, n_runs).transpose(1, 0, 2)
     tau, disc = taus.take(by_spec), discs.take(by_spec)
     traces = {name: t[by_spec.reshape(-1)] for name, t in traces.items()}

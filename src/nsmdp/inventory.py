@@ -89,20 +89,15 @@ def demand_pmf(kind: str, *, rate: float | None = None,
     raise ValueError(f"unknown demand kind {kind!r}")
 
 
-def build_inventory_mdp(params: InventoryParams, demand_kind: str) -> TabularMdp:
-    """Tabular MDP for one demand regime.
+def build_inventory_mdp(params: InventoryParams, pmf: np.ndarray) -> TabularMdp:
+    """Tabular MDP for one demand regime, given its exact demand pmf on
+    {0..len(pmf) - 1} (see `demand_pmf`).
 
     States {0..N}; at state s the feasible orders are {0..N-s}. With stock
     y = s + a, the next state is j = max(0, y - w) and the cost is
-    c*a + h*E[(y-w)^+] + p*E[(w-y)^+] under the regime's exact pmf.
+    c*a + h*E[(y-w)^+] + p*E[(w-y)^+] under that pmf.
     """
     n = params.capacity
-    if demand_kind == "poisson":
-        pmf = demand_pmf("poisson", rate=params.demand_rate)
-    elif demand_kind == "uniform":
-        pmf = demand_pmf("uniform", u_max=params.uniform_max)
-    else:
-        raise ValueError(f"unknown demand kind {demand_kind!r}")
     w = np.arange(len(pmf))
     y = np.arange(n + 1)
     # per stock level y: expected held units and lost demand
@@ -148,13 +143,11 @@ class InventoryEnv:
 
 
 def build_env(params: InventoryParams) -> InventoryEnv:
-    return InventoryEnv(
-        params=params,
-        mdp_pre=build_inventory_mdp(params, "poisson"),
-        mdp_post=build_inventory_mdp(params, "uniform"),
-        pmf_pre=demand_pmf("poisson", rate=params.demand_rate),
-        pmf_post=demand_pmf("uniform", u_max=params.uniform_max),
-    )
+    pmf_pre = demand_pmf("poisson", rate=params.demand_rate)
+    pmf_post = demand_pmf("uniform", u_max=params.uniform_max)
+    return InventoryEnv(params=params, mdp_pre=build_inventory_mdp(params, pmf_pre),
+                        mdp_post=build_inventory_mdp(params, pmf_post),
+                        pmf_pre=pmf_pre, pmf_post=pmf_post)
 
 
 GUIDE_BUCKETS = 4096     # equal-width buckets of [0, 1) in the inverse CDF's guide table

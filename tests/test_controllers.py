@@ -7,7 +7,6 @@ import pytest
 
 from nsmdp.controllers import SwitchController, kl_policy
 from nsmdp.detectors import Detector, DetectorConfig
-from nsmdp.errors import StateError
 from nsmdp.harness import make_setup, monte_carlo
 from nsmdp.inventory import ChangeSpec
 from util import kl_oracle, random_kernel
@@ -96,10 +95,6 @@ class TestPhaseMachine:
         np.testing.assert_allclose(values, [1.2, 0.4, 7.0], atol=1e-9)
 
     def test_malformed_thresholds_raise(self, small_env, small_policies):
-        ctrl = make_controller(small_env, small_policies, "tt", a=10.0, b=1.0)
-        ctrl.threshold_b = 20.0  # corrupt the state machine
-        with pytest.raises(StateError):
-            ctrl.step(0, None, 0)
         for a, b in ((10.0, 20.0), (math.nan, 1.0), (10.0, math.nan), (10.0, -1.0)):
             with pytest.raises(ValueError):
                 make_controller(small_env, small_policies, "tt", a=a, b=b)

@@ -392,31 +392,28 @@ class TestDetectorDriver:
         # under sr a NaN threshold used to stop at n = 1, under cusum never
         with pytest.raises(ValueError, match="NaN"):
             threshold_domain(kind, math.nan)
-        with pytest.raises(ValueError, match="NaN"):
-            DetectorConfig(kind=kind, threshold=math.nan,
-                           rho=0.1 if kind == "shiryaev" else 0.0,
-                           theta_grid=(random_kernel(2, 1, rng),) if kind == "glr" else ())
-
-    def test_glr_separation_enforced(self, rng):
-        k0 = random_kernel(2, 1, rng)
-        near = k0 + 1e-9
-        near /= near.sum(axis=2, keepdims=True)
-        # within GLR_MIN_SEPARATION of T0 (about 1e-9 away)
-        cfg = DetectorConfig(kind="glr", threshold=10.0, theta_grid=(near,))
-        with pytest.raises(ValueError, match="min separation"):
-            Detector(cfg, k0)
+        if kind == "glr":      # GLR is glr_step, which stops through check_stop
+            state = glr_step(new_detector_state(kind), (0, 0, 1), random_kernel(2, 1, rng),
+                             (random_kernel(2, 1, rng),), 4)
+            with pytest.raises(ValueError, match="NaN"):
+                check_stop(state, math.nan)
+        else:
+            with pytest.raises(ValueError, match="NaN"):
+                DetectorConfig(kind=kind, threshold=math.nan,
+                               rho=0.1 if kind == "shiryaev" else 0.0)
 
     @pytest.mark.parametrize("kind", ["sr", "cusum", "glr"])
     def test_transition_outside_table_rejected(self, rng, kind):
         k0 = random_kernel(3, 2, rng)
         k1 = random_kernel(3, 2, rng)
-        cfg = DetectorConfig(kind=kind, threshold=1e9, window=4,
-                             theta_grid=(k1,) if kind == "glr" else ())
-        det = Detector(cfg, k0, k1)
+        if kind == "glr":      # GLR is glr_step, which checks through log_likelihood_ratio
+            def update(*transition):
+                return glr_step(new_detector_state(kind), transition, k0, (k1,), 4)
+        else:
+            update = Detector(DetectorConfig(kind=kind, threshold=1e9, window=4), k0, k1).update
         for s, a, s2 in [(-1, 0, -2), (0, -1, 0), (0, 0, -1), (3, 0, 0), (0, 2, 0),
                          (0, 0, 3)]:
             with pytest.raises(ValueError):
-                det.update(s, a, s2)
-        assert det.state.n == 0
-        det.update(2, 1, 2)
-        assert det.state.n == 1
+                update(s, a, s2)
+        # a rejected transition leaves the detector's state where it was
+        assert update(2, 1, 2).n == 1

@@ -247,7 +247,7 @@ def test_cell_index_equals_brute_force(n_blocks):
         j = np.full(len(los), j0)
         inside = [np.flatnonzero((cell_block >= lo) & (cell_block < hi) & (cell_j >= j0))
                   for lo, hi in zip(los, his)]
-        np.testing.assert_array_equal(index.next_index(los, his, j),
+        np.testing.assert_array_equal(index.nxt[los, his, j],
                                       [cell_j[c].min(initial=index.m) for c in inside])
     # entries (run, blocks [lo, hi), j) at distinct (run, block, j) on three
     # columns: a cell's holder is the last entry on its column whose blocks
@@ -621,6 +621,21 @@ def test_bulk_seeding_is_checked_against_numpy():
     with mock.patch.object(engine, "_pcg64_states", return_value=[(1, 1), (1, 1)]):
         with pytest.raises(NumericalError, match="SeedSequence"):
             draw_episode_randomness(ChangeSpec("never"), 3, 0, np.arange(2))
+
+
+@pytest.mark.parametrize("kinds, a, b, change", [
+    (("tt", "loc"), 50.0, 3.0, ChangeSpec("fixed", gamma=1)),
+    (("random", "oracle"), 50.0, 3.0, ChangeSpec("fixed", gamma=1)),
+    (("tt", "oracle", "loc"), np.array([50.0, 20.0]), np.array([3.0, 20.0]),
+     (ChangeSpec("fixed", gamma=1), ChangeSpec("never")))])
+def test_zero_runs_with_kinds_out_of_group_order(small_env, small_policies, kinds, a, b,
+                                                  change):
+    # the kinds go back into the tuple's order on zero columns too
+    setup = make_setup(small_env, small_policies, kinds, change, 10, 0.95,
+                       threshold_a=a, threshold_b=b)
+    result = simulate_batch(setup, 0, np.arange(0))
+    for values in (result.run_ids, result.gamma, result.tau, result.discounted_cost):
+        assert values.shape == (0,)
 
 
 def test_empty_draw():

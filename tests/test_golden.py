@@ -15,8 +15,9 @@ tests/golden/digests.json pins, by key prefix:
 - "protocol_grid/": the sha256 that tools/protocol_grid.py prints at seed
   0 for the shiryaev, sr and cusum grids of loc and tt at protocol size,
   and for the cusum tt and kl and the sr tt grids at 256 runs x 400 steps.
-- "solve_timing/": the policies_sha256 and value_sha256 that
-  tools/solve_timing.py prints for the six criterion-5 table instances.
+- "solve_timing/": the models_sha256, policies_sha256 and value_sha256
+  that tools/solve_timing.py prints for the six criterion-5 table
+  instances.
 
 A command's entries are the SHA-256 of every file it writes and of its
 stdout with the output directory replaced by "<out>"; the tools run as
@@ -192,7 +193,7 @@ def grid_digests(workdir: Path) -> dict[str, str]:
 def solve_digests(workdir: Path) -> dict[str, str]:
     return {f"solve_timing/N={line['N']},p={line['p']}/{field}": line[field]
             for line in tool_lines("solve_timing.py", "--repeat", "1")
-            for field in ("policies_sha256", "value_sha256")}
+            for field in ("models_sha256", "policies_sha256", "value_sha256")}
 
 
 # each group's digests from a fresh work directory, keyed "group/..."

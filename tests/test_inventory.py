@@ -46,6 +46,11 @@ class TestDemandPmf:
             demand_pmf("normal", rate=1.0)
 
 
+def regime_pmf(params, kind):
+    """The demand pmf of the named regime of `params`."""
+    return demand_pmf(kind, rate=params.demand_rate, u_max=params.uniform_max)
+
+
 def miniature_params():
     return InventoryParams(capacity=3, order_cost=1.0, holding_cost=5.0,
                            penalty=100.0, demand_rate=2.0)
@@ -53,8 +58,8 @@ def miniature_params():
 
 class TestBuildInventoryMdp:
     def test_kernel_matches_convolution_oracle(self):
-        mdp = build_inventory_mdp(miniature_params(), "poisson")
         pmf = demand_pmf("poisson", rate=2.0)
+        mdp = build_inventory_mdp(miniature_params(), pmf)
         for s in range(4):
             for a in range(4 - s):
                 y = s + a
@@ -70,9 +75,8 @@ class TestBuildInventoryMdp:
     def test_cost_matches_brute_force_expectation(self):
         params = miniature_params()
         for kind in ("poisson", "uniform"):
-            mdp = build_inventory_mdp(params, kind)
-            pmf = (demand_pmf("poisson", rate=2.0) if kind == "poisson"
-                   else demand_pmf("uniform", u_max=params.uniform_max))
+            pmf = regime_pmf(params, kind)
+            mdp = build_inventory_mdp(params, pmf)
             for s in range(4):
                 for a in range(4 - s):
                     y = s + a
@@ -82,14 +86,14 @@ class TestBuildInventoryMdp:
                     assert mdp.cost[s, a] == pytest.approx(expected, abs=1e-10)
 
     def test_empty_stock_cost_is_penalty_times_mean_demand(self):
-        mdp = build_inventory_mdp(miniature_params(), "poisson")
+        mdp = build_inventory_mdp(miniature_params(), demand_pmf("poisson", rate=2.0))
         assert mdp.cost[0, 0] == pytest.approx(100.0 * 2.0, abs=1e-9)
 
     def test_zero_demand_regime_is_deterministic(self):
         # uniform with u_max = 0 puts all mass on zero demand
         params = InventoryParams(capacity=3, order_cost=1.0, holding_cost=5.0,
                                  penalty=100.0, demand_rate=2.0, uniform_max=0)
-        mdp = build_inventory_mdp(params, "uniform")
+        mdp = build_inventory_mdp(params, demand_pmf("uniform", u_max=0))
         s, a = 1, 2      # fill to capacity
         assert mdp.kernel[s, a, 3] == 1.0
         assert mdp.cost[s, a] == pytest.approx(1.0 * a + 5.0 * 3, abs=1e-12)
@@ -98,7 +102,7 @@ class TestBuildInventoryMdp:
         params = InventoryParams(capacity=10, order_cost=1.0, holding_cost=5.0,
                                  penalty=100.0, demand_rate=2.0)
         for kind in ("poisson", "uniform"):
-            mdp = build_inventory_mdp(params, kind)
+            mdp = build_inventory_mdp(params, regime_pmf(params, kind))
             sums = mdp.kernel.sum(axis=2)[mdp.feasible_mask()]
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
@@ -125,7 +129,7 @@ class TestBuildMatchesLoopOracle:
     @given(params=inventory_params())
     def test_kernel_cost_and_feasible_bit_for_bit(self, params):
         for kind in ("poisson", "uniform"):
-            mdp = build_inventory_mdp(params, kind)
+            mdp = build_inventory_mdp(params, regime_pmf(params, kind))
             kernel, cost, feasible = inventory_mdp_oracle(params, kind)
             assert mdp.kernel.tobytes() == kernel.tobytes()
             assert mdp.cost.tobytes() == cost.tobytes()

@@ -13,7 +13,7 @@ from nsmdp.errors import ModelError, NumericalError
 from nsmdp.mdp import (TabularMdp, action_mask, info_number, kl_per_action,
                        max_info_number, policy_evaluation,
                        stationary_distribution, value_iteration)
-from nsmdp.inventory import InventoryParams, build_env, build_inventory_mdp
+from nsmdp.inventory import InventoryParams, build_env, build_inventory_mdp, demand_pmf
 
 from util import (enumerate_policies, info_number_oracle, is_order_up_to, random_mdp,
                   value_iteration_oracle)
@@ -376,7 +376,7 @@ class TestInventoryPolicyStructure:
     def test_miniature_brute_force_is_order_up_to(self):
         params = InventoryParams(capacity=3, order_cost=1.0, holding_cost=5.0,
                                  penalty=100.0, demand_rate=2.0)
-        mdp = build_inventory_mdp(params, "poisson")
+        mdp = build_inventory_mdp(params, demand_pmf("poisson", rate=params.demand_rate))
         value, policy, _ = value_iteration(mdp, beta=0.9, tol=1e-10)
         best_cost, best_policy = math.inf, None
         for candidate in enumerate_policies(mdp.feasible):
@@ -389,7 +389,7 @@ class TestInventoryPolicyStructure:
     def test_full_instance_policy_monotone(self):
         params = InventoryParams(capacity=10, order_cost=1.0, holding_cost=5.0,
                                  penalty=100.0, demand_rate=2.0)
-        mdp = build_inventory_mdp(params, "poisson")
+        mdp = build_inventory_mdp(params, demand_pmf("poisson", rate=params.demand_rate))
         _, policy, _ = value_iteration(mdp, beta=0.99, tol=1e-9)
         assert np.all(np.diff(policy) <= 0)
         assert is_order_up_to(policy)
